@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import detline, elliptic, frozen, helium, levi_civita, loops, serialize, solve
-from .errors import FrozenPlanetError
+from .errors import DomainError, FrozenPlanetError
 
 
 def _echo(args, command):
@@ -28,6 +28,12 @@ def _echo(args, command):
 def _emit(payload, ok):
     print(serialize.dumps(payload))
     return 0 if ok else 1
+
+
+def _check_r(*values):
+    for r in values:
+        if not 0.0 <= r < np.inf:
+            raise DomainError(f"parameter r must be finite and >= 0, got {r}", tag="frozen.r")
 
 
 def _write(path, text):
@@ -44,6 +50,7 @@ def _write(path, text):
 def cmd_solve(args):
     if args.tol <= 0:
         raise FrozenPlanetError("tolerances must be positive", tag="cli.config")
+    _check_r(args.r)
     path = solve.solve_frozen(args.r, n_modes=args.modes)
     cert = path.steps[-1].cert
     bounds = frozen.sup_bounds(cert.z, cert.r)
@@ -72,6 +79,7 @@ def cmd_solve(args):
 
 
 def cmd_continue(args):
+    _check_r(args.start, args.stop)
     seed = solve.free_fall_seed(args.modes)
     obj0 = solve.FrozenObjective(0.0, args.modes)
     x0 = obj0.pack(seed.z)
@@ -204,15 +212,12 @@ def cmd_lc(args):
     z = loops.loop_from_json(data if "class" in data else data["loop"])
     orbit = levi_civita.forward(z, n_t=args.samples)
     _write(args.out, serialize.orbit_to_csv(orbit))
-    g = loops.gram_diag(z.klass, z.n)
-    l2_sq = float(np.sum(g * z.coeffs**2))
+    l2_sq, d1_sq, _ = loops.norm_data(z)
     recip = levi_civita.reciprocal_integral(orbit)
     qbar_quad = levi_civita.qbar_from_samples(orbit)
     recip_res = abs(recip - 1.0 / l2_sq)
     qbar_res = abs(qbar_quad - orbit.qbar)
-    qdot_res = abs(levi_civita.qdot_l2_sq(orbit) - 4.0 * l2_sq * float(
-        np.sum(g * (loops.frequencies(z.klass, z.n) * z.coeffs) ** 2)
-    ))
+    qdot_res = abs(levi_civita.qdot_l2_sq(orbit) - 4.0 * l2_sq * d1_sq)
     ok = recip_res < 1e-6 and qbar_res < 1e-6 and qdot_res < 1e-6
     return _emit(
         {

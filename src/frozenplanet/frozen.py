@@ -39,20 +39,16 @@ CERT_TOL = 1e-9
 
 
 def _norm_data(z: loops.Loop):
-    g = loops.gram_diag(z.klass, z.n)
-    w = loops.frequencies(z.klass, z.n)
-    l2_sq = float(np.sum(g * z.coeffs**2))
-    d1_sq = float(np.sum(g * (w * z.coeffs) ** 2))
-    sq_sq = float(np.mean(z.quad_samples() ** 4))
-    if l2_sq <= 0.0:
+    data = loops.norm_data(z)
+    if data[0] <= 0.0:
         raise DomainError("functional undefined at the zero loop", tag="frozen.zero-loop")
-    return l2_sq, d1_sq, sq_sq
+    return data
 
 
 def coefficients(z: loops.Loop, r):
     """The scalar pair (a, b) entering the gradient at a general point."""
-    if r < 0:
-        raise DomainError("parameter r must be >= 0", tag="frozen.r")
+    if not 0.0 <= r < np.inf:
+        raise DomainError(f"parameter r must be finite and >= 0, got {r}", tag="frozen.r")
     l2_sq, d1_sq, sq_sq = _norm_data(z)
     a = r / (2.0 * sq_sq**2)
     b = 1.0 / l2_sq**3 - d1_sq / l2_sq - r / (2.0 * l2_sq * sq_sq)
@@ -66,8 +62,8 @@ def critical_b(z: loops.Loop, r):
 
 
 def value(z: loops.Loop, r):
-    if r < 0:
-        raise DomainError("parameter r must be >= 0", tag="frozen.r")
+    if not 0.0 <= r < np.inf:
+        raise DomainError(f"parameter r must be finite and >= 0, got {r}", tag="frozen.r")
     l2_sq, d1_sq, sq_sq = _norm_data(z)
     return 2.0 * l2_sq * d1_sq + 2.0 / l2_sq + r * l2_sq / sq_sq
 
@@ -204,10 +200,9 @@ def energy_check(z: loops.Loop, r):
     """
     a, b = coefficients(z, r)
     p = loops.quad_size(z.n_active_modes())
-    taus = loops.grid_points(p)
-    zv = z(taus)
+    zv = z.quad_samples()
     d1 = loops.derivative(z)
-    zp = d1(taus)
+    zp = loops._synthesize_uniform(d1.klass, d1.coeffs, p)
     e = 0.5 * zp**2 + 0.5 * b * zv**2 + 0.5 * a * zv**4
     c = 2.0 * float(np.mean(e))
     deviation = float(np.max(np.abs(2.0 * e - c)))

@@ -75,14 +75,10 @@ def _pair_norms(pair: PairLoop):
 
 
 def _loop_norm_data(z):
-    g = loops.gram_diag(z.klass, z.n)
-    w = loops.frequencies(z.klass, z.n)
-    l2_sq = float(np.sum(g * z.coeffs**2))
-    d1_sq = float(np.sum(g * (w * z.coeffs) ** 2))
-    sq_sq = float(np.mean(z.quad_samples() ** 4))
-    if l2_sq <= 0.0:
+    data = loops.norm_data(z)
+    if data[0] <= 0.0:
         raise DomainError("pair component has zero norm", tag="helium.zero-loop")
-    return l2_sq, d1_sq, sq_sq
+    return data
 
 
 def mean_gap(pair: PairLoop):
@@ -132,12 +128,10 @@ def _component_gradient(z, l2_sq, a_i, b_i):
 
 def c_of(z: loops.Loop):
     """The constant outer loop paired with z on the bridge graph."""
-    g = loops.gram_diag(z.klass, z.n)
-    l2 = float(np.sqrt(np.sum(g * z.coeffs**2)))
-    if l2 <= 0.0:
+    l2_sq, _, sq_sq = loops.norm_data(z)
+    if l2_sq <= 0.0:
         raise DomainError("cannot bridge the zero loop", tag="helium.zero-loop")
-    sq = float(np.sqrt(np.sqrt(np.mean(z.quad_samples() ** 4))))
-    return ALPHA ** (-0.5) * sq**2 / l2
+    return ALPHA ** (-0.5) * np.sqrt(sq_sq) / np.sqrt(l2_sq)
 
 
 def bridge_pair(z: loops.Loop, n1=8) -> PairLoop:

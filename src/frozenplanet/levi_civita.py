@@ -24,6 +24,7 @@ from scipy.interpolate import PchipInterpolator
 from . import loops
 from .errors import (
     AllCollisionError,
+    ClassMismatchError,
     DegenerateLoopError,
     DomainError,
     InvalidMapError,
@@ -304,10 +305,8 @@ def forward(z: loops.Loop, n_t=8192) -> Orbit:
     for zt in sorted(zero_ts):
         if not dedup or _circle_dist(zt, dedup[-1]) > 1e-9 and _circle_dist(zt, dedup[0]) > 1e-9:
             dedup.append(float(zt))
-    g = loops.gram_diag(z.klass, z.n)
-    w_sq = float(np.sqrt(np.mean(z.quad_samples() ** 4)))
-    l2 = float(np.sqrt(np.sum(g * z.coeffs**2)))
-    qbar = w_sq**2 / l2**2
+    l2_sq, _, sq_sq = loops.norm_data(z)
+    qbar = sq_sq / l2_sq
     return Orbit(t, q, np.array(dedup), qbar, source=z, taus=taus)
 
 
@@ -672,8 +671,7 @@ def qdot_l2_sq(orbit: Orbit):
     rec = ReciprocalIntegral(orbit)
     if orbit.source is not None and orbit.taus is not None:
         z = orbit.source
-        g = loops.gram_diag(z.klass, z.n)
-        l2sq = float(np.sum(g * z.coeffs**2))
+        l2sq = loops.norm_data(z)[0]
         d1 = loops.derivative(z)
         zv = z(orbit.taus)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -733,7 +731,7 @@ def inverse(orbit: Orbit, parity="odd", m_out=512) -> loops.Loop:
     klass = loops.ODD_SINE if parity == "odd" else loops.EVEN_COSINE
     try:
         return loops.analyze(full, klass, tol=1e-5)
-    except Exception:
+    except ClassMismatchError:
         return loops.analyze(full, loops.FULL)
 
 
@@ -752,8 +750,10 @@ def q_residual(orbit: Orbit, r, safe_fraction=0.05, method=None):
     the transform (spectral accuracy); otherwise a five-point stencil on
     the sample grid is used, which is the best available from data alone.
     """
-    if r < 0:
-        raise DomainError("mean-interaction strength r must be >= 0", tag="frozen.r")
+    if not 0.0 <= r < np.inf:
+        raise DomainError(
+            f"mean-interaction strength r must be finite and >= 0, got {r}", tag="frozen.r"
+        )
     q = orbit.q
     qmax = float(np.max(q))
     mask = q >= safe_fraction * qmax
@@ -768,8 +768,7 @@ def q_residual(orbit: Orbit, r, safe_fraction=0.05, method=None):
             )
         z = orbit.source
         taus = orbit.taus[mask]
-        g = loops.gram_diag(z.klass, z.n)
-        l2sq = float(np.sum(g * z.coeffs**2))
+        l2sq = loops.norm_data(z)[0]
         zv = z(taus)
         d1 = loops.derivative(z)
         zp = d1(taus)

@@ -14,6 +14,15 @@ which reduces to int_0^1 u v on both symmetric classes.  Nonlinear products
 (squares, cubes, quartics) are formed on a dealiased uniform grid and
 re-analyzed, so norms of z^2 and Galerkin projections of z^3 are exact for
 band-limited loops.
+
+On the uniform grid tau_i = 2i/M every basis function is cos or
+sin(2 pi f i / M) with f an integer frequency, so synthesis onto the grid
+(``from_coeffs``, ``Loop.quad_samples``, the scan in ``sup_norm``) is one
+inverse FFT of length M and ``project`` (hence ``analyze`` and ``cube``)
+reads its coefficients from one forward FFT; frequencies above M/2 fold
+into their aliased bins.  The dense table ``basis_matrix`` evaluates loops
+at arbitrary points (``synthesize``, ``Loop.__call__``) and serves as the
+reference the FFT paths are tested against.
 """
 
 from __future__ import annotations
@@ -98,6 +107,28 @@ def synthesize(klass, coeffs, taus):
     return basis_matrix(klass, coeffs.size, taus).T @ coeffs
 
 
+def _fft_bins(klass, n_coeffs, m):
+    """DFT bin (integer frequency mod m) of each basis function, and which
+    of them are sines, on the uniform grid of m points."""
+    j = np.arange(n_coeffs)
+    if klass == ODD_SINE:
+        return (2 * j + 1) % m, np.ones(n_coeffs, dtype=bool)
+    if klass == EVEN_COSINE:
+        return (2 * j) % m, np.zeros(n_coeffs, dtype=bool)
+    return ((j + 1) // 2) % m, (j > 0) & (j % 2 == 0)
+
+
+def _synthesize_uniform(klass, coeffs, m):
+    """``synthesize(klass, coeffs, grid_points(m))`` by one inverse FFT."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    bins, sine = _fft_bins(klass, coeffs.size, m)
+    # cos(2 pi f i/m) = Re e^{2 pi i f i/m} and sin(...) = Re(-1j e^{...});
+    # add.at sums coefficients that alias into one bin
+    spec = np.zeros(m, dtype=complex)
+    np.add.at(spec, bins, np.where(sine, -1j, 1.0) * coeffs)
+    return m * np.fft.ifft(spec).real
+
+
 def grid_points(m):
     """Uniform grid of m points on [0, 2)."""
     return 2.0 * np.arange(m) / m
@@ -158,7 +189,7 @@ class Loop:
         key = ("quad", p)
         cache = _loop_cache(self)
         if key not in cache:
-            cache[key] = self(grid_points(p))
+            cache[key] = _synthesize_uniform(self.klass, self.coeffs, p)
         return cache[key]
 
     def with_coeffs(self, coeffs):
@@ -189,7 +220,7 @@ def from_coeffs(klass, coeffs, m=None):
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     if m is None:
         m = default_grid_size(klass, coeffs.size)
-    grid = synthesize(klass, coeffs, grid_points(m))
+    grid = _synthesize_uniform(klass, coeffs, m)
     return Loop(klass, coeffs, grid)
 
 
@@ -229,37 +260,41 @@ def analyze(samples, klass, tol=SYMMETRY_TOL):
             f"exceeds tolerance {tol:.1e} (scale {scale:.3g})"
         )
     n = m // 4 if klass != FULL else m // 2 - 1
-    B = basis_matrix(klass, n, grid_points(m))
-    coeffs = (B @ samples) / (m * gram_diag(klass, n))
-    grid = B.T @ coeffs
-    return Loop(klass, coeffs, grid)
+    coeffs = project(klass, samples, n, p=m)
+    return Loop(klass, coeffs, _synthesize_uniform(klass, coeffs, m))
 
 
-def inner(u: Loop, v: Loop):
-    """Half-period L2 pairing (1/2) int_0^2 u v d tau."""
-    if u.klass == v.klass and u.n == v.n:
-        return float(np.sum(u.coeffs * v.coeffs * gram_diag(u.klass, u.n)))
-    p = quad_size(max(u.n_active_modes(), v.n_active_modes()))
-    taus = grid_points(p)
-    return float(np.mean(u(taus) * v(taus)))
+def norm_data(z: Loop):
+    """The squared norms (||z||^2, ||z'||^2, ||z^2||^2), cached per loop.
+
+    The first two are coefficient sums; ||z^2||^2 is the mean of z^4 on the
+    dealiased grid, exact for band-limited loops.  A zero loop yields
+    ||z||^2 = 0; callers that divide by it reject it themselves.
+    """
+    cache = _loop_cache(z)
+    if "norm_data" not in cache:
+        g = gram_diag(z.klass, z.n)
+        w = frequencies(z.klass, z.n)
+        cache["norm_data"] = (
+            float(np.sum(g * z.coeffs**2)),
+            float(np.sum(g * (w * z.coeffs) ** 2)),
+            float(np.mean(z.quad_samples() ** 4)),
+        )
+    return cache["norm_data"]
 
 
 def norms(z: Loop):
     """L2 data of a loop: ||z||, ||z'||, ||z^2||, and the sup norm ||z||_0.
 
-    The first three come from coefficient quadrature on the dealiased grid
-    (exact for band-limited loops); the sup norm from a dense scan refined
-    by golden-section search to 1e-10 in tau.
+    The first three are the square roots of ``norm_data``; the sup norm
+    comes from a dense scan refined by golden-section search to 1e-10 in
+    tau.
     """
-    g = gram_diag(z.klass, z.n)
-    w = frequencies(z.klass, z.n)
-    l2 = float(np.sqrt(np.sum(g * z.coeffs**2)))
-    l2_deriv = float(np.sqrt(np.sum(g * (w * z.coeffs) ** 2)))
-    l2_square = float(np.sqrt(np.mean(z.quad_samples() ** 4)))
+    l2_sq, d1_sq, sq_sq = norm_data(z)
     return {
-        "l2": l2,
-        "l2_deriv": l2_deriv,
-        "l2_square": l2_square,
+        "l2": float(np.sqrt(l2_sq)),
+        "l2_deriv": float(np.sqrt(d1_sq)),
+        "l2_square": float(np.sqrt(sq_sq)),
         "sup": sup_norm(z),
     }
 
@@ -268,7 +303,7 @@ def sup_norm(z: Loop, tol=1e-10):
     """Max of |z| via coarse scan plus golden-section refinement."""
     p = max(4 * quad_size(z.n_active_modes()), 512)
     taus = grid_points(p)
-    vals = np.abs(z(taus))
+    vals = np.abs(_synthesize_uniform(z.klass, z.coeffs, p))
     i = int(np.argmax(vals))
     h = 2.0 / p
     a, b = taus[i] - h, taus[i] + h
@@ -335,18 +370,24 @@ def project(klass, samples_fn_or_values, n_out, p=None):
     """Project sampled values onto ``n_out`` modes of a class basis.
 
     ``samples_fn_or_values`` is either an array of samples on the uniform
-    [0, 2) grid of size p, or a callable evaluated there.
+    [0, 2) grid of size p, or a callable evaluated there.  The discrete
+    inner products with the basis are read from one FFT: Re F[f] for a
+    cosine of frequency f, -Im F[f] for a sine.
     """
     if p is None:
         p = quad_size(n_out, factor=8)
-    taus = grid_points(p)
     vals = (
-        samples_fn_or_values(taus)
+        samples_fn_or_values(grid_points(p))
         if callable(samples_fn_or_values)
-        else np.asarray(samples_fn_or_values)
+        else np.asarray(samples_fn_or_values, dtype=float)
     )
-    B = basis_matrix(klass, n_out, taus)
-    return (B @ vals) / (p * gram_diag(klass, n_out))
+    if vals.shape != (p,):
+        raise DomainError(
+            f"projection needs {p} samples, got shape {vals.shape}", tag="loops.grid"
+        )
+    bins, sine = _fft_bins(klass, n_out, p)
+    spec = np.fft.fft(vals)[bins]
+    return np.where(sine, -spec.imag, spec.real) / (p * gram_diag(klass, n_out))
 
 
 def cube(z: Loop) -> Loop:

@@ -42,8 +42,8 @@ class FrozenObjective:
     """The one-loop functional at fixed r, over odd-sine loops of N modes."""
 
     def __init__(self, r, n_modes=DEFAULT_MODES):
-        if r < 0:
-            raise DomainError("parameter r must be >= 0", tag="frozen.r")
+        if not 0.0 <= r < np.inf:
+            raise DomainError(f"parameter r must be finite and >= 0, got {r}", tag="frozen.r")
         self.r = float(r)
         self.n = int(n_modes)
         self._sg = np.sqrt(loops.gram_diag(loops.ODD_SINE, self.n))
@@ -345,6 +345,8 @@ def continuation(
     ``diagnostics(objective, x, report)`` may attach per-step data.
     """
     span = p1 - p0
+    if not np.isfinite(span):
+        raise DomainError(f"continuation range {p0}..{p1} must be finite", tag="solve.range")
     if span == 0.0:
         raise DomainError("empty continuation range", tag="solve.range")
     direction = 1.0 if span > 0 else -1.0

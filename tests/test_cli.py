@@ -23,6 +23,13 @@ class TestSolveCommand:
         assert payload["ok"] is True
         assert out_file.exists()
 
+    @pytest.mark.parametrize("r", ["nan", "inf", "-1"])
+    def test_bad_parameter_is_domain_error(self, capsys, r):
+        code, out, err = run(capsys, "solve", f"--r={r}", "--modes", "16")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["invariant"] == "frozen.r"
+
     def test_reruns_byte_identical(self, capsys):
         code1, out1, _ = run(capsys, "solve", "--r", "0.1", "--modes", "16")
         code2, out2, _ = run(capsys, "solve", "--r", "0.1", "--modes", "16")
@@ -209,3 +216,12 @@ class TestContinueCommand:
         lines = out_file.read_text().strip().splitlines()
         assert len(lines) == payload["steps"]
         assert summary.read_text().startswith("r,value,a,b,v,w,index")
+
+    @pytest.mark.parametrize("bounds", [("0", "nan"), ("nan", "1"), ("0", "inf")])
+    def test_non_finite_range_is_domain_error(self, capsys, bounds):
+        code, out, err = run(
+            capsys, "continue", "--from", bounds[0], "--to", bounds[1], "--modes", "16"
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["invariant"] == "frozen.r"

@@ -35,8 +35,17 @@ class TestValue:
             assert abs(frozen.value(zc, 0.0) - want) < 1e-11
 
     def test_zero_loop_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as exc:
             frozen.value(loops.from_coeffs(loops.ODD_SINE, [0.0]), 0.0)
+        assert exc.value.tag == "frozen.zero-loop"
+
+    @pytest.mark.parametrize("r", [-1.0, np.nan, np.inf, -np.inf])
+    def test_bad_parameter_rejected(self, r):
+        z = loops.from_coeffs(loops.ODD_SINE, [1.0])
+        for fn in (frozen.value, frozen.coefficients):
+            with pytest.raises(DomainError) as exc:
+                fn(z, r)
+            assert exc.value.tag == "frozen.r"
 
 
 class TestGradient:

@@ -32,6 +32,16 @@ class TestCOf:
             zl = loops.from_coeffs(loops.ODD_SINE, lam * z.coeffs)
             assert abs(helium.c_of(zl) - lam * helium.c_of(z)) < 1e-11
 
+    def test_zero_loop_rejected(self):
+        z = loops.from_coeffs(loops.ODD_SINE, [0.0])
+        with pytest.raises(DomainError) as exc:
+            helium.c_of(z)
+        assert exc.value.tag == "helium.zero-loop"
+        pair = helium.PairLoop(loops.from_coeffs(loops.EVEN_COSINE, [1.0]), z)
+        with pytest.raises(DomainError) as exc:
+            helium.mean_gap(pair)
+        assert exc.value.tag == "helium.zero-loop"
+
     def test_reduced_equation_constants(self):
         z = loops.from_coeffs(loops.ODD_SINE, [1.0])
         out = helium.bridge_graph_constants(z)

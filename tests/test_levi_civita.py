@@ -124,8 +124,23 @@ class TestInverse:
         z = loops.from_coeffs(loops.ODD_SINE, [1.0, 0.2, -0.03])
         orbit = lc.forward(z)
         z2 = lc.inverse(orbit, parity="odd")
+        assert z2.klass == loops.ODD_SINE
         taus = np.linspace(0, 2, 801)
         assert np.max(np.abs(z2(taus) - z(taus))) < 1e-7
+
+    def test_analysis_fault_is_not_masked(self, sine_orbit, monkeypatch):
+        # only a symmetry mismatch falls back to the full class; any other
+        # failure of the analysis must reach the caller
+        analyze = loops.analyze
+
+        def broken(samples, klass, tol=loops.SYMMETRY_TOL):
+            if klass != loops.FULL:
+                raise FloatingPointError("fault in analysis")
+            return analyze(samples, klass, tol)
+
+        monkeypatch.setattr(loops, "analyze", broken)
+        with pytest.raises(FloatingPointError):
+            lc.inverse(sine_orbit, parity="odd")
 
     def test_roundtrip_three_collisions(self):
         # triple cover: sign-switching zeros at 0, 1/3, 2/3 off the sample grid
@@ -178,3 +193,8 @@ class TestQResidual:
     def test_negative_r_rejected(self, sine_orbit):
         with pytest.raises(DomainError):
             lc.q_residual(sine_orbit, -1.0)
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf])
+    def test_non_finite_r_rejected(self, sine_orbit, r):
+        with pytest.raises(DomainError):
+            lc.q_residual(sine_orbit, r)

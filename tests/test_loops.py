@@ -58,6 +58,13 @@ class TestNorms:
         n = loops.norms(loops.from_coeffs(loops.EVEN_COSINE, [0.0, 1.0]))
         assert abs(n["l2"] ** 2 - 0.5) < 1e-13
 
+    def test_norm_data_closed_form_and_cached(self):
+        # z = 1/2 + cos(2 pi tau): mean of z^4 is 1/16 + 3/4 + 3/8
+        z = loops.from_coeffs(loops.EVEN_COSINE, [0.5, 1.0])
+        data = loops.norm_data(z)
+        assert data == pytest.approx((0.75, 2.0 * np.pi**2, 1.1875), rel=1e-14)
+        assert loops.norm_data(z) is data
+
 
 class TestDerivative:
     def test_fundamental(self):
@@ -135,6 +142,52 @@ class TestInvariants:
     def test_min_grid_invariant(self):
         with pytest.raises(DomainError):
             loops.Loop(loops.ODD_SINE, np.ones(8), np.zeros(16))
+
+
+class TestFFTOracle:
+    """The uniform-grid FFT paths against the dense ``basis_matrix`` table.
+
+    M ranges below twice the top frequency, so several coefficients fold
+    into one DFT bin.
+    """
+
+    cases = dict(
+        klass=st.sampled_from(loops.CLASSES),
+        n=st.integers(1, 40),
+        m=st.integers(1, 64).map(lambda q: 4 * q),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(**cases)
+    def test_uniform_synthesis(self, klass, n, m, seed):
+        c = np.random.default_rng(seed).normal(size=n)
+        dense = loops.synthesize(klass, c, loops.grid_points(m))
+        fft = loops._synthesize_uniform(klass, c, m)
+        assert np.max(np.abs(fft - dense)) <= 1e-12 * np.sum(np.abs(c))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**cases)
+    def test_projection(self, klass, n, m, seed):
+        vals = np.random.default_rng(seed).normal(size=m)
+        B = loops.basis_matrix(klass, n, loops.grid_points(m))
+        dense = (B @ vals) / (m * loops.gram_diag(klass, n))
+        assert np.max(np.abs(loops.project(klass, vals, n, p=m) - dense)) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(klass=cases["klass"], n=st.integers(1, 12), seed=cases["seed"])
+    def test_cube_and_analyze_roundtrip(self, klass, n, seed):
+        z = loops.from_coeffs(klass, np.random.default_rng(seed).normal(size=n))
+        taus = np.linspace(0.0, 2.0, 101)
+        scale = max(1.0, float(np.max(np.abs(z(taus)))))
+        assert np.max(np.abs(loops.cube(z)(taus) - z(taus) ** 3)) < 1e-12 * scale**3
+        back = loops.analyze(z.grid, klass)
+        assert np.max(np.abs(back.coeffs[: z.n] - z.coeffs)) < 1e-13 * scale
+        assert np.max(np.abs(back.coeffs[z.n :]), initial=0.0) < 1e-13 * scale
+
+    def test_projection_rejects_wrong_sample_count(self):
+        with pytest.raises(DomainError):
+            loops.project(loops.ODD_SINE, np.zeros(30), 4, p=32)
 
 
 class TestSerialization:

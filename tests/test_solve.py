@@ -44,6 +44,15 @@ class TestNewton:
         rep = solve.newton(obj, x0)
         assert rep.residuals[-1] < 1e-10
 
+    @pytest.mark.parametrize("r", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, r):
+        with pytest.raises(DomainError) as exc:
+            solve.FrozenObjective(r, 8)
+        assert exc.value.tag == "frozen.r"
+        with pytest.raises(DomainError) as exc:
+            solve.solve_frozen(r, n_modes=8)
+        assert exc.value.tag == "solve.range"
+
     def test_zero_seed_rejected(self):
         obj = solve.FrozenObjective(0.0, 8)
         with pytest.raises(DomainError):
