@@ -36,6 +36,27 @@ def _check_r(*values):
             raise DomainError(f"parameter r must be finite and >= 0, got {r}", tag="frozen.r")
 
 
+def _read(path, build):
+    """build(fh) on an open input file; unreadable or malformed content is a
+    cli.input error."""
+    try:
+        with open(path) as fh:
+            return build(fh)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise FrozenPlanetError(
+            f"cannot read input {path!r}: {exc!r}", tag="cli.input"
+        ) from exc
+
+
+def _cert(fh):
+    return serialize.cert_from_dict(json.load(fh))
+
+
+def _loop(fh):
+    data = json.load(fh)
+    return loops.loop_from_json(data if "class" in data else data["loop"])
+
+
 def _write(path, text):
     if path:
         with open(path, "w") as fh:
@@ -116,8 +137,7 @@ def cmd_continue(args):
 
 
 def cmd_spectrum(args):
-    with open(args.input) as fh:
-        cert = serialize.cert_from_dict(json.load(fh))
+    cert = _read(args.input, _cert)
     rep = solve.spectrum(cert, space=args.space)
     payload = {
         "config": _echo(args, "spectrum"),
@@ -135,8 +155,7 @@ def cmd_spectrum(args):
 
 
 def cmd_identity(args):
-    with open(args.input) as fh:
-        cert = serialize.cert_from_dict(json.load(fh))
+    cert = _read(args.input, _cert)
     orbit = levi_civita.forward(cert.z, n_t=args.samples)
     qres = levi_civita.q_residual(orbit, cert.r)
     bounds = frozen.sup_bounds(cert.z, cert.r)
@@ -170,6 +189,8 @@ def cmd_elliptic(args):
         raise FrozenPlanetError(
             f"grid must be 'lo:hi:step', got {args.grid!r}", tag="cli.grid"
         ) from exc
+    if not np.all(np.isfinite((lo, hi, step))):
+        raise FrozenPlanetError(f"grid bounds must be finite, got {args.grid!r}", tag="cli.grid")
     if step <= 0 or hi < lo:
         raise FrozenPlanetError("grid range must be well ordered", tag="cli.grid")
     ms = np.arange(lo, hi + 0.5 * step, step)
@@ -207,9 +228,7 @@ def cmd_elliptic(args):
 
 
 def cmd_lc(args):
-    with open(args.input) as fh:
-        data = json.load(fh)
-    z = loops.loop_from_json(data if "class" in data else data["loop"])
+    z = _read(args.input, _loop)
     orbit = levi_civita.forward(z, n_t=args.samples)
     _write(args.out, serialize.orbit_to_csv(orbit))
     l2_sq, d1_sq, _ = loops.norm_data(z)
@@ -236,8 +255,7 @@ def cmd_lc(args):
 
 def cmd_helium(args):
     if args.input:
-        with open(args.input) as fh:
-            pair = serialize.pair_from_dict(json.load(fh))
+        pair = _read(args.input, lambda fh: serialize.pair_from_dict(json.load(fh)))
     else:
         path = solve.solve_frozen(helium.RHO, n_modes=args.modes)
         pair = helium.bridge_pair(path.steps[-1].cert.z)
@@ -271,13 +289,12 @@ def cmd_helium(args):
 def cmd_euler(args):
     count = 0
     indices = []
-    with open(args.path) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+    records = _read(args.path, lambda fh: [json.loads(line) for line in fh if line.strip()])
     if not records:
         return _emit({"config": _echo(args, "euler"), "euler": 0, "ok": True}, True)
     per_step = []
     for rec in records:
-        diag = rec.get("diagnostics", {})
+        diag = rec.get("diagnostics", {}) if isinstance(rec, dict) else {}
         if "nullity" not in diag or "morse_index" not in diag:
             raise FrozenPlanetError(
                 "path records lack spectral diagnostics", tag="cli.euler-input"

@@ -3,15 +3,16 @@
 The transform pairs a loop z (with finitely many zeros) and a nonnegative
 orbit q through q(t) = z(tau)^2 with the time change dt/q = d tau/||z||^2.
 The forward direction is spectral and exact: the primitive of z^2 is a
-closed-form trigonometric series, which gives the monotone time map, its
-inverse (by safeguarded Newton), and pointwise q values to machine
-precision.
+closed-form trigonometric series, which gives the monotone time map, and
+one inversion of it (``tau_of_t``, safeguarded Newton) serves the pipeline
+and ``TimeMap`` alike, with pointwise q values to machine precision.
 
 The inverse direction works from orbit samples alone.  Near each simple
 collision the orbit behaves like q ~ C |t - t*|^{2/3} (a Puiseux series in
-|t - t*|^{1/3}); the reciprocal integral int dt/q is computed by fitting
-that local series in the cube-root variable and integrating it
-analytically inside a window, with high-order cell quadrature outside.
+|t - t*|^{1/3}).  One regularized quadrature integrates 1/q, q and qdot^2:
+high-order Gauss cells on a local interpolant away from the collisions,
+and inside each window the fitted local series, integrated in the
+cube-root variable.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import loops
 from .errors import (
@@ -123,11 +123,15 @@ def loop_zeros(z: loops.Loop, scan=4096):
 
 
 def tau_of_t(z: loops.Loop, t_values, table=512):
-    """Invert the time map of z at the given t in [0, 1], to ~1e-13 in tau.
+    """Invert the time map of z at the given t in [0, 1].
 
     Safeguarded Newton on the exact primitive, bracketed by a dense table;
     the bracket midpoint substitutes whenever the derivative degenerates
-    near a collision.
+    near a collision, and an exact root (residual 0) is kept as it is.
+    Where z is bounded away from zero the result is good to ~1e-13 in tau.
+    Near a collision t - t* ~ (tau - tau*)^3, so the inversion is cube-root
+    conditioned: a rounding error of 1e-16 in t moves tau by up to ~1e-6
+    (tau_of_t of the triple cover at t = 1/3 gives 0.333333043).
     """
     primitive, i_one = square_primitive(z)
     t = np.atleast_1d(np.asarray(t_values, dtype=float))
@@ -158,6 +162,7 @@ def tau_of_t(z: loops.Loop, t_values, table=512):
         )
         outside = (x_new < lo[active]) | (x_new > hi[active])
         x_new = np.where(outside, 0.5 * (lo[active] + hi[active]), x_new)
+        x_new = np.where(fx == 0.0, xa, x_new)
         moved = np.abs(x_new - xa) >= 1e-14
         x[active] = x_new
         active = active[moved]
@@ -175,17 +180,19 @@ def tau_of_t(z: loops.Loop, t_values, table=512):
 class TimeMap:
     """A monotone circle reparametrization tau |-> t with fixed endpoints.
 
-    Stores a dense node table plus exact node derivatives; interpolation
-    between nodes is monotone cubic (PCHIP), and the inverse is computed by
-    bisection-safeguarded Newton on the interpolant.  A map produced by
-    invert() keeps a reference to its backing map and evaluates through it,
-    so composing the two is the identity to solver tolerance.
+    Stores a dense node table plus exact node derivatives.  A map built by
+    time_map() keeps its loop and evaluates through the exact primitive of
+    z^2, inverting through tau_of_t; a bare node table interpolates
+    linearly in both directions.  A map produced by invert() keeps a
+    reference to its backing map and evaluates through it, so composing the
+    two is the identity to solver tolerance.
     """
 
     tau: np.ndarray
     t: np.ndarray
     dt_dtau: np.ndarray | None = None
     backing: "TimeMap | None" = None
+    loop: loops.Loop | None = None
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=float)
@@ -197,45 +204,21 @@ class TimeMap:
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "t", t)
 
-    def _spline(self):
-        cache = getattr(self, "_pchip", None)
-        if cache is None:
-            cache = PchipInterpolator(self.tau, self.t, extrapolate=True)
-            object.__setattr__(self, "_pchip", cache)
-        return cache
-
     def __call__(self, tau):
         if self.backing is not None:
             return self.backing.inverse(tau)
-        return self._spline()(tau)
+        if self.loop is not None:
+            primitive, i_one = square_primitive(self.loop)
+            return primitive(tau) / i_one
+        return np.interp(tau, self.tau, self.t)
 
-    def inverse(self, t_values, tol=1e-12):
-        """Solve map(tau) = t by monotone bisection plus Newton."""
+    def inverse(self, t_values):
+        """Solve map(tau) = t."""
         if self.backing is not None:
             return self.backing(t_values)
-        spline = self._spline()
-        dspline = spline.derivative()
-        t = np.atleast_1d(np.asarray(t_values, dtype=float))
-        idx = np.clip(
-            np.searchsorted(self.t, t, side="right") - 1, 0, self.tau.size - 2
-        )
-        lo, hi = self.tau[idx], self.tau[idx + 1]
-        tlo, thi = self.t[idx], self.t[idx + 1]
-        x = lo + (t - tlo) / np.maximum(thi - tlo, 1e-300) * (hi - lo)
-        for _ in range(80):
-            fx = spline(x) - t
-            hi = np.where(fx > 0.0, np.minimum(hi, x), hi)
-            lo = np.where(fx <= 0.0, np.maximum(lo, x), lo)
-            d = dspline(x)
-            ok = np.abs(d) > 1e-14
-            x_new = np.where(ok, x - fx / np.where(ok, d, 1.0), 0.5 * (lo + hi))
-            outside = (x_new < lo) | (x_new > hi)
-            x_new = np.where(outside, 0.5 * (lo + hi), x_new)
-            if np.max(np.abs(x_new - x)) < tol:
-                x = x_new
-                break
-            x = x_new
-        return x if np.ndim(t_values) else float(x[0])
+        if self.loop is not None:
+            return tau_of_t(self.loop, t_values)
+        return np.interp(t_values, self.t, self.tau)
 
 
 def time_map(z: loops.Loop, nodes=2048) -> TimeMap:
@@ -248,7 +231,7 @@ def time_map(z: loops.Loop, nodes=2048) -> TimeMap:
     ts = primitive(taus) / i_one
     ts[0], ts[-1] = 0.0, 1.0
     deriv = z(taus) ** 2 / i_one
-    return TimeMap(taus, ts, deriv)
+    return TimeMap(taus, ts, deriv, loop=z)
 
 
 def invert(tmap: TimeMap) -> TimeMap:
@@ -362,29 +345,29 @@ class _CollisionModel:
         sigma = np.cbrt(np.abs(np.asarray(delta, dtype=float)))
         return sigma**2 * self.poly(sigma / self.scale)
 
-    def integral_reciprocal(self, sigma_hi, sigma_lo=0.0):
-        """int 1/q dt over |t - t*|^{1/3} in [sigma_lo, sigma_hi]."""
+    def _gauss(self, integrand, sigma_hi, sigma_lo):
+        """32-point Gauss rule for int integrand(sigma) d sigma."""
         x, w = _GL32
         half = 0.5 * (sigma_hi - sigma_lo)
         s = sigma_lo + half * (x + 1.0)
-        return half * float(np.sum(w * 3.0 / self.poly(s / self.scale)))
+        return half * float(np.sum(w * integrand(s)))
+
+    def integral_reciprocal(self, sigma_hi, sigma_lo=0.0):
+        """int 1/q dt over |t - t*|^{1/3} in [sigma_lo, sigma_hi]."""
+        return self._gauss(lambda s: 3.0 / self.poly(s / self.scale), sigma_hi, sigma_lo)
 
     def integral_q(self, sigma_hi, sigma_lo=0.0):
         """int q dt over the same sigma range."""
-        x, w = _GL32
-        half = 0.5 * (sigma_hi - sigma_lo)
-        s = sigma_lo + half * (x + 1.0)
-        return half * float(np.sum(w * 3.0 * s**4 * self.poly(s / self.scale)))
+        return self._gauss(lambda s: 3.0 * s**4 * self.poly(s / self.scale), sigma_hi, sigma_lo)
 
     def integral_qdot_sq(self, sigma_hi, sigma_lo=0.0):
         """int qdot^2 dt: with q = sigma^2 p, qdot = (2p + sigma p')/(3 sigma)."""
-        x, w = _GL32
-        half = 0.5 * (sigma_hi - sigma_lo)
-        s = sigma_lo + half * (x + 1.0)
-        u = s / self.scale
-        p = self.poly(u)
-        dp = self.poly.deriv()(u) / self.scale
-        return half * float(np.sum(w * (2.0 * p + s * dp) ** 2 / 3.0))
+
+        def integrand(s):
+            u = s / self.scale
+            return (2.0 * self.poly(u) + s * self.poly.deriv()(u) / self.scale) ** 2 / 3.0
+
+        return self._gauss(integrand, sigma_hi, sigma_lo)
 
 
 class ReciprocalIntegral:
@@ -449,9 +432,16 @@ class ReciprocalIntegral:
                 out[j] = model.q_at(delta)
         return out
 
-    # -- prefix table -------------------------------------------------------
+    # -- regularized quadrature --------------------------------------------
 
-    def _build_prefix(self):
+    def _cell_integrals(self, samples, transform, model_method):
+        """Per-cell int transform(samples) dt over the n grid cells.
+
+        Smooth cells take one vectorized 8-point Gauss pass on the local
+        interpolant of ``samples``; each cell near a collision goes through
+        _segment, which uses the fitted model's closed-form integral named
+        by ``model_method`` inside the window.
+        """
         n, h = self.n, self.h
         edges = np.arange(n + 1) * h
         mids = (np.arange(n) + 0.5) * h
@@ -460,24 +450,20 @@ class ReciprocalIntegral:
             d = np.abs((mids - z0 + 0.5) % 1.0 - 0.5)
             in_win |= d < self.window + h
         smooth = ~in_win
-        # all smooth cells in one vectorized Gauss pass
         x, w = _GL8
-        cell_vals = np.zeros(n)
+        cells = np.zeros(n)
         if np.any(smooth):
             a = edges[:-1][smooth]
             pts = a[:, None] + 0.5 * h * (x[None, :] + 1.0)
-            vals = _lagrange_vec(self.orbit.q, pts.ravel()).reshape(pts.shape)
-            cell_vals[smooth] = 0.5 * h * (vals**-1.0 @ w)
+            vals = transform(_lagrange_vec(samples, pts.ravel()).reshape(pts.shape))
+            cells[smooth] = 0.5 * h * (vals @ w)
         for i in np.nonzero(in_win)[0]:
-            cell_vals[i] = self._segment_integral(edges[i], edges[i + 1])
-        self.cell_vals = cell_vals
-        self.prefix = np.concatenate([[0.0], np.cumsum(cell_vals)])
-        self.total = float(self.prefix[-1])
-        if not np.isfinite(self.total) or self.total <= 0.0:
-            raise NonRegularizableError("reciprocal integral failed to converge")
+            cells[i] = self._segment(edges[i], edges[i + 1], samples, transform, model_method)
+        return cells
 
-    def _segment_integral(self, a, b):
-        """int_a^b 1/q for a short segment (may touch collision windows)."""
+    def _segment(self, a, b, samples, transform, model_method):
+        """int_a^b transform(samples) dt for a short segment, split at the
+        collisions it contains; window pieces use the named model integral."""
         pts = [a, b]
         for zz in self.zeros:
             for shift in (-1.0, 0.0, 1.0):
@@ -494,16 +480,27 @@ class ReciprocalIntegral:
             z0 = self._zone(mid % 1.0)
             if z0 is None:
                 s = lo + 0.5 * (hi - lo) * (x + 1.0)
-                vals = _lagrange_vec(self.orbit.q, s % 1.0)
-                total += 0.5 * (hi - lo) * float(np.sum(w / vals))
+                vals = transform(_lagrange_vec(samples, s % 1.0))
+                total += 0.5 * (hi - lo) * float(np.sum(w * vals))
             else:
                 model, _ = self._model_for(mid % 1.0, z0)
                 zs = z0 + round(mid - z0)  # unwrap to the local branch
                 s_lo, s_hi = np.cbrt(abs(lo - zs)), np.cbrt(abs(hi - zs))
                 if s_hi < s_lo:
                     s_lo, s_hi = s_hi, s_lo
-                total += model.integral_reciprocal(s_hi, s_lo)
+                total += getattr(model, model_method)(s_hi, s_lo)
         return total
+
+    def _build_prefix(self):
+        self.cell_vals = self._cell_integrals(self.orbit.q, np.reciprocal, "integral_reciprocal")
+        self.prefix = np.concatenate([[0.0], np.cumsum(self.cell_vals)])
+        self.total = float(self.prefix[-1])
+        if not np.isfinite(self.total) or self.total <= 0.0:
+            raise NonRegularizableError("reciprocal integral failed to converge")
+
+    def _segment_integral(self, a, b):
+        """int_a^b 1/q for a short segment (may touch collision windows)."""
+        return self._segment(a, b, self.orbit.q, np.reciprocal, "integral_reciprocal")
 
     # -- cumulative and its inverse ------------------------------------------
 
@@ -608,56 +605,10 @@ def reciprocal_integral(orbit: Orbit):
     return ReciprocalIntegral(orbit).total
 
 
-def _integrate_regularized(rec: ReciprocalIntegral, samples, transform, model_method):
-    """int_0^1 transform(samples) dt, collision windows handled by the model.
-
-    Smooth cells use Gauss nodes on the local interpolant of ``samples``;
-    inside a window the named closed-form integral of the fitted Puiseux
-    model replaces the quadrature.
-    """
-    n, h = rec.n, rec.h
-    edges = np.arange(n + 1) * h
-    mids = (np.arange(n) + 0.5) * h
-    in_win = np.zeros(n, dtype=bool)
-    for z0 in rec.zeros:
-        d = np.abs((mids - z0 + 0.5) % 1.0 - 0.5)
-        in_win |= d < rec.window + h
-    x, w = _GL8
-    total = 0.0
-    a = edges[:-1][~in_win]
-    if a.size:
-        pts = a[:, None] + 0.5 * h * (x[None, :] + 1.0)
-        vals = transform(_lagrange_vec(samples, pts.ravel()).reshape(pts.shape))
-        total += float(np.sum(0.5 * h * (vals @ w)))
-    for i in np.nonzero(in_win)[0]:
-        lo0, hi0 = edges[i], edges[i + 1]
-        pts = [lo0, hi0]
-        for zz in rec.zeros:
-            for shift in (-1.0, 0.0, 1.0):
-                if lo0 < zz + shift < hi0:
-                    pts.append(zz + shift)
-        pts = sorted(set(pts))
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            mid = 0.5 * (lo + hi)
-            z0 = rec._zone(mid % 1.0)
-            if z0 is None:
-                s = lo + 0.5 * (hi - lo) * (x + 1.0)
-                vals = transform(_lagrange_vec(samples, s % 1.0))
-                total += 0.5 * (hi - lo) * float(np.sum(w * vals))
-            else:
-                model, _ = rec._model_for(mid % 1.0, z0)
-                zs = z0 + round(mid - z0)
-                s_lo, s_hi = np.cbrt(abs(lo - zs)), np.cbrt(abs(hi - zs))
-                if s_hi < s_lo:
-                    s_lo, s_hi = s_hi, s_lo
-                total += getattr(model, model_method)(s_hi, s_lo)
-    return total
-
-
 def qbar_from_samples(orbit: Orbit):
     """int_0^1 q dt from samples, with collision-window correction."""
     rec = ReciprocalIntegral(orbit)
-    return _integrate_regularized(rec, orbit.q, lambda v: v, "integral_q")
+    return float(np.sum(rec._cell_integrals(orbit.q, lambda v: v, "integral_q")))
 
 
 def qdot_l2_sq(orbit: Orbit):
@@ -678,7 +629,7 @@ def qdot_l2_sq(orbit: Orbit):
             qdot = np.where(np.abs(zv) > 1e-300, 2.0 * l2sq * d1(orbit.taus) / zv, 0.0)
     else:
         qdot = qdot_fd(orbit)
-    return _integrate_regularized(rec, qdot, lambda v: v**2, "integral_qdot_sq")
+    return float(np.sum(rec._cell_integrals(qdot, np.square, "integral_qdot_sq")))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Deterministic JSON/CSV serialization.
 
 All floats are emitted with 17 significant digits, so identical runs
-produce byte-identical payloads and values roundtrip losslessly.
+produce byte-identical payloads and values roundtrip losslessly.  JSON has
+no NaN or infinity, so dumps writes non-finite floats as null; CSV cells
+keep fmt's nan/inf.
 """
 
 from __future__ import annotations
@@ -20,8 +22,15 @@ def fmt(x):
     return format(float(x), ".17g")
 
 
+def _json_number(x):
+    """fmt for JSON, which has no nan or inf: those become null."""
+    if isinstance(x, (float, np.floating)) and not np.isfinite(x):
+        return "null"
+    return fmt(x)
+
+
 def dumps(obj, indent=0):
-    """Minimal JSON emitter with fixed float formatting."""
+    """Minimal JSON emitter with fixed float formatting; nan/inf become null."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -36,7 +45,7 @@ def dumps(obj, indent=0):
             return "[]"
         flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq)
         if flat:
-            return "[" + ", ".join(fmt(v) for v in seq) + "]"
+            return "[" + ", ".join(_json_number(v) for v in seq) + "]"
         items = [f"{pad}  {dumps(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if obj is None:
@@ -46,7 +55,7 @@ def dumps(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt(obj)
+        return _json_number(obj)
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from frozenplanet import cli, loops, serialize
@@ -51,9 +53,10 @@ class TestEllipticCommand:
             assert float(line.split(",")[rec_col]) < 1e-9
 
     def test_bad_grid_is_config_error(self, capsys):
-        code, _, err = run(capsys, "elliptic", "--grid", "nonsense")
-        assert code == 2
-        assert "invariant" in err
+        for grid in ("nonsense", "nan:1:0.1"):
+            code, _, err = run(capsys, "elliptic", "--grid", grid)
+            assert code == 2
+            assert json.loads(err)["invariant"] == "cli.grid"
 
 
 class TestCertPipelines:
@@ -123,6 +126,50 @@ class TestCertPipelines:
         assert payload["reciprocal_res"] < 1e-6
         header = orbit_file.read_text().splitlines()[0]
         assert header == "t,q,qdot,zero"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--input"),
+            ("identity", "--input"),
+            ("lc", "--input"),
+            ("helium", "--mode", "av", "--input"),
+            ("euler", "--path"),
+        ],
+    )
+    def test_non_json_file_is_input_error(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text("this is { not json")
+        code, out, err = run(capsys, *argv, str(bad))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["invariant"] == "cli.input"
+
+    def test_loop_without_coeffs_is_input_error(self, capsys, tmp_path):
+        loop_file = tmp_path / "loop.json"
+        loop_file.write_text(json.dumps({"class": "odd-sine"}))
+        code, out, err = run(capsys, "lc", "--input", str(loop_file))
+        assert code == 2
+        assert json.loads(err)["invariant"] == "cli.input"
+
+    def test_euler_record_not_an_object(self, capsys, tmp_path):
+        path_file = tmp_path / "path.jsonl"
+        path_file.write_text("[1, 2]\n")
+        code, _, err = run(capsys, "euler", "--path", str(path_file))
+        assert code == 2
+        assert json.loads(err)["invariant"] == "cli.euler-input"
+
+
+class TestDumps:
+    def test_non_finite_floats_are_null(self):
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = {"x": math.nan, "y": [1.0, math.inf, np.float64(-np.inf)], "z": 0.5}
+        parsed = json.loads(serialize.dumps(payload), parse_constant=reject)
+        assert parsed == {"x": None, "y": [1.0, None, None], "z": 0.5}
 
 
 class TestHeliumCommand:

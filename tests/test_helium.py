@@ -218,6 +218,15 @@ class TestInterp:
         with pytest.raises(DomainError):
             helium.b_interp(pair, 1.5)
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, pair, s):
+        with pytest.raises(DomainError) as err:
+            helium.b_interp(pair, s)
+        assert err.value.tag == "helium.s"
+        with pytest.raises(DomainError) as err:
+            helium.PairObjective(s)
+        assert err.value.tag == "helium.s"
+
 
 class TestMeanCriticalPair:
     def test_resolved_pair_residual(self, mean_pair):

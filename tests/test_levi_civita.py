@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import frozenplanet
 
 from frozenplanet import levi_civita as lc
 from frozenplanet import loops
@@ -72,6 +78,17 @@ class TestInvert:
         vals[5] = vals[3]
         with pytest.raises(InvalidMapError):
             lc.TimeMap(nodes, vals)
+
+
+class TestTauOfT:
+    def test_endpoints_are_exact(self, sine_loop):
+        # the derivative vanishes at the collision, so only an exact root
+        # that is kept as it is gives 0 and 1 back
+        assert lc.tau_of_t(sine_loop, 0.0) == 0.0
+        assert lc.tau_of_t(sine_loop, 1.0) == 1.0
+
+    def test_forward_starts_at_zero(self, sine_orbit):
+        assert sine_orbit.taus[0] == 0.0
 
 
 class TestForward:
@@ -198,3 +215,16 @@ class TestQResidual:
     def test_non_finite_r_rejected(self, sine_orbit, r):
         with pytest.raises(DomainError):
             lc.q_residual(sine_orbit, r)
+
+
+def test_package_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(frozenplanet.__file__))
+    code = "import sys, frozenplanet; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
