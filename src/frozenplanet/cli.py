@@ -18,6 +18,12 @@ import numpy as np
 from . import detline, elliptic, frozen, helium, levi_civita, loops, serialize, solve
 from .errors import DomainError, FrozenPlanetError
 
+#: upper limits of the count arguments, checked before anything is allocated;
+#: each keeps the largest single allocation under about 1 GiB
+MAX_COUNTS = {"modes": 1024, "steps": 100_000, "samples": 65_536, "grid": 1_000_000}
+#: detline assembles dense (2N+1)^2 operators and takes one SVD per step
+MAX_DETLINE_MODES = 512
+
 
 def _echo(args, command):
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
@@ -34,6 +40,12 @@ def _check_r(*values):
     for r in values:
         if not 0.0 <= r < np.inf:
             raise DomainError(f"parameter r must be finite and >= 0, got {r}", tag="frozen.r")
+
+
+def _check_size(name, value, cap):
+    """Reject a count outside [1, cap] with cli.size."""
+    if not 1 <= value <= cap:
+        raise FrozenPlanetError(f"{name} must lie in [1, {cap}], got {value:.6g}", tag="cli.size")
 
 
 def _read(path, build):
@@ -193,6 +205,7 @@ def cmd_elliptic(args):
         raise FrozenPlanetError(f"grid bounds must be finite, got {args.grid!r}", tag="cli.grid")
     if step <= 0 or hi < lo:
         raise FrozenPlanetError("grid range must be well ordered", tag="cli.grid")
+    _check_size("--grid point count", (hi - lo) / step + 1.0, MAX_COUNTS["grid"])
     ms = np.arange(lo, hi + 0.5 * step, step)
     ms = ms[ms < 1.0 - 1e-9]
     lines = ["m,I0,I1,I2,I3,I4,K,E,rec_res,i2_res,der_res,riccati_res"]
@@ -414,7 +427,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    caps = dict(MAX_COUNTS, modes=MAX_DETLINE_MODES) if args.command == "detline" else MAX_COUNTS
     try:
+        for name in ("modes", "steps", "samples"):
+            if hasattr(args, name):
+                _check_size(f"--{name}", getattr(args, name), caps[name])
         return args.func(args)
     except FrozenPlanetError as exc:
         print(

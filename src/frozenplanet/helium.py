@@ -197,21 +197,6 @@ def bridge_graph_constants(z: loops.Loop):
 # ---------------------------------------------------------------------------
 
 
-def _deriv_values(z, taus):
-    """z'(tau) from coefficients (cos family for sines and vice versa)."""
-    w = loops.frequencies(z.klass, z.n)
-    if z.klass == loops.ODD_SINE:
-        ks = 2 * np.arange(1, z.n + 1) - 1
-        mat = np.cos(np.pi * np.outer(ks, taus))
-        return (w * z.coeffs) @ mat
-    if z.klass == loops.EVEN_COSINE:
-        ks = 2 * np.arange(z.n)
-        mat = np.sin(np.pi * np.outer(ks, taus))
-        return -(w * z.coeffs) @ mat
-    d = loops.derivative(z)
-    return d(taus)
-
-
 def _pair_times(pair: PairLoop, n_quad):
     """Midpoint nodes and the inverse-time-map values for both components."""
     from . import levi_civita as lc
@@ -287,7 +272,7 @@ def _bin_component_gradient(z, taus, t_nodes, weights, l2_sq, d1_sq):
     g = loops.gram_diag(z.klass, n)
     basis_here = loops.basis_matrix(z.klass, n, taus)  # (n, m)
     zv = z(taus)
-    zp = _deriv_values(z, taus)
+    zp = loops.derivative_values(z, taus)
     phi = _primitive_table(z, taus)  # (n, m): Phi_{e_k}(tau_j)
     inner_ze = g * z.coeffs  # <z, e_k>
     with np.errstate(divide="ignore", invalid="ignore"):

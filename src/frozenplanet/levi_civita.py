@@ -50,37 +50,27 @@ FIT_DEGREE = 6
 def square_primitive(z: loops.Loop):
     """Closed-form primitive I(tau) = int_0^tau z^2, plus I(1).
 
-    z^2 is a finite trigonometric polynomial; its primitive is evaluated
-    termwise, so the time map of a loop is exact to rounding.  Cached on
-    the loop.
+    z^2 is a finite trigonometric polynomial, projected onto the class it
+    lies in (even-cosine for both symmetric classes, full otherwise); its
+    primitive is evaluated termwise, so the time map of a loop is exact to
+    rounding.  Cached on the loop.
     """
     cache = loops._loop_cache(z)
     if "square_primitive" in cache:
         return cache["square_primitive"]
-    n_modes = z.n_active_modes()
-    n_full = 4 * loops.mode_count(z.klass, z.n) + 1
-    p = loops.quad_size(n_modes)
+    klass = loops.FULL if z.klass == loops.FULL else loops.EVEN_COSINE
+    n_sq = int(loops._slot(klass, 2 * loops.mode_count(z.klass, z.n), True)) + 1
     sq = z.quad_samples() ** 2
-    coeffs = loops.project(loops.FULL, sq, n_full, p=p)
-    c0 = coeffs[0]
-    n_k = (n_full + 1) // 2
-    ks = np.arange(1, n_k + 1)
-    a = np.zeros(n_k)
-    b = np.zeros(n_k)
-    for j in range(1, n_full):
-        k = (j + 1) // 2
-        if j % 2 == 1:
-            a[k - 1] = coeffs[j]
-        else:
-            b[k - 1] = coeffs[j]
-    kpi = ks * np.pi
-    a_red = a / kpi
-    b_red = b / kpi
+    coeffs = loops.project(klass, sq, n_sq, p=loops.quad_size(z.n_active_modes()))
+    # termwise: cos(pi f s) -> sin(pi f tau)/(pi f), sin -> (1 - cos)/(pi f)
+    f, sine = loops._layout(klass, n_sq)
+    f, sine = f[1:], sine[1:]
+    red = np.where(sine, -1.0, 1.0) * coeffs[1:] / (np.pi * f)
+    offset = -float(np.sum(red[sine]))
 
     def primitive(tau):
         tau = np.asarray(tau, dtype=float)
-        ang = np.outer(tau, kpi)
-        return c0 * tau + np.sin(ang) @ a_red + (1.0 - np.cos(ang)) @ b_red
+        return coeffs[0] * tau + offset + red @ loops._trig(f, ~sine, tau)
 
     i_one = float(primitive(np.array([1.0]))[0])
     cache["square_primitive"] = (primitive, i_one)
@@ -600,14 +590,23 @@ class ReciprocalIntegral:
         return 0.5 * (lo + hi)
 
 
+def _reciprocal(orbit: Orbit) -> ReciprocalIntegral:
+    """The orbit's ReciprocalIntegral, built once and cached on the orbit."""
+    rec = getattr(orbit, "_reciprocal", None)
+    if rec is None:
+        rec = ReciprocalIntegral(orbit)
+        object.__setattr__(orbit, "_reciprocal", rec)
+    return rec
+
+
 def reciprocal_integral(orbit: Orbit):
     """int_0^1 dt/q(t) with collision regularization."""
-    return ReciprocalIntegral(orbit).total
+    return _reciprocal(orbit).total
 
 
 def qbar_from_samples(orbit: Orbit):
     """int_0^1 q dt from samples, with collision-window correction."""
-    rec = ReciprocalIntegral(orbit)
+    rec = _reciprocal(orbit)
     return float(np.sum(rec._cell_integrals(orbit.q, lambda v: v, "integral_q")))
 
 
@@ -619,14 +618,14 @@ def qdot_l2_sq(orbit: Orbit):
     the cube-root variable.  With a source loop attached, qdot comes from
     the chain rule; otherwise from grid differences.
     """
-    rec = ReciprocalIntegral(orbit)
+    rec = _reciprocal(orbit)
     if orbit.source is not None and orbit.taus is not None:
         z = orbit.source
         l2sq = loops.norm_data(z)[0]
-        d1 = loops.derivative(z)
         zv = z(orbit.taus)
+        zp = loops.derivative_values(z, orbit.taus)
         with np.errstate(divide="ignore", invalid="ignore"):
-            qdot = np.where(np.abs(zv) > 1e-300, 2.0 * l2sq * d1(orbit.taus) / zv, 0.0)
+            qdot = np.where(np.abs(zv) > 1e-300, 2.0 * l2sq * zp / zv, 0.0)
     else:
         qdot = qdot_fd(orbit)
     return float(np.sum(rec._cell_integrals(qdot, np.square, "integral_qdot_sq")))
@@ -661,7 +660,7 @@ def inverse(orbit: Orbit, parity="odd", m_out=512) -> loops.Loop:
 
     half = m_out // 2
     taus = np.arange(half) / half  # uniform on [0, 1)
-    rec = ReciprocalIntegral(orbit)
+    rec = _reciprocal(orbit)
     t_of_tau = rec.solve(taus * rec.total)
     vals = np.sqrt(np.maximum(rec.q_eval(t_of_tau), 0.0))
 
@@ -721,8 +720,7 @@ def q_residual(orbit: Orbit, r, safe_fraction=0.05, method=None):
         taus = orbit.taus[mask]
         l2sq = loops.norm_data(z)[0]
         zv = z(taus)
-        d1 = loops.derivative(z)
-        zp = d1(taus)
+        zp = loops.derivative_values(z, taus)
         zpp = loops.synthesize(z.klass, loops.second_derivative_coeffs(z), taus)
         qv = zv**2
         qdot = 2.0 * l2sq * zp / zv

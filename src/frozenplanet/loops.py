@@ -15,18 +15,25 @@ which reduces to int_0^1 u v on both symmetric classes.  Nonlinear products
 re-analyzed, so norms of z^2 and Galerkin projections of z^3 are exact for
 band-limited loops.
 
-On the uniform grid tau_i = 2i/M every basis function is cos or
-sin(2 pi f i / M) with f an integer frequency, so synthesis onto the grid
-(``from_coeffs``, ``Loop.quad_samples``, the scan in ``sup_norm``) is one
-inverse FFT of length M and ``project`` (hence ``analyze`` and ``cube``)
-reads its coefficients from one forward FFT; frequencies above M/2 fold
-into their aliased bins.  The dense table ``basis_matrix`` evaluates loops
-at arbitrary points (``synthesize``, ``Loop.__call__``) and serves as the
+Every basis function is cos or sin(pi f tau) with f an integer frequency.
+The private table ``_layout(klass, n) -> (f, sine)`` and its inverse
+``_slot`` hold that rule for all three classes; calculus is termwise on it
+(z' swaps cos and sin with weights -pi f and +pi f), and ``_trig``
+evaluates the cos or sin rows off the grid.
+
+On the uniform grid tau_i = 2i/M each basis function is cos or
+sin(2 pi f i / M), so synthesis onto the grid (``from_coeffs``,
+``Loop.quad_samples``, the scan in ``sup_norm``) is one inverse FFT of
+length M and ``project`` (hence ``analyze`` and ``cube``) reads its
+coefficients from one forward FFT; frequencies above M/2 fold into their
+aliased bins.  The dense table ``basis_matrix`` evaluates loops at
+arbitrary points (``synthesize``, ``Loop.__call__``) and serves as the
 reference the FFT paths are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,59 +53,62 @@ QUAD_FACTOR = 16
 #: tolerance for symmetry checks in analyze()
 SYMMETRY_TOL = 1e-8
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
 def _validate_class(klass):
     if klass not in CLASSES:
         raise DomainError(f"unknown symmetry class {klass!r}", tag="loops.class")
 
 
+@functools.cache
+def _layout(klass, n_coeffs):
+    """The frequency table of a class: coefficient k multiplies cos or
+    sin(pi f[k] tau), a sine where ``sine[k]``.  Cached (it is read on
+    every synthesis and projection), so both arrays are read-only."""
+    j = np.arange(n_coeffs)
+    if klass == ODD_SINE:
+        f, sine = 2 * j + 1, np.ones(n_coeffs, dtype=bool)
+    elif klass == EVEN_COSINE:
+        f, sine = 2 * j, np.zeros(n_coeffs, dtype=bool)
+    else:
+        # full layout: [c0, a1, b1, a2, b2, ...]
+        f, sine = (j + 1) // 2, (j > 0) & (j % 2 == 0)
+    f.setflags(write=False)
+    sine.setflags(write=False)
+    return f, sine
+
+
+def _slot(klass, f, sine):
+    """Inverse of ``_layout``: the coefficient index of cos or sin(pi f tau)."""
+    if klass != FULL:
+        return f // 2
+    return np.where(f > 0, 2 * f - 1 + sine, 0)
+
+
+def _trig(f, sine, taus):
+    """Rows cos(pi f[k] tau), or sin where ``sine[k]``, at the points ``taus``."""
+    out = np.pi * np.outer(f, taus)
+    rows = sine[:, None]
+    np.cos(out, out=out, where=~rows)
+    return np.sin(out, out=out, where=rows)
+
+
 def mode_count(klass, n_coeffs):
     """Highest frequency (in units of pi) present in a coefficient vector."""
-    if klass == ODD_SINE:
-        return 2 * n_coeffs - 1
-    if klass == EVEN_COSINE:
-        return 2 * (n_coeffs - 1)
-    # full layout: [c0, a1, b1, a2, b2, ...]
-    return (n_coeffs - 1 + 1) // 2
+    return int(_layout(klass, n_coeffs)[0][-1])
 
 
 def frequencies(klass, n_coeffs):
     """Angular frequencies omega_k (z_k'' = -omega_k^2 z_k) per coefficient."""
-    if klass == ODD_SINE:
-        return np.pi * (2 * np.arange(1, n_coeffs + 1) - 1)
-    if klass == EVEN_COSINE:
-        return 2 * np.pi * np.arange(n_coeffs)
-    freqs = np.zeros(n_coeffs)
-    k = (np.arange(1, n_coeffs) + 1) // 2
-    freqs[1:] = np.pi * k
-    return freqs
+    return np.pi * _layout(klass, n_coeffs)[0]
 
 
 def gram_diag(klass, n_coeffs):
     """Diagonal of the Gram matrix <e_j, e_k> of the raw basis."""
-    g = np.full(n_coeffs, 0.5)
-    if klass in (EVEN_COSINE, FULL):
-        g[0] = 1.0
-    return g
+    return np.where(_layout(klass, n_coeffs)[0] == 0, 1.0, 0.5)
 
 
 def basis_matrix(klass, n_coeffs, taus):
     """Matrix B[k, i] = e_k(taus[i]) of raw basis functions."""
-    taus = np.asarray(taus, dtype=float)
-    if klass == ODD_SINE:
-        ks = 2 * np.arange(1, n_coeffs + 1) - 1
-        return np.sin(np.pi * np.outer(ks, taus))
-    if klass == EVEN_COSINE:
-        ks = 2 * np.arange(n_coeffs)
-        return np.cos(np.pi * np.outer(ks, taus))
-    B = np.empty((n_coeffs, taus.size))
-    B[0] = 1.0
-    for j in range(1, n_coeffs):
-        k = (j + 1) // 2
-        B[j] = np.cos(k * np.pi * taus) if j % 2 == 1 else np.sin(k * np.pi * taus)
-    return B
+    return _trig(*_layout(klass, n_coeffs), np.asarray(taus, dtype=float))
 
 
 def synthesize(klass, coeffs, taus):
@@ -107,25 +117,14 @@ def synthesize(klass, coeffs, taus):
     return basis_matrix(klass, coeffs.size, taus).T @ coeffs
 
 
-def _fft_bins(klass, n_coeffs, m):
-    """DFT bin (integer frequency mod m) of each basis function, and which
-    of them are sines, on the uniform grid of m points."""
-    j = np.arange(n_coeffs)
-    if klass == ODD_SINE:
-        return (2 * j + 1) % m, np.ones(n_coeffs, dtype=bool)
-    if klass == EVEN_COSINE:
-        return (2 * j) % m, np.zeros(n_coeffs, dtype=bool)
-    return ((j + 1) // 2) % m, (j > 0) & (j % 2 == 0)
-
-
 def _synthesize_uniform(klass, coeffs, m):
     """``synthesize(klass, coeffs, grid_points(m))`` by one inverse FFT."""
     coeffs = np.asarray(coeffs, dtype=float)
-    bins, sine = _fft_bins(klass, coeffs.size, m)
+    f, sine = _layout(klass, coeffs.size)
     # cos(2 pi f i/m) = Re e^{2 pi i f i/m} and sin(...) = Re(-1j e^{...});
     # add.at sums coefficients that alias into one bin
     spec = np.zeros(m, dtype=complex)
-    np.add.at(spec, bins, np.where(sine, -1j, 1.0) * coeffs)
+    np.add.at(spec, f % m, np.where(sine, -1j, 1.0) * coeffs)
     return m * np.fft.ifft(spec).real
 
 
@@ -287,8 +286,7 @@ def norms(z: Loop):
     """L2 data of a loop: ||z||, ||z'||, ||z^2||, and the sup norm ||z||_0.
 
     The first three are the square roots of ``norm_data``; the sup norm
-    comes from a dense scan refined by golden-section search to 1e-10 in
-    tau.
+    comes from ``sup_norm``.
     """
     l2_sq, d1_sq, sq_sq = norm_data(z)
     return {
@@ -299,28 +297,45 @@ def norms(z: Loop):
     }
 
 
-def sup_norm(z: Loop, tol=1e-10):
-    """Max of |z| via coarse scan plus golden-section refinement."""
+def sup_norm(z: Loop):
+    """Max of |z|: the largest sample of a fine uniform scan, refined by
+    Newton on z' = 0 inside the scan cell around it."""
     p = max(4 * quad_size(z.n_active_modes()), 512)
-    taus = grid_points(p)
     vals = np.abs(_synthesize_uniform(z.klass, z.coeffs, p))
     i = int(np.argmax(vals))
     h = 2.0 / p
-    a, b = taus[i] - h, taus[i] + h
-    f = lambda t: -abs(float(z(np.array([t]))[0]))
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return max(float(vals[i]), -min(f1, f2))
+    t0 = t = i * h
+    f, dsine, d1 = _termwise_derivative(z.klass, z.coeffs)
+    d2 = second_derivative_coeffs(z)
+    for _ in range(8):
+        zpp = (d2 @ _trig(f, ~dsine, [t]))[0]
+        if zpp == 0.0:
+            break
+        step = (d1 @ _trig(f, dsine, [t]))[0] / zpp
+        if not abs(t - step - t0) < h:
+            break
+        t -= step
+        if abs(step) < 1e-15:
+            break
+    return max(float(vals[i]), abs(float(z([t])[0])))
+
+
+def _termwise_derivative(klass, coeffs):
+    """Layout and coefficients of z' by termwise differentiation: cos(pi f tau)
+    turns into -pi f sin(pi f tau) and sin into +pi f cos."""
+    f, sine = _layout(klass, coeffs.size)
+    w = np.pi * f
+    return f, ~sine, np.where(sine, w, -w) * coeffs
+
+
+def derivative_values(z: Loop, taus):
+    """z'(taus), differentiated termwise in the class's own layout."""
+    f, sine, d1 = _termwise_derivative(z.klass, z.coeffs)
+    return d1 @ _trig(f, sine, np.asarray(taus, dtype=float))
+
+
+#: residual symmetry of z' for the symmetric classes
+_DERIVATIVE_NOTE = {ODD_SINE: "odd-cosine", EVEN_COSINE: "even-sine"}
 
 
 def derivative(z: Loop) -> Loop:
@@ -330,34 +345,12 @@ def derivative(z: Loop) -> Loop:
     cosines of the same frequencies), so it is returned as class ``full``
     with a note recording the residual symmetry.
     """
-    w = frequencies(z.klass, z.n)
-    if z.klass == ODD_SINE:
-        n_full = 2 * (2 * z.n - 1) + 1
-        coeffs = np.zeros(n_full)
-        for k in range(z.n):
-            j = 2 * k + 1  # frequency (2k+1) * pi
-            coeffs[2 * j - 1] = w[k] * z.coeffs[k]  # cos slot
-        note = "odd-cosine"
-    elif z.klass == EVEN_COSINE:
-        n_full = 2 * (2 * (z.n - 1)) + 1 if z.n > 1 else 1
-        coeffs = np.zeros(max(n_full, 1))
-        for k in range(1, z.n):
-            j = 2 * k
-            coeffs[2 * j] = -w[k] * z.coeffs[k]  # sin slot
-        note = "even-sine"
-    else:
-        coeffs = np.zeros_like(z.coeffs)
-        for j in range(1, z.n, 2):
-            k = (j + 1) // 2
-            a = z.coeffs[j]
-            b = z.coeffs[j + 1] if j + 1 < z.n else 0.0
-            coeffs[j] = k * np.pi * b
-            if j + 1 < z.n:
-                coeffs[j + 1] = -k * np.pi * a
-        note = None
+    f, sine, d1 = _termwise_derivative(z.klass, z.coeffs)
+    coeffs = np.zeros(2 * int(f[-1]) + 1)
+    coeffs[_slot(FULL, f, sine)] = d1
     m = default_grid_size(FULL, coeffs.size)
     out = from_coeffs(FULL, coeffs, m=max(m, z.m))
-    return replace(out, symmetry_note=note)
+    return replace(out, symmetry_note=_DERIVATIVE_NOTE.get(z.klass))
 
 
 def second_derivative_coeffs(z: Loop):
@@ -385,8 +378,8 @@ def project(klass, samples_fn_or_values, n_out, p=None):
         raise DomainError(
             f"projection needs {p} samples, got shape {vals.shape}", tag="loops.grid"
         )
-    bins, sine = _fft_bins(klass, n_out, p)
-    spec = np.fft.fft(vals)[bins]
+    f, sine = _layout(klass, n_out)
+    spec = np.fft.fft(vals)[f % p]
     return np.where(sine, -spec.imag, spec.real) / (p * gram_diag(klass, n_out))
 
 
@@ -420,30 +413,12 @@ def rescale_cover(z: Loop, n: int) -> Loop:
     n = int(n)
     if n == 1:
         return z
-    scale = float(n) ** (-1.0 / 3.0)
-    if z.klass == ODD_SINE:
-        if n % 2 == 0:
-            raise ClassMismatchError(
-                "even cover order leaves the odd-sine class"
-            )
-        n_new = ((2 * z.n - 1) * n + 1) // 2
-        coeffs = np.zeros(n_new)
-        for k in range(z.n):
-            j = ((2 * k + 1) * n + 1) // 2  # 1-based target index
-            coeffs[j - 1] = scale * z.coeffs[k]
-    elif z.klass == EVEN_COSINE:
-        n_new = (z.n - 1) * n + 1
-        coeffs = np.zeros(n_new)
-        for k in range(z.n):
-            coeffs[k * n] = scale * z.coeffs[k]
-    else:
-        n_modes = z.n_active_modes()
-        coeffs = np.zeros(2 * n_modes * n + 1)
-        coeffs[0] = scale * z.coeffs[0]
-        for j in range(1, z.n):
-            k = (j + 1) // 2
-            tgt = 2 * (k * n) - 1 if j % 2 == 1 else 2 * (k * n)
-            coeffs[tgt] = scale * z.coeffs[j]
+    if z.klass == ODD_SINE and n % 2 == 0:
+        raise ClassMismatchError("even cover order leaves the odd-sine class")
+    f, sine = _layout(z.klass, z.n)
+    slots = _slot(z.klass, n * f, sine)
+    coeffs = np.zeros(slots[-1] + 1)
+    coeffs[slots] = float(n) ** (-1.0 / 3.0) * z.coeffs
     return from_coeffs(z.klass, coeffs)
 
 
@@ -457,15 +432,7 @@ def embed_full(z: Loop, n_modes=None) -> Loop:
     if n_modes < max_freq:
         raise DomainError("embedding would truncate the loop", tag="loops.embed")
     coeffs = np.zeros(2 * n_modes + 1)
-    if z.klass == ODD_SINE:
-        for k in range(z.n):
-            j = 2 * k + 1
-            coeffs[2 * j] = z.coeffs[k]  # sin slot
-    else:
-        coeffs[0] = z.coeffs[0]
-        for k in range(1, z.n):
-            j = 2 * k
-            coeffs[2 * j - 1] = z.coeffs[k]  # cos slot
+    coeffs[_slot(FULL, *_layout(z.klass, z.n))] = z.coeffs
     return from_coeffs(FULL, coeffs)
 
 

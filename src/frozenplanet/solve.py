@@ -115,7 +115,7 @@ class NewtonReport:
     quadratic_ratios: list
 
 
-def newton(objective, x0, tol=NEWTON_TOL, max_iter=30, damping=True, jacobian="every"):
+def newton(objective, x0, tol=NEWTON_TOL, max_iter=30, jacobian="every"):
     """Damped Newton on the packed coordinates.
 
     Residuals are L2 norms of the projected gradient; the last-step
@@ -160,7 +160,7 @@ def newton(objective, x0, tol=NEWTON_TOL, max_iter=30, damping=True, jacobian="e
             if objective.admissible(x_new):
                 g_new = objective.gradient(x_new)
                 res_new = float(np.linalg.norm(g_new))
-                if res_new < res or not damping:
+                if res_new < res:
                     break
             lam *= 0.5
         else:

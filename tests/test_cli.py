@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from frozenplanet import cli, loops, serialize
+from frozenplanet import cli, levi_civita, loops, serialize
 
 
 def run(capsys, *argv):
@@ -128,6 +128,22 @@ class TestCertPipelines:
         assert header == "t,q,qdot,zero"
 
 
+def test_lc_builds_one_reciprocal_integral(capsys, tmp_path, monkeypatch):
+    built = []
+    init = levi_civita.ReciprocalIntegral.__init__
+
+    def counting_init(self, orbit):
+        built.append(orbit)
+        init(self, orbit)
+
+    monkeypatch.setattr(levi_civita.ReciprocalIntegral, "__init__", counting_init)
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps(loops.loop_to_json(loops.from_coeffs(loops.ODD_SINE, [1.0]))))
+    code, _, _ = run(capsys, "lc", "--input", str(loop_file), "--samples", "2048")
+    assert code == 0
+    assert len(built) == 1
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv",
@@ -160,6 +176,38 @@ class TestMalformedInput:
         code, _, err = run(capsys, "euler", "--path", str(path_file))
         assert code == 2
         assert json.loads(err)["invariant"] == "cli.euler-input"
+
+
+class TestSizeCaps:
+    """Count arguments are checked before anything is allocated."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("identity", "--input", "unused.json", "--samples", "0"),
+            ("lc", "--input", "unused.json", "--samples", "-4"),
+            ("detline", "--steps", "-3"),
+            ("detline", "--steps", "0"),
+            ("detline", "--modes", "100000"),
+            ("solve", "--r", "1", "--modes", "0"),
+            ("continue", "--from", "0", "--to", "1", "--modes", "5000"),
+            ("helium", "--mode", "av", "--modes", "-1"),
+            ("lc", "--input", "unused.json", "--samples", "1000000000"),
+            ("elliptic", "--grid", "0:0.9:1e-12"),
+            ("elliptic", "--grid", "0:0.9:5e-324"),
+        ],
+    )
+    def test_out_of_range_count_is_size_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["invariant"] == "cli.size"
+
+    def test_caps_admit_the_documented_values(self):
+        assert cli.MAX_COUNTS["modes"] >= 128
+        assert cli.MAX_DETLINE_MODES >= 16
+        assert cli.MAX_COUNTS["samples"] >= 8192
+        assert cli.MAX_COUNTS["steps"] >= 400
 
 
 class TestDumps:

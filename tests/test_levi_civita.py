@@ -80,6 +80,20 @@ class TestInvert:
             lc.TimeMap(nodes, vals)
 
 
+class TestSquarePrimitive:
+    @pytest.mark.parametrize("klass", loops.CLASSES)
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_gauss_legendre(self, klass, n):
+        z = loops.from_coeffs(klass, np.random.default_rng(n).normal(size=n))
+        primitive, i_one = lc.square_primitive(z)
+        x, w = np.polynomial.legendre.leggauss(64)
+        taus = np.linspace(0.0, 2.0, 23)
+        quad = [0.5 * tau * np.sum(w * z(0.5 * tau * (x + 1.0)) ** 2) for tau in taus]
+        scale = max(1.0, float(np.sum(z.coeffs**2)))
+        assert np.max(np.abs(primitive(taus) - quad)) < 1e-13 * scale
+        assert abs(i_one - quad[11]) < 1e-13 * scale
+
+
 class TestTauOfT:
     def test_endpoints_are_exact(self, sine_loop):
         # the derivative vanishes at the collision, so only an exact root

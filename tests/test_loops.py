@@ -82,6 +82,77 @@ class TestDerivative:
         taus = np.linspace(0, 2, 41)
         assert np.max(np.abs(d(taus) - 3 * np.pi * np.cos(3 * np.pi * taus))) < 1e-12
 
+    def test_full_loop_with_trailing_cosine(self):
+        # [c0, a1]: the top cosine has no sine partner in the input layout
+        d = loops.derivative(loops.from_coeffs(loops.FULL, [0.3, 1.0]))
+        taus = np.linspace(0, 2, 41)
+        assert np.max(np.abs(d(taus) + np.pi * np.sin(np.pi * taus))) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        klass=st.sampled_from(loops.CLASSES),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_values_match_loop_and_central_difference(self, klass, n, seed):
+        z = loops.from_coeffs(klass, np.random.default_rng(seed).normal(size=n))
+        taus = np.linspace(0.0, 2.0, 57)
+        scale = np.pi * max(1, loops.mode_count(klass, n)) * max(1.0, np.sum(np.abs(z.coeffs)))
+        values = loops.derivative_values(z, taus)
+        assert np.max(np.abs(values - loops.derivative(z)(taus))) < 1e-12 * scale
+        h = 1e-5
+        central = (z(taus + h) - z(taus - h)) / (2 * h)
+        assert np.max(np.abs(values - central)) < 1e-6 * scale
+
+
+class TestSlotMap:
+    """The class layouts placed through ``_slot``: embedding and covering."""
+
+    cases = dict(
+        klass=st.sampled_from(loops.CLASSES),
+        n=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    taus = np.linspace(0.0, 2.0, 73)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**cases)
+    def test_embed_full_keeps_values(self, klass, n, seed):
+        z = loops.from_coeffs(klass, np.random.default_rng(seed).normal(size=n))
+        zf = loops.embed_full(z)
+        assert zf.klass == loops.FULL
+        scale = max(1.0, np.sum(np.abs(z.coeffs)))
+        assert np.max(np.abs(zf(self.taus) - z(self.taus))) < 1e-13 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(cover=st.integers(1, 5), **cases)
+    def test_rescale_cover_substitutes(self, klass, n, seed, cover):
+        if klass == loops.ODD_SINE and cover % 2 == 0:
+            cover += 1
+        z = loops.from_coeffs(klass, np.random.default_rng(seed).normal(size=n))
+        zn = loops.rescale_cover(z, cover)
+        assert zn.klass == klass
+        want = cover ** (-1.0 / 3.0) * z(cover * self.taus)
+        scale = max(1.0, np.sum(np.abs(z.coeffs)))
+        assert np.max(np.abs(zn(self.taus) - want)) < 1e-12 * scale
+
+
+class TestSupNorm:
+    @settings(max_examples=30, deadline=None)
+    @given(klass=st.sampled_from(loops.CLASSES), n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_refines_the_scan(self, klass, n, seed):
+        c = np.random.default_rng(seed).normal(size=n) / (1.0 + np.arange(n))
+        z = loops.from_coeffs(klass, c)
+        sup = loops.sup_norm(z)
+        p = max(4 * loops.quad_size(z.n_active_modes()), 512)  # the scan sup_norm refines
+        scan = np.max(np.abs(loops._synthesize_uniform(klass, c, p)))
+        taus = np.linspace(0.0, 2.0, 100_001)
+        dense = np.max(np.abs(z(taus)))
+        # sampling at spacing h misses the maximum by at most h^2 max|z''| / 8
+        miss = (taus[1] ** 2 / 8) * np.sum(np.abs(loops.second_derivative_coeffs(z)))
+        assert sup >= scan
+        assert dense - 1e-14 <= sup <= dense + miss + 1e-14
+
 
 class TestRescaleCover:
     def test_substitution(self):
