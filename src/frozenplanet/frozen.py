@@ -144,21 +144,14 @@ def hessian_analytic(z: loops.Loop, r):
     a, b = coefficients(z, r)
     l2_sq, d1_sq, sq_sq = _norm_data(z)
     n = z.n
-    g = loops.gram_diag(z.klass, n)
-    sg = np.sqrt(g)
+    sg = np.sqrt(loops.gram_diag(z.klass, n))
     w = loops.frequencies(z.klass, n)
-    p = loops.quad_size(z.n_active_modes())
-    taus = loops.grid_points(p)
-    basis = loops.basis_matrix(z.klass, n, taus) / sg[:, None]  # orthonormal rows
-    zs = z.quad_samples()
+    c3hat, mult_z2 = _cubic_galerkin(z)
 
     zhat = sg * z.coeffs
-    # z^3 and z'' + b z + 2 a z^3 in orthonormal coordinates
-    c3hat = (basis @ zs**3) / p
+    # z'' + b z + 2 a z^3 in orthonormal coordinates
     ghat = sg * (loops.second_derivative_coeffs(z) + b * z.coeffs)
     ghat_full = ghat + 2.0 * a * c3hat
-
-    mult_z2 = basis @ (zs[:, None] ** 2 * basis.T) / p  # multiplication by z^2
 
     # variations of the scalar coefficients along orthonormal directions
     zp_hat = sg * w * z.coeffs  # coordinates pairing <z', e_k'> = w_k^2 zhat_k
@@ -174,6 +167,20 @@ def hessian_analytic(z: loops.Loop, r):
     core += np.outer(zhat, dbvec) + 2.0 * np.outer(c3hat, davec)
     h += -4.0 * l2_sq * core
     return 0.5 * (h + h.T)
+
+
+def _cubic_galerkin(z: loops.Loop):
+    """z^3 and the multiplication operator M[z^2] in the orthonormal basis
+    e_k / sqrt(g_k), both exact on the dealiased grid.
+
+    They are the gradient and Hessian of the quartic norm:
+    ||z^2||^2 has gradient 4 z^3 and Hessian 12 M[z^2] in those coordinates.
+    """
+    sg = np.sqrt(loops.gram_diag(z.klass, z.n))
+    p = loops.quad_size(z.n_active_modes())
+    basis = loops.basis_matrix(z.klass, z.n, loops.grid_points(p)) / sg[:, None]
+    zs = z.quad_samples()
+    return (basis @ zs**3) / p, basis @ (zs[:, None] ** 2 * basis.T) / p
 
 
 def _hessian_fd(z: loops.Loop, r, step):

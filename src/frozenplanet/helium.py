@@ -17,6 +17,15 @@ gradient is the exact derivative of that discretized quadrature (implicit
 differentiation of the inverse time maps), so gradient and objective stay
 mutually consistent for Newton.
 
+Both functionals have exact Hessians in orthonormal coordinates
+(``b_av_hessian``, ``b_in_hessian``).  b_av is a rational function of the
+norms ||z_i||^2, ||z_i'||^2 and ||z_i^2||^2, so its Hessian follows by the
+chain rule, with 12 M[z_i^2] the Hessian of the quartic norm.  b_in's is the
+second variation of the discretized quadrature: the inverse time maps are
+differentiated twice, and node sums of int_0^tau e_j e_k are read from one
+product-to-sum table.  ``PairObjective.hessian`` is (1 - s) H_av + s H_in;
+the tests check it against central differences of the gradient.
+
 The bridge to the one-loop family: with rho = (sqrt 2 - 1)^2 and
 alpha = (sqrt 2 - 1)/sqrt 2, pairing z with the constant loop
 c(z) = alpha^{-1/2} ||z^2||/||z|| turns the frozen functional at rho into
@@ -27,6 +36,7 @@ component equation is the nonzero universal constant -2 alpha.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -197,22 +207,38 @@ def bridge_graph_constants(z: loops.Loop):
 # ---------------------------------------------------------------------------
 
 
-def _pair_times(pair: PairLoop, n_quad):
-    """Midpoint nodes and the inverse-time-map values for both components."""
+def _midpoint_taus(z: loops.Loop, n_quad):
+    """tau_z at the midpoint nodes (k + 1/2)/n_quad, cached on the loop."""
     from . import levi_civita as lc
 
-    t = (np.arange(n_quad) + 0.5) / n_quad
-    tau1 = lc.tau_of_t(pair.z1, t)
-    tau2 = lc.tau_of_t(pair.z2, t)
-    return t, tau1, tau2
+    cache = loops._loop_cache(z)
+    key = ("midpoint_tau", n_quad)
+    if key not in cache:
+        taus = lc.tau_of_t(z, (np.arange(n_quad) + 0.5) / n_quad)
+        taus.setflags(write=False)
+        cache[key] = taus
+    return cache[key]
 
 
 def interaction_gap(pair: PairLoop, n_quad=N_QUAD):
     """Samples of z1^2 - z2^2 in physical time at the quadrature nodes."""
-    t, tau1, tau2 = _pair_times(pair, n_quad)
+    t = (np.arange(n_quad) + 0.5) / n_quad
+    tau1 = _midpoint_taus(pair.z1, n_quad)
+    tau2 = _midpoint_taus(pair.z2, n_quad)
     q1 = pair.z1(tau1) ** 2
     q2 = pair.z2(tau2) ** 2
     return t, tau1, tau2, q1 - q2, q1, q2
+
+
+def _admissible_gap(pair: PairLoop, n_quad):
+    """``interaction_gap`` without q1, q2; raises unless the gap is positive."""
+    t, tau1, tau2, gap, _, _ = interaction_gap(pair, n_quad)
+    if np.any(gap <= 0.0):
+        raise AdmissibilityError(
+            "pointwise admissibility violated: z1^2(tau1(t)) - z2^2(tau2(t)) "
+            f"<= 0 at t = {t[int(np.argmin(gap))]:.6g}"
+        )
+    return t, tau1, tau2, gap
 
 
 def b_in(pair: PairLoop, n_quad=N_QUAD):
@@ -224,14 +250,8 @@ def b_in(pair: PairLoop, n_quad=N_QUAD):
     a gradient consistent with the value to rounding, which finite
     differences of the value confirm to ~1e-8 relative.
     """
-    t, tau1, tau2, gap, _, _ = interaction_gap(pair, n_quad)
-    gmax = float(np.max(gap))
-    if np.any(gap <= 0.0):
-        raise AdmissibilityError(
-            "pointwise admissibility violated: z1^2(tau1(t)) - z2^2(tau2(t)) "
-            f"<= 0 at t = {t[int(np.argmin(gap))]:.6g}"
-        )
-    ill_conditioned = bool(np.min(gap) < 1e-6 * gmax)
+    t, tau1, tau2, gap = _admissible_gap(pair, n_quad)
+    ill_conditioned = bool(np.min(gap) < 1e-6 * float(np.max(gap)))
     if ill_conditioned:
         warnings.warn(
             "interaction gap nearly closes; the instantaneous value is "
@@ -247,8 +267,8 @@ def b_in(pair: PairLoop, n_quad=N_QUAD):
     )
     # interaction gradient weights: d(-Q)/dq_i at the nodes
     wts = 1.0 / (gap**2 * n_quad)
-    g1 = _bin_component_gradient(pair.z1, tau1, t, +wts, l1, d1)
-    g2 = _bin_component_gradient(pair.z2, tau2, t, -wts, l2, d2)
+    g1 = _bin_component_gradient(pair.z1, _TimeMapVariation(pair.z1, tau1, t), +wts, l1, d1)
+    g2 = _bin_component_gradient(pair.z2, _TimeMapVariation(pair.z2, tau2, t), -wts, l2, d2)
     return {
         "value": value,
         "gradient": (g1, g2),
@@ -257,78 +277,124 @@ def b_in(pair: PairLoop, n_quad=N_QUAD):
     }
 
 
-def _bin_component_gradient(z, taus, t_nodes, weights, l2_sq, d1_sq):
+def _bin_component_gradient(z, var, weights, l2_sq, d1_sq):
     """Gradient component: smooth norm terms plus the interaction chain rule.
 
-    The variation of q(t) = z(tau_z(t))^2 in a basis direction e is
-
-        2 z(tau) e(tau) - (2 z'(tau)/z(tau)) (Phi_e(tau) - t 2<z, e>),
-
-    with Phi_e the primitive of 2 z e (closed form per basis pair).  The
-    interaction contribution to <grad, e> is the weighted node sum of that
-    variation; dividing by the Gram diagonal yields loop coefficients.
+    The interaction contribution to <grad, e_k> is the weighted node sum
+    of the variation dq_k of q(t) = z(tau_z(t))^2; dividing by sqrt(g_k)
+    turns the orthonormal components into loop coefficients.
     """
-    n = z.n
-    g = loops.gram_diag(z.klass, n)
-    basis_here = loops.basis_matrix(z.klass, n, taus)  # (n, m)
-    zv = z(taus)
-    zp = loops.derivative_values(z, taus)
-    phi = _primitive_table(z, taus)  # (n, m): Phi_{e_k}(tau_j)
-    inner_ze = g * z.coeffs  # <z, e_k>
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.abs(zv) > 1e-300, 2.0 * zp / zv, 0.0)
-    bracket = phi - 2.0 * np.outer(inner_ze, t_nodes)
-    dq = 2.0 * zv * basis_here - ratio * bracket  # (n, m)
-    inter = dq @ weights  # <interaction gradient, e_k>
+    inter = var.dq @ weights
     # smooth norm terms: -4||z||^2 z'' + 4||z'||^2 z - 4 z/||z||^4
-    w = loops.frequencies(z.klass, n)
+    w = loops.frequencies(z.klass, z.n)
     smooth = (
         -4.0 * l2_sq * (-(w**2) * z.coeffs)
         + 4.0 * d1_sq * z.coeffs
         - 4.0 * z.coeffs / l2_sq**2
     )
-    coeffs = smooth + inter / g
-    return loops.from_coeffs(z.klass, coeffs)
+    return loops.from_coeffs(z.klass, smooth + inter / var.sg)
 
 
-def _primitive_table(z, taus):
-    """Phi[k, j] = int_0^{tau_j} 2 z e_k, via product-to-sum closed forms."""
-    n = z.n
-    m = np.arange(n)
-    if z.klass == loops.ODD_SINE:
-        # 2 sin((2m+1)pi s) sin((2k+1)pi s) = cos(2(m-k)pi s) - cos(2(m+k+1)pi s)
-        diff = m[None, :] - m[:, None]  # m - k
-        summ = m[None, :] + m[:, None] + 1  # m + k + 1
-        table = _sin_over(taus, max(int(np.max(summ)), int(np.max(np.abs(diff)))) + 1)
-        phi = np.einsum("m,kmj->kj", z.coeffs, _gather(table, diff, taus)) - np.einsum(
-            "m,kmj->kj", z.coeffs, _gather(table, summ, taus)
-        )
-        return phi
-    if z.klass == loops.EVEN_COSINE:
-        # 2 cos(2m pi s) cos(2k pi s) = cos(2(m-k)pi s) + cos(2(m+k)pi s)
-        diff = m[None, :] - m[:, None]
-        summ = m[None, :] + m[:, None]
-        table = _sin_over(taus, int(np.max(summ)) + 1)
-        return np.einsum("m,kmj->kj", z.coeffs, _gather(table, diff, taus)) + np.einsum(
-            "m,kmj->kj", z.coeffs, _gather(table, summ, taus)
-        )
-    raise DomainError("primitive table needs a symmetric class", tag="helium.classes")
+@functools.cache
+def _product_to_sum(klass, n):
+    """e_j e_k = (cos(pi d s) + sign cos(pi p s)) / 2, d = |f_j - f_k|, p = f_j + f_k.
+
+    Read from the ``loops._layout`` frequencies f; sign is -1 for a product
+    of sines and +1 for a product of cosines, so the rule holds on both
+    symmetric classes.  Returns the frequencies q that occur, the (n, n)
+    indices of d and p into q, and the sign; cached read-only.
+    """
+    if klass == loops.FULL:
+        raise DomainError("product table needs a symmetric class", tag="helium.classes")
+    f, sine = loops._layout(klass, n)
+    d = np.abs(f[:, None] - f[None, :])
+    p = f[:, None] + f[None, :]
+    q, idx = np.unique(np.concatenate([d, p]), return_inverse=True)
+    idx = idx.reshape(2 * n, n)
+    di, pi = idx[:n], idx[n:]
+    for arr in (q, di, pi):
+        arr.setflags(write=False)
+    return q, di, pi, -1.0 if sine[0] else 1.0
 
 
-def _sin_over(taus, p_max):
-    """S(p, tau) = sin(2 p pi tau)/(2 p pi) for p = 0..p_max (S(0) = tau)."""
-    ps = np.arange(p_max + 1)
-    table = np.empty((p_max + 1, taus.size))
-    table[0] = taus
-    if p_max >= 1:
-        ang = 2.0 * np.pi * np.outer(ps[1:], taus)
-        table[1:] = np.sin(ang) / (2.0 * np.pi * ps[1:, None])
+def _cos_primitive(q, taus):
+    """S[i](tau) = int_0^tau cos(pi q_i s) ds = sin(pi q_i tau)/(pi q_i); tau at q = 0."""
+    table = loops._trig(q, np.ones(q.size, dtype=bool), taus)
+    nonzero = q > 0
+    table[nonzero] /= np.pi * q[nonzero, None]
+    table[~nonzero] = taus
     return table
 
 
-def _gather(table, p_matrix, taus):
-    """S(p) for a (k, m) matrix of signed indices; S is even in p."""
-    return table[np.abs(p_matrix)]
+def _phi_table(z: loops.Loop, taus):
+    """Phi[k](tau) = int_0^tau 2 z e_k at the points taus, with the table S.
+
+    By the product-to-sum rule 2 z e_k = sum_j c_j (cos(pi d_jk s)
+    + sign cos(pi p_jk s)), so Phi is a coefficient matrix over the
+    frequencies q times S = ``_cos_primitive(q, taus)``.
+    """
+    n = z.n
+    q, di, pi, sign = _product_to_sum(z.klass, n)
+    prim = _cos_primitive(q, taus)
+    coef = np.zeros((n, q.size))
+    rows = np.broadcast_to(np.arange(n)[:, None], (n, n))
+    np.add.at(coef, (rows, di), z.coeffs[None, :])
+    np.add.at(coef, (rows, pi), sign * z.coeffs[None, :])
+    return coef @ prim, prim
+
+
+class _TimeMapVariation:
+    """First variation of q(t) = z(tau_z(t))^2 at the quadrature nodes.
+
+    Directions are the orthonormal e_k / sqrt(g_k).  Implicit
+    differentiation of int_0^tau z^2 = t ||z||^2 gives the variation of the
+    inverse time map, tau_e = (2 t <z, e> - Phi_e(tau)) / z^2 with Phi_e the
+    primitive of 2 z e (``_phi_table``), and then dq_e = 2 z (e + z' tau_e).
+    """
+
+    def __init__(self, z: loops.Loop, taus, t_nodes):
+        self.klass = z.klass
+        self.sg = np.sqrt(loops.gram_diag(z.klass, z.n))
+        f, sine = loops._layout(z.klass, z.n)
+        omega = np.pi * f
+        self.e = loops._trig(f, sine, taus) / self.sg[:, None]
+        # e' termwise: cos(pi f tau) -> -pi f sin, sin -> +pi f cos
+        self.ep = loops._trig(f, ~sine, taus) * (np.where(sine, omega, -omega) / self.sg)[:, None]
+        self.x = self.sg * z.coeffs  # <z, e> in orthonormal directions
+        self.zv = self.x @ self.e
+        self.zp = self.x @ self.ep
+        self.zpp = (-(omega**2) * self.x) @ self.e
+        phi, self.prim = _phi_table(z, taus)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.inv_z = np.where(np.abs(self.zv) > 1e-150, 1.0 / self.zv, 0.0)
+        self.tau_e = (2.0 * np.outer(self.x, t_nodes) - phi / self.sg[:, None]) * self.inv_z**2
+        self.dq = 2.0 * self.zv * (self.e + self.zp * self.tau_e)
+
+    def second(self, t_nodes, w):
+        """sum_m w_m d^2 q_ef(t_m) over orthonormal directions e, f (n x n).
+
+        Differentiating int_0^tau z^2 = t ||z||^2 twice gives tau_ef, and
+        with A_e = e + z' tau_e the second variation reads
+
+            d^2 q_ef = 2 A_e A_f + 2 z (e' tau_f + f' tau_e + z'' tau_e tau_f
+                                         + z' tau_ef)
+                     = 2 e f - 2 z' (e tau_f + f tau_e)
+                       + 2 (z z'' - z'^2) tau_e tau_f + 2 z (e' tau_f + f' tau_e)
+                       + (4 z'/z) (t <e, f> - P_ef(tau)),
+
+        P_ef = int_0^tau e f.  Every term but the last is an (n, M) diag
+        (M, n) product; the weighted node sum of P_ef is read from
+        V(q) = sum_m c_m S_q(tau_m) at the product-to-sum indices.
+        """
+        ratio = 4.0 * self.zp * self.inv_z * w  # the weights (4 z'/z) w
+        cross = (self.e * (-2.0 * w * self.zp) + self.ep * (2.0 * w * self.zv)) @ self.tau_e.T
+        h = 2.0 * (self.e * w) @ self.e.T + cross + cross.T
+        h += (self.tau_e * (2.0 * w * (self.zv * self.zpp - self.zp**2))) @ self.tau_e.T
+        h[np.diag_indices_from(h)] += float(ratio @ t_nodes)
+        _, di, pi, sign = _product_to_sum(self.klass, self.sg.size)
+        v = self.prim @ ratio
+        h -= 0.5 * (v[di] + sign * v[pi]) / np.outer(self.sg, self.sg)
+        return h
 
 
 def b_interp(pair: PairLoop, s, n_quad=N_QUAD):
@@ -396,6 +462,93 @@ def hessian_bound(h_matrix, pair: PairLoop, n1, n2):
 
 
 # ---------------------------------------------------------------------------
+# exact Hessians, in the orthonormal coordinates x_k = sqrt(g_k) c_k
+# ---------------------------------------------------------------------------
+
+
+def _smooth_hessian(z: loops.Loop):
+    """Hessian of 2 ||z||^2 ||z'||^2 + 2/||z||^2, a function of two quadratics.
+
+    With l = |x|^2 and d = |W x|^2 (W = diag of the frequencies), the chain
+    rule gives diag(4d - 4/l^2 + 4 l W^2) + 16/l^3 x x^T + 8 (x v^T + v x^T),
+    v = W^2 x.
+    """
+    l2_sq, d1_sq, _ = _loop_norm_data(z)
+    x = np.sqrt(loops.gram_diag(z.klass, z.n)) * z.coeffs
+    w2 = loops.frequencies(z.klass, z.n) ** 2
+    xv = np.outer(x, w2 * x)
+    h = np.diag(4.0 * d1_sq - 4.0 / l2_sq**2 + 4.0 * l2_sq * w2)
+    return h + (16.0 / l2_sq**3) * np.outer(x, x) + 8.0 * (xv + xv.T)
+
+
+def _block_diag(h1, h2):
+    n1 = h1.shape[0]
+    h = np.zeros((n1 + h2.shape[0],) * 2)
+    h[:n1, :n1] = h1
+    h[n1:, n1:] = h2
+    return h
+
+
+def b_av_hessian(pair: PairLoop):
+    """Exact Hessian of b_av in orthonormal coordinates (z1 first, then z2).
+
+    The mean term T = -l1 l2 / (s1 l2 - s2 l1) depends on the pair only
+    through y = (l1, s1, l2, s2), l_i = ||z_i||^2 = |x_i|^2 and
+    s_i = ||z_i^2||^2, whose gradients are 2 x_i and 4 z_i^3 and whose
+    Hessians are 2 I and 12 M[z_i^2].  So H_T = sum_a T_a Hess(y_a)
+    + J T'' J^T, with J the columns of the gradients of y.
+    """
+    gap = require_mean_admissible(pair)
+    (l1, _, s1), (l2, _, s2) = _pair_norms(pair)
+    z1, z2 = pair.z1, pair.z2
+    c1, m1 = frozen._cubic_galerkin(z1)
+    c2, m2 = frozen._cubic_galerkin(z2)
+    # T_a = num_a / gap^2; T_ab = dnum_ab / gap^2 - 2 num_a dgap_b / gap^3,
+    # symmetric in exact arithmetic (its average below drops the rounding)
+    num = np.array([-s1 * l2**2, l1 * l2**2, s2 * l1**2, -(l1**2) * l2])
+    dnum = np.array([
+        [0.0, -(l2**2), -2.0 * s1 * l2, 0.0],
+        [l2**2, 0.0, 2.0 * l1 * l2, 0.0],
+        [2.0 * s2 * l1, 0.0, 0.0, l1**2],
+        [-2.0 * l1 * l2, 0.0, -(l1**2), 0.0],
+    ])
+    dgap = np.array([-s2, l2, s1, -l1])
+    t2 = dnum / gap**2 - 2.0 * np.outer(num, dgap) / gap**3
+    t1 = num / gap**2
+    n1 = z1.n
+    jac = np.zeros((n1 + z2.n, 4))
+    jac[:n1, 0] = 2.0 * np.sqrt(loops.gram_diag(z1.klass, n1)) * z1.coeffs
+    jac[:n1, 1] = 4.0 * c1
+    jac[n1:, 2] = 2.0 * np.sqrt(loops.gram_diag(z2.klass, z2.n)) * z2.coeffs
+    jac[n1:, 3] = 4.0 * c2
+    h = _block_diag(
+        _smooth_hessian(z1) + 2.0 * t1[0] * np.eye(n1) + 12.0 * t1[1] * m1,
+        _smooth_hessian(z2) + 2.0 * t1[2] * np.eye(z2.n) + 12.0 * t1[3] * m2,
+    )
+    return h + jac @ (0.5 * (t2 + t2.T)) @ jac.T
+
+
+def b_in_hessian(pair: PairLoop, n_quad=N_QUAD):
+    """Exact Hessian of the discretized b_in in orthonormal coordinates.
+
+    The interaction -mean(1/g), g = q1 - q2 at the nodes, has Hessian
+    (1/M) sum_m [d^2 g / g^2 - 2 dg dg^T / g^3]; the first term is block
+    diagonal (``_TimeMapVariation.second``) and the cross block comes
+    only from the second.
+    """
+    t, tau1, tau2, gap = _admissible_gap(pair, n_quad)
+    var1 = _TimeMapVariation(pair.z1, tau1, t)
+    var2 = _TimeMapVariation(pair.z2, tau2, t)
+    wts = 1.0 / (gap**2 * n_quad)
+    h = _block_diag(
+        _smooth_hessian(pair.z1) + var1.second(t, wts),
+        _smooth_hessian(pair.z2) + var2.second(t, -wts),
+    )
+    dg = np.concatenate([var1.dq, -var2.dq])
+    return h - 2.0 * (dg / (gap**3 * n_quad)) @ dg.T
+
+
+# ---------------------------------------------------------------------------
 # pair objective for the solver
 # ---------------------------------------------------------------------------
 
@@ -413,6 +566,7 @@ class PairObjective:
         self.n_quad = int(n_quad)
         self._sg1 = np.sqrt(loops.gram_diag(loops.EVEN_COSINE, self.n1))
         self._sg2 = np.sqrt(loops.gram_diag(loops.ODD_SINE, self.n2))
+        self._last = None
 
     def pack(self, pair: PairLoop):
         c1 = np.zeros(self.n1)
@@ -422,12 +576,17 @@ class PairObjective:
         return np.concatenate([self._sg1 * c1, self._sg2 * c2])
 
     def unpack(self, x) -> PairLoop:
-        c1 = x[: self.n1] / self._sg1
-        c2 = x[self.n1 :] / self._sg2
-        return PairLoop(
-            loops.from_coeffs(loops.EVEN_COSINE, c1),
-            loops.from_coeffs(loops.ODD_SINE, c2),
-        )
+        """The pair at x; the last one is kept, so that calls at one x
+        share its loops and their cached norms and time maps."""
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if self._last is None or self._last[0] != key:
+            pair = PairLoop(
+                loops.from_coeffs(loops.EVEN_COSINE, x[: self.n1] / self._sg1),
+                loops.from_coeffs(loops.ODD_SINE, x[self.n1 :] / self._sg2),
+            )
+            self._last = (key, pair)
+        return self._last[1]
 
     def admissible(self, x):
         try:
@@ -435,9 +594,7 @@ class PairObjective:
             _pair_norms(pair)
             require_mean_admissible(pair)
             if self.s > 0.0:
-                gap = interaction_gap(pair, self.n_quad)[3]
-                if np.any(gap <= 0.0):
-                    return False
+                _admissible_gap(pair, self.n_quad)
         except (DomainError, AdmissibilityError):
             return False
         return True
@@ -454,15 +611,16 @@ class PairObjective:
     def full_residual(self, x):
         return pair_grad_res(self.unpack(x), self.s, self.n_quad)
 
-    def hessian(self, x, step=1e-5):
-        h = np.empty((self.n, self.n))
-        for k in range(self.n):
-            dx = np.zeros(self.n)
-            dx[k] = step
-            gp = self.gradient(x + dx)
-            gm = self.gradient(x - dx)
-            h[:, k] = (gp - gm) / (2.0 * step)
-        return 0.5 * (h + h.T)
+    def hessian(self, x):
+        """(1 - s) H_av + s H_in, exact, in packed coordinates."""
+        pair = self.unpack(x)
+        if self.s == 0.0:
+            return b_av_hessian(pair)
+        if self.s == 1.0:
+            return b_in_hessian(pair, self.n_quad)
+        return (1.0 - self.s) * b_av_hessian(pair) + self.s * b_in_hessian(
+            pair, self.n_quad
+        )
 
     def certify(self, x):
         pair = self.unpack(x)

@@ -167,9 +167,7 @@ class Loop:
 
     def n_active_modes(self, coeffs=None):
         c = self.coeffs if coeffs is None else coeffs
-        if self.klass == FULL:
-            return max(1, (c.size + 1) // 2)
-        return c.size
+        return _active_modes(self.klass, c.size)
 
     @property
     def n(self):
@@ -208,9 +206,14 @@ def quad_size(n_modes, factor=QUAD_FACTOR):
     return p + (-p) % 4
 
 
+def _active_modes(klass, n_coeffs):
+    """The mode count that sizes grids: the coefficient count of a symmetric
+    class, the top frequency of a full loop (at least 1)."""
+    return max(1, mode_count(FULL, n_coeffs)) if klass == FULL else n_coeffs
+
+
 def default_grid_size(klass, n_coeffs):
-    n_modes = max(1, (n_coeffs + 1) // 2) if klass == FULL else n_coeffs
-    m = 8 * max(n_modes, 4)
+    m = 8 * max(_active_modes(klass, n_coeffs), 4)
     return m + (-m) % 4
 
 
@@ -389,12 +392,8 @@ def cube(z: Loop) -> Loop:
     Both symmetric classes are closed under the cube; the result carries
     triple the frequency content and its own (finer) grid.
     """
-    if z.klass == ODD_SINE:
-        n_coeffs = 3 * z.n - 1  # frequencies (2j-1) <= 3(2N-1)
-    elif z.klass == EVEN_COSINE:
-        n_coeffs = 3 * (z.n - 1) + 1
-    else:
-        n_coeffs = 2 * 3 * z.n_active_modes() + 1
+    # the slot of the top frequency 3F of z^3, as its top sine for full loops
+    n_coeffs = int(_slot(z.klass, 3 * mode_count(z.klass, z.n), True)) + 1
     p = quad_size(z.n_active_modes())
     vals = z.quad_samples() ** 3
     coeffs = project(z.klass, vals, n_coeffs, p=p)

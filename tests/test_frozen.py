@@ -166,3 +166,14 @@ class TestNondegeneracy:
         rep = solve.spectrum(cert_rho)
         assert rep.nullity == 0
         assert rep.min_abs > 1e-4
+
+    def test_mode_converged_at_rho(self, cert_rho):
+        """Index 0, nullity 0 and the same min |eig| at N = 64, 128, 256."""
+        certs = [cert_rho] + [
+            solve.solve_frozen(cert_rho.r, n_modes=n).steps[-1].cert for n in (128, 256)
+        ]
+        reps = [solve.spectrum(c) for c in certs]
+        assert [c.z.n for c in certs] == [64, 128, 256]
+        assert all(rep.morse_index == 0 and rep.nullity == 0 for rep in reps)
+        mins = np.array([rep.min_abs for rep in reps])
+        assert np.max(np.abs(mins - mins[0])) < 1e-10 * mins[0]

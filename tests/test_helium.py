@@ -277,6 +277,109 @@ class TestMeanCriticalPair:
         assert abs(out["delta"] - 4.0 * min(l1, l2)) < 1e-12
 
 
+def fd_hessian(obj, x, step=1e-5):
+    """Central differences of the packed gradient: the oracle for
+    ``PairObjective.hessian``."""
+    h = np.empty((obj.n, obj.n))
+    for k in range(obj.n):
+        dx = np.zeros(obj.n)
+        dx[k] = step
+        h[:, k] = (obj.gradient(x + dx) - obj.gradient(x - dx)) / (2.0 * step)
+    return 0.5 * (h + h.T)
+
+
+ORACLE_SIZES = [(8, 16), (12, 32), (16, 32)]
+ORACLE_S = [0.0, 0.5, 1.0]
+
+
+@pytest.fixture(scope="module")
+def hessian_oracle(cert_rho):
+    """Exact and oracle Hessians on bridge pairs kicked by 1e-4, keyed
+    by (n1, n2, s)."""
+    rng = np.random.default_rng(7)
+    out = {}
+    for n1, n2 in ORACLE_SIZES:
+        z = loops.from_coeffs(loops.ODD_SINE, cert_rho.z.coeffs[:n2])
+        x = helium.PairObjective(0.0, n1, n2).pack(helium.bridge_pair(z, n1=n1))
+        x = x + 1e-4 * rng.normal(size=x.size)
+        for s in ORACLE_S:
+            obj = helium.PairObjective(s, n1, n2)
+            out[n1, n2, s] = (obj.hessian(x), fd_hessian(obj, x))
+    return out
+
+
+def _rel_max(h, want):
+    return float(np.max(np.abs(h - want)) / np.max(np.abs(want)))
+
+
+class TestExactHessian:
+    @pytest.mark.parametrize("s", ORACLE_S)
+    @pytest.mark.parametrize("n1,n2", ORACLE_SIZES)
+    def test_matches_central_differences(self, hessian_oracle, n1, n2, s):
+        h, fd = hessian_oracle[n1, n2, s]
+        assert _rel_max(h, fd) < 1e-8
+
+    @pytest.mark.parametrize("n1,n2", ORACLE_SIZES)
+    def test_interaction_part_matches(self, hessian_oracle, n1, n2):
+        (h1, fd1), (h0, fd0) = hessian_oracle[n1, n2, 1.0], hessian_oracle[n1, n2, 0.0]
+        assert _rel_max(h1 - h0, fd1 - fd0) < 1e-8
+
+    def test_symmetric_as_built(self, hessian_oracle):
+        for h, _ in hessian_oracle.values():
+            assert np.max(np.abs(h - h.T)) < 1e-13 * np.max(np.abs(h))
+
+    def test_makes_no_gradient_or_b_in_call(self, monkeypatch, cert_rho):
+        z = loops.from_coeffs(loops.ODD_SINE, cert_rho.z.coeffs[:16])
+        obj = helium.PairObjective(0.5, n1=8, n2=16)
+        x = obj.pack(helium.bridge_pair(z, n1=8))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exact Hessian evaluated a gradient")
+
+        for name in ("b_in", "b_av", "b_interp"):
+            monkeypatch.setattr(helium, name, forbidden)
+        monkeypatch.setattr(helium.PairObjective, "gradient", forbidden)
+        h = obj.hessian(x)
+        assert h.shape == (24, 24) and np.all(np.isfinite(h))
+
+
+class TestProductPrimitive:
+    @pytest.mark.parametrize("klass", [loops.ODD_SINE, loops.EVEN_COSINE])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_matches_gauss_legendre(self, klass, n):
+        rng = np.random.default_rng(n)
+        z = loops.from_coeffs(klass, rng.normal(size=n))
+        taus = np.linspace(0.0, 1.0, 17)[1:]
+        phi, _ = helium._phi_table(z, taus)
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        for j, tau in enumerate(taus):
+            s = 0.5 * tau * (nodes + 1.0)
+            integrand = 2.0 * z(s) * loops.basis_matrix(klass, n, s)
+            want = 0.5 * tau * integrand @ weights
+            assert np.max(np.abs(phi[:, j] - want)) < 1e-13
+
+
+class TestSharedTimeMaps:
+    def test_one_inversion_per_loop_at_one_x(self, monkeypatch, interp_pair):
+        calls = []
+        tau_of_t = levi_civita.tau_of_t
+
+        def counted(z, t, *args, **kwargs):
+            calls.append(z)
+            return tau_of_t(z, t, *args, **kwargs)
+
+        fresh = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512)
+        x = fresh.pack(interp_pair)
+        want = (fresh.gradient(x), helium.PairObjective(0.5, 2, 2, 512).value(x))
+        monkeypatch.setattr(levi_civita, "tau_of_t", counted)
+        obj = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512)
+        assert obj.admissible(x)
+        g = obj.gradient(x.copy())
+        v = obj.value(x)
+        assert len(calls) == 2
+        assert np.array_equal(g, want[0]) and v == want[1]
+
+
 class TestHomotopy:
     def test_reaches_instantaneous_endpoint(self, homotopy_path):
         assert abs(homotopy_path.steps[-1].parameter - 1.0) < 1e-12

@@ -137,6 +137,16 @@ class TestSlotMap:
         assert np.max(np.abs(zn(self.taus) - want)) < 1e-12 * scale
 
 
+    def test_full_cube_sized_by_top_frequency(self):
+        # top frequency F = 2, so z^3 fills the 6F + 1 = 13 slots up to sin 6
+        z = loops.from_coeffs(loops.FULL, [0.3, 1.0, -0.5, 0.2, 0.1])
+        assert z.n_active_modes() == 2
+        z3 = loops.cube(z)
+        assert z3.n == 13
+        assert abs(z3.coeffs[-1]) > 1e-3
+        assert np.max(np.abs(z3(self.taus) - z(self.taus) ** 3)) < 1e-13
+
+
 class TestSupNorm:
     @settings(max_examples=30, deadline=None)
     @given(klass=st.sampled_from(loops.CLASSES), n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
