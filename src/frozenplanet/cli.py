@@ -278,11 +278,7 @@ def cmd_helium(args):
         out = helium.b_in(pair)
     else:
         out = helium.b_interp(pair, args.s)
-    g1, g2 = out["gradient"]
-    res = np.sqrt(
-        float(np.sum(loops.gram_diag(g1.klass, g1.n) * g1.coeffs**2))
-        + float(np.sum(loops.gram_diag(g2.klass, g2.n) * g2.coeffs**2))
-    )
+    res = helium._pair_l2(out["gradient"])
     if args.csv:
         _write(args.csv, serialize.pair_orbit_csv(pair))
     bridge_res = helium.bridge_check(pair.z2)

@@ -34,12 +34,6 @@ class DegenerateLoopError(DomainError):
     tag = "levi_civita.degenerate-loop"
 
 
-class InvalidMapError(DomainError):
-    """Time-map table is not strictly monotone."""
-
-    tag = "levi_civita.invalid-map"
-
-
 class NonRegularizableError(DomainError):
     """The reciprocal integral of the orbit diverges (zero of order >= 2)."""
 
@@ -56,12 +50,6 @@ class AdmissibilityError(DomainError):
     """Pair loop violates a mean or pointwise interaction inequality."""
 
     tag = "helium.inadmissible-pair"
-
-
-class PreconditionError(FrozenPlanetError):
-    """Operation precondition not met (e.g. Hessian requested off-critical)."""
-
-    tag = "precondition"
 
 
 class NonConvergenceError(FrozenPlanetError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic, loops
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 
 #: default L2 residual below which a point counts as certified critical
 CERT_TOL = 1e-9
@@ -77,13 +77,16 @@ def gradient(z: loops.Loop, r) -> loops.Loop:
     """
     a, b = coefficients(z, r)
     l2_sq, _, _ = _norm_data(z)
-    zpp = loops.second_derivative_coeffs(z)
+    return loops.from_coeffs(z.klass, -4.0 * l2_sq * _cubic_ode(z, b, 2.0 * a))
+
+
+def _cubic_ode(z: loops.Loop, lam, mu):
+    """Coefficients of z'' + lam z + mu z^3, on the size of ``loops.cube(z)``."""
     z3 = loops.cube(z)
-    n_out = z3.n
-    coeffs = np.zeros(n_out)
-    coeffs[: z.n] = zpp + b * z.coeffs
-    coeffs += 2.0 * a * z3.coeffs
-    return loops.from_coeffs(z.klass, -4.0 * l2_sq * coeffs)
+    coeffs = np.zeros(z3.n)
+    coeffs[: z.n] = loops.second_derivative_coeffs(z) + lam * z.coeffs
+    coeffs += mu * z3.coeffs
+    return coeffs
 
 
 def ode_residual(z: loops.Loop, a, b):
@@ -92,11 +95,7 @@ def ode_residual(z: loops.Loop, a, b):
     Used for the covering-rescale covariance check, where the rescaled
     coefficients are prescribed rather than recomputed.
     """
-    zpp = loops.second_derivative_coeffs(z)
-    z3 = loops.cube(z)
-    coeffs = np.zeros(z3.n)
-    coeffs[: z.n] = zpp + b * z.coeffs
-    coeffs += 2.0 * a * z3.coeffs
+    coeffs = _cubic_ode(z, b, 2.0 * a)
     g = loops.gram_diag(z.klass, coeffs.size)
     return float(np.sqrt(np.sum(g * coeffs**2)))
 
@@ -106,26 +105,6 @@ def grad_res(z: loops.Loop, r):
     gl = gradient(z, r)
     g = loops.gram_diag(gl.klass, gl.n)
     return float(np.sqrt(np.sum(g * gl.coeffs**2)))
-
-
-def hessian(z: loops.Loop, r, at_critical=True, fd_step=1e-6):
-    """Galerkin Hessian in the orthonormalized class basis (N x N).
-
-    ``at_critical=True`` assembles the analytic second derivative of the
-    functional (requires the gradient residual of z to be below 1e-8);
-    otherwise a central finite-difference Jacobian of the analytic gradient
-    is formed.  Both are symmetric to rounding; eigenvalues are those of
-    the L2 Hessian operator restricted to the Galerkin space.
-    """
-    if at_critical:
-        res = grad_res(z, r)
-        if res > 1e-8:
-            raise PreconditionError(
-                f"analytic Hessian requested at a non-critical point "
-                f"(gradient residual {res:.3e} > 1e-8); use at_critical=False"
-            )
-        return hessian_analytic(z, r)
-    return _hessian_fd(z, r, fd_step)
 
 
 def hessian_analytic(z: loops.Loop, r):
@@ -181,21 +160,6 @@ def _cubic_galerkin(z: loops.Loop):
     basis = loops.basis_matrix(z.klass, z.n, loops.grid_points(p)) / sg[:, None]
     zs = z.quad_samples()
     return (basis @ zs**3) / p, basis @ (zs[:, None] ** 2 * basis.T) / p
-
-
-def _hessian_fd(z: loops.Loop, r, step):
-    n = z.n
-    sg = np.sqrt(loops.gram_diag(z.klass, n))
-    h = np.empty((n, n))
-    for k in range(n):
-        dc = np.zeros(n)
-        dc[k] = step / sg[k]  # unit orthonormal direction
-        gp = gradient(z.with_coeffs(z.coeffs + dc), r)
-        gm = gradient(z.with_coeffs(z.coeffs - dc), r)
-        sg_out = np.sqrt(loops.gram_diag(z.klass, gp.n))
-        diff = (sg_out * gp.coeffs - sg_out * gm.coeffs) / (2.0 * step)
-        h[:, k] = diff[:n]
-    return h
 
 
 def energy_check(z: loops.Loop, r):

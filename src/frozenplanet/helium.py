@@ -128,12 +128,7 @@ def b_av(pair: PairLoop):
 
 def _component_gradient(z, l2_sq, a_i, b_i):
     """-4 ||z||^2 (z'' - a_i z - b_i z^3) in the class basis."""
-    zpp = loops.second_derivative_coeffs(z)
-    z3 = loops.cube(z)
-    coeffs = np.zeros(z3.n)
-    coeffs[: z.n] = zpp - a_i * z.coeffs
-    coeffs -= b_i * z3.coeffs
-    return loops.from_coeffs(z.klass, -4.0 * l2_sq * coeffs)
+    return loops.from_coeffs(z.klass, -4.0 * l2_sq * frozen._cubic_ode(z, -a_i, -b_i))
 
 
 def c_of(z: loops.Loop):
@@ -427,7 +422,12 @@ def _combine(u: loops.Loop, v: loops.Loop, cu, cv):
 
 def pair_grad_res(pair: PairLoop, s, n_quad=N_QUAD):
     """L2 norm of the interpolated gradient over both components."""
-    g1, g2 = b_interp(pair, s, n_quad)["gradient"]
+    return _pair_l2(b_interp(pair, s, n_quad)["gradient"])
+
+
+def _pair_l2(gradient):
+    """L2 norm of a gradient pair (g1, g2) of loops, over both components."""
+    g1, g2 = gradient
     r1 = float(np.sum(loops.gram_diag(g1.klass, g1.n) * g1.coeffs**2))
     r2 = float(np.sum(loops.gram_diag(g2.klass, g2.n) * g2.coeffs**2))
     return float(np.sqrt(r1 + r2))
@@ -603,7 +603,11 @@ class PairObjective:
         return b_interp(self.unpack(x), self.s, self.n_quad)["value"]
 
     def gradient(self, x):
-        g1, g2 = b_interp(self.unpack(x), self.s, self.n_quad)["gradient"]
+        return self._packed(b_interp(self.unpack(x), self.s, self.n_quad)["gradient"])
+
+    def _packed(self, gradient):
+        """A gradient pair in packed coordinates, truncated to (n1, n2) modes."""
+        g1, g2 = gradient
         out1 = np.sqrt(loops.gram_diag(g1.klass, g1.n)) * g1.coeffs
         out2 = np.sqrt(loops.gram_diag(g2.klass, g2.n)) * g2.coeffs
         return np.concatenate([out1[: self.n1], out2[: self.n2]])
@@ -623,13 +627,15 @@ class PairObjective:
         )
 
     def certify(self, x):
+        """Residuals and value at x from one ``b_interp`` evaluation."""
         pair = self.unpack(x)
+        out = b_interp(pair, self.s, self.n_quad)
         return PairCert(
             pair=pair,
             s=self.s,
-            grad_res=float(np.linalg.norm(self.gradient(x))),
-            full_res=self.full_residual(x),
-            value=self.value(x),
+            grad_res=float(np.linalg.norm(self._packed(out["gradient"]))),
+            full_res=_pair_l2(out["gradient"]),
+            value=out["value"],
         )
 
 

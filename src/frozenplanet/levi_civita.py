@@ -2,10 +2,11 @@
 
 The transform pairs a loop z (with finitely many zeros) and a nonnegative
 orbit q through q(t) = z(tau)^2 with the time change dt/q = d tau/||z||^2.
-The forward direction is spectral and exact: the primitive of z^2 is a
-closed-form trigonometric series, which gives the monotone time map, and
-one inversion of it (``tau_of_t``, safeguarded Newton) serves the pipeline
-and ``TimeMap`` alike, with pointwise q values to machine precision.
+The forward direction is spectral and exact: the primitive of z^2
+(``square_primitive``) is a closed-form trigonometric series, which gives
+the monotone time map t(tau) = I(tau)/I(1), and its one inversion
+(``tau_of_t``, safeguarded Newton) gives pointwise q values to machine
+precision.
 
 The inverse direction works from orbit samples alone.  Near each simple
 collision the orbit behaves like q ~ C |t - t*|^{2/3} (a Puiseux series in
@@ -27,7 +28,6 @@ from .errors import (
     ClassMismatchError,
     DegenerateLoopError,
     DomainError,
-    InvalidMapError,
     NonRegularizableError,
 )
 
@@ -53,7 +53,8 @@ def square_primitive(z: loops.Loop):
     z^2 is a finite trigonometric polynomial, projected onto the class it
     lies in (even-cosine for both symmetric classes, full otherwise); its
     primitive is evaluated termwise, so the time map of a loop is exact to
-    rounding.  Cached on the loop.
+    rounding.  Cached on the loop.  Raises DegenerateLoopError when
+    I(1) <= 0 (the zero loop has no time map).
     """
     cache = loops._loop_cache(z)
     if "square_primitive" in cache:
@@ -73,6 +74,8 @@ def square_primitive(z: loops.Loop):
         return coeffs[0] * tau + offset + red @ loops._trig(f, ~sine, tau)
 
     i_one = float(primitive(np.array([1.0]))[0])
+    if i_one <= 0.0:
+        raise DegenerateLoopError("loop has vanishing half-period L2 norm")
     cache["square_primitive"] = (primitive, i_one)
     return primitive, i_one
 
@@ -113,18 +116,23 @@ def loop_zeros(z: loops.Loop, scan=4096):
 
 
 def tau_of_t(z: loops.Loop, t_values, table=512):
-    """Invert the time map of z at the given t in [0, 1].
+    """Invert the time map of z at the given t, clamped to [0, 1].
 
-    Safeguarded Newton on the exact primitive, bracketed by a dense table;
-    the bracket midpoint substitutes whenever the derivative degenerates
-    near a collision, and an exact root (residual 0) is kept as it is.
+    Callers pass ratios I(tau)/I(1), which may round just outside [0, 1];
+    non-finite t raises DomainError.  Safeguarded Newton on the exact
+    primitive, bracketed by a dense table; the bracket midpoint substitutes
+    whenever the derivative degenerates near a collision, and an exact root
+    (residual 0) is kept as it is.
     Where z is bounded away from zero the result is good to ~1e-13 in tau.
     Near a collision t - t* ~ (tau - tau*)^3, so the inversion is cube-root
     conditioned: a rounding error of 1e-16 in t moves tau by up to ~1e-6
     (tau_of_t of the triple cover at t = 1/3 gives 0.333333043).
     """
-    primitive, i_one = square_primitive(z)
     t = np.atleast_1d(np.asarray(t_values, dtype=float))
+    if not np.all(np.isfinite(t)):
+        raise DomainError("time-map argument t must be finite", tag="levi_civita.t")
+    t = np.clip(t, 0.0, 1.0)
+    primitive, i_one = square_primitive(z)
     cache = loops._loop_cache(z)
     key = ("tau_table", table)
     if key not in cache:
@@ -159,83 +167,6 @@ def tau_of_t(z: loops.Loop, t_values, table=512):
         if active.size == 0:
             break
     return x if np.ndim(t_values) else float(x[0])
-
-
-# ---------------------------------------------------------------------------
-# TimeMap
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TimeMap:
-    """A monotone circle reparametrization tau |-> t with fixed endpoints.
-
-    Stores a dense node table plus exact node derivatives.  A map built by
-    time_map() keeps its loop and evaluates through the exact primitive of
-    z^2, inverting through tau_of_t; a bare node table interpolates
-    linearly in both directions.  A map produced by invert() keeps a
-    reference to its backing map and evaluates through it, so composing the
-    two is the identity to solver tolerance.
-    """
-
-    tau: np.ndarray
-    t: np.ndarray
-    dt_dtau: np.ndarray | None = None
-    backing: "TimeMap | None" = None
-    loop: loops.Loop | None = None
-
-    def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=float)
-        t = np.asarray(self.t, dtype=float)
-        if tau.size != t.size or tau.size < 3:
-            raise InvalidMapError("time-map table needs matching dense columns")
-        if np.any(np.diff(tau) <= 0.0) or np.any(np.diff(t) < 0.0):
-            raise InvalidMapError("time-map table is not strictly increasing")
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "t", t)
-
-    def __call__(self, tau):
-        if self.backing is not None:
-            return self.backing.inverse(tau)
-        if self.loop is not None:
-            primitive, i_one = square_primitive(self.loop)
-            return primitive(tau) / i_one
-        return np.interp(tau, self.tau, self.t)
-
-    def inverse(self, t_values):
-        """Solve map(tau) = t."""
-        if self.backing is not None:
-            return self.backing(t_values)
-        if self.loop is not None:
-            return tau_of_t(self.loop, t_values)
-        return np.interp(t_values, self.t, self.tau)
-
-
-def time_map(z: loops.Loop, nodes=2048) -> TimeMap:
-    """The normalized time map of a loop, t(tau) = int_0^tau z^2 / ||z||^2."""
-    loop_zeros(z)  # raises on degeneracy
-    primitive, i_one = square_primitive(z)
-    if i_one <= 0.0:
-        raise DegenerateLoopError("loop has vanishing half-period L2 norm")
-    taus = np.linspace(0.0, 1.0, nodes + 1)
-    ts = primitive(taus) / i_one
-    ts[0], ts[-1] = 0.0, 1.0
-    deriv = z(taus) ** 2 / i_one
-    return TimeMap(taus, ts, deriv, loop=z)
-
-
-def invert(tmap: TimeMap) -> TimeMap:
-    """Swap the roles of tau and t, evaluating through the backing map."""
-    dt = None
-    if tmap.dt_dtau is not None:
-        with np.errstate(divide="ignore"):
-            dt = np.where(tmap.dt_dtau > 0, 1.0 / tmap.dt_dtau, np.inf)
-    ts = tmap.t.copy()
-    # collisions flatten the map at the ends; nudge duplicate table entries
-    for i in range(1, ts.size):
-        if ts[i] <= ts[i - 1]:
-            ts[i] = np.nextafter(ts[i - 1], 2.0)
-    return TimeMap(ts, tmap.tau, dt, backing=tmap)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ The private table ``_layout(klass, n) -> (f, sine)`` and its inverse
 (z' swaps cos and sin with weights -pi f and +pi f), and ``_trig``
 evaluates the cos or sin rows off the grid.
 
-On the uniform grid tau_i = 2i/M each basis function is cos or
-sin(2 pi f i / M), so synthesis onto the grid (``from_coeffs``,
-``Loop.quad_samples``, the scan in ``sup_norm``) is one inverse FFT of
+A ``Loop`` is its class and coefficients only; samples are synthesized
+when a computation asks for them.  On the uniform grid tau_i = 2i/M each
+basis function is cos or sin(2 pi f i / M), so synthesis onto the grid
+(``Loop.quad_samples``, the scan in ``sup_norm``) is one inverse FFT of
 length M and ``project`` (hence ``analyze`` and ``cube``) reads its
 coefficients from one forward FFT; frequencies above M/2 fold into their
 aliased bins.  The dense table ``basis_matrix`` evaluates loops at
@@ -34,7 +35,7 @@ reference the FFT paths are tested against.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,45 +138,29 @@ def grid_points(m):
 class Loop:
     """A loop on R/2Z in a symmetry class.
 
-    ``coeffs`` are the real coefficients in the class basis and ``grid``
-    holds M uniform samples on [0, 2) consistent with them (M >= 4N, M a
-    multiple of 4, so quartic nonlinearities can be dealiased).
+    ``coeffs`` are the real, finite coefficients in the class basis.
     """
 
     klass: str
     coeffs: np.ndarray
-    grid: np.ndarray
     symmetry_note: str | None = None
 
     def __post_init__(self):
         _validate_class(self.klass)
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        grid = np.asarray(self.grid, dtype=float)
         if coeffs.size < 1:
             raise DomainError("loop needs at least one coefficient", tag="loops.size")
-        m = grid.size
-        if m % 4 != 0 or m < 4 * self.n_active_modes(coeffs):
-            raise DomainError(
-                f"grid size {m} too small for {coeffs.size} coefficients "
-                "(need a multiple of 4 with M >= 4N)",
-                tag="loops.grid",
-            )
+        if not np.all(np.isfinite(coeffs)):
+            raise DomainError("loop coefficients must be finite", tag="loops.coeffs")
         coeffs.setflags(write=False)
-        grid.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "grid", grid)
 
-    def n_active_modes(self, coeffs=None):
-        c = self.coeffs if coeffs is None else coeffs
-        return _active_modes(self.klass, c.size)
+    def n_active_modes(self):
+        return _active_modes(self.klass, self.coeffs.size)
 
     @property
     def n(self):
         return self.coeffs.size
-
-    @property
-    def m(self):
-        return self.grid.size
 
     def __call__(self, taus):
         return synthesize(self.klass, self.coeffs, taus)
@@ -190,7 +175,7 @@ class Loop:
         return cache[key]
 
     def with_coeffs(self, coeffs):
-        return from_coeffs(self.klass, coeffs, m=None)
+        return from_coeffs(self.klass, coeffs)
 
 
 def _loop_cache(z: Loop) -> dict:
@@ -212,18 +197,9 @@ def _active_modes(klass, n_coeffs):
     return max(1, mode_count(FULL, n_coeffs)) if klass == FULL else n_coeffs
 
 
-def default_grid_size(klass, n_coeffs):
-    m = 8 * max(_active_modes(klass, n_coeffs), 4)
-    return m + (-m) % 4
-
-
-def from_coeffs(klass, coeffs, m=None):
-    """Build a Loop from basis coefficients, synthesizing its grid."""
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if m is None:
-        m = default_grid_size(klass, coeffs.size)
-    grid = _synthesize_uniform(klass, coeffs, m)
-    return Loop(klass, coeffs, grid)
+def from_coeffs(klass, coeffs):
+    """Build a Loop from basis coefficients."""
+    return Loop(klass, coeffs)
 
 
 def _symmetry_residual(klass, samples):
@@ -246,8 +222,7 @@ def analyze(samples, klass, tol=SYMMETRY_TOL):
 
     Raises ClassMismatchError when the samples violate the class symmetry
     beyond ``tol``.  For band-limited input the synthesis reproduces the
-    samples to ~1e-13; the stored grid is the synthesized (projected) one
-    so the Loop invariant holds even for rough input.
+    samples to ~1e-13.
     """
     _validate_class(klass)
     samples = np.asarray(samples, dtype=float)
@@ -262,8 +237,7 @@ def analyze(samples, klass, tol=SYMMETRY_TOL):
             f"exceeds tolerance {tol:.1e} (scale {scale:.3g})"
         )
     n = m // 4 if klass != FULL else m // 2 - 1
-    coeffs = project(klass, samples, n, p=m)
-    return Loop(klass, coeffs, _synthesize_uniform(klass, coeffs, m))
+    return Loop(klass, project(klass, samples, n, p=m))
 
 
 def norm_data(z: Loop):
@@ -351,9 +325,7 @@ def derivative(z: Loop) -> Loop:
     f, sine, d1 = _termwise_derivative(z.klass, z.coeffs)
     coeffs = np.zeros(2 * int(f[-1]) + 1)
     coeffs[_slot(FULL, f, sine)] = d1
-    m = default_grid_size(FULL, coeffs.size)
-    out = from_coeffs(FULL, coeffs, m=max(m, z.m))
-    return replace(out, symmetry_note=_DERIVATIVE_NOTE.get(z.klass))
+    return Loop(FULL, coeffs, symmetry_note=_DERIVATIVE_NOTE.get(z.klass))
 
 
 def second_derivative_coeffs(z: Loop):
@@ -390,7 +362,7 @@ def cube(z: Loop) -> Loop:
     """Pointwise cube, re-analyzed exactly in the class basis.
 
     Both symmetric classes are closed under the cube; the result carries
-    triple the frequency content and its own (finer) grid.
+    triple the frequency content.
     """
     # the slot of the top frequency 3F of z^3, as its top sine for full loops
     n_coeffs = int(_slot(z.klass, 3 * mode_count(z.klass, z.n), True)) + 1

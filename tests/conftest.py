@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from frozenplanet import helium, loops, solve
+from frozenplanet import frozen, helium, loops, solve
 
 TIMINGS = {}
 
@@ -34,6 +34,29 @@ def _split_constant_mode(h):
 def split_constant_mode():
     """The constant-outer-mode split of a packed pair Hessian."""
     return _split_constant_mode
+
+
+def _frozen_fd_hessian(z, r, step=1e-6):
+    """Central-difference Jacobian of ``frozen.gradient`` in the orthonormal
+    class basis: the oracle for ``frozen.hessian_analytic``."""
+    n = z.n
+    sg = np.sqrt(loops.gram_diag(z.klass, n))
+    h = np.empty((n, n))
+    for k in range(n):
+        dc = np.zeros(n)
+        dc[k] = step / sg[k]  # unit orthonormal direction
+        gp = frozen.gradient(z.with_coeffs(z.coeffs + dc), r)
+        gm = frozen.gradient(z.with_coeffs(z.coeffs - dc), r)
+        sg_out = np.sqrt(loops.gram_diag(z.klass, gp.n))
+        diff = (sg_out * gp.coeffs - sg_out * gm.coeffs) / (2.0 * step)
+        h[:, k] = diff[:n]
+    return h
+
+
+@pytest.fixture(scope="session")
+def frozen_fd_hessian():
+    """The central-difference one-loop Hessian, ``(z, r, step=1e-6) -> H``."""
+    return _frozen_fd_hessian
 
 
 @pytest.fixture(scope="session")

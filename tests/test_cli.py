@@ -237,6 +237,17 @@ class TestHeliumCommand:
         payload = json.loads(out)
         assert payload["bridge_res"] < 1e-11
 
+    def test_non_finite_coefficient_is_domain_error(self, capsys, tmp_path):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(
+            '{"z1": {"class": "even-cosine", "coeffs": [1.7]},'
+            ' "z2": {"class": "odd-sine", "coeffs": [Infinity]}}'
+        )
+        code, out, err = run(capsys, "helium", "--mode", "av", "--input", str(pair_file))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["invariant"] == "loops.coeffs"
+
 
 class TestEulerCommand:
     def test_single_index_zero_path(self, capsys, tmp_path):

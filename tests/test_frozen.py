@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from frozenplanet import frozen, loops, solve
-from frozenplanet.errors import DomainError, PreconditionError
+from frozenplanet.errors import DomainError
 
 RHO = (np.sqrt(2.0) - 1.0) ** 2
 AMP = (2.0 / np.pi) ** (1.0 / 3.0)
@@ -82,7 +82,7 @@ class TestGradient:
 
 class TestHessian:
     def test_free_fall_positive_definite(self, seed64):
-        h = frozen.hessian(seed64.z, 0.0, at_critical=True)
+        h = frozen.hessian_analytic(seed64.z, 0.0)
         evals = np.linalg.eigvalsh(h)
         assert np.all(evals > 0)
 
@@ -90,23 +90,26 @@ class TestHessian:
         h = frozen.hessian_analytic(cert_rho.z, cert_rho.r)
         assert np.max(np.abs(h - h.T)) < 1e-8
 
-    def test_analytic_matches_finite_differences(self, cert_rho):
+    def test_analytic_matches_finite_differences(self, cert_rho, frozen_fd_hessian):
         z32 = loops.from_coeffs(loops.ODD_SINE, cert_rho.z.coeffs[:24])
         h1 = frozen.hessian_analytic(z32, cert_rho.r)
-        h2 = frozen._hessian_fd(z32, cert_rho.r, 1e-6)
+        h2 = frozen_fd_hessian(z32, cert_rho.r, 1e-6)
         assert np.max(np.abs(h1 - h2)) < 1e-5
 
-    def test_fd_mode_symmetry(self):
+    def test_fd_mode_symmetry(self, frozen_fd_hessian):
         z = loops.from_coeffs(loops.ODD_SINE, [1.0, 0.2, -0.05, 0.01])
-        h = frozen._hessian_fd(z, 0.7, 1e-6)
+        h = frozen_fd_hessian(z, 0.7, 1e-6)
         assert np.max(np.abs(h - h.T)) < 1e-8
 
-    def test_off_critical_precondition(self):
+    def test_off_critical_precondition(self, frozen_fd_hessian):
+        # the analytic Hessian assumes no criticality: it matches central
+        # differences of the gradient at a point far from critical
         z = loops.from_coeffs(loops.ODD_SINE, [1.0, 0.3])
-        with pytest.raises(PreconditionError):
-            frozen.hessian(z, 1.0, at_critical=True)
-        h = frozen.hessian(z, 1.0, at_critical=False)
+        assert frozen.grad_res(z, 1.0) > 1.0
+        h = frozen.hessian_analytic(z, 1.0)
+        h_fd = frozen_fd_hessian(z, 1.0)
         assert h.shape == (2, 2)
+        assert np.max(np.abs(h - h_fd)) < 1e-8 * np.max(np.abs(h))
 
 
 class TestEnergy:

@@ -379,6 +379,31 @@ class TestSharedTimeMaps:
         assert len(calls) == 2
         assert np.array_equal(g, want[0]) and v == want[1]
 
+    def test_certify_evaluates_once(self, monkeypatch, interp_pair):
+        fresh = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512)
+        x = fresh.pack(interp_pair)
+        want = (
+            float(np.linalg.norm(fresh.gradient(x))),
+            fresh.full_residual(x),
+            fresh.value(x),
+        )
+        calls = []
+
+        def counted(name):
+            fn = getattr(helium, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("b_av", "b_in"):
+            monkeypatch.setattr(helium, name, counted(name))
+        cert = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512).certify(x)
+        assert sorted(calls) == ["b_av", "b_in"]
+        assert (cert.grad_res, cert.full_res, cert.value) == want
+
 
 class TestHomotopy:
     def test_reaches_instantaneous_endpoint(self, homotopy_path):

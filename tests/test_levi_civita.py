@@ -12,7 +12,6 @@ from frozenplanet import loops
 from frozenplanet.errors import (
     DegenerateLoopError,
     DomainError,
-    InvalidMapError,
     NonRegularizableError,
 )
 
@@ -27,57 +26,49 @@ def sine_orbit(sine_loop):
     return lc.forward(sine_loop)
 
 
+def time_map(z, taus):
+    """t(tau) = I(tau)/I(1) through the exact primitive of z^2."""
+    primitive, i_one = lc.square_primitive(z)
+    return primitive(np.asarray(taus, dtype=float)) / i_one
+
+
 class TestTimeMap:
     def test_closed_form(self, sine_loop):
-        tm = lc.time_map(sine_loop)
         # primitive of sin^2(pi tau) is tau/2 - sin(2 pi tau)/(4 pi), norm 1/2
         want = 0.25 - 1.0 / (2.0 * np.pi)
-        assert abs(tm(np.array([0.25]))[0] - want) < 1e-10
+        assert abs(time_map(sine_loop, [0.25])[0] - want) < 1e-10
 
     def test_symmetry_midpoint(self, sine_loop):
-        tm = lc.time_map(sine_loop)
-        assert abs(tm(np.array([0.5]))[0] - 0.5) < 1e-12
+        assert abs(time_map(sine_loop, [0.5])[0] - 0.5) < 1e-12
 
     def test_endpoints_fixed(self, sine_loop):
-        tm = lc.time_map(sine_loop)
-        assert tm.t[0] == 0.0 and tm.t[-1] == 1.0
+        t = time_map(sine_loop, [0.0, 1.0])
+        assert t[0] == 0.0 and t[1] == 1.0
 
     def test_node_derivative_invariant(self, sine_loop):
-        tm = lc.time_map(sine_loop)
-        want = sine_loop(tm.tau) ** 2 / 0.5
-        assert np.max(np.abs(tm.dt_dtau - want)) < 1e-8
+        # dt/dtau = z^2 / ||z||^2 at the nodes, by central differences
+        taus = np.linspace(0.0, 1.0, 2049)
+        h = 1e-6
+        slope = (time_map(sine_loop, taus + h) - time_map(sine_loop, taus - h)) / (2 * h)
+        want = sine_loop(taus) ** 2 / 0.5
+        assert np.max(np.abs(slope - want)) < 1e-8
 
     def test_degenerate_loop_rejected(self):
         z = loops.from_coeffs(loops.ODD_SINE, [0.0])
         with pytest.raises(DegenerateLoopError):
-            lc.time_map(z)
+            lc.square_primitive(z)
+        with pytest.raises(DegenerateLoopError):
+            lc.tau_of_t(z, [0.5])
 
 
 class TestInvert:
-    def test_identity_map(self):
-        nodes = np.linspace(0.0, 1.0, 33)
-        ident = lc.TimeMap(nodes, nodes, np.ones_like(nodes))
-        inv = lc.invert(ident)
-        probe = np.linspace(0, 1, 97)
-        assert np.max(np.abs(inv(probe) - probe)) < 1e-12
-
     def test_midpoint(self, sine_loop):
-        inv = lc.invert(lc.time_map(sine_loop))
-        assert abs(inv(np.array([0.5]))[0] - 0.5) < 1e-10
+        assert abs(lc.tau_of_t(sine_loop, np.array([0.5]))[0] - 0.5) < 1e-10
 
     def test_roundtrip_thousand_samples(self, sine_loop):
-        tm = lc.time_map(sine_loop)
-        inv = lc.invert(tm)
         probe = np.linspace(0.0, 1.0, 1000)
-        assert np.max(np.abs(inv(tm(probe)) - probe)) < 1e-9
-
-    def test_non_monotone_rejected(self):
-        nodes = np.linspace(0.0, 1.0, 9)
-        vals = nodes.copy()
-        vals[4] = vals[6]
-        vals[5] = vals[3]
-        with pytest.raises(InvalidMapError):
-            lc.TimeMap(nodes, vals)
+        back = lc.tau_of_t(sine_loop, time_map(sine_loop, probe))
+        assert np.max(np.abs(back - probe)) < 1e-9
 
 
 class TestSquarePrimitive:
@@ -100,6 +91,18 @@ class TestTauOfT:
         # that is kept as it is gives 0 and 1 back
         assert lc.tau_of_t(sine_loop, 0.0) == 0.0
         assert lc.tau_of_t(sine_loop, 1.0) == 1.0
+
+    def test_t_clamped_to_unit_interval(self):
+        # I(tau)/I(1) rounds just outside [0, 1] at the ends
+        z = loops.from_coeffs(loops.ODD_SINE, [1.0, 0.2, -0.03])
+        taus = lc.tau_of_t(z, [-1.3e-16, 1.0 + 2.2e-16, -0.5, 1.5])
+        assert np.array_equal(taus, [0.0, 1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t_rejected(self, sine_loop, bad):
+        with pytest.raises(DomainError) as exc:
+            lc.tau_of_t(sine_loop, [0.25, bad])
+        assert exc.value.tag == "levi_civita.t"
 
     def test_forward_starts_at_zero(self, sine_orbit):
         assert sine_orbit.taus[0] == 0.0

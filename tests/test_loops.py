@@ -198,8 +198,8 @@ class TestInvariants:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(-2, 2), min_size=1, max_size=6))
     def test_analyze_synthesize_roundtrip(self, coeffs):
-        z = loops.from_coeffs(loops.ODD_SINE, coeffs, m=64)
-        z2 = loops.analyze(z.grid, loops.ODD_SINE)
+        z = loops.from_coeffs(loops.ODD_SINE, coeffs)
+        z2 = loops.analyze(loops._synthesize_uniform(z.klass, z.coeffs, 64), loops.ODD_SINE)
         n = min(z.n, z2.n)
         assert np.max(np.abs(z2.coeffs[:n] - z.coeffs[:n])) < 1e-13
         assert np.max(np.abs(z2.coeffs[n:])) < 1e-13
@@ -220,9 +220,25 @@ class TestInvariants:
         back = loops.analyze(prod, loops.ODD_SINE)
         assert np.max(np.abs(back(taus) - prod)) < 1e-12
 
-    def test_min_grid_invariant(self):
-        with pytest.raises(DomainError):
-            loops.Loop(loops.ODD_SINE, np.ones(8), np.zeros(16))
+    @pytest.mark.parametrize("klass", loops.CLASSES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_rejected(self, klass, bad):
+        with pytest.raises(DomainError) as exc:
+            loops.from_coeffs(klass, [bad, 0.1, 0.2])
+        assert exc.value.tag == "loops.coeffs"
+
+    def test_no_grid_synthesis_on_construction(self, monkeypatch):
+        # a Loop is its coefficients; building or analyzing one synthesizes
+        # no samples
+        samples = loops.synthesize(loops.ODD_SINE, [1.0, 0.2], loops.grid_points(64))
+
+        def forbidden(*args):
+            raise AssertionError("uniform synthesis on construction")
+
+        monkeypatch.setattr(loops, "_synthesize_uniform", forbidden)
+        for klass in loops.CLASSES:
+            loops.from_coeffs(klass, [1.0, 0.2, -0.1])
+        loops.analyze(samples, loops.ODD_SINE)
 
 
 class TestFFTOracle:
@@ -262,7 +278,8 @@ class TestFFTOracle:
         taus = np.linspace(0.0, 2.0, 101)
         scale = max(1.0, float(np.max(np.abs(z(taus)))))
         assert np.max(np.abs(loops.cube(z)(taus) - z(taus) ** 3)) < 1e-12 * scale**3
-        back = loops.analyze(z.grid, klass)
+        m = 8 * max(z.n_active_modes(), 4)
+        back = loops.analyze(loops._synthesize_uniform(klass, z.coeffs, m), klass)
         assert np.max(np.abs(back.coeffs[: z.n] - z.coeffs)) < 1e-13 * scale
         assert np.max(np.abs(back.coeffs[z.n :]), initial=0.0) < 1e-13 * scale
 
