@@ -81,7 +81,8 @@ def square_primitive(z: loops.Loop):
 
 
 def loop_zeros(z: loops.Loop, scan=4096):
-    """Zeros of z in [0, 1], by sign-change bisection on a refined scan.
+    """Zeros of z in [0, 1]: sign changes on a uniform scan, each refined by
+    safeguarded Newton inside its scan cell, all cells together.
 
     Raises DegenerateLoopError when z vanishes on a whole stretch of the
     scan grid (no admissible time change exists there).
@@ -94,22 +95,32 @@ def loop_zeros(z: loops.Loop, scan=4096):
     tiny = vals[np.abs(vals) < 1e-13 * scale]
     if tiny.size > max(8, scan // 20):
         raise DegenerateLoopError("loop vanishes on an interval")
-    zeros = []
+    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    lo, hi = taus[cells], taus[cells + 1]
+    # lo keeps the sign of z at the left end of its cell, hi the other
+    sign_lo = np.sign(vals[cells])
+    x = 0.5 * (lo + hi)
+    active = np.arange(cells.size)
+    for _ in range(60):
+        if active.size == 0:
+            break
+        xa = x[active]
+        fx = z(xa)
+        dx = loops.derivative_values(z, xa)
+        same = fx * sign_lo[active] > 0.0
+        lo[active] = np.where(same, xa, lo[active])
+        hi[active] = np.where(same, hi[active], xa)
+        mid = 0.5 * (lo[active] + hi[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = xa - fx / dx
+        inside = (x_new >= lo[active]) & (x_new <= hi[active])
+        x_new = np.where(fx == 0.0, xa, np.where(inside, x_new, mid))
+        moved = np.abs(x_new - xa) >= 1e-15
+        x[active] = x_new
+        active = active[moved]
+    zeros = list(x)
     if abs(vals[0]) < 1e-11 * scale:
         zeros.append(0.0)
-    for i in range(scan):
-        lo, hi = vals[i], vals[i + 1]
-        if lo * hi < 0.0:
-            a, b = taus[i], taus[i + 1]
-            fa = lo
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = float(z(np.array([mid]))[0])
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            zeros.append(0.5 * (a + b))
     if abs(vals[-1]) < 1e-11 * scale and not any(abs(r - 1.0) < 1e-9 for r in zeros):
         zeros.append(1.0)
     return np.array(sorted(zeros))

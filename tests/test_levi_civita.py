@@ -108,6 +108,30 @@ class TestTauOfT:
         assert sine_orbit.taus[0] == 0.0
 
 
+class TestLoopZeros:
+    def test_triple_cover(self):
+        z = loops.rescale_cover(loops.from_coeffs(loops.ODD_SINE, [1.0, 0.2, -0.03]), 3)
+        zs = lc.loop_zeros(z)
+        assert np.max(np.abs(zs - [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])) < 1e-14
+
+    def test_interior_zeros_of_a_full_loop(self):
+        # z = cos(pi tau) - 1/2 + 0.1 sin(3 pi tau)
+        z = loops.from_coeffs(loops.FULL, [-0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.1])
+        zs = lc.loop_zeros(z)
+        assert zs.size == 1 and 0.0 < zs[0] < 1.0
+        assert abs(z([zs[0]])[0]) < 1e-15
+
+    def test_zero_loop_rejected(self):
+        with pytest.raises(DegenerateLoopError, match="identically zero"):
+            lc.loop_zeros(loops.from_coeffs(loops.ODD_SINE, [0.0, 0.0]))
+
+    def test_flat_stretch_rejected(self):
+        # sin^17 stays below 1e-13 of its peak on about 450 of 4097 scan points
+        g = loops.grid_points(256)
+        with pytest.raises(DegenerateLoopError, match="vanishes on an interval"):
+            lc.loop_zeros(loops.analyze(np.sin(np.pi * g) ** 17, loops.ODD_SINE))
+
+
 class TestForward:
     def test_midpoint_value(self, sine_orbit):
         assert abs(sine_orbit.q[sine_orbit.n // 2] - 1.0) < 1e-10

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frozenplanet import frozen, loops
+from frozenplanet import frozen, helium, loops
 from frozenplanet.errors import ClassMismatchError, DomainError
 
 
@@ -227,6 +227,15 @@ class TestInvariants:
             loops.from_coeffs(klass, [bad, 0.1, 0.2])
         assert exc.value.tag == "loops.coeffs"
 
+    def test_caller_array_stays_writable(self):
+        c = np.zeros(3)
+        z = loops.from_coeffs(loops.ODD_SINE, c)
+        c[1] = 0.5
+        assert np.array_equal(z.coeffs, [0.0, 0.0, 0.0])
+        assert not z.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            z.coeffs[0] = 1.0
+
     def test_no_grid_synthesis_on_construction(self, monkeypatch):
         # a Loop is its coefficients; building or analyzing one synthesizes
         # no samples
@@ -239,6 +248,70 @@ class TestInvariants:
         for klass in loops.CLASSES:
             loops.from_coeffs(klass, [1.0, 0.2, -0.1])
         loops.analyze(samples, loops.ODD_SINE)
+
+
+def direct_trig(f, sine, taus):
+    """The rows cos or sin(pi f tau) entry by entry: the oracle for ``_trig``."""
+    arg = np.pi * np.outer(f, np.ravel(taus))
+    return np.where(np.asarray(sine)[:, None], np.sin(arg), np.cos(arg))
+
+
+class TestTrig:
+    """``_trig``'s angle-addition rows against direct cos and sin.
+
+    Row k carries k complex multiplies and the rounding of pi f_k tau, so
+    its error is bounded by 1e-15 (1 + k + pi f_k |tau|).
+    """
+
+    @staticmethod
+    def tables(klass, n):
+        f, sine = loops._layout(klass, n)
+        yield f, sine
+        yield f, ~sine
+        if klass != loops.FULL:
+            q = helium._product_to_sum(klass, n)[0]
+            yield q, np.ones(q.size, dtype=bool)
+            yield q, np.zeros(q.size, dtype=bool)
+
+    @staticmethod
+    def check(f, sine, taus):
+        rows = loops._trig(f, sine, taus)
+        assert rows.shape == (len(f), np.size(taus))
+        k = np.arange(len(f))[:, None]
+        bound = 1e-15 * (1.0 + k + np.pi * np.outer(f, np.abs(np.ravel(taus))))
+        assert np.all(np.abs(rows - direct_trig(f, sine, taus)) <= bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        klass=st.sampled_from(loops.CLASSES),
+        n=st.integers(1, 80),
+        m=st.integers(1, 2049),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_direct(self, klass, n, m, seed):
+        rng = np.random.default_rng(seed)
+        taus = rng.uniform(-2.0, 4.0, m)
+        # tiny |tau| down to subnormal, and both signs of zero
+        tiny = rng.random(m) < 0.1
+        taus[tiny] = rng.choice([-1.0, 1.0], tiny.sum()) * 10.0 ** rng.uniform(-310, -1, tiny.sum())
+        taus[: min(m, 2)] = [0.0, -0.0][: min(m, 2)]
+        for f, sine in self.tables(klass, n):
+            self.check(f, sine, taus)
+
+    @pytest.mark.parametrize("klass", loops.CLASSES)
+    def test_scalar_and_single_point(self, klass):
+        for f, sine in self.tables(klass, 9):
+            self.check(f, sine, np.float64(0.37))
+            self.check(f, sine, [3.99])
+            assert loops._trig(f, sine, 0.25).shape == (len(f), 1)
+
+    @pytest.mark.parametrize("klass", loops.CLASSES)
+    def test_empty_layout(self, klass):
+        f, sine = loops._layout(klass, 0)
+        assert loops._trig(f, sine, np.linspace(0.0, 2.0, 5)).shape == (0, 5)
+        assert loops._trig(f, sine, []).shape == (0, 0)
+        f, sine = loops._layout(klass, 4)
+        assert loops._trig(f, sine, []).shape == (4, 0)
 
 
 class TestFFTOracle:

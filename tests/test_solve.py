@@ -6,6 +6,7 @@ from frozenplanet.errors import (
     ContinuationStuckError,
     DegeneratePointError,
     DomainError,
+    SingularHessianError,
 )
 
 
@@ -64,6 +65,62 @@ class TestNewton:
         rep = solve.newton(obj, x0)
         tail = [r for r in rep.quadratic_ratios[-3:] if np.isfinite(r)]
         assert tail and max(tail) < 1e4
+
+
+class QuadraticObjective:
+    """g(x) = A x - 1, with ``hessian`` returning H (A unless given)."""
+
+    def __init__(self, a, h=None):
+        self.a = np.asarray(a, dtype=float)
+        self.h = self.a if h is None else np.asarray(h, dtype=float)
+        self.hessian_calls = 0
+
+    def admissible(self, x):
+        return True
+
+    def gradient(self, x):
+        return self.a @ x - 1.0
+
+    def hessian(self, x):
+        self.hessian_calls += 1
+        return self.h
+
+
+class TestSingularHessian:
+    @pytest.mark.parametrize(
+        "h",
+        [
+            np.diag([1.0, 0.0]),
+            np.zeros((2, 2)),
+            np.diag([1.0, 1e-13]),
+            [[1.0, 1.0], [1.0, 1.0]],
+            [[1.0, np.nan], [np.nan, 1.0]],
+            np.diag([np.inf, 1.0]),
+        ],
+        ids=["singular", "zero", "cond-1e13", "rank-one", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("jacobian", ["every", "frozen"])
+    def test_raises(self, h, jacobian):
+        obj = QuadraticObjective(np.eye(2), h)
+        with pytest.raises(SingularHessianError) as exc:
+            solve.newton(obj, np.zeros(2), jacobian=jacobian)
+        assert exc.value.tag == "solve.singular-hessian"
+
+    def test_threshold_kept(self):
+        rep = solve.newton(QuadraticObjective(np.diag([1.0, 1e-11])), np.zeros(2))
+        assert rep.residuals[-1] < solve.NEWTON_TOL
+
+    @pytest.mark.parametrize("jacobian", ["every", "frozen"])
+    def test_checked_once_per_hessian(self, monkeypatch, jacobian):
+        # Newton on the Hessian 1.5 A shrinks the residual threefold a step
+        checks = []
+        check = solve._check_conditioned
+        monkeypatch.setattr(solve, "_check_conditioned", lambda h: checks.append(check(h)))
+        obj = QuadraticObjective(np.eye(3), 1.5 * np.eye(3))
+        rep = solve.newton(obj, np.zeros(3), jacobian=jacobian)
+        assert rep.iterations > 5
+        assert len(checks) == obj.hessian_calls
+        assert obj.hessian_calls == (1 if jacobian == "frozen" else rep.iterations)
 
 
 class TestContinuation:
