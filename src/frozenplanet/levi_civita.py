@@ -5,15 +5,19 @@ orbit q through q(t) = z(tau)^2 with the time change dt/q = d tau/||z||^2.
 The forward direction is spectral and exact: the primitive of z^2
 (``square_primitive``) is a closed-form trigonometric series, which gives
 the monotone time map t(tau) = I(tau)/I(1), and its one inversion
-(``tau_of_t``, safeguarded Newton) gives pointwise q values to machine
-precision.
+(``tau_of_t``) gives pointwise q values to machine precision.
 
 The inverse direction works from orbit samples alone.  Near each simple
 collision the orbit behaves like q ~ C |t - t*|^{2/3} (a Puiseux series in
 |t - t*|^{1/3}).  One regularized quadrature integrates 1/q, q and qdot^2:
 high-order Gauss cells on a local interpolant away from the collisions,
 and inside each window the fitted local series, integrated in the
-cube-root variable.
+cube-root variable.  ``ReciprocalIntegral`` works on arrays of points.
+
+Every 1-D inversion here, the zeros of z (``loop_zeros``), the time map
+(``tau_of_t``) and the inverse quadrature (``ReciprocalIntegral.solve``),
+like the sup norm in ``loops``, goes through the one bracketed,
+vectorized Newton ``loops._newton``.
 """
 
 from __future__ import annotations
@@ -84,40 +88,30 @@ def loop_zeros(z: loops.Loop, scan=4096):
     """Zeros of z in [0, 1]: sign changes on a uniform scan, each refined by
     safeguarded Newton inside its scan cell, all cells together.
 
-    Raises DegenerateLoopError when z vanishes on a whole stretch of the
-    scan grid (no admissible time change exists there).
+    A sign change between two samples that are both below 1e-13 of the
+    peak is rounding noise next to a high-order zero, not a zero of its
+    own.  Raises DegenerateLoopError when z vanishes on a whole stretch of
+    the scan grid (no admissible time change exists there).
     """
     taus = np.linspace(0.0, 1.0, scan + 1)
     vals = z(taus)
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         raise DegenerateLoopError("loop is identically zero")
-    tiny = vals[np.abs(vals) < 1e-13 * scale]
-    if tiny.size > max(8, scan // 20):
+    tiny = np.abs(vals) < 1e-13 * scale
+    if np.count_nonzero(tiny) > max(8, scan // 20):
         raise DegenerateLoopError("loop vanishes on an interval")
-    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    lo, hi = taus[cells], taus[cells + 1]
-    # lo keeps the sign of z at the left end of its cell, hi the other
-    sign_lo = np.sign(vals[cells])
-    x = 0.5 * (lo + hi)
-    active = np.arange(cells.size)
-    for _ in range(60):
-        if active.size == 0:
-            break
-        xa = x[active]
-        fx = z(xa)
-        dx = loops.derivative_values(z, xa)
-        same = fx * sign_lo[active] > 0.0
-        lo[active] = np.where(same, xa, lo[active])
-        hi[active] = np.where(same, hi[active], xa)
-        mid = 0.5 * (lo[active] + hi[active])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = xa - fx / dx
-        inside = (x_new >= lo[active]) & (x_new <= hi[active])
-        x_new = np.where(fx == 0.0, xa, np.where(inside, x_new, mid))
-        moved = np.abs(x_new - xa) >= 1e-15
-        x[active] = x_new
-        active = active[moved]
+    cells = np.flatnonzero((vals[:-1] * vals[1:] < 0.0) & ~(tiny[:-1] & tiny[1:]))
+    # times -sign(z) at the left end of its cell, z increases through the zero
+    orient = -np.sign(vals[cells])
+
+    def oriented(x, idx):
+        return orient[idx] * z(x), orient[idx] * loops.derivative_values(z, x)
+
+    x = loops._newton(
+        oriented, taus[cells], taus[cells + 1], 0.5 * (taus[cells] + taus[cells + 1]),
+        tol=1e-15, max_iter=60,
+    )
     zeros = list(x)
     if abs(vals[0]) < 1e-11 * scale:
         zeros.append(0.0)
@@ -130,10 +124,10 @@ def tau_of_t(z: loops.Loop, t_values, table=512):
     """Invert the time map of z at the given t, clamped to [0, 1].
 
     Callers pass ratios I(tau)/I(1), which may round just outside [0, 1];
-    non-finite t raises DomainError.  Safeguarded Newton on the exact
-    primitive, bracketed by a dense table; the bracket midpoint substitutes
-    whenever the derivative degenerates near a collision, and an exact root
-    (residual 0) is kept as it is.
+    non-finite t raises DomainError.  Safeguarded Newton (``loops._newton``)
+    on the exact primitive, bracketed by a dense table; the bracket
+    midpoint substitutes whenever the derivative degenerates near a
+    collision, and an exact root (residual 0) is kept as it is.
     Where z is bounded away from zero the result is good to ~1e-13 in tau.
     Near a collision t - t* ~ (tau - tau*)^3, so the inversion is cube-root
     conditioned: a rounding error of 1e-16 in t moves tau by up to ~1e-6
@@ -156,27 +150,13 @@ def tau_of_t(z: loops.Loop, t_values, table=512):
     lo, hi = nodes[idx], nodes[idx + 1]
     tlo, thi = tn[idx], tn[idx + 1]
     width = np.maximum(thi - tlo, 1e-300)
-    x = lo + (t - tlo) / width * (hi - lo)
-    active = np.arange(t.size)
-    for _ in range(80):
-        xa = x[active]
-        fx = primitive(xa) / i_one - t[active]
-        zx = z(xa)
-        deriv = zx * zx / i_one
-        hi[active] = np.where(fx > 0.0, np.minimum(hi[active], xa), hi[active])
-        lo[active] = np.where(fx <= 0.0, np.maximum(lo[active], xa), lo[active])
-        ok = deriv > 1e-14
-        x_new = np.where(
-            ok, xa - fx / np.maximum(deriv, 1e-300), 0.5 * (lo[active] + hi[active])
-        )
-        outside = (x_new < lo[active]) | (x_new > hi[active])
-        x_new = np.where(outside, 0.5 * (lo[active] + hi[active]), x_new)
-        x_new = np.where(fx == 0.0, xa, x_new)
-        moved = np.abs(x_new - xa) >= 1e-14
-        x[active] = x_new
-        active = active[moved]
-        if active.size == 0:
-            break
+    x0 = lo + (t - tlo) / width * (hi - lo)
+
+    def residual(x, idx):
+        zx = z(x)
+        return primitive(x) / i_one - t[idx], zx * zx / i_one
+
+    x = loops._newton(residual, lo, hi, x0, tol=1e-14, max_iter=80, min_slope=1e-14)
     return x if np.ndim(t_values) else float(x[0])
 
 
@@ -258,9 +238,7 @@ def _lagrange_vec(q, ts, stencil=6):
 class _CollisionModel:
     """Puiseux model q = sigma^2 p(sigma), sigma = |t - t*|^{1/3}, one side."""
 
-    def __init__(self, t_star, side, sigma, values):
-        self.t_star = t_star
-        self.side = side  # +1 right, -1 left
+    def __init__(self, sigma, values):
         scale = sigma[-1]
         y = values / sigma**2
         coeff = np.polyfit(sigma / scale, y, FIT_DEGREE)
@@ -278,11 +256,13 @@ class _CollisionModel:
         return sigma**2 * self.poly(sigma / self.scale)
 
     def _gauss(self, integrand, sigma_hi, sigma_lo):
-        """32-point Gauss rule for int integrand(sigma) d sigma."""
+        """32-point Gauss rule for int integrand(sigma) d sigma, one value
+        per pair of bounds (scalars or arrays)."""
         x, w = _GL32
-        half = 0.5 * (sigma_hi - sigma_lo)
-        s = sigma_lo + half * (x + 1.0)
-        return half * float(np.sum(w * integrand(s)))
+        sigma_lo = np.asarray(sigma_lo, dtype=float)
+        half = 0.5 * (np.asarray(sigma_hi, dtype=float) - sigma_lo)
+        s = sigma_lo[..., None] + half[..., None] * (x + 1.0)
+        return half * np.sum(w * integrand(s), axis=-1)
 
     def integral_reciprocal(self, sigma_hi, sigma_lo=0.0):
         """int 1/q dt over |t - t*|^{1/3} in [sigma_lo, sigma_hi]."""
@@ -302,12 +282,25 @@ class _CollisionModel:
         return self._gauss(integrand, sigma_hi, sigma_lo)
 
 
+def _gauss8(lo, hi, samples, transform):
+    """8-point Gauss rule for int transform(samples) dt over each [lo, hi],
+    on the local interpolant of the uniform periodic ``samples``."""
+    x, w = _GL8
+    lo = np.asarray(lo, dtype=float)
+    half = 0.5 * (np.asarray(hi, dtype=float) - lo)
+    pts = lo[..., None] + half[..., None] * (x + 1.0)
+    vals = transform(_lagrange_vec(samples, pts.ravel()).reshape(pts.shape))
+    return half * np.sum(w * vals, axis=-1)
+
+
 class ReciprocalIntegral:
     """Cumulative F(t) = int_0^t ds/q(s) for an orbit with simple collisions.
 
     Smooth cells are integrated with 8-point Gauss on a 6-point local
     Lagrange interpolant of the samples; cells inside a collision window
-    use the fitted cube-root model analytically.
+    use the fitted cube-root model analytically.  Every method works on
+    arrays of points at once; only points in the cells that touch a
+    collision window take the scalar path through ``_segment``.
     """
 
     def __init__(self, orbit: Orbit):
@@ -333,22 +326,36 @@ class ReciprocalIntegral:
                 keep = deltas > 1e-6 * self.h
                 vals = q[ii[keep] % self.n]
                 sigma = np.cbrt(deltas[keep])
-                self.models[(z0, side)] = _CollisionModel(z0, side, sigma, vals)
+                self.models[(z0, side)] = _CollisionModel(sigma, vals)
+        # the grid cells that touch a collision window
+        mids = (np.arange(self.n) + 0.5) * self.h
+        self.near = np.zeros(self.n, dtype=bool)
+        for z0 in self.zeros:
+            self.near |= np.abs((mids - z0 + 0.5) % 1.0 - 0.5) < self.window + self.h
         self._build_prefix()
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _zone(self, tv):
-        """Collision whose window contains tv, or None."""
-        for z0 in self.zeros:
-            if _circle_dist(tv, z0) < self.window - 1e-15:
-                return z0
-        return None
+    def _cell(self, ts):
+        """Index of the grid cell holding each t in [0, 1]."""
+        return np.minimum((ts / self.h).astype(int), self.n - 1)
 
-    def _model_for(self, tv, z0):
-        delta = (tv - z0 + 0.5) % 1.0 - 0.5
-        side = +1 if delta >= 0 else -1
-        return self.models[(z0, side)], delta
+    def _locate(self, ts):
+        """For each t in [0, 1): the index into ``zeros`` of the collision
+        whose window holds it (-1 for none) and the offset t - t* on the
+        circle."""
+        k = np.full(ts.shape, -1)
+        delta = np.zeros(ts.shape)
+        for j, z0 in enumerate(self.zeros):
+            d = np.abs((ts - z0) % 1.0)
+            hit = (k < 0) & (np.minimum(d, 1.0 - d) < self.window - 1e-15)
+            k[hit] = j
+            delta[hit] = (ts[hit] - z0 + 0.5) % 1.0 - 0.5
+        return k, delta
+
+    def _model(self, k, delta):
+        """The fitted model of zero ``zeros[k]`` on the side of ``delta``."""
+        return self.models[(self.zeros[k], +1 if delta >= 0 else -1)]
 
     # -- pointwise q --------------------------------------------------------
 
@@ -357,11 +364,13 @@ class ReciprocalIntegral:
         fitted Puiseux model inside each window."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float)) % 1.0
         out = _lagrange_vec(self.orbit.q, ts)
-        for j, tv in enumerate(ts):
-            z0 = self._zone(tv)
-            if z0 is not None:
-                model, delta = self._model_for(tv, z0)
-                out[j] = model.q_at(delta)
+        cand = np.flatnonzero(self.near[self._cell(ts)])
+        k, delta = self._locate(ts[cand])
+        for j in range(len(self.zeros)):
+            for side in (1.0, -1.0):
+                sel = (k == j) & ((delta >= 0) == (side > 0))
+                if np.any(sel):
+                    out[cand[sel]] = self._model(j, side).q_at(delta[sel])
         return out
 
     # -- regularized quadrature --------------------------------------------
@@ -374,53 +383,30 @@ class ReciprocalIntegral:
         _segment, which uses the fitted model's closed-form integral named
         by ``model_method`` inside the window.
         """
-        n, h = self.n, self.h
-        edges = np.arange(n + 1) * h
-        mids = (np.arange(n) + 0.5) * h
-        in_win = np.zeros(n, dtype=bool)
-        for z0 in self.zeros:
-            d = np.abs((mids - z0 + 0.5) % 1.0 - 0.5)
-            in_win |= d < self.window + h
-        smooth = ~in_win
-        x, w = _GL8
-        cells = np.zeros(n)
-        if np.any(smooth):
-            a = edges[:-1][smooth]
-            pts = a[:, None] + 0.5 * h * (x[None, :] + 1.0)
-            vals = transform(_lagrange_vec(samples, pts.ravel()).reshape(pts.shape))
-            cells[smooth] = 0.5 * h * (vals @ w)
-        for i in np.nonzero(in_win)[0]:
+        edges = np.arange(self.n + 1) * self.h
+        smooth = ~self.near
+        cells = np.zeros(self.n)
+        cells[smooth] = _gauss8(edges[:-1][smooth], edges[1:][smooth], samples, transform)
+        for i in np.flatnonzero(self.near):
             cells[i] = self._segment(edges[i], edges[i + 1], samples, transform, model_method)
         return cells
 
     def _segment(self, a, b, samples, transform, model_method):
         """int_a^b transform(samples) dt for a short segment, split at the
         collisions it contains; window pieces use the named model integral."""
-        pts = [a, b]
-        for zz in self.zeros:
-            for shift in (-1.0, 0.0, 1.0):
-                zs = zz + shift
-                if a < zs < b:
-                    pts.append(zs)
-        pts = sorted(set(pts))
+        cuts = {zz + shift for zz in self.zeros for shift in (-1.0, 0.0, 1.0)}
+        pts = sorted({a, b} | {c for c in cuts if a < c < b})
         total = 0.0
-        x, w = _GL8
         for lo, hi in zip(pts[:-1], pts[1:]):
-            if hi - lo <= 0:
-                continue
             mid = 0.5 * (lo + hi)
-            z0 = self._zone(mid % 1.0)
-            if z0 is None:
-                s = lo + 0.5 * (hi - lo) * (x + 1.0)
-                vals = transform(_lagrange_vec(samples, s % 1.0))
-                total += 0.5 * (hi - lo) * float(np.sum(w * vals))
+            k, delta = self._locate(np.array([mid % 1.0]))
+            if k[0] < 0:
+                total += float(_gauss8(lo, hi, samples, transform))
             else:
-                model, _ = self._model_for(mid % 1.0, z0)
+                z0 = self.zeros[k[0]]
                 zs = z0 + round(mid - z0)  # unwrap to the local branch
-                s_lo, s_hi = np.cbrt(abs(lo - zs)), np.cbrt(abs(hi - zs))
-                if s_hi < s_lo:
-                    s_lo, s_hi = s_hi, s_lo
-                total += getattr(model, model_method)(s_hi, s_lo)
+                s_lo, s_hi = sorted((np.cbrt(abs(lo - zs)), np.cbrt(abs(hi - zs))))
+                total += getattr(self._model(k[0], delta[0]), model_method)(s_hi, s_lo)
         return total
 
     def _build_prefix(self):
@@ -430,106 +416,83 @@ class ReciprocalIntegral:
         if not np.isfinite(self.total) or self.total <= 0.0:
             raise NonRegularizableError("reciprocal integral failed to converge")
 
-    def _segment_integral(self, a, b):
-        """int_a^b 1/q for a short segment (may touch collision windows)."""
-        return self._segment(a, b, self.orbit.q, np.reciprocal, "integral_reciprocal")
-
     # -- cumulative and its inverse ------------------------------------------
 
     def cumulative(self, ts):
         """F(t) = int_0^t ds/q(s) for t in [0, 1]."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty_like(ts)
-        for j, tv in enumerate(ts):
-            tv = min(max(float(tv), 0.0), 1.0)
-            i = min(int(tv / self.h), self.n - 1)
-            a = i * self.h
-            out[j] = self.prefix[i]
-            if tv > a + 1e-300:
-                out[j] += self._segment_integral(a, tv)
+        ts = np.clip(np.atleast_1d(np.asarray(ts, dtype=float)), 0.0, 1.0)
+        i = self._cell(ts)
+        a = i * self.h
+        out = self.prefix[i]
+        part = ts > a + 1e-300
+        near = self.near[i]
+        smooth = part & ~near
+        out[smooth] += _gauss8(a[smooth], ts[smooth], self.orbit.q, np.reciprocal)
+        for j in np.flatnonzero(part & near):
+            out[j] += self._segment(a[j], ts[j], self.orbit.q, np.reciprocal, "integral_reciprocal")
         return out
 
     def solve(self, targets):
         """Invert F: find t with F(t) = target, for targets in [0, total].
 
-        Inside a collision window the equation is solved in the cube-root
-        variable sigma = |t - t*|^{1/3}, where the cumulative is smooth and
-        Newton is well conditioned; elsewhere plain safeguarded Newton on
-        the cell works.
+        Each target is bracketed by the grid cell its value falls in.  In a
+        cell inside a collision window the equation is solved in the
+        cube-root variable sigma = |t - t*|^{1/3}, where the model's
+        cumulative is smooth and Newton is well conditioned; every other
+        target, and any the model cannot reach, is solved in t with slope
+        1/q.  All targets of one path go through one ``loops._newton``.
         """
         targets = np.atleast_1d(np.asarray(targets, dtype=float))
+        i = np.clip(np.searchsorted(self.prefix, targets) - 1, 0, self.n - 1)
+        lo, hi = i * self.h, (i + 1) * self.h
+        mids = 0.5 * (lo + hi)
+        k = np.full(targets.shape, -1)
+        near = np.flatnonzero(self.near[i])
+        k[near] = self._locate(mids[near] % 1.0)[0]
         out = np.empty_like(targets)
-        for j, target in enumerate(targets):
-            i = int(np.clip(np.searchsorted(self.prefix, target) - 1, 0, self.n - 1))
-            lo, hi = i * self.h, (i + 1) * self.h
-            z0 = self._zone((0.5 * (lo + hi)) % 1.0)
-            if z0 is not None:
-                out[j] = self._solve_in_window(target, lo, hi, z0)
-                continue
-            a, flo = lo, self.prefix[i]
-            x = 0.5 * (lo + hi)
-            for _ in range(80):
-                fx = flo + self._segment_integral(a, x) - target
-                if fx > 0.0:
-                    hi = x
-                else:
-                    lo = x
-                qv = float(self.q_eval(np.array([x]))[0])
-                x_new = x - fx * qv if qv > 0 else 0.5 * (lo + hi)
-                if not (lo < x_new < hi):
-                    x_new = 0.5 * (lo + hi)
-                if abs(x_new - x) < 1e-16 or hi - lo < 1e-16:
-                    x = x_new
-                    break
-                x = x_new
-            out[j] = x
+
+        win = np.flatnonzero(k >= 0)
+        z0 = np.array(self.zeros)[k[win]]
+        zs = z0 + np.round(mids[win] - z0)  # unwrap to this branch
+        anchor = np.clip(zs, 0.0, 1.0)
+        uniq, inv = np.unique(anchor, return_inverse=True)
+        resid = targets[win] - self.cumulative(uniq)[inv]
+        out[win] = anchor  # an exact hit of the collision
+        unreached = []
+        s_top = np.cbrt(self.window + 2.0 * self.h)
+        for j in range(len(self.zeros)):
+            for side in (1.0, -1.0):
+                sel = np.flatnonzero((k[win] == j) & (resid * side > 0.0))
+                if not sel.size:
+                    continue
+                model = self._model(j, side)
+                goal = np.abs(resid[sel])
+                reach = goal <= model.integral_reciprocal(s_top)
+                unreached.append(win[sel[~reach]])
+                sel, goal = sel[reach], goal[reach]
+
+                def in_sigma(s, idx):
+                    return (
+                        model.integral_reciprocal(s) - goal[idx],
+                        3.0 / model.poly(s / model.scale),
+                    )
+
+                s = loops._newton(
+                    in_sigma, np.zeros(sel.size), np.full(sel.size, s_top),
+                    np.full(sel.size, 0.5 * s_top), tol=1e-17, max_iter=60,
+                )
+                out[win[sel]] = zs[sel] + side * s**3
+
+        rest = np.concatenate([np.flatnonzero(k < 0), *unreached])
+        rest_targets = targets[rest]
+
+        def in_t(x, idx):
+            qv = self.q_eval(x)
+            slope = np.divide(1.0, qv, out=np.zeros_like(qv), where=qv > 0.0)
+            return self.cumulative(x) - rest_targets[idx], slope
+
+        out[rest] = loops._newton(in_t, lo[rest], hi[rest], mids[rest], tol=1e-16, max_iter=80)
         return out
-
-    def _solve_in_window(self, target, lo, hi, z0):
-        """Solve F(t) = target for t near a collision, in sigma coordinates.
-
-        The residual against the cumulative at the collision decides the
-        side; on that side G(sigma) = int 1/q is smooth with slope 3/p(0),
-        so Newton is well conditioned down to the collision itself.
-        """
-        zs = z0 + round(0.5 * (lo + hi) - z0)  # unwrap to this branch
-        f_z = float(self.cumulative(np.array([min(max(zs, 0.0), 1.0)]))[0])
-        resid = target - f_z
-        if resid == 0.0:
-            return min(max(zs, 0.0), 1.0)
-        side = 1.0 if resid > 0.0 else -1.0
-        model = self.models[(z0, +1 if side > 0 else -1)]
-        goal = abs(resid)
-        s_lo, s_hi = 0.0, np.cbrt(self.window + 2.0 * self.h)
-        if model.integral_reciprocal(s_hi) < goal:
-            # target outside the modeled window: bisect on the cumulative
-            return self._solve_generic(target, lo, hi)
-        s = 0.5 * s_hi
-        for _ in range(60):
-            g = model.integral_reciprocal(s) - goal
-            if g > 0.0:
-                s_hi = s
-            else:
-                s_lo = s
-            dg = 3.0 / model.poly(s / model.scale)
-            s_new = s - g / dg if dg > 0 else 0.5 * (s_lo + s_hi)
-            if not (s_lo <= s_new <= s_hi):
-                s_new = 0.5 * (s_lo + s_hi)
-            if abs(s_new - s) < 1e-17:
-                s = s_new
-                break
-            s = s_new
-        return zs + side * s**3
-
-    def _solve_generic(self, target, lo, hi):
-        """Bisection on the cumulative over [lo, hi] (fallback path)."""
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if float(self.cumulative(np.array([mid]))[0]) > target:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
 
 
 def _reciprocal(orbit: Orbit) -> ReciprocalIntegral:

@@ -303,25 +303,61 @@ def norms(z: Loop):
 
 def sup_norm(z: Loop):
     """Max of |z|: the largest sample of a fine uniform scan, refined by
-    Newton on z' = 0 inside the scan cell around it."""
+    Newton on z' = 0 in the two scan cells around it."""
     p = max(4 * quad_size(z.n_active_modes()), 512)
-    vals = np.abs(_synthesize_uniform(z.klass, z.coeffs, p))
-    i = int(np.argmax(vals))
+    vals = _synthesize_uniform(z.klass, z.coeffs, p)
+    i = int(np.argmax(np.abs(vals)))
     h = 2.0 / p
-    t0 = t = i * h
+    t0 = i * h
     f, dsine, d1 = _termwise_derivative(z.klass, z.coeffs)
-    d2 = second_derivative_coeffs(z)
-    for _ in range(8):
-        zpp = (d2 @ _trig(f, ~dsine, [t]))[0]
-        if zpp == 0.0:
+    # oriented by the sign of z, z' decreases through the maximum of |z|
+    orient = -np.sign(vals[i])
+    d1, d2 = orient * d1, orient * second_derivative_coeffs(z)
+    # z' and z'' take the other part (cos or sin) of the same rows: one
+    # pass over the table with every frequency twice gives both
+    f2, sine2 = np.repeat(f, 2), np.stack([dsine, ~dsine], axis=1).ravel()
+
+    def slope(t, _):
+        rows = _trig(f2, sine2, t)
+        return d1 @ rows[0::2], d2 @ rows[1::2]
+
+    t = _newton(slope, [t0 - h], [t0 + h], [t0], tol=1e-15, max_iter=8)
+    return max(abs(float(vals[i])), abs(float(z(t)[0])))
+
+
+def _newton(fn, lo, hi, x0, tol, max_iter, min_slope=0.0):
+    """Safeguarded Newton for one root per bracket [lo[j], hi[j]], all
+    points at once.
+
+    ``fn(x, idx)`` returns (f, f') at the points x of the still-active
+    indices idx, for an f that increases through its root.  Each
+    evaluation shrinks the bracket to the side the root is on; a step that
+    leaves the bracket, or a slope at or below ``min_slope``, is replaced
+    by the bracket midpoint, and an exact root (f = 0) is kept as it is.
+    A point stops once its step is below ``tol``, or after ``max_iter``
+    evaluations.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    out = x.copy()
+    idx = np.arange(x.size)
+    # lo, hi and x hold the still-active points only
+    for _ in range(max_iter):
+        if not idx.size:
             break
-        step = (d1 @ _trig(f, dsine, [t]))[0] / zpp
-        if not abs(t - step - t0) < h:
-            break
-        t -= step
-        if abs(step) < 1e-15:
-            break
-    return max(float(vals[i]), abs(float(z([t])[0])))
+        fx, dfx = fn(x, idx)
+        lo = np.where(fx <= 0.0, np.maximum(lo, x), lo)
+        hi = np.where(fx > 0.0, np.minimum(hi, x), hi)
+        mid = 0.5 * (lo + hi)
+        ok = dfx > min_slope
+        x_new = np.where(ok, x - fx / np.where(ok, dfx, 1.0), mid)
+        x_new = np.where((x_new >= lo) & (x_new <= hi), x_new, mid)
+        x_new = np.where(fx == 0.0, x, x_new)
+        out[idx] = x_new
+        moving = np.abs(x_new - x) >= tol
+        idx, x, lo, hi = idx[moving], x_new[moving], lo[moving], hi[moving]
+    return out
 
 
 def _termwise_derivative(klass, coeffs):

@@ -151,12 +151,7 @@ def newton(objective, x0, tol=NEWTON_TOL, max_iter=30, jacobian="every"):
     h_frozen = None
     for it in range(max_iter):
         if res < tol:
-            ratios = [
-                res_hist[k + 1] / res_hist[k] ** 2
-                for k in range(len(res_hist) - 1)
-                if res_hist[k] > 1e-13
-            ]
-            return NewtonReport(x, res_hist, it, ratios)
+            break
         if jacobian == "frozen" and h_frozen is not None:
             h = h_frozen
         else:
@@ -183,18 +178,20 @@ def newton(objective, x0, tol=NEWTON_TOL, max_iter=30, jacobian="every"):
             )
         x, g, res = x_new, g_new, res_new
         res_hist.append(res)
-    if res < tol:
-        ratios = [
-            res_hist[k + 1] / res_hist[k] ** 2
-            for k in range(len(res_hist) - 1)
-            if res_hist[k] > 1e-13
-        ]
-        return NewtonReport(x, res_hist, max_iter, ratios)
-    raise NonConvergenceError(
-        f"Newton did not reach {tol:.1e} in {max_iter} iterations "
-        f"(last residual {res:.3e})",
-        history=res_hist,
-    )
+    else:
+        it = max_iter
+        if not res < tol:
+            raise NonConvergenceError(
+                f"Newton did not reach {tol:.1e} in {max_iter} iterations "
+                f"(last residual {res:.3e})",
+                history=res_hist,
+            )
+    ratios = [
+        res_hist[k + 1] / res_hist[k] ** 2
+        for k in range(len(res_hist) - 1)
+        if res_hist[k] > 1e-13
+    ]
+    return NewtonReport(x, res_hist, it, ratios)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,14 @@ class TestLoopZeros:
         assert zs.size == 1 and 0.0 < zs[0] < 1.0
         assert abs(z([zs[0]])[0]) < 1e-15
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 9])
+    def test_high_order_zero_has_no_noise_zeros(self, p):
+        # next to a zero of order p the scan sees sign changes of rounding
+        # noise only; before the noise floor, p = 7 gave
+        # [0, 0.00131, 0.99868, 1]
+        z = loops.analyze(np.sin(np.pi * loops.grid_points(256)) ** p, loops.ODD_SINE)
+        assert np.array_equal(lc.loop_zeros(z), [0.0, 1.0])
+
     def test_zero_loop_rejected(self):
         with pytest.raises(DegenerateLoopError, match="identically zero"):
             lc.loop_zeros(loops.from_coeffs(loops.ODD_SINE, [0.0, 0.0]))
@@ -164,6 +172,61 @@ class TestChainRule:
         res_sp = lc.q_residual(sine_orbit, 0.0, safe_fraction=0.5, method="spectral")
         assert abs(res_fd["ode_res"] - res_sp["ode_res"]) < 1e-4
         assert abs(res_fd["beta_mu_res"] - res_sp["beta_mu_res"]) < 1e-4
+
+
+RECIPROCAL_LOOPS = {
+    "sine": loops.from_coeffs(loops.ODD_SINE, [1.0]),
+    "rich": loops.from_coeffs(loops.ODD_SINE, [1.0, 0.2, -0.03]),
+    "triple": loops.rescale_cover(loops.from_coeffs(loops.ODD_SINE, [1.0]), 3),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(RECIPROCAL_LOOPS))
+def solved(request):
+    """An orbit's ReciprocalIntegral, 1001 targets F in [0, total] and solve(F)."""
+    rec = lc.ReciprocalIntegral(lc.forward(RECIPROCAL_LOOPS[request.param]))
+    targets = np.linspace(0.0, rec.total, 1001)
+    return rec, targets, rec.solve(targets)
+
+
+def covers_every_window_side(rec, t):
+    """Whether the points t fall on both sides of every collision window."""
+    for z0 in rec.zeros:
+        delta = (t - z0 + 0.5) % 1.0 - 0.5
+        inside = np.abs(delta) < rec.window
+        if not (np.any(inside & (delta > 0.0)) and np.any(inside & (delta < 0.0))):
+            return False
+    return True
+
+
+class TestReciprocalIntegral:
+    def test_solve_inverts_cumulative(self, solved):
+        rec, targets, t = solved
+        assert covers_every_window_side(rec, t)
+        assert np.max(np.abs(rec.cumulative(t) - targets)) < 1e-11
+
+    def test_points_do_not_interact(self, solved):
+        rec, targets, t = solved
+        picked = np.arange(0, targets.size, 16)
+        assert covers_every_window_side(rec, t[picked])
+        for j in picked:
+            assert rec.solve(targets[j : j + 1])[0] == t[j]
+
+    @pytest.mark.parametrize("name", sorted(RECIPROCAL_LOOPS))
+    def test_inverse_interpolates_in_batches(self, name, monkeypatch):
+        # one interpolation per Newton sweep over all targets, not one per
+        # target and step (about 9 000 to 11 000 calls before the batching)
+        orbit = lc.forward(RECIPROCAL_LOOPS[name])
+        calls = []
+        lagrange = lc._lagrange_vec
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lagrange(*args, **kwargs)
+
+        monkeypatch.setattr(lc, "_lagrange_vec", counting)
+        lc.inverse(orbit, m_out=512)
+        assert len(calls) <= 300
 
 
 class TestInverse:

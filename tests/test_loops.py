@@ -164,6 +164,58 @@ class TestSupNorm:
         assert dense - 1e-14 <= sup <= dense + miss + 1e-14
 
 
+class TestNewton:
+    """The shared bracketed Newton ``loops._newton`` behind every 1-D inversion."""
+
+    def test_vanishing_slope_converges_by_midpoint(self):
+        # f = x^3 - c; at c = 0 the slope vanishes at the root, where plain
+        # Newton only contracts by 2/3 a step and never leaves x > 0
+        c = np.array([0.0, 1e-30, 8.0, -27.0])
+        seen = []
+
+        def cube(x, idx):
+            seen.append((x.copy(), idx.copy()))
+            return x**3 - c[idx], 3.0 * x**2
+
+        x = loops._newton(
+            cube, np.full(4, -4.0), np.full(4, 5.0), np.full(4, 4.5),
+            tol=1e-15, max_iter=200, min_slope=1e-14,
+        )
+        assert np.max(np.abs(x - np.cbrt(c))) < 1e-15
+        # only a midpoint of the bracket reaches the negative side
+        assert any(np.any(xs[idx == 0] < 0.0) for xs, idx in seen)
+
+    def test_exact_root_is_kept(self):
+        # the slope is 0 at x0 = 0, so without the exact-root rule the
+        # bracket midpoint would replace it
+        calls = []
+
+        def cube(x, idx):
+            calls.append(x.copy())
+            return x**3, 3.0 * x**2
+
+        x = loops._newton(cube, [-1.0], [2.0], [0.0], tol=1e-15, max_iter=50, min_slope=1e-14)
+        assert x[0] == 0.0
+        assert len(calls) == 1
+
+    def test_overshooting_steps_stay_in_bracket(self):
+        # Newton on arctan(x - r) diverges from |x - r| > 1.39: the first
+        # step from r + 5 lands near r - 31, far outside [r - 10, r + 10]
+        r = np.array([-0.3, 0.0, 0.7, 2.0])
+        lo, hi = r - 10.0, r + 10.0
+        assert 5.0 - np.arctan(5.0) * 26.0 < -10.0
+        seen = []
+
+        def atan(x, idx):
+            seen.append((x.copy(), idx.copy()))
+            return np.arctan(x - r[idx]), 1.0 / (1.0 + (x - r[idx]) ** 2)
+
+        x = loops._newton(atan, lo, hi, r + 5.0, tol=1e-15, max_iter=100)
+        for xs, idx in seen:
+            assert np.all((lo[idx] <= xs) & (xs <= hi[idx]))
+        assert np.max(np.abs(x - r)) < 1e-15
+
+
 class TestRescaleCover:
     def test_substitution(self):
         z3 = loops.rescale_cover(loops.from_coeffs(loops.ODD_SINE, [1.0]), 3)
