@@ -117,8 +117,10 @@ def hessian_analytic(z: loops.Loop, r):
 
     where Ghat are the coordinates of z'' + b z + 2 a z^3 (zero at critical
     points), M[z^2] the multiplication operator by z^2, and dbvec/davec the
-    coordinate forms of the variations of b and a.  Symmetry holds
-    identically; no criticality is assumed.
+    coordinate forms of the variations of b and a.  z^3 is the loop's
+    cached ``loops.cube`` (shared with ``gradient``) and M[z^2] is gathered
+    from one FFT of z^2 (``_cubic_galerkin``), O(N^2) in all.  Symmetry
+    holds identically; no criticality is assumed.
     """
     a, b = coefficients(z, r)
     l2_sq, d1_sq, sq_sq = _norm_data(z)
@@ -133,7 +135,6 @@ def hessian_analytic(z: loops.Loop, r):
     ghat_full = ghat + 2.0 * a * c3hat
 
     # variations of the scalar coefficients along orthonormal directions
-    zp_hat = sg * w * z.coeffs  # coordinates pairing <z', e_k'> = w_k^2 zhat_k
     davec = -4.0 * r / sq_sq**3 * c3hat
     dbvec = (
         (-6.0 / l2_sq**4 + 2.0 * d1_sq / l2_sq**2 + r / (l2_sq**2 * sq_sq)) * zhat
@@ -150,16 +151,31 @@ def hessian_analytic(z: loops.Loop, r):
 
 def _cubic_galerkin(z: loops.Loop):
     """z^3 and the multiplication operator M[z^2] in the orthonormal basis
-    e_k / sqrt(g_k), both exact on the dealiased grid.
+    e_k / sqrt(g_k), both exact on the dealiased grid of P points.
 
     They are the gradient and Hessian of the quartic norm:
     ||z^2||^2 has gradient 4 z^3 and Hessian 12 M[z^2] in those coordinates.
+    z^3 is sqrt(g) times the head of the cached ``loops.cube``.  M[z^2] is
+    gathered from one FFT of z^2 (the Galerkin product rule): with
+    e_j / sqrt(g_j) = a_j e^{i pi f_j tau} + c.c., a_j = (1/2, or -i/2 for a
+    sine) / sqrt(g_j), and W[m] = mean of z^2 e^{i pi m tau} over the grid
+    (indexed mod P),
+
+        M_jk = 2 Re(a_j a_k W[f_j + f_k] + a_j conj(a_k) W[f_j - f_k]),
+
+    one formula for all three classes, exactly symmetric.
     """
-    sg = np.sqrt(loops.gram_diag(z.klass, z.n))
+    n = z.n
+    sg = np.sqrt(loops.gram_diag(z.klass, n))
     p = loops.quad_size(z.n_active_modes())
-    basis = loops.basis_matrix(z.klass, z.n, loops.grid_points(p)) / sg[:, None]
-    zs = z.quad_samples()
-    return (basis @ zs**3) / p, basis @ (zs[:, None] ** 2 * basis.T) / p
+    f, sine = loops._layout(z.klass, n)
+    a = np.where(sine, -0.5j, 0.5) / sg
+    # W from the half spectrum of the real z^2, so W[P - m] = conj(W[m]) exactly
+    half = np.fft.rfft(z.quad_samples() ** 2) / p
+    w = np.conj(np.concatenate([half, np.conj(half[-2:0:-1])]))
+    fj, fk = f[:, None], f[None, :]
+    mult = np.outer(a, a) * w[(fj + fk) % p] + np.outer(a, a.conj()) * w[(fj - fk) % p]
+    return sg * loops.cube(z).coeffs[:n], 2.0 * mult.real
 
 
 def energy_check(z: loops.Loop, r):

@@ -581,6 +581,7 @@ class PairObjective:
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
         if self._last is None or self._last[0] != key:
+            self._last = None
             pair = PairLoop(
                 loops.from_coeffs(loops.EVEN_COSINE, x[: self.n1] / self._sg1),
                 loops.from_coeffs(loops.ODD_SINE, x[self.n1 :] / self._sg2),

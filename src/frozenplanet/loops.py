@@ -23,15 +23,21 @@ evaluates the cos or sin rows off the grid by angle addition down the
 frequency table, one complex multiply per entry, with an error that grows
 linearly in the row count.
 
-A ``Loop`` is its class and coefficients only; samples are synthesized
-when a computation asks for them.  On the uniform grid tau_i = 2i/M each
-basis function is cos or sin(2 pi f i / M), so synthesis onto the grid
-(``Loop.quad_samples``, the scan in ``sup_norm``) is one inverse FFT of
-length M and ``project`` (hence ``analyze`` and ``cube``) reads its
-coefficients from one forward FFT; frequencies above M/2 fold into their
-aliased bins.  The dense table ``basis_matrix`` evaluates loops at
-arbitrary points (``synthesize``, ``Loop.__call__``) and serves as the
-reference the FFT paths are tested against.
+A ``Loop`` is its class and coefficients only; what is derived from them
+is computed when a computation asks for it and then cached on the loop:
+the dealiased quad samples (``Loop.quad_samples``), the norm data
+(``norm_data``), the cube (``cube``), the sup norm (``sup_norm``) and the
+Levi-Civita time maps (the z^2 primitive and tau tables of
+``levi_civita``, the midpoint taus of ``helium``).
+
+On the uniform grid tau_i = 2i/M each basis function is cos or
+sin(2 pi f i / M), so synthesis onto the grid (``Loop.quad_samples``, the
+scan in ``sup_norm``) is one inverse FFT of length M and ``project``
+(hence ``analyze`` and ``cube``) reads its coefficients from one forward
+FFT; frequencies above M/2 fold into their aliased bins.  The dense table
+``basis_matrix`` evaluates loops at arbitrary points (``synthesize``,
+``Loop.__call__``) and serves as the reference the FFT paths, and the
+Galerkin M[z^2] of ``frozen``, are tested against.
 """
 
 from __future__ import annotations
@@ -303,7 +309,14 @@ def norms(z: Loop):
 
 def sup_norm(z: Loop):
     """Max of |z|: the largest sample of a fine uniform scan, refined by
-    Newton on z' = 0 in the two scan cells around it."""
+    Newton on z' = 0 in the two scan cells around it.  Cached per loop."""
+    cache = _loop_cache(z)
+    if "sup_norm" not in cache:
+        cache["sup_norm"] = _scan_sup_norm(z)
+    return cache["sup_norm"]
+
+
+def _scan_sup_norm(z: Loop):
     p = max(4 * quad_size(z.n_active_modes()), 512)
     vals = _synthesize_uniform(z.klass, z.coeffs, p)
     i = int(np.argmax(np.abs(vals)))
@@ -422,17 +435,20 @@ def project(klass, samples_fn_or_values, n_out, p=None):
 
 
 def cube(z: Loop) -> Loop:
-    """Pointwise cube, re-analyzed exactly in the class basis.
+    """Pointwise cube, re-analyzed exactly in the class basis (cached per
+    loop, so the gradient and the Hessian at one point share one FFT).
 
     Both symmetric classes are closed under the cube; the result carries
     triple the frequency content.
     """
-    # the slot of the top frequency 3F of z^3, as its top sine for full loops
-    n_coeffs = int(_slot(z.klass, 3 * mode_count(z.klass, z.n), True)) + 1
-    p = quad_size(z.n_active_modes())
-    vals = z.quad_samples() ** 3
-    coeffs = project(z.klass, vals, n_coeffs, p=p)
-    return from_coeffs(z.klass, coeffs)
+    cache = _loop_cache(z)
+    if "cube" not in cache:
+        # the slot of the top frequency 3F of z^3, as its top sine for full loops
+        n_coeffs = int(_slot(z.klass, 3 * mode_count(z.klass, z.n), True)) + 1
+        p = quad_size(z.n_active_modes())
+        coeffs = project(z.klass, z.quad_samples() ** 3, n_coeffs, p=p)
+        cache["cube"] = from_coeffs(z.klass, coeffs)
+    return cache["cube"]
 
 
 def rescale_cover(z: Loop, n: int) -> Loop:

@@ -41,12 +41,15 @@ DEFAULT_MODES = 64
 class FrozenObjective:
     """The one-loop functional at fixed r, over odd-sine loops of N modes."""
 
+    klass = loops.ODD_SINE
+
     def __init__(self, r, n_modes=DEFAULT_MODES):
         if not 0.0 <= r < np.inf:
             raise DomainError(f"parameter r must be finite and >= 0, got {r}", tag="frozen.r")
         self.r = float(r)
         self.n = int(n_modes)
-        self._sg = np.sqrt(loops.gram_diag(loops.ODD_SINE, self.n))
+        self._sg = np.sqrt(loops.gram_diag(self.klass, self.n))
+        self._last = None
 
     def pack(self, z: loops.Loop):
         c = np.zeros(self.n)
@@ -54,10 +57,17 @@ class FrozenObjective:
         return self._sg * c
 
     def unpack(self, x):
-        return loops.from_coeffs(loops.ODD_SINE, x / self._sg)
+        """The loop at x; the last one is kept, so that calls at one x share
+        its loop and what is cached on it (samples, norms, cube, sup norm)."""
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if self._last is None or self._last[0] != key:
+            self._last = None
+            self._last = (key, loops.from_coeffs(self.klass, x / self._sg))
+        return self._last[1]
 
     def admissible(self, x):
-        return float(np.linalg.norm(x)) > 1e-6
+        return bool(np.all(np.isfinite(x))) and float(np.linalg.norm(x)) > 1e-6
 
     def value(self, x):
         return frozen.value(self.unpack(x), self.r)
@@ -78,21 +88,17 @@ class FrozenObjective:
 
 
 class FullLoopObjective(FrozenObjective):
-    """The same functional over the unrestricted period-2 Fourier basis.
+    """The same functional over the unrestricted period-2 Fourier basis of
+    2N + 1 coefficients.
 
     Used only for the auxiliary checks: nullity 1 with kernel along z',
     and the Morse index of the orbit with the symmetry forgotten.
     """
 
-    def __init__(self, r, n_modes=DEFAULT_MODES):
-        super().__init__(r, 1)
-        self.r = float(r)
-        self.n_fourier = 2 * n_modes + 1
-        self.n = self.n_fourier
-        self._sg = np.sqrt(loops.gram_diag(loops.FULL, self.n_fourier))
+    klass = loops.FULL
 
-    def unpack(self, x):
-        return loops.from_coeffs(loops.FULL, x / self._sg)
+    def __init__(self, r, n_modes=DEFAULT_MODES):
+        super().__init__(r, 2 * n_modes + 1)
 
 
 def embed_cert_full(cert: frozen.CriticalPointCert, n_modes=None):

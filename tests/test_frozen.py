@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frozenplanet import frozen, loops, solve
 from frozenplanet.errors import DomainError
@@ -110,6 +112,44 @@ class TestHessian:
         h_fd = frozen_fd_hessian(z, 1.0)
         assert h.shape == (2, 2)
         assert np.max(np.abs(h - h_fd)) < 1e-8 * np.max(np.abs(h))
+
+
+class TestCubicGalerkinOracle:
+    """The FFT gather of ``_cubic_galerkin`` against the dense table
+    (B / sqrt(g)) diag(z^2) (B / sqrt(g))^T / P and (B / sqrt(g)) z^3 / P
+    on the same dealiased grid, for every class and both parities of a
+    full loop's coefficient count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        klass=st.sampled_from(loops.CLASSES),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gather_matches_dense_build(self, klass, n, seed):
+        c = np.random.default_rng(seed).normal(size=n)
+        z = loops.from_coeffs(klass, c)
+        p = loops.quad_size(z.n_active_modes())
+        taus = loops.grid_points(p)
+        basis = loops.basis_matrix(klass, n, taus) / np.sqrt(loops.gram_diag(klass, n))[:, None]
+        zs = loops.synthesize(klass, c, taus)
+        c3, mult = frozen._cubic_galerkin(z)
+        scale = max(1.0, float(np.sum(np.abs(c))))
+        assert np.max(np.abs(mult - basis @ (zs[:, None] ** 2 * basis.T) / p)) <= 1e-12 * scale**2
+        assert np.max(np.abs(c3 - basis @ zs**3 / p)) <= 1e-12 * scale**3
+        assert np.array_equal(mult, mult.T)
+
+    def test_quartic_norm_hessian(self):
+        # 12 M[z^2] is the Hessian of ||z^2||^2: its quadratic form along x
+        # is the second difference of ||(z + t x)^2||^2
+        z = loops.from_coeffs(loops.FULL, [0.3, 1.0, -0.4, 0.2, 0.1, -0.05])
+        x = np.array([0.2, -0.1, 0.5, 0.3, -0.2, 0.4])
+        sg = np.sqrt(loops.gram_diag(loops.FULL, z.n))
+        quartic = lambda t: loops.norm_data(z.with_coeffs(z.coeffs + t * x / sg))[2]
+        t = 1e-3
+        fd = (quartic(t) - 2.0 * quartic(0.0) + quartic(-t)) / t**2
+        _, mult = frozen._cubic_galerkin(z)
+        assert abs(12.0 * x @ mult @ x - fd) < 1e-5 * abs(fd)
 
 
 class TestEnergy:

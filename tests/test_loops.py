@@ -164,6 +164,28 @@ class TestSupNorm:
         assert dense - 1e-14 <= sup <= dense + miss + 1e-14
 
 
+class TestLoopCache:
+    def test_cube_cached_read_only(self):
+        z = loops.from_coeffs(loops.ODD_SINE, [1.0, 0.2, -0.1])
+        z3 = loops.cube(z)
+        assert loops.cube(z) is z3
+        assert not z3.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            z3.coeffs[0] = 0.0
+
+    def test_sup_norm_scans_once(self, monkeypatch):
+        z = loops.from_coeffs(loops.FULL, [0.1, 1.0, -0.3, 0.2])
+        sup = loops.sup_norm(z)
+        loops.norm_data(z)  # synthesizes the quad samples, cached as well
+
+        def no_scan(*args):
+            raise AssertionError("sup_norm rescanned a loop")
+
+        monkeypatch.setattr(loops, "_synthesize_uniform", no_scan)
+        assert loops.sup_norm(z) == sup
+        assert loops.norms(z)["sup"] == sup
+
+
 class TestNewton:
     """The shared bracketed Newton ``loops._newton`` behind every 1-D inversion."""
 

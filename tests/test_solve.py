@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frozenplanet import helium, loops, solve
+from frozenplanet import frozen, helium, loops, solve
 from frozenplanet.errors import (
     ContinuationStuckError,
     DegeneratePointError,
@@ -65,6 +65,57 @@ class TestNewton:
         rep = solve.newton(obj, x0)
         tail = [r for r in rep.quadratic_ratios[-3:] if np.isfinite(r)]
         assert tail and max(tail) < 1e4
+
+
+class TestObjectiveCache:
+    """The objectives keep the loop of the last x, as PairObjective does."""
+
+    @pytest.fixture(params=[solve.FrozenObjective, solve.FullLoopObjective])
+    def objective(self, request):
+        return request.param(1.0, 8)
+
+    def point(self, obj):
+        x = np.zeros(obj.n)
+        x[1 if obj.klass == loops.FULL else 0] = 1.0
+        x[-1] = 0.05
+        return x
+
+    def test_methods_share_one_loop(self, objective, monkeypatch):
+        seen = []
+        for name in ("gradient", "hessian_analytic", "certify"):
+            fn = getattr(frozen, name)
+            monkeypatch.setattr(
+                frozen, name, lambda z, r, _fn=fn: seen.append(z) or _fn(z, r)
+            )
+        x = self.point(objective)
+        objective.gradient(x)
+        objective.hessian(x.copy())
+        objective.certify(x)
+        # certify reaches frozen.gradient once more, through grad_res
+        assert len(seen) == 4
+        assert all(z is seen[0] for z in seen)
+        assert objective.unpack(x) is seen[0]
+
+    def test_one_ulp_is_a_new_loop(self, objective):
+        x = self.point(objective)
+        z = objective.unpack(x)
+        y = x.copy()
+        y[-1] = np.nextafter(y[-1], np.inf)
+        assert objective.unpack(y) is not z
+        assert objective.unpack(y) is objective.unpack(y.copy())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_rejected(self, objective, bad):
+        x = self.point(objective)
+        objective.unpack(x)
+        y = x.copy()
+        y[0] = bad
+        for method in ("unpack", "value", "gradient", "full_residual", "hessian", "certify"):
+            with pytest.raises(DomainError) as exc:
+                getattr(objective, method)(y)
+            assert exc.value.tag == "loops.coeffs"
+            assert objective._last is None
+        assert not objective.admissible(y)
 
 
 class QuadraticObjective:
