@@ -139,18 +139,6 @@ class TestCubicGalerkinOracle:
         assert np.max(np.abs(c3 - basis @ zs**3 / p)) <= 1e-12 * scale**3
         assert np.array_equal(mult, mult.T)
 
-    def test_quartic_norm_hessian(self):
-        # 12 M[z^2] is the Hessian of ||z^2||^2: its quadratic form along x
-        # is the second difference of ||(z + t x)^2||^2
-        z = loops.from_coeffs(loops.FULL, [0.3, 1.0, -0.4, 0.2, 0.1, -0.05])
-        x = np.array([0.2, -0.1, 0.5, 0.3, -0.2, 0.4])
-        sg = np.sqrt(loops.gram_diag(loops.FULL, z.n))
-        quartic = lambda t: loops.norm_data(z.with_coeffs(z.coeffs + t * x / sg))[2]
-        t = 1e-3
-        fd = (quartic(t) - 2.0 * quartic(0.0) + quartic(-t)) / t**2
-        _, mult = frozen._cubic_galerkin(z)
-        assert abs(12.0 * x @ mult @ x - fd) < 1e-5 * abs(fd)
-
 
 class TestEnergy:
     def test_free_fall_constant(self):

@@ -34,7 +34,7 @@ def run_bench(checkout, workload, seed, seconds, trace):
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     report, result = out.stdout.strip().splitlines()[-2:]
-    return {"report": json.loads(report), "result": json.loads(result)}
+    return {"report": json.loads(report)["report"], "result": json.loads(result)}
 
 
 def quartiles(values):
@@ -72,19 +72,16 @@ def main(argv=None):
     comparison = {}
     for workload in args.workloads:
         for seed in args.seeds:
+            batch = {side: [] for side in SIDES}
             for k in range(args.pairs):
                 for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                     run = run_bench(checkouts[side], workload, seed, args.seconds, 0)
-                    runs[side].append(dict(run, pair=k))
+                    batch[side].append(dict(run, pair=k))
                     print(side, workload, seed, k, run["result"]["metrics"]["wall_s"]["value"],
                           file=sys.stderr, flush=True)
-            pick = {
-                side: [r for r in runs[side]
-                       if r["report"]["workload"] == workload
-                       and r["report"]["provenance"]["seed"] == seed]
-                for side in SIDES
-            }
-            comparison[f"{workload} seed {seed}"] = compare(pick["parent"], pick["change"])
+            for side in SIDES:
+                runs[side] += batch[side]
+            comparison[f"{workload} seed {seed}"] = compare(batch["parent"], batch["change"])
     for workload in args.trace_workload:
         for side in SIDES:
             runs[side].append(run_bench(checkouts[side], workload, args.seeds[0], args.seconds, 1))
