@@ -576,8 +576,9 @@ class PairObjective:
         return np.concatenate([self._sg1 * c1, self._sg2 * c2])
 
     def unpack(self, x) -> PairLoop:
-        """The pair at x; the last one is kept, so that calls at one x
-        share its loops and their cached norms and time maps."""
+        """The pair at x; the last one is kept (none after a failed build),
+        so that calls at one x share its loops and their cached norms and
+        time maps."""
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
         if self._last is None or self._last[0] != key:

@@ -57,8 +57,9 @@ class FrozenObjective:
         return self._sg * c
 
     def unpack(self, x):
-        """The loop at x; the last one is kept, so that calls at one x share
-        its loop and what is cached on it (samples, norms, cube, sup norm)."""
+        """The loop at x; the last one is kept (none after a failed build),
+        so that calls at one x share its loop and what is cached on it
+        (samples, norms, cube, sup norm)."""
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
         if self._last is None or self._last[0] != key:
