@@ -566,7 +566,7 @@ class PairObjective:
         self.n_quad = int(n_quad)
         self._sg1 = np.sqrt(loops.gram_diag(loops.EVEN_COSINE, self.n1))
         self._sg2 = np.sqrt(loops.gram_diag(loops.ODD_SINE, self.n2))
-        self._last = None
+        self._last = loops.LastBuild()
 
     def pack(self, pair: PairLoop):
         c1 = np.zeros(self.n1)
@@ -576,19 +576,15 @@ class PairObjective:
         return np.concatenate([self._sg1 * c1, self._sg2 * c2])
 
     def unpack(self, x) -> PairLoop:
-        """The pair at x; the last one is kept (none after a failed build),
-        so that calls at one x share its loops and their cached norms and
-        time maps."""
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if self._last is None or self._last[0] != key:
-            self._last = None
-            pair = PairLoop(
-                loops.from_coeffs(loops.EVEN_COSINE, x[: self.n1] / self._sg1),
-                loops.from_coeffs(loops.ODD_SINE, x[self.n1 :] / self._sg2),
-            )
-            self._last = (key, pair)
-        return self._last[1]
+        """The pair at x, kept until the next x (``loops.LastBuild``), so
+        that calls at one x share its loops' norms and time maps."""
+        return self._last(x, self._build)
+
+    def _build(self, x):
+        return PairLoop(
+            loops.from_coeffs(loops.EVEN_COSINE, x[: self.n1] / self._sg1),
+            loops.from_coeffs(loops.ODD_SINE, x[self.n1 :] / self._sg2),
+        )
 
     def admissible(self, x):
         try:

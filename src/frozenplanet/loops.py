@@ -219,6 +219,24 @@ def _loop_cache(z: Loop) -> dict:
     return cache
 
 
+class LastBuild:
+    """The value ``build(x)`` at the last coefficient array x, keyed by its
+    bytes, so that calls at one x share one loop and what is cached on it.
+    The old value is dropped before a build: a failed build leaves none."""
+
+    def __init__(self):
+        self.key = self.value = None
+
+    def __call__(self, x, build):
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if self.key != key:
+            self.key = self.value = None
+            self.value = build(x)
+            self.key = key
+        return self.value
+
+
 def quad_size(n_modes, factor=QUAD_FACTOR):
     p = factor * max(int(n_modes), 4)
     return p + (-p) % 4

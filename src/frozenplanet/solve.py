@@ -49,7 +49,7 @@ class FrozenObjective:
         self.r = float(r)
         self.n = int(n_modes)
         self._sg = np.sqrt(loops.gram_diag(self.klass, self.n))
-        self._last = None
+        self._last = loops.LastBuild()
 
     def pack(self, z: loops.Loop):
         c = np.zeros(self.n)
@@ -57,15 +57,12 @@ class FrozenObjective:
         return self._sg * c
 
     def unpack(self, x):
-        """The loop at x; the last one is kept (none after a failed build),
-        so that calls at one x share its loop and what is cached on it
-        (samples, norms, cube, sup norm)."""
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if self._last is None or self._last[0] != key:
-            self._last = None
-            self._last = (key, loops.from_coeffs(self.klass, x / self._sg))
-        return self._last[1]
+        """The loop at x, kept until the next x (``loops.LastBuild``), so
+        that calls at one x share its samples, norms, cube and sup norm."""
+        return self._last(x, self._build)
+
+    def _build(self, x):
+        return loops.from_coeffs(self.klass, x / self._sg)
 
     def admissible(self, x):
         return bool(np.all(np.isfinite(x))) and float(np.linalg.norm(x)) > 1e-6

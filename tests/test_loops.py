@@ -185,6 +185,19 @@ class TestLoopCache:
         assert loops.sup_norm(z) == sup
         assert loops.norms(z)["sup"] == sup
 
+    def test_last_build_keeps_one_value(self):
+        last = loops.LastBuild()
+        built = []
+        build = lambda x: built.append(x) or loops.from_coeffs(loops.ODD_SINE, x)
+        x = np.array([1.0, 0.2])
+        z = last(x, build)
+        assert last(x.copy(), build) is z and len(built) == 1
+        assert last(np.array([1.0, 0.3]), build) is not z and len(built) == 2
+        with pytest.raises(DomainError):
+            last(np.array([1.0, np.nan]), build)
+        assert last.value is None
+        assert last(x, build) is not z and len(built) == 4
+
 
 class TestNewton:
     """The shared bracketed Newton ``loops._newton`` behind every 1-D inversion."""

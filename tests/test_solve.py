@@ -114,7 +114,7 @@ class TestObjectiveCache:
             with pytest.raises(DomainError) as exc:
                 getattr(objective, method)(y)
             assert exc.value.tag == "loops.coeffs"
-            assert objective._last is None
+            assert objective._last.value is None
         assert not objective.admissible(y)
 
 

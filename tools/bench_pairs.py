@@ -1,17 +1,17 @@
 """Paired benchmark runs of two source checkouts, saved as BENCH_*.json.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . \
-        --workloads oneloop-cli pair-mean pair-homotopy --seeds 1 --pairs 10 \
-        --seconds 16 --trace-workload oneloop-cli
+    python3 tools/bench_pairs.py --parent ../parent --change . --seeds 1 2
 
-For every workload and seed, ``bench/run.py --trace 0`` runs ``--pairs``
-times in each checkout, alternating which side runs first.  Then each side
-runs ``--trace 1`` once per trace workload, on the first seed.  The report
-line and the result line of every run go to ``BENCH_parent.json`` and
-``BENCH_change.json`` in the current directory.  ``BENCH_change.json`` also
-holds, per workload and seed, the median and quartiles of each end-to-end
-metric on both sides and how many pairs the change won (lower is better for
-every metric ``bench/run.py`` reports without tracing).
+The workloads and the run length are read from the change's
+``BENCHMARK.json``.  For every workload and seed, ``bench/run.py --trace 0``
+runs ``PAIRS`` times in each checkout, alternating which side runs first.
+Then each side runs ``TRACED`` once with ``--trace 1``, on the first seed.
+The report line and the result line of every run go to ``BENCH_parent.json``
+and ``BENCH_change.json`` in the current directory.
+``BENCH_change.json`` also holds, per workload and seed, the median and
+quartiles of each end-to-end metric on both sides and how many pairs the
+change won (lower is better for every metric ``bench/run.py`` reports
+without tracing).
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10  # alternating parent/change pairs per workload and seed
+TRACED = "oneloop-cli"  # the north-star workload, traced once per side
 
 
 def run_bench(checkout, workload, seed, seconds, trace):
@@ -61,30 +63,28 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=16.0)
-    parser.add_argument("--trace-workload", nargs="*", default=())
     args = parser.parse_args(argv)
+    spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in SIDES}
     comparison = {}
-    for workload in args.workloads:
+    for workload in workloads:
         for seed in args.seeds:
             batch = {side: [] for side in SIDES}
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                    run = run_bench(checkouts[side], workload, seed, args.seconds, 0)
+                    run = run_bench(checkouts[side], workload, seed, seconds, 0)
                     batch[side].append(dict(run, pair=k))
                     print(side, workload, seed, k, run["result"]["metrics"]["wall_s"]["value"],
                           file=sys.stderr, flush=True)
             for side in SIDES:
                 runs[side] += batch[side]
             comparison[f"{workload} seed {seed}"] = compare(batch["parent"], batch["change"])
-    for workload in args.trace_workload:
-        for side in SIDES:
-            runs[side].append(run_bench(checkouts[side], workload, args.seeds[0], args.seconds, 1))
+    for side in SIDES:
+        runs[side].append(run_bench(checkouts[side], TRACED, args.seeds[0], seconds, 1))
     for side in SIDES:
         data = {"runs": runs[side]}
         if side == "change":
