@@ -279,7 +279,7 @@ def _bin_component_gradient(z, var, weights, l2_sq, d1_sq):
     of the variation dq_k of q(t) = z(tau_z(t))^2; dividing by sqrt(g_k)
     turns the orthonormal components into loop coefficients.
     """
-    inter = var.dq @ weights
+    inter = var.first(weights)
     # smooth norm terms: -4||z||^2 z'' + 4||z'||^2 z - 4 z/||z||^4
     w = loops.frequencies(z.klass, z.n)
     smooth = (
@@ -316,17 +316,18 @@ def _cos_primitive(q, taus):
     """S[i](tau) = int_0^tau cos(pi q_i s) ds = sin(pi q_i tau)/(pi q_i); tau at q = 0."""
     table = loops._trig(q, np.ones(q.size, dtype=bool), taus)
     nonzero = q > 0
-    table[nonzero] /= np.pi * q[nonzero, None]
+    table /= np.where(nonzero, np.pi * q, 1.0)[:, None]
     table[~nonzero] = taus
     return table
 
 
 def _phi_table(z: loops.Loop, taus):
-    """Phi[k](tau) = int_0^tau 2 z e_k at the points taus, with the table S.
+    """Phi[k](tau) = int_0^tau 2 z e_k at the points taus, as the factors
+    (C, S) of Phi = C @ S.
 
     By the product-to-sum rule 2 z e_k = sum_j c_j (cos(pi d_jk s)
-    + sign cos(pi p_jk s)), so Phi is a coefficient matrix over the
-    frequencies q times S = ``_cos_primitive(q, taus)``.
+    + sign cos(pi p_jk s)), so C is a coefficient matrix over the
+    frequencies q and S = ``_cos_primitive(q, taus)``.
     """
     n = z.n
     q, di, pi, sign = _product_to_sum(z.klass, n)
@@ -335,7 +336,7 @@ def _phi_table(z: loops.Loop, taus):
     rows = np.broadcast_to(np.arange(n)[:, None], (n, n))
     np.add.at(coef, (rows, di), z.coeffs[None, :])
     np.add.at(coef, (rows, pi), sign * z.coeffs[None, :])
-    return coef @ prim, prim
+    return coef, prim
 
 
 class _TimeMapVariation:
@@ -345,27 +346,50 @@ class _TimeMapVariation:
     differentiation of int_0^tau z^2 = t ||z||^2 gives the variation of the
     inverse time map, tau_e = (2 t <z, e> - Phi_e(tau)) / z^2 with Phi_e the
     primitive of 2 z e (``_phi_table``), and then dq_e = 2 z (e + z' tau_e).
+    The (n, M) tables tau_e and dq are formed only when the Hessian asks for
+    them; the gradient reads their weighted node sums from ``first``.
     """
 
     def __init__(self, z: loops.Loop, taus, t_nodes):
         self.klass = z.klass
+        self.t = t_nodes
         self.sg = np.sqrt(loops.gram_diag(z.klass, z.n))
         f, sine = loops._layout(z.klass, z.n)
         omega = np.pi * f
-        self.e = loops._trig(f, sine, taus) / self.sg[:, None]
+        self.e = loops._trig(f, sine, taus)
+        self.e /= self.sg[:, None]
         # e' termwise: cos(pi f tau) -> -pi f sin, sin -> +pi f cos
-        self.ep = loops._trig(f, ~sine, taus) * (np.where(sine, omega, -omega) / self.sg)[:, None]
+        self.ep = loops._trig(f, ~sine, taus)
+        self.ep *= (np.where(sine, omega, -omega) / self.sg)[:, None]
         self.x = self.sg * z.coeffs  # <z, e> in orthonormal directions
         self.zv = self.x @ self.e
         self.zp = self.x @ self.ep
         self.zpp = (-(omega**2) * self.x) @ self.e
-        phi, self.prim = _phi_table(z, taus)
+        self.coef, self.prim = _phi_table(z, taus)
         with np.errstate(divide="ignore", invalid="ignore"):
             self.inv_z = np.where(np.abs(self.zv) > 1e-150, 1.0 / self.zv, 0.0)
-        self.tau_e = (2.0 * np.outer(self.x, t_nodes) - phi / self.sg[:, None]) * self.inv_z**2
-        self.dq = 2.0 * self.zv * (self.e + self.zp * self.tau_e)
 
-    def second(self, t_nodes, w):
+    @functools.cached_property
+    def tau_e(self):
+        phi = self.coef @ self.prim
+        return (2.0 * np.outer(self.x, self.t) - phi / self.sg[:, None]) * self.inv_z**2
+
+    @functools.cached_property
+    def dq(self):
+        return 2.0 * self.zv * (self.e + self.zp * self.tau_e)
+
+    def first(self, w):
+        """dq @ w without the tables: with u = 2 z w and v = u z' / z^2,
+
+            dq @ w = e @ u + tau_e @ (u z')
+                   = e @ u + 2 <z, e> (t @ v) - C (S v) / sqrt(g).
+        """
+        u = 2.0 * self.zv * w
+        v = u * self.zp * self.inv_z**2
+        phi_v = self.coef @ (self.prim @ v)
+        return self.e @ u + 2.0 * float(self.t @ v) * self.x - phi_v / self.sg
+
+    def second(self, w):
         """sum_m w_m d^2 q_ef(t_m) over orthonormal directions e, f (n x n).
 
         Differentiating int_0^tau z^2 = t ||z||^2 twice gives tau_ef, and
@@ -385,7 +409,7 @@ class _TimeMapVariation:
         cross = (self.e * (-2.0 * w * self.zp) + self.ep * (2.0 * w * self.zv)) @ self.tau_e.T
         h = 2.0 * (self.e * w) @ self.e.T + cross + cross.T
         h += (self.tau_e * (2.0 * w * (self.zv * self.zpp - self.zp**2))) @ self.tau_e.T
-        h[np.diag_indices_from(h)] += float(ratio @ t_nodes)
+        h[np.diag_indices_from(h)] += float(ratio @ self.t)
         _, di, pi, sign = _product_to_sum(self.klass, self.sg.size)
         v = self.prim @ ratio
         h -= 0.5 * (v[di] + sign * v[pi]) / np.outer(self.sg, self.sg)
@@ -541,8 +565,8 @@ def b_in_hessian(pair: PairLoop, n_quad=N_QUAD):
     var2 = _TimeMapVariation(pair.z2, tau2, t)
     wts = 1.0 / (gap**2 * n_quad)
     h = _block_diag(
-        _smooth_hessian(pair.z1) + var1.second(t, wts),
-        _smooth_hessian(pair.z2) + var2.second(t, -wts),
+        _smooth_hessian(pair.z1) + var1.second(wts),
+        _smooth_hessian(pair.z2) + var2.second(-wts),
     )
     dg = np.concatenate([var1.dq, -var2.dq])
     return h - 2.0 * (dg / (gap**3 * n_quad)) @ dg.T

@@ -172,6 +172,20 @@ class TestBIn:
             fd = (obj.value(x + h * xi) - obj.value(x - h * xi)) / (2 * h)
             assert abs(fd - float(g @ xi)) / max(1.0, abs(fd)) < 1e-6
 
+    @pytest.mark.parametrize("klass", [loops.ODD_SINE, loops.EVEN_COSINE])
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_first_variation_matches_tables(self, klass, n):
+        rng = np.random.default_rng(n)
+        coeffs = rng.normal(size=n) * np.exp(-0.8 * np.arange(n))
+        coeffs[0] = 1.0
+        z = loops.from_coeffs(klass, coeffs)
+        t = (np.arange(256) + 0.5) / 256
+        var = helium._TimeMapVariation(z, levi_civita.tau_of_t(z, t), t)
+        w = rng.normal(size=t.size)
+        want = var.dq @ w
+        scale = np.max(np.abs(var.dq)) * np.sum(np.abs(w))
+        assert np.max(np.abs(var.first(w) - want)) < 1e-13 * scale
+
     def test_pointwise_gap_violation_rejected(self):
         # mean-admissible (0.95^2 > 3/4) yet the pointwise gap closes at
         # the top of the inner orbit, where q2 reaches 1 > 0.95^2
@@ -350,7 +364,8 @@ class TestProductPrimitive:
         rng = np.random.default_rng(n)
         z = loops.from_coeffs(klass, rng.normal(size=n))
         taus = np.linspace(0.0, 1.0, 17)[1:]
-        phi, _ = helium._phi_table(z, taus)
+        coef, prim = helium._phi_table(z, taus)
+        phi = coef @ prim
         nodes, weights = np.polynomial.legendre.leggauss(64)
         for j, tau in enumerate(taus):
             s = 0.5 * tau * (nodes + 1.0)
