@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import detline, elliptic, frozen, helium, levi_civita, loops, serialize, solve
-from .errors import DomainError, FrozenPlanetError
+from .errors import FrozenPlanetError
 
 #: upper limits of the count arguments, checked before anything is allocated;
 #: each keeps the largest single allocation under about 1 GiB
@@ -34,12 +34,6 @@ def _echo(args, command):
 def _emit(payload, ok):
     print(serialize.dumps(payload))
     return 0 if ok else 1
-
-
-def _check_r(*values):
-    for r in values:
-        if not 0.0 <= r < np.inf:
-            raise DomainError(f"parameter r must be finite and >= 0, got {r}", tag="frozen.r")
 
 
 def _check_size(name, value, cap):
@@ -83,7 +77,7 @@ def _write(path, text):
 def cmd_solve(args):
     if args.tol <= 0:
         raise FrozenPlanetError("tolerances must be positive", tag="cli.config")
-    _check_r(args.r)
+    frozen.check_r(args.r)
     path = solve.solve_frozen(args.r, n_modes=args.modes)
     cert = path.steps[-1].cert
     bounds = frozen.sup_bounds(cert.z, cert.r)
@@ -112,7 +106,7 @@ def cmd_solve(args):
 
 
 def cmd_continue(args):
-    _check_r(args.start, args.stop)
+    frozen.check_r(args.start, args.stop)
     seed = solve.free_fall_seed(args.modes)
     obj0 = solve.FrozenObjective(0.0, args.modes)
     x0 = obj0.pack(seed.z)

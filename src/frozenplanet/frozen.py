@@ -38,6 +38,13 @@ from .errors import DomainError
 CERT_TOL = 1e-9
 
 
+def check_r(*values):
+    """Raise DomainError (``frozen.r``) unless every r is finite and >= 0."""
+    for r in values:
+        if not 0.0 <= r < np.inf:
+            raise DomainError(f"parameter r must be finite and >= 0, got {r}", tag="frozen.r")
+
+
 def _norm_data(z: loops.Loop):
     data = loops.norm_data(z)
     if data[0] <= 0.0:
@@ -47,8 +54,7 @@ def _norm_data(z: loops.Loop):
 
 def coefficients(z: loops.Loop, r):
     """The scalar pair (a, b) entering the gradient at a general point."""
-    if not 0.0 <= r < np.inf:
-        raise DomainError(f"parameter r must be finite and >= 0, got {r}", tag="frozen.r")
+    check_r(r)
     l2_sq, d1_sq, sq_sq = _norm_data(z)
     a = r / (2.0 * sq_sq**2)
     b = 1.0 / l2_sq**3 - d1_sq / l2_sq - r / (2.0 * l2_sq * sq_sq)
@@ -62,8 +68,7 @@ def critical_b(z: loops.Loop, r):
 
 
 def value(z: loops.Loop, r):
-    if not 0.0 <= r < np.inf:
-        raise DomainError(f"parameter r must be finite and >= 0, got {r}", tag="frozen.r")
+    check_r(r)
     l2_sq, d1_sq, sq_sq = _norm_data(z)
     return 2.0 * l2_sq * d1_sq + 2.0 / l2_sq + r * l2_sq / sq_sq
 

@@ -281,9 +281,8 @@ def _bin_component_gradient(z, var, weights, l2_sq, d1_sq):
     """
     inter = var.first(weights)
     # smooth norm terms: -4||z||^2 z'' + 4||z'||^2 z - 4 z/||z||^4
-    w = loops.frequencies(z.klass, z.n)
     smooth = (
-        -4.0 * l2_sq * (-(w**2) * z.coeffs)
+        -4.0 * l2_sq * loops.second_derivative_coeffs(z)
         + 4.0 * d1_sq * z.coeffs
         - 4.0 * z.coeffs / l2_sq**2
     )
@@ -312,26 +311,18 @@ def _product_to_sum(klass, n):
     return q, di, pi, -1.0 if sine[0] else 1.0
 
 
-def _cos_primitive(q, taus):
-    """S[i](tau) = int_0^tau cos(pi q_i s) ds = sin(pi q_i tau)/(pi q_i); tau at q = 0."""
-    table = loops._trig(q, np.ones(q.size, dtype=bool), taus)
-    nonzero = q > 0
-    table /= np.where(nonzero, np.pi * q, 1.0)[:, None]
-    table[~nonzero] = taus
-    return table
-
-
 def _phi_table(z: loops.Loop, taus):
     """Phi[k](tau) = int_0^tau 2 z e_k at the points taus, as the factors
     (C, S) of Phi = C @ S.
 
     By the product-to-sum rule 2 z e_k = sum_j c_j (cos(pi d_jk s)
     + sign cos(pi p_jk s)), so C is a coefficient matrix over the
-    frequencies q and S = ``_cos_primitive(q, taus)``.
+    frequencies q, which are the even-cosine layout of q.size, and S holds
+    their primitives, ``loops.basis_matrix(EVEN_COSINE, q.size, taus, -1)``.
     """
     n = z.n
     q, di, pi, sign = _product_to_sum(z.klass, n)
-    prim = _cos_primitive(q, taus)
+    prim = loops.basis_matrix(loops.EVEN_COSINE, q.size, taus, -1)
     coef = np.zeros((n, q.size))
     rows = np.broadcast_to(np.arange(n)[:, None], (n, n))
     np.add.at(coef, (rows, di), z.coeffs[None, :])
@@ -354,17 +345,14 @@ class _TimeMapVariation:
         self.klass = z.klass
         self.t = t_nodes
         self.sg = np.sqrt(loops.gram_diag(z.klass, z.n))
-        f, sine = loops._layout(z.klass, z.n)
-        omega = np.pi * f
-        self.e = loops._trig(f, sine, taus)
+        self.e = loops.basis_matrix(z.klass, z.n, taus)
         self.e /= self.sg[:, None]
-        # e' termwise: cos(pi f tau) -> -pi f sin, sin -> +pi f cos
-        self.ep = loops._trig(f, ~sine, taus)
-        self.ep *= (np.where(sine, omega, -omega) / self.sg)[:, None]
+        # the raw rows e_k'; ``second`` divides its products by sqrt(g)
+        self.ep = loops.basis_matrix(z.klass, z.n, taus, 1)
         self.x = self.sg * z.coeffs  # <z, e> in orthonormal directions
         self.zv = self.x @ self.e
-        self.zp = self.x @ self.ep
-        self.zpp = (-(omega**2) * self.x) @ self.e
+        self.zp = z.coeffs @ self.ep
+        self.zpp = (self.sg * loops.second_derivative_coeffs(z)) @ self.e
         self.coef, self.prim = _phi_table(z, taus)
         with np.errstate(divide="ignore", invalid="ignore"):
             self.inv_z = np.where(np.abs(self.zv) > 1e-150, 1.0 / self.zv, 0.0)
@@ -406,7 +394,8 @@ class _TimeMapVariation:
         V(q) = sum_m c_m S_q(tau_m) at the product-to-sum indices.
         """
         ratio = 4.0 * self.zp * self.inv_z * w  # the weights (4 z'/z) w
-        cross = (self.e * (-2.0 * w * self.zp) + self.ep * (2.0 * w * self.zv)) @ self.tau_e.T
+        cross = (self.e * (-2.0 * w * self.zp)) @ self.tau_e.T
+        cross += (self.ep * (2.0 * w * self.zv)) @ self.tau_e.T / self.sg[:, None]
         h = 2.0 * (self.e * w) @ self.e.T + cross + cross.T
         h += (self.tau_e * (2.0 * w * (self.zv * self.zpp - self.zp**2))) @ self.tau_e.T
         h[np.diag_indices_from(h)] += float(ratio @ self.t)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import loops
+from . import frozen, loops
 from .errors import (
     AllCollisionError,
     ClassMismatchError,
@@ -52,36 +52,23 @@ FIT_DEGREE = 6
 
 
 def square_primitive(z: loops.Loop):
-    """Closed-form primitive I(tau) = int_0^tau z^2, plus I(1).
-
-    z^2 is a finite trigonometric polynomial, projected onto the class it
-    lies in (even-cosine for both symmetric classes, full otherwise); its
-    primitive is evaluated termwise, so the time map of a loop is exact to
-    rounding.  Cached on the loop.  Raises DegenerateLoopError when
+    """Closed-form primitive I(tau) = int_0^tau z^2, plus I(1): order -1 of
+    the exact square ``loops.square(z)``, so the time map of a loop is exact
+    to rounding.  Cached on the loop.  Raises DegenerateLoopError when
     I(1) <= 0 (the zero loop has no time map).
     """
     cache = loops._loop_cache(z)
-    if "square_primitive" in cache:
-        return cache["square_primitive"]
-    klass = loops.FULL if z.klass == loops.FULL else loops.EVEN_COSINE
-    n_sq = int(loops._slot(klass, 2 * loops.mode_count(z.klass, z.n), True)) + 1
-    sq = z.quad_samples() ** 2
-    coeffs = loops.project(klass, sq, n_sq, p=loops.quad_size(z.n_active_modes()))
-    # termwise: cos(pi f s) -> sin(pi f tau)/(pi f), sin -> (1 - cos)/(pi f)
-    f, sine = loops._layout(klass, n_sq)
-    f, sine = f[1:], sine[1:]
-    red = np.where(sine, -1.0, 1.0) * coeffs[1:] / (np.pi * f)
-    offset = -float(np.sum(red[sine]))
+    if "square_primitive" not in cache:
+        sq = loops.square(z)
 
-    def primitive(tau):
-        tau = np.asarray(tau, dtype=float)
-        return coeffs[0] * tau + offset + red @ loops._trig(f, ~sine, tau)
+        def primitive(tau):
+            return loops.jets(sq, tau, (-1,))[0]
 
-    i_one = float(primitive(np.array([1.0]))[0])
-    if i_one <= 0.0:
-        raise DegenerateLoopError("loop has vanishing half-period L2 norm")
-    cache["square_primitive"] = (primitive, i_one)
-    return primitive, i_one
+        i_one = float(primitive(1.0)[0])
+        if i_one <= 0.0:
+            raise DegenerateLoopError("loop has vanishing half-period L2 norm")
+        cache["square_primitive"] = (primitive, i_one)
+    return cache["square_primitive"]
 
 
 def loop_zeros(z: loops.Loop, scan=4096):
@@ -106,7 +93,7 @@ def loop_zeros(z: loops.Loop, scan=4096):
     orient = -np.sign(vals[cells])
 
     def oriented(x, idx):
-        return orient[idx] * z(x), orient[idx] * loops.derivative_values(z, x)
+        return orient[idx] * loops.jets(z, x, (0, 1))
 
     x = loops._newton(
         oriented, taus[cells], taus[cells + 1], 0.5 * (taus[cells] + taus[cells + 1]),
@@ -527,8 +514,7 @@ def qdot_l2_sq(orbit: Orbit):
     if orbit.source is not None and orbit.taus is not None:
         z = orbit.source
         l2sq = loops.norm_data(z)[0]
-        zv = z(orbit.taus)
-        zp = loops.derivative_values(z, orbit.taus)
+        zv, zp = loops.jets(z, orbit.taus, (0, 1))
         with np.errstate(divide="ignore", invalid="ignore"):
             qdot = np.where(np.abs(zv) > 1e-300, 2.0 * l2sq * zp / zv, 0.0)
     else:
@@ -605,10 +591,7 @@ def q_residual(orbit: Orbit, r, safe_fraction=0.05, method=None):
     the transform (spectral accuracy); otherwise a five-point stencil on
     the sample grid is used, which is the best available from data alone.
     """
-    if not 0.0 <= r < np.inf:
-        raise DomainError(
-            f"mean-interaction strength r must be finite and >= 0, got {r}", tag="frozen.r"
-        )
+    frozen.check_r(r)
     q = orbit.q
     qmax = float(np.max(q))
     mask = q >= safe_fraction * qmax
@@ -624,9 +607,7 @@ def q_residual(orbit: Orbit, r, safe_fraction=0.05, method=None):
         z = orbit.source
         taus = orbit.taus[mask]
         l2sq = loops.norm_data(z)[0]
-        zv = z(taus)
-        zp = loops.derivative_values(z, taus)
-        zpp = loops.synthesize(z.klass, loops.second_derivative_coeffs(z), taus)
+        zv, zp, zpp = loops.jets(z, taus, (0, 1, 2))
         qv = zv**2
         qdot = 2.0 * l2sq * zp / zv
         qdd = (2.0 * l2sq**2 * zpp / zv - 0.5 * qdot**2) / qv

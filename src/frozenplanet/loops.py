@@ -17,27 +17,28 @@ band-limited loops.
 
 Every basis function is cos or sin(pi f tau) with f an integer frequency.
 The private table ``_layout(klass, n) -> (f, sine)`` and its inverse
-``_slot`` hold that rule for all three classes; calculus is termwise on it
-(z' swaps cos and sin with weights -pi f and +pi f), and ``_trig``
-evaluates the cos or sin rows off the grid by angle addition down the
-frequency table, one complex multiply per entry, with an error that grows
-linearly in the row count.
+``_slot`` hold that rule for all three classes.  Calculus is termwise on
+it by one rule (``_rule``): a derivative swaps cos and sin with weights
+-pi f and +pi f, a primitive divides by them.  ``basis_matrix(klass, n,
+taus, order)`` gives the rows e_k^(order) for order -1 (the primitive
+from 0), 0, 1 and 2, and ``jets(z, taus, orders)`` the values z^(j)(taus);
+both read cos and sin off the grid from ``_trig``, by angle addition down
+the frequency table with an error that grows linearly in the row count.
 
 A ``Loop`` is its class and coefficients only; what is derived from them
 is computed when a computation asks for it and then cached on the loop:
 the dealiased quad samples (``Loop.quad_samples``), the norm data
-(``norm_data``), the cube (``cube``), the sup norm (``sup_norm``) and the
-Levi-Civita time maps (the z^2 primitive and tau tables of
-``levi_civita``, the midpoint taus of ``helium``).
+(``norm_data``), the square and the cube (``square``, ``cube``), the sup
+norm (``sup_norm``) and the Levi-Civita time maps (the z^2 primitive and
+tau tables of ``levi_civita``, the midpoint taus of ``helium``).
 
 On the uniform grid tau_i = 2i/M each basis function is cos or
 sin(2 pi f i / M), so synthesis onto the grid (``Loop.quad_samples``, the
 scan in ``sup_norm``) is one inverse FFT of length M and ``project``
-(hence ``analyze`` and ``cube``) reads its coefficients from one forward
-FFT; frequencies above M/2 fold into their aliased bins.  The dense table
-``basis_matrix`` evaluates loops at arbitrary points (``synthesize``,
-``Loop.__call__``) and serves as the reference the FFT paths, and the
-Galerkin M[z^2] of ``frozen``, are tested against.
+(hence ``analyze``, ``square`` and ``cube``) reads its coefficients from
+one forward FFT; frequencies above M/2 fold into their aliased bins.  The
+dense ``basis_matrix`` evaluates loops off the grid (``Loop.__call__``)
+and is the reference for the FFT paths and the M[z^2] of ``frozen``.
 """
 
 from __future__ import annotations
@@ -139,19 +140,62 @@ def gram_diag(klass, n_coeffs):
     return np.where(_layout(klass, n_coeffs)[0] == 0, 1.0, 0.5)
 
 
-def basis_matrix(klass, n_coeffs, taus):
-    """Matrix B[k, i] = e_k(taus[i]) of raw basis functions."""
-    return _trig(*_layout(klass, n_coeffs), np.asarray(taus, dtype=float))
+@functools.cache
+def _rule(klass, n_coeffs, orders):
+    """The termwise calculus rule for each order j in ``orders`` (-1 is the
+    primitive from 0), cached read-only like ``_layout``: e_k^(j)(tau) is
+    the sum over the rows r of frequency f[k] of w[j, r] (cos, or sin where
+    ``sine[r]``, of pi f[r] tau) + c[j, r].  A derivative takes cos to
+    -pi f sin and sin to +pi f cos; the primitive takes cos to sin/(pi f),
+    sin to (1 - cos)/(pi f) and the constant (f = 0) to tau.  Orders of
+    both parities share rows holding every frequency as cos and as sin,
+    and an order's weights vanish on the other parity's rows."""
+    if not set(orders) <= {-1, 0, 1, 2}:
+        raise DomainError(f"calculus orders must be -1, 0, 1 or 2, got {orders}", tag="loops.order")
+    parities = sorted({j % 2 for j in orders})
+    f, sine = (np.repeat(arr, len(parities)) for arr in _layout(klass, n_coeffs))
+    odd = np.tile(parities, n_coeffs) == 1  # the rows that odd orders read
+    pf = np.pi * f
+    inv = np.divide(1.0, pf, out=np.zeros(f.size), where=f > 0)
+    by_order = {-1: np.where(sine, -inv, inv), 0: 1.0, 1: np.where(sine, pf, -pf), 2: -(pf**2)}
+    w = np.array([np.where(odd == (j % 2 == 1), by_order[j], 0.0) for j in orders])
+    c = np.array([np.where(sine & odd & (j == -1), inv, 0.0) for j in orders])
+    sine = sine ^ odd
+    for arr in (f, sine, w, c):
+        arr.setflags(write=False)
+    return f, sine, w, c
 
 
-def synthesize(klass, coeffs, taus):
-    """Evaluate the loop with the given coefficients at points ``taus``."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return basis_matrix(klass, coeffs.size, taus).T @ coeffs
+def basis_matrix(klass, n_coeffs, taus, order=0):
+    """Matrix B[k, i] = e_k^(order)(taus[i]) of raw basis functions (order 0),
+    their derivatives (1, 2) or their primitives from 0 (-1)."""
+    f, sine, w, c = _rule(klass, n_coeffs, (order,))
+    taus = np.ravel(np.asarray(taus, dtype=float))
+    rows = _trig(f, sine, taus)
+    if order:
+        rows *= w[0][:, None]
+    if order == -1:
+        rows += c[0][:, None]
+        rows[f == 0] = taus
+    return rows
+
+
+def jets(z: Loop, taus, orders):
+    """The rows z^(j)(taus) for j in ``orders`` (each -1, 0, 1 or 2), from
+    one ``_trig`` pass, with the weights of ``basis_matrix(j)`` folded into
+    the coefficients rather than the rows."""
+    orders = tuple(orders)
+    taus = np.ravel(np.asarray(taus, dtype=float))
+    f, sine, w, c = _rule(z.klass, z.n, orders)
+    a = np.repeat(z.coeffs, f.size // z.n)
+    out = (w * a) @ _trig(f, sine, taus) + (c @ a)[:, None]
+    if -1 in orders and f[0] == 0:  # the primitive of the constant is tau
+        out[orders.index(-1)] += z.coeffs[0] * taus
+    return out
 
 
 def _synthesize_uniform(klass, coeffs, m):
-    """``synthesize(klass, coeffs, grid_points(m))`` by one inverse FFT."""
+    """The loop's values on ``grid_points(m)`` by one inverse FFT."""
     coeffs = np.asarray(coeffs, dtype=float)
     f, sine = _layout(klass, coeffs.size)
     # cos(2 pi f i/m) = Re e^{2 pi i f i/m} and sin(...) = Re(-1j e^{...});
@@ -189,14 +233,16 @@ class Loop:
         object.__setattr__(self, "coeffs", coeffs)
 
     def n_active_modes(self):
-        return _active_modes(self.klass, self.coeffs.size)
+        """The mode count that sizes grids: the coefficient count of a
+        symmetric class, the top frequency of a full loop (at least 1)."""
+        return max(1, mode_count(FULL, self.n)) if self.klass == FULL else self.n
 
     @property
     def n(self):
         return self.coeffs.size
 
     def __call__(self, taus):
-        return synthesize(self.klass, self.coeffs, taus)
+        return basis_matrix(self.klass, self.n, taus).T @ self.coeffs
 
     def quad_samples(self, factor=QUAD_FACTOR):
         """Samples on the internal dealiased grid (cached per loop)."""
@@ -240,12 +286,6 @@ class LastBuild:
 def quad_size(n_modes, factor=QUAD_FACTOR):
     p = factor * max(int(n_modes), 4)
     return p + (-p) % 4
-
-
-def _active_modes(klass, n_coeffs):
-    """The mode count that sizes grids: the coefficient count of a symmetric
-    class, the top frequency of a full loop (at least 1)."""
-    return max(1, mode_count(FULL, n_coeffs)) if klass == FULL else n_coeffs
 
 
 def from_coeffs(klass, coeffs):
@@ -340,17 +380,11 @@ def _scan_sup_norm(z: Loop):
     i = int(np.argmax(np.abs(vals)))
     h = 2.0 / p
     t0 = i * h
-    f, dsine, d1 = _termwise_derivative(z.klass, z.coeffs)
     # oriented by the sign of z, z' decreases through the maximum of |z|
     orient = -np.sign(vals[i])
-    d1, d2 = orient * d1, orient * second_derivative_coeffs(z)
-    # z' and z'' take the other part (cos or sin) of the same rows: one
-    # pass over the table with every frequency twice gives both
-    f2, sine2 = np.repeat(f, 2), np.stack([dsine, ~dsine], axis=1).ravel()
 
     def slope(t, _):
-        rows = _trig(f2, sine2, t)
-        return d1 @ rows[0::2], d2 @ rows[1::2]
+        return orient * jets(z, t, (1, 2))
 
     t = _newton(slope, [t0 - h], [t0 + h], [t0], tol=1e-15, max_iter=8)
     return max(abs(float(vals[i])), abs(float(z(t)[0])))
@@ -363,10 +397,10 @@ def _newton(fn, lo, hi, x0, tol, max_iter, min_slope=0.0):
     ``fn(x, idx)`` returns (f, f') at the points x of the still-active
     indices idx, for an f that increases through its root.  Each
     evaluation shrinks the bracket to the side the root is on; a step that
-    leaves the bracket, or a slope at or below ``min_slope``, is replaced
-    by the bracket midpoint, and an exact root (f = 0) is kept as it is.
-    A point stops once its step is below ``tol``, or after ``max_iter``
-    evaluations.
+    does not land strictly inside the bracket (or stay put), or a slope at
+    or below ``min_slope``, is replaced by the bracket midpoint.  A point
+    stops on a step below ``tol`` or after ``max_iter`` evaluations, and
+    keeps x once f(x) = 0 or its bracket holds no float strictly inside.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -383,26 +417,13 @@ def _newton(fn, lo, hi, x0, tol, max_iter, min_slope=0.0):
         mid = 0.5 * (lo + hi)
         ok = dfx > min_slope
         x_new = np.where(ok, x - fx / np.where(ok, dfx, 1.0), mid)
-        x_new = np.where((x_new >= lo) & (x_new <= hi), x_new, mid)
-        x_new = np.where(fx == 0.0, x, x_new)
+        x_new = np.where((x_new > lo) & (x_new < hi) | (x_new == x), x_new, mid)
+        done = (fx == 0.0) | (np.nextafter(lo, hi) >= hi)
+        x_new = np.where(done, x, x_new)
         out[idx] = x_new
-        moving = np.abs(x_new - x) >= tol
+        moving = ~done & (np.abs(x_new - x) >= tol)
         idx, x, lo, hi = idx[moving], x_new[moving], lo[moving], hi[moving]
     return out
-
-
-def _termwise_derivative(klass, coeffs):
-    """Layout and coefficients of z' by termwise differentiation: cos(pi f tau)
-    turns into -pi f sin(pi f tau) and sin into +pi f cos."""
-    f, sine = _layout(klass, coeffs.size)
-    w = np.pi * f
-    return f, ~sine, np.where(sine, w, -w) * coeffs
-
-
-def derivative_values(z: Loop, taus):
-    """z'(taus), differentiated termwise in the class's own layout."""
-    f, sine, d1 = _termwise_derivative(z.klass, z.coeffs)
-    return d1 @ _trig(f, sine, np.asarray(taus, dtype=float))
 
 
 #: residual symmetry of z' for the symmetric classes
@@ -416,16 +437,15 @@ def derivative(z: Loop) -> Loop:
     cosines of the same frequencies), so it is returned as class ``full``
     with a note recording the residual symmetry.
     """
-    f, sine, d1 = _termwise_derivative(z.klass, z.coeffs)
+    f, sine, w, _ = _rule(z.klass, z.n, (1,))
     coeffs = np.zeros(2 * int(f[-1]) + 1)
-    coeffs[_slot(FULL, f, sine)] = d1
+    coeffs[_slot(FULL, f, sine)] = w[0] * z.coeffs
     return Loop(FULL, coeffs, symmetry_note=_DERIVATIVE_NOTE.get(z.klass))
 
 
 def second_derivative_coeffs(z: Loop):
     """Coefficients of z'' in the same class basis."""
-    w = frequencies(z.klass, z.n)
-    return -(w**2) * z.coeffs
+    return _rule(z.klass, z.n, (2,))[2][0] * z.coeffs
 
 
 def project(klass, samples_fn_or_values, n_out, p=None):
@@ -452,21 +472,30 @@ def project(klass, samples_fn_or_values, n_out, p=None):
     return np.where(sine, -spec.imag, spec.real) / (p * gram_diag(klass, n_out))
 
 
-def cube(z: Loop) -> Loop:
-    """Pointwise cube, re-analyzed exactly in the class basis (cached per
-    loop, so the gradient and the Hessian at one point share one FFT).
-
-    Both symmetric classes are closed under the cube; the result carries
-    triple the frequency content.
-    """
+def _power(z: Loop, k):
+    """z^k re-analyzed exactly from the dealiased grid, in z's class for odd
+    k and in even-cosine for even k (full if z is).  Cached per loop."""
     cache = _loop_cache(z)
-    if "cube" not in cache:
-        # the slot of the top frequency 3F of z^3, as its top sine for full loops
-        n_coeffs = int(_slot(z.klass, 3 * mode_count(z.klass, z.n), True)) + 1
+    if ("power", k) not in cache:
+        klass = z.klass if k % 2 or z.klass == FULL else EVEN_COSINE
+        # the slot of the top frequency kF of z^k, as its top sine for full loops
+        n_coeffs = int(_slot(klass, k * mode_count(z.klass, z.n), True)) + 1
         p = quad_size(z.n_active_modes())
-        coeffs = project(z.klass, z.quad_samples() ** 3, n_coeffs, p=p)
-        cache["cube"] = from_coeffs(z.klass, coeffs)
-    return cache["cube"]
+        coeffs = project(klass, z.quad_samples() ** k, n_coeffs, p=p)
+        cache[("power", k)] = from_coeffs(klass, coeffs)
+    return cache[("power", k)]
+
+
+def square(z: Loop) -> Loop:
+    """Pointwise square, exact, cached per loop (``_power``)."""
+    return _power(z, 2)
+
+
+def cube(z: Loop) -> Loop:
+    """Pointwise cube, exact in the class basis, which both symmetric
+    classes are closed under; cached per loop, so the gradient and the
+    Hessian at one point share one FFT."""
+    return _power(z, 3)
 
 
 def rescale_cover(z: Loop, n: int) -> Loop:

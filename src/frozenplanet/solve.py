@@ -44,8 +44,7 @@ class FrozenObjective:
     klass = loops.ODD_SINE
 
     def __init__(self, r, n_modes=DEFAULT_MODES):
-        if not 0.0 <= r < np.inf:
-            raise DomainError(f"parameter r must be finite and >= 0, got {r}", tag="frozen.r")
+        frozen.check_r(r)
         self.r = float(r)
         self.n = int(n_modes)
         self._sg = np.sqrt(loops.gram_diag(self.klass, self.n))

@@ -229,6 +229,70 @@ class TestReciprocalIntegral:
         assert len(calls) <= 300
 
 
+def newton_step_rule(fn, lo, hi, x0, tol, max_iter, min_slope=0.0):
+    """``loops._newton`` as it stood before the closed-bracket stop: a point
+    stops only on a step below ``tol`` or after ``max_iter`` evaluations.
+    The oracle that the stop changes ``ReciprocalIntegral.solve`` by at most
+    rounding."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    out = x.copy()
+    idx = np.arange(x.size)
+    for _ in range(max_iter):
+        if not idx.size:
+            break
+        fx, dfx = fn(x, idx)
+        lo = np.where(fx <= 0.0, np.maximum(lo, x), lo)
+        hi = np.where(fx > 0.0, np.minimum(hi, x), hi)
+        mid = 0.5 * (lo + hi)
+        ok = dfx > min_slope
+        x_new = np.where(ok, x - fx / np.where(ok, dfx, 1.0), mid)
+        x_new = np.where((x_new >= lo) & (x_new <= hi), x_new, mid)
+        x_new = np.where(fx == 0.0, x, x_new)
+        out[idx] = x_new
+        moving = np.abs(x_new - x) >= tol
+        idx, x, lo, hi = idx[moving], x_new[moving], lo[moving], hi[moving]
+    return out
+
+
+class TestSolveStops:
+    """``ReciprocalIntegral.solve`` on 256 targets of ``[1, 0.2, -0.03]``
+    at n_t = 4096, where the step rule alone let 19 t-path and 3 sigma-path
+    targets alternate between two floats until ``max_iter``."""
+
+    @pytest.fixture(scope="class")
+    def rec(self):
+        orbit = lc.forward(loops.from_coeffs(loops.ODD_SINE, [1.0, 0.2, -0.03]), n_t=4096)
+        return lc.ReciprocalIntegral(orbit)
+
+    def test_no_point_runs_to_max_iter(self, rec, monkeypatch):
+        newton = loops._newton
+        runs = []
+
+        def counting(fn, lo, hi, x0, tol, max_iter, **kwargs):
+            evals = np.zeros(np.size(x0), dtype=int)
+
+            def counted(x, idx):
+                evals[idx] += 1
+                return fn(x, idx)
+
+            runs.append((evals, max_iter))
+            return newton(counted, lo, hi, x0, tol=tol, max_iter=max_iter, **kwargs)
+
+        monkeypatch.setattr(loops, "_newton", counting)
+        rec.solve(np.linspace(0.0, rec.total, 256))
+        assert len(runs) == 3  # both sides of the collision, then the t-path
+        assert all(np.max(evals) < max_iter for evals, max_iter in runs)
+
+    def test_agrees_with_the_step_rule(self, rec, monkeypatch):
+        targets = np.linspace(0.0, rec.total, 256)
+        t = rec.solve(targets)
+        monkeypatch.setattr(loops, "_newton", newton_step_rule)
+        # one ulp of t at its scale, 1; the step rule stops t on 1e-16
+        assert np.max(np.abs(t - rec.solve(targets))) <= np.spacing(1.0)
+
+
 class TestInverse:
     def test_roundtrip_fundamental(self, sine_orbit):
         z = lc.inverse(sine_orbit, parity="odd")
@@ -321,9 +385,17 @@ class TestQResidual:
             lc.q_residual(sine_orbit, r)
 
 
-def test_package_import_loads_no_scipy():
+def test_package_import_adds_only_numpy():
+    # against the interpreter's own start-up modules, which site hooks may
+    # extend (certifi, _distutils_hack) before any import of ours
     src = os.path.dirname(os.path.dirname(frozenplanet.__file__))
-    code = "import sys, frozenplanet; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys\n"
+        "def top(): return {m.split('.')[0] for m in sys.modules}\n"
+        "bare = top()\n"
+        "import frozenplanet\n"
+        "print(sorted(top() - bare - set(sys.stdlib_module_names)))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
@@ -331,4 +403,4 @@ def test_package_import_loads_no_scipy():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "['frozenplanet', 'numpy']"

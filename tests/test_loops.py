@@ -98,7 +98,7 @@ class TestDerivative:
         z = loops.from_coeffs(klass, np.random.default_rng(seed).normal(size=n))
         taus = np.linspace(0.0, 2.0, 57)
         scale = np.pi * max(1, loops.mode_count(klass, n)) * max(1.0, np.sum(np.abs(z.coeffs)))
-        values = loops.derivative_values(z, taus)
+        values = loops.jets(z, taus, (1,))[0]
         assert np.max(np.abs(values - loops.derivative(z)(taus))) < 1e-12 * scale
         h = 1e-5
         central = (z(taus + h) - z(taus - h)) / (2 * h)
@@ -169,6 +169,7 @@ class TestLoopCache:
         z = loops.from_coeffs(loops.ODD_SINE, [1.0, 0.2, -0.1])
         z3 = loops.cube(z)
         assert loops.cube(z) is z3
+        assert loops.square(z) is loops.square(z)
         assert not z3.coeffs.flags.writeable
         with pytest.raises(ValueError):
             z3.coeffs[0] = 0.0
@@ -250,6 +251,37 @@ class TestNewton:
             assert np.all((lo[idx] <= xs) & (xs <= hi[idx]))
         assert np.max(np.abs(x - r)) < 1e-15
 
+    def test_cycling_steps_end_in_a_closed_bracket(self):
+        # with the slope reported at half its value, Newton from b lands on
+        # a and from a on b, the floats either side of the root m, for ever;
+        # a step to the end of the bracket is replaced by its midpoint, m
+        m = 0.3
+        a, b = np.nextafter(m, 0.0), np.nextafter(m, 1.0)
+        seen = []
+
+        def off_slope(x, idx):
+            seen.append(x[0])
+            return 2.0 * (x - m), np.ones_like(x)
+
+        x = loops._newton(off_slope, [0.0], [1.0], [b], tol=1e-20, max_iter=80)
+        assert x[0] == m
+        assert seen == [b, a, m]
+
+    def test_bracket_without_inner_float_stops(self):
+        # the root lies between the adjacent floats a and b, where f keeps
+        # its sign change at every step
+        a = 0.7
+        b = np.nextafter(a, 1.0)
+        calls = []
+
+        def gap(x, idx):
+            calls.append(x[0])
+            return np.where(x <= a, -1.0, 1.0), np.full_like(x, 1e-30)
+
+        x = loops._newton(gap, [0.0], [1.0], [0.5], tol=0.0, max_iter=200)
+        assert x[0] in (a, b)
+        assert len(calls) < 60
+
 
 class TestRescaleCover:
     def test_substitution(self):
@@ -326,7 +358,7 @@ class TestInvariants:
     def test_no_grid_synthesis_on_construction(self, monkeypatch):
         # a Loop is its coefficients; building or analyzing one synthesizes
         # no samples
-        samples = loops.synthesize(loops.ODD_SINE, [1.0, 0.2], loops.grid_points(64))
+        samples = loops.from_coeffs(loops.ODD_SINE, [1.0, 0.2])(loops.grid_points(64))
 
         def forbidden(*args):
             raise AssertionError("uniform synthesis on construction")
@@ -401,6 +433,83 @@ class TestTrig:
         assert loops._trig(f, sine, []).shape == (4, 0)
 
 
+def composite_gauss(fn, tau, panels=32, nodes=32):
+    """int_0^tau fn(s) ds by Gauss-Legendre on equal panels; fn maps the
+    points s (flat) to rows of values."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    h = tau / panels
+    s = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)) * h
+    return 0.5 * h * (fn(s.ravel()) @ np.tile(w, panels))
+
+
+class TestCalculusRule:
+    """``basis_matrix(order)`` and ``jets`` against independent oracles:
+    Gauss-Legendre quadrature of the next order and direct sums."""
+
+    cases = dict(
+        klass=st.sampled_from(loops.CLASSES),
+        n=st.integers(1, 40),
+        tau=st.floats(0.0, 2.0),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(-1, 1), **cases)
+    def test_next_order_integrates_to_differences(self, klass, n, tau, order):
+        # e^(j)(tau) - e^(j)(0) = int_0^tau e^(j+1); at j = -1 this is the
+        # primitive against quadrature of the basis functions themselves
+        quad = composite_gauss(lambda s: loops.basis_matrix(klass, n, s, order + 1), tau)
+        ends = loops.basis_matrix(klass, n, [0.0, tau], order)
+        scale = (1.0 + np.pi * loops.mode_count(klass, n)) ** (order + 1)
+        assert np.max(np.abs(quad - (ends[:, 1] - ends[:, 0]))) <= 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(klass=cases["klass"], n=cases["n"])
+    def test_primitive_starts_at_zero(self, klass, n):
+        assert not np.any(loops.basis_matrix(klass, n, [0.0], -1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        orders=st.lists(st.integers(-1, 2), min_size=1, max_size=4, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+        klass=cases["klass"],
+        n=cases["n"],
+    )
+    def test_jets_are_basis_matrix_sums(self, klass, n, orders, seed):
+        c = np.random.default_rng(seed).normal(size=n)
+        z = loops.from_coeffs(klass, c)
+        taus = np.linspace(-0.3, 2.3, 41)
+        got = loops.jets(z, taus, orders)
+        assert got.shape == (len(orders), taus.size)
+        for row, order in zip(got, orders):
+            want = c @ loops.basis_matrix(klass, n, taus, order)
+            scale = np.sum(np.abs(c)) * (1.0 + np.pi * loops.mode_count(klass, n)) ** max(order, 0)
+            assert np.max(np.abs(row - want)) <= 1e-13 * scale
+
+    def test_scalar_point(self):
+        z = loops.from_coeffs(loops.ODD_SINE, [1.0])
+        zv, zp, zpp, prim = loops.jets(z, 0.25, (0, 1, 2, -1))
+        s = np.sqrt(0.5)
+        assert zv == pytest.approx([s], rel=1e-15)
+        assert zp == pytest.approx([np.pi * s], rel=1e-15)
+        assert zpp == pytest.approx([-np.pi**2 * s], rel=1e-15)
+        assert prim == pytest.approx([(1.0 - s) / np.pi], rel=1e-15)
+
+    @pytest.mark.parametrize("order", [-2, 3, 0.5])
+    def test_unknown_order_rejected(self, order):
+        z = loops.from_coeffs(loops.FULL, [1.0, 0.5])
+        with pytest.raises(DomainError) as exc:
+            loops.basis_matrix(loops.FULL, 2, [0.1], order)
+        assert exc.value.tag == "loops.order"
+        with pytest.raises(DomainError):
+            loops.jets(z, [0.1], (0, order))
+
+    @pytest.mark.parametrize("klass", [loops.ODD_SINE, loops.EVEN_COSINE])
+    def test_product_frequencies_are_the_even_cosine_layout(self, klass):
+        for n in range(1, 41):
+            q = helium._product_to_sum(klass, n)[0]
+            assert np.array_equal(q, loops._layout(loops.EVEN_COSINE, q.size)[0])
+
+
 class TestFFTOracle:
     """The uniform-grid FFT paths against the dense ``basis_matrix`` table.
 
@@ -419,7 +528,7 @@ class TestFFTOracle:
     @given(**cases)
     def test_uniform_synthesis(self, klass, n, m, seed):
         c = np.random.default_rng(seed).normal(size=n)
-        dense = loops.synthesize(klass, c, loops.grid_points(m))
+        dense = c @ loops.basis_matrix(klass, n, loops.grid_points(m))
         fft = loops._synthesize_uniform(klass, c, m)
         assert np.max(np.abs(fft - dense)) <= 1e-12 * np.sum(np.abs(c))
 
@@ -438,6 +547,7 @@ class TestFFTOracle:
         taus = np.linspace(0.0, 2.0, 101)
         scale = max(1.0, float(np.max(np.abs(z(taus)))))
         assert np.max(np.abs(loops.cube(z)(taus) - z(taus) ** 3)) < 1e-12 * scale**3
+        assert np.max(np.abs(loops.square(z)(taus) - z(taus) ** 2)) < 1e-12 * scale**2
         m = 8 * max(z.n_active_modes(), 4)
         back = loops.analyze(loops._synthesize_uniform(klass, z.coeffs, m), klass)
         assert np.max(np.abs(back.coeffs[: z.n] - z.coeffs)) < 1e-13 * scale
