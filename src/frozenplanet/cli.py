@@ -75,8 +75,8 @@ def _write(path, text):
 
 
 def cmd_solve(args):
-    if args.tol <= 0:
-        raise FrozenPlanetError("tolerances must be positive", tag="cli.config")
+    if not 0.0 < args.tol < np.inf:
+        raise FrozenPlanetError("tolerance must be finite and positive", tag="cli.config")
     frozen.check_r(args.r)
     path = solve.solve_frozen(args.r, n_modes=args.modes)
     cert = path.steps[-1].cert

@@ -213,12 +213,18 @@ class OperatorFamily:
     For tau in [0, 1] the operator is diagonal with eigenvalues
     pi (n - tau); for tau in [1, 2] it is the rotation conjugate
     U_tau^T diag(pi n) U_tau.  The stabilization column is
-    G = a e_0 + b e_1.
+    G = a e_0 + b e_1, with a and b finite and not both zero.
     """
 
     n_modes: int = 8
     a: float = 1.0
     b: float = 1.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.a) and np.isfinite(self.b)) or self.a == self.b == 0.0:
+            raise DomainError(
+                "stabilizer needs finite a and b, not both zero", tag="detline.stabilizer"
+            )
 
     def matrix(self, tau):
         n = self.n_modes

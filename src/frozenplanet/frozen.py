@@ -19,10 +19,13 @@ z'^2/2 + b z^2/2 + a z^4/2 is constant, and the shape ratios
 satisfy a closed algebraic identity solvable in complete elliptic
 integrals, which this module exposes as a certification residual.
 
-The Hessian is assembled as the exact derivative of the gradient map in an
-orthonormal Galerkin basis, so it is symmetric at every point and matches
-finite differences of the gradient; restricted to critical points it
-coincides with the classical linearized problem.
+value is a function F_r of the norm vector y = (||z||^2, ||z'||^2, ||z^2||^2)
+alone, and F_0 is the free fall.  Its gradient and Hessian are one chain
+rule through y (``norm_gradient``, ``norm_hessian``), which the pair
+functionals of ``helium`` share.  The Hessian is exact in an orthonormal
+Galerkin basis, so it is symmetric at every point and matches finite
+differences of the gradient; restricted to critical points it coincides
+with the classical linearized problem.
 """
 
 from __future__ import annotations
@@ -45,11 +48,29 @@ def check_r(*values):
             raise DomainError(f"parameter r must be finite and >= 0, got {r}", tag="frozen.r")
 
 
-def _norm_data(z: loops.Loop):
+def _norm_data(z: loops.Loop, tag="frozen.zero-loop"):
+    """``loops.norm_data``, rejecting the zero loop (DomainError ``tag``)."""
     data = loops.norm_data(z)
     if data[0] <= 0.0:
-        raise DomainError("functional undefined at the zero loop", tag="frozen.zero-loop")
+        raise DomainError("functional undefined at the zero loop", tag=tag)
     return data
+
+
+def _partials(y, r, hessian=False):
+    """F_r = 2 l d + 2/l + r l/s at the norm vector y = (l, d, s), with its
+    gradient in y and, if asked, its Hessian in y (else None); F_0 is the
+    free fall."""
+    l, d, s = y
+    value = 2.0 * l * d + 2.0 / l + r * l / s
+    df = np.array([2.0 * d - 2.0 / l**2 + r / s, 2.0 * l, -r * l / s**2])
+    if not hessian:
+        return value, df, None
+    d2f = np.array([
+        [4.0 / l**3, 2.0, -r / s**2],
+        [2.0, 0.0, 0.0],
+        [-r / s**2, 0.0, 2.0 * r * l / s**3],
+    ])
+    return value, df, d2f
 
 
 def coefficients(z: loops.Loop, r):
@@ -69,8 +90,7 @@ def critical_b(z: loops.Loop, r):
 
 def value(z: loops.Loop, r):
     check_r(r)
-    l2_sq, d1_sq, sq_sq = _norm_data(z)
-    return 2.0 * l2_sq * d1_sq + 2.0 / l2_sq + r * l2_sq / sq_sq
+    return _partials(_norm_data(z), r)[0]
 
 
 def gradient(z: loops.Loop, r) -> loops.Loop:
@@ -80,17 +100,24 @@ def gradient(z: loops.Loop, r) -> loops.Loop:
     exact (unprojected) gradient; its L2 norm is the certification
     residual including the Galerkin tail.
     """
-    a, b = coefficients(z, r)
-    l2_sq, _, _ = _norm_data(z)
-    return loops.from_coeffs(z.klass, -4.0 * l2_sq * _cubic_ode(z, b, 2.0 * a))
+    check_r(r)
+    df = _partials(_norm_data(z), r)[1]
+    return loops.from_coeffs(z.klass, norm_gradient(z, df))
 
 
-def _cubic_ode(z: loops.Loop, lam, mu):
-    """Coefficients of z'' + lam z + mu z^3, on the size of ``loops.cube(z)``."""
-    z3 = loops.cube(z)
-    coeffs = np.zeros(z3.n)
-    coeffs[: z.n] = loops.second_derivative_coeffs(z) + lam * z.coeffs
-    coeffs += mu * z3.coeffs
+def norm_gradient(z: loops.Loop, df):
+    """Coefficients of the L2-gradient 2 F_l z - 2 F_d z'' + 4 F_s z^3 of a
+    function F of the norm vector (||z||^2, ||z'||^2, ||z^2||^2), given its
+    partials df = (F_l, F_d, F_s).
+
+    They are on the size of ``loops.cube(z)``, which F_s = 0 does not form.
+    """
+    f_l, f_d, f_s = df
+    if f_s == 0.0:
+        coeffs = np.zeros(loops._power_layout(z, 3)[1])
+    else:
+        coeffs = 4.0 * f_s * loops.cube(z).coeffs
+    coeffs[: z.n] += 2.0 * f_l * z.coeffs - 2.0 * f_d * loops.second_derivative_coeffs(z)
     return coeffs
 
 
@@ -100,7 +127,7 @@ def ode_residual(z: loops.Loop, a, b):
     Used for the covering-rescale covariance check, where the rescaled
     coefficients are prescribed rather than recomputed.
     """
-    coeffs = _cubic_ode(z, b, 2.0 * a)
+    coeffs = norm_gradient(z, (0.5 * b, -0.5, 0.5 * a))
     g = loops.gram_diag(z.klass, coeffs.size)
     return float(np.sqrt(np.sum(g * coeffs**2)))
 
@@ -113,44 +140,47 @@ def grad_res(z: loops.Loop, r):
 
 
 def hessian_analytic(z: loops.Loop, r):
-    """Exact derivative of the gradient map, assembled spectrally.
+    """Exact Hessian of F_r in orthonormal coordinates (``norm_hessian``)."""
+    check_r(r)
+    _, df, d2f = _partials(_norm_data(z), r, hessian=True)
+    return norm_hessian((z,), df, d2f)
 
-    In the orthonormal basis e_k / sqrt(g_k) the matrix reads
 
-        H = -8 (Ghat x zhat) - 4||z||^2 ( D2 + b I + 6 a M[z^2]
-              + zhat x dbvec + 2 c3hat x davec )
+def norm_hessian(zs, df, d2f):
+    """Exact Hessian of a function F of the loops' norm vectors.
 
-    where Ghat are the coordinates of z'' + b z + 2 a z^3 (zero at critical
-    points), M[z^2] the multiplication operator by z^2, and dbvec/davec the
-    coordinate forms of the variations of b and a.  z^3 is the loop's
-    cached ``loops.cube`` (shared with ``gradient``) and M[z^2] is gathered
-    from one FFT of z^2 (``_cubic_galerkin``), O(N^2) in all.  Symmetry
-    holds identically; no criticality is assumed.
+    F depends on the loops zs only through y = (l_1, d_1, s_1, l_2, ...),
+    (l, d, s) = (||z||^2, ||z'||^2, ||z^2||^2); df and d2f are its gradient
+    and Hessian in y.  In the orthonormal coordinates x = sqrt(g) c of each
+    loop (z_1 first), l, d and s have gradients 2 x, 2 W^2 x and 4 z^3 and
+    Hessians 2 I, 2 W^2 and 12 M[z^2] (``_cubic_galerkin``), W the diagonal
+    of the frequencies.  So by the chain rule
+
+        H = blockdiag(2 F_l I + 2 F_d W^2 + 12 F_s M[z_i^2]) + J F'' J^T,
+
+    J the (n, 3 m) matrix of the gradients of y.  A loop whose s-partials
+    in df and d2f are all zero forms neither z^3 nor M[z^2].  O(N^2) in
+    all; exactly symmetric.
     """
-    a, b = coefficients(z, r)
-    l2_sq, d1_sq, sq_sq = _norm_data(z)
-    n = z.n
-    sg = np.sqrt(loops.gram_diag(z.klass, n))
-    w = loops.frequencies(z.klass, n)
-    c3hat, mult_z2 = _cubic_galerkin(z)
-
-    zhat = sg * z.coeffs
-    # z'' + b z + 2 a z^3 in orthonormal coordinates
-    ghat = sg * (loops.second_derivative_coeffs(z) + b * z.coeffs)
-    ghat_full = ghat + 2.0 * a * c3hat
-
-    # variations of the scalar coefficients along orthonormal directions
-    davec = -4.0 * r / sq_sq**3 * c3hat
-    dbvec = (
-        (-6.0 / l2_sq**4 + 2.0 * d1_sq / l2_sq**2 + r / (l2_sq**2 * sq_sq)) * zhat
-        - (2.0 / l2_sq) * (w**2 * zhat)
-        + (2.0 * r / (l2_sq * sq_sq**2)) * c3hat
-    )
-
-    h = -8.0 * np.outer(ghat_full, zhat)
-    core = np.diag(-(w**2) + b) + 6.0 * a * mult_z2
-    core += np.outer(zhat, dbvec) + 2.0 * np.outer(c3hat, davec)
-    h += -4.0 * l2_sq * core
+    n = sum(z.n for z in zs)
+    h = np.zeros((n, n))
+    jac = np.zeros((n, 3 * len(zs)))
+    start = 0
+    for i, z in enumerate(zs):
+        f_l, f_d, f_s = df[3 * i : 3 * i + 3]
+        rows = slice(start, start + z.n)
+        start += z.n
+        block = h[rows, rows]
+        x = np.sqrt(loops.gram_diag(z.klass, z.n)) * z.coeffs
+        w2 = loops.frequencies(z.klass, z.n) ** 2
+        jac[rows, 3 * i] = 2.0 * x
+        jac[rows, 3 * i + 1] = 2.0 * w2 * x
+        if f_s != 0.0 or np.any(d2f[3 * i + 2]):
+            c3, mult = _cubic_galerkin(z)
+            jac[rows, 3 * i + 2] = 4.0 * c3
+            block += 12.0 * f_s * mult
+        block.flat[:: z.n + 1] += 2.0 * f_l + 2.0 * f_d * w2
+    h += jac @ d2f @ jac.T
     return 0.5 * (h + h.T)
 
 

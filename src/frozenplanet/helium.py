@@ -17,14 +17,18 @@ gradient is the exact derivative of that discretized quadrature (implicit
 differentiation of the inverse time maps), so gradient and objective stay
 mutually consistent for Newton.
 
-Both functionals have exact Hessians in orthonormal coordinates
-(``b_av_hessian``, ``b_in_hessian``).  b_av is a rational function of the
-norms ||z_i||^2, ||z_i'||^2 and ||z_i^2||^2, so its Hessian follows by the
-chain rule, with 12 M[z_i^2] the Hessian of the quartic norm.  b_in's is the
-second variation of the discretized quadrature: the inverse time maps are
-differentiated twice, and node sums of int_0^tau e_j e_k are read from one
-product-to-sum table.  ``PairObjective.hessian`` is (1 - s) H_av + s H_in;
-the tests check it against central differences of the gradient.
+The sum over i is the free fall F_0 of ``frozen`` for each loop, so
+b_interp = (1 - s) b_av + s b_in is F_0(z1) + F_0(z2) + (1 - s) T plus s
+times the repulsion, T the mean term.  Its norm part is a function of the
+norm vector y = (l1, d1, s1, l2, d2, s2) of the pair (``_partials``), whose
+gradient and exact Hessian are one chain rule through y
+(``frozen.norm_gradient``, ``frozen.norm_hessian``).  The repulsion adds
+s times the node sums of the first and second variation of its quadrature:
+the inverse time maps are differentiated twice, and node sums of
+int_0^tau e_j e_k are read from one product-to-sum table.  A term of weight
+0 is not evaluated.  ``b_av``, ``b_in`` and their Hessians are the s = 0
+and s = 1 ends of ``b_interp`` and ``pair_hessian``; the tests check the
+Hessians against central differences of the gradient.
 
 The bridge to the one-loop family: with rho = (sqrt 2 - 1)^2 and
 alpha = (sqrt 2 - 1)/sqrt 2, pairing z with the constant loop
@@ -42,8 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frozen, loops
+from . import elliptic, frozen, loops
 from .errors import AdmissibilityError, DomainError
+
+_ZERO_LOOP = "helium.zero-loop"
+# the places of (l1, s1, l2, s2) in the pair's norm vector (l1, d1, s1, l2, d2, s2)
+_MEAN_AT = np.array([0, 2, 3, 5])
+_MEAN_BLOCK = np.ix_(_MEAN_AT, _MEAN_AT)
 
 RHO = (np.sqrt(2.0) - 1.0) ** 2
 ALPHA = (np.sqrt(2.0) - 1.0) / np.sqrt(2.0)
@@ -79,16 +88,7 @@ class PairLoop:
 
 
 def _pair_norms(pair: PairLoop):
-    n1 = _loop_norm_data(pair.z1)
-    n2 = _loop_norm_data(pair.z2)
-    return n1, n2
-
-
-def _loop_norm_data(z):
-    data = loops.norm_data(z)
-    if data[0] <= 0.0:
-        raise DomainError("pair component has zero norm", tag="helium.zero-loop")
-    return data
+    return frozen._norm_data(pair.z1, _ZERO_LOOP), frozen._norm_data(pair.z2, _ZERO_LOOP)
 
 
 def mean_gap(pair: PairLoop):
@@ -108,34 +108,58 @@ def require_mean_admissible(pair: PairLoop):
     return gap
 
 
+def _check_s(s):
+    if not 0.0 <= s <= 1.0:
+        raise DomainError("interpolation parameter must lie in [0, 1]", tag="helium.s")
+
+
+def _partials(pair: PairLoop, s, hessian=False):
+    """The norm part of b_interp at s, with its gradient in
+    y = (l1, d1, s1, l2, d2, s2), (l, d, s) = (||z||^2, ||z'||^2, ||z^2||^2),
+    and, if asked, its Hessian in y (else None).
+
+    It is the free fall F_0(y1) + F_0(y2) (``frozen._partials``) plus
+    (1 - s) T, T = -l1 l2 / gap the mean term; at s = 1 T is not evaluated,
+    so mean admissibility is not required.
+    """
+    y1, y2 = _pair_norms(pair)
+    v1, df1, h1 = frozen._partials(y1, 0.0, hessian)
+    v2, df2, h2 = frozen._partials(y2, 0.0, hessian)
+    value, df, d2f = v1 + v2, np.concatenate([df1, df2]), None
+    if hessian:
+        d2f = np.zeros((6, 6))
+        d2f[:3, :3] = h1
+        d2f[3:, 3:] = h2
+    if s < 1.0:
+        gap = require_mean_admissible(pair)
+        (l1, _, s1), (l2, _, s2) = y1, y2
+        # over (l1, s1, l2, s2): T_a = num_a / gap^2 and
+        # T_ab = (dnum_ab - 2 num_a dgap_b / gap) / gap^2, symmetric in exact
+        # arithmetic (its average below drops the rounding)
+        num = np.array([-s1 * l2**2, l1 * l2**2, s2 * l1**2, -(l1**2) * l2])
+        value -= (1.0 - s) * l1 * l2 / gap
+        df[_MEAN_AT] += (1.0 - s) / gap**2 * num
+        if hessian:
+            dnum = np.array([
+                [0.0, -(l2**2), -2.0 * s1 * l2, 0.0],
+                [l2**2, 0.0, 2.0 * l1 * l2, 0.0],
+                [2.0 * s2 * l1, 0.0, 0.0, l1**2],
+                [-2.0 * l1 * l2, 0.0, -(l1**2), 0.0],
+            ])
+            dgap = np.array([-s2, l2, s1, -l1])
+            t2 = (dnum - (2.0 / gap) * num[:, None] * dgap) / gap**2
+            d2f[_MEAN_BLOCK] += (0.5 * (1.0 - s)) * (t2 + t2.T)
+    return value, df, d2f
+
+
 def b_av(pair: PairLoop):
     """Value and L2-gradient (as a pair of loops) of the mean functional."""
-    gap = require_mean_admissible(pair)
-    (l1, d1, s1), (l2, d2, s2) = _pair_norms(pair)
-    value = (
-        2.0 * (l1 * d1 + 1.0 / l1)
-        + 2.0 * (l2 * d2 + 1.0 / l2)
-        - l1 * l2 / gap
-    )
-    a1 = d1 / l1 - 1.0 / l1**3 - l2**2 * s1 / (2.0 * l1 * gap**2)
-    b1 = l2**2 / gap**2
-    a2 = d2 / l2 - 1.0 / l2**3 + l1**2 * s2 / (2.0 * l2 * gap**2)
-    b2 = -(l1**2) / gap**2
-    g1 = _component_gradient(pair.z1, l1, a1, b1)
-    g2 = _component_gradient(pair.z2, l2, a2, b2)
-    return {"value": value, "gradient": (g1, g2), "coeffs": (a1, b1, a2, b2)}
-
-
-def _component_gradient(z, l2_sq, a_i, b_i):
-    """-4 ||z||^2 (z'' - a_i z - b_i z^3) in the class basis."""
-    return loops.from_coeffs(z.klass, -4.0 * l2_sq * frozen._cubic_ode(z, -a_i, -b_i))
+    return b_interp(pair, 0.0)
 
 
 def c_of(z: loops.Loop):
     """The constant outer loop paired with z on the bridge graph."""
-    l2_sq, _, sq_sq = loops.norm_data(z)
-    if l2_sq <= 0.0:
-        raise DomainError("cannot bridge the zero loop", tag="helium.zero-loop")
+    l2_sq, _, sq_sq = frozen._norm_data(z, _ZERO_LOOP)
     return ALPHA ** (-0.5) * np.sqrt(sq_sq) / np.sqrt(l2_sq)
 
 
@@ -156,7 +180,7 @@ def bridge_check(z: loops.Loop):
 def reduced_first_component(z1_const, z2: loops.Loop):
     """W(z1) = a1 z1 + b1 z1^3 for constant z1: the scalar first-component
     gradient equation on the constant subspace."""
-    l2, _, s2 = _loop_norm_data(z2)
+    l2, _, s2 = frozen._norm_data(z2, _ZERO_LOOP)
     p = l2 * z1_const**4 - s2 * z1_const**2
     b1 = l2**2 / p**2
     a1 = -1.0 / z1_const**6 - 0.5 * z1_const**2 * b1
@@ -171,15 +195,8 @@ def d1w_check(z: loops.Loop, step=1e-6):
     the transversality that pins the bridge graph.
     """
     c = c_of(z)
-    l2, _, _ = _loop_norm_data(z)
-    h = step * c
-    wp, _ = reduced_first_component(c + h, z)
-    wm, _ = reduced_first_component(c - h, z)
-    wp2, _ = reduced_first_component(c + 0.5 * h, z)
-    wm2, _ = reduced_first_component(c - 0.5 * h, z)
-    d1 = (wp - wm) / (2.0 * h)
-    d2 = (wp2 - wm2) / h
-    d1w = (4.0 * d2 - d1) / 3.0
+    l2, _, _ = frozen._norm_data(z, _ZERO_LOOP)
+    d1w = elliptic._richardson(lambda x: reduced_first_component(x, z)[0], c, step * c)
     _, (_, _, p) = reduced_first_component(c, z)
     x_value = p**3 * c**6 * d1w
     k_numeric = x_value / (l2**3 * c**12)
@@ -237,56 +254,8 @@ def _admissible_gap(pair: PairLoop, n_quad):
 
 
 def b_in(pair: PairLoop, n_quad=N_QUAD):
-    """Value and exact discrete gradient of the instantaneous functional.
-
-    The interaction integral uses a fixed midpoint rule in physical time;
-    differentiating the composed quadrature (chain rule through the
-    inverse time maps, with the primitive of 2 z e_k in closed form) gives
-    a gradient consistent with the value to rounding, which finite
-    differences of the value confirm to ~1e-8 relative.
-    """
-    t, tau1, tau2, gap = _admissible_gap(pair, n_quad)
-    ill_conditioned = bool(np.min(gap) < 1e-6 * float(np.max(gap)))
-    if ill_conditioned:
-        warnings.warn(
-            "interaction gap nearly closes; the instantaneous value is "
-            "ill conditioned",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    (l1, d1, _), (l2, d2, _) = _pair_norms(pair)
-    value = (
-        2.0 * (l1 * d1 + 1.0 / l1)
-        + 2.0 * (l2 * d2 + 1.0 / l2)
-        - float(np.mean(1.0 / gap))
-    )
-    # interaction gradient weights: d(-Q)/dq_i at the nodes
-    wts = 1.0 / (gap**2 * n_quad)
-    g1 = _bin_component_gradient(pair.z1, _TimeMapVariation(pair.z1, tau1, t), +wts, l1, d1)
-    g2 = _bin_component_gradient(pair.z2, _TimeMapVariation(pair.z2, tau2, t), -wts, l2, d2)
-    return {
-        "value": value,
-        "gradient": (g1, g2),
-        "ill_conditioned": ill_conditioned,
-        "min_gap": float(np.min(gap)),
-    }
-
-
-def _bin_component_gradient(z, var, weights, l2_sq, d1_sq):
-    """Gradient component: smooth norm terms plus the interaction chain rule.
-
-    The interaction contribution to <grad, e_k> is the weighted node sum
-    of the variation dq_k of q(t) = z(tau_z(t))^2; dividing by sqrt(g_k)
-    turns the orthonormal components into loop coefficients.
-    """
-    inter = var.first(weights)
-    # smooth norm terms: -4||z||^2 z'' + 4||z'||^2 z - 4 z/||z||^4
-    smooth = (
-        -4.0 * l2_sq * loops.second_derivative_coeffs(z)
-        + 4.0 * d1_sq * z.coeffs
-        - 4.0 * z.coeffs / l2_sq**2
-    )
-    return loops.from_coeffs(z.klass, smooth + inter / var.sg)
+    """Value and exact discrete gradient of the instantaneous functional."""
+    return b_interp(pair, 1.0, n_quad)
 
 
 @functools.cache
@@ -406,31 +375,36 @@ class _TimeMapVariation:
 
 
 def b_interp(pair: PairLoop, s, n_quad=N_QUAD):
-    """(1 - s) b_av + s b_in: the homotopy from mean to instantaneous."""
-    if not 0.0 <= s <= 1.0:
-        raise DomainError("interpolation parameter must lie in [0, 1]", tag="helium.s")
-    if s == 0.0:
-        out = b_av(pair)
-        return {"value": out["value"], "gradient": out["gradient"]}
-    if s == 1.0:
-        out = b_in(pair, n_quad)
-        return {"value": out["value"], "gradient": out["gradient"]}
-    av = b_av(pair)
-    inn = b_in(pair, n_quad)
-    g1 = _combine(av["gradient"][0], inn["gradient"][0], 1.0 - s, s)
-    g2 = _combine(av["gradient"][1], inn["gradient"][1], 1.0 - s, s)
+    """(1 - s) b_av + s b_in: value and L2-gradient (as a pair of loops).
+
+    For s > 0, s times the repulsion -mean(1/gap) over the midpoint nodes
+    is added, with the exact gradient of that discretized quadrature (the
+    inverse time maps differentiated), consistent with the value to rounding.
+    """
+    _check_s(s)
+    value, df, _ = _partials(pair, s)
+    g1 = frozen.norm_gradient(pair.z1, df[:3])
+    g2 = frozen.norm_gradient(pair.z2, df[3:])
+    if s > 0.0:
+        t, tau1, tau2, gap = _admissible_gap(pair, n_quad)
+        if np.min(gap) < 1e-6 * float(np.max(gap)):
+            warnings.warn(
+                "interaction gap nearly closes; the instantaneous value is "
+                "ill conditioned",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        value -= s * float(np.mean(1.0 / gap))
+        # interaction gradient weights: d(-s Q)/dq_i at the nodes
+        wts = s / (gap**2 * n_quad)
+        for z, taus, w, g in ((pair.z1, tau1, wts, g1), (pair.z2, tau2, -wts, g2)):
+            var = _TimeMapVariation(z, taus, t)
+            g[: z.n] += var.first(w) / var.sg
+            del var  # free its (n, M) tables before the next are built
     return {
-        "value": (1.0 - s) * av["value"] + s * inn["value"],
-        "gradient": (g1, g2),
+        "value": value,
+        "gradient": (loops.from_coeffs(pair.z1.klass, g1), loops.from_coeffs(pair.z2.klass, g2)),
     }
-
-
-def _combine(u: loops.Loop, v: loops.Loop, cu, cv):
-    n = max(u.n, v.n)
-    coeffs = np.zeros(n)
-    coeffs[: u.n] += cu * u.coeffs
-    coeffs[: v.n] += cv * v.coeffs
-    return loops.from_coeffs(u.klass, coeffs)
 
 
 def pair_grad_res(pair: PairLoop, s, n_quad=N_QUAD):
@@ -479,86 +453,37 @@ def hessian_bound(h_matrix, pair: PairLoop, n1, n2):
 # ---------------------------------------------------------------------------
 
 
-def _smooth_hessian(z: loops.Loop):
-    """Hessian of 2 ||z||^2 ||z'||^2 + 2/||z||^2, a function of two quadratics.
+def pair_hessian(pair: PairLoop, s, n_quad=N_QUAD):
+    """Exact Hessian of b_interp at s, in orthonormal coordinates (z1 first).
 
-    With l = |x|^2 and d = |W x|^2 (W = diag of the frequencies), the chain
-    rule gives diag(4d - 4/l^2 + 4 l W^2) + 16/l^3 x x^T + 8 (x v^T + v x^T),
-    v = W^2 x.
+    The repulsion -s mean(1/g), g = q1 - q2 at the nodes, adds
+    (s/M) sum_m [d^2 g / g^2 - 2 dg dg^T / g^3] to the norm part; the first
+    term is block diagonal (``_TimeMapVariation.second``).
     """
-    l2_sq, d1_sq, _ = _loop_norm_data(z)
-    x = np.sqrt(loops.gram_diag(z.klass, z.n)) * z.coeffs
-    w2 = loops.frequencies(z.klass, z.n) ** 2
-    xv = np.outer(x, w2 * x)
-    h = np.diag(4.0 * d1_sq - 4.0 / l2_sq**2 + 4.0 * l2_sq * w2)
-    return h + (16.0 / l2_sq**3) * np.outer(x, x) + 8.0 * (xv + xv.T)
-
-
-def _block_diag(h1, h2):
-    n1 = h1.shape[0]
-    h = np.zeros((n1 + h2.shape[0],) * 2)
-    h[:n1, :n1] = h1
-    h[n1:, n1:] = h2
+    _check_s(s)
+    _, df, d2f = _partials(pair, s, hessian=True)
+    h = frozen.norm_hessian((pair.z1, pair.z2), df, d2f)
+    if s > 0.0:
+        t, tau1, tau2, gap = _admissible_gap(pair, n_quad)
+        var1 = _TimeMapVariation(pair.z1, tau1, t)
+        var2 = _TimeMapVariation(pair.z2, tau2, t)
+        wts = s / (gap**2 * n_quad)
+        n1 = pair.z1.n
+        h[:n1, :n1] += var1.second(wts)
+        h[n1:, n1:] += var2.second(-wts)
+        dg = np.concatenate([var1.dq, -var2.dq])
+        h -= (dg * (2.0 * s / (gap**3 * n_quad))) @ dg.T
     return h
 
 
 def b_av_hessian(pair: PairLoop):
-    """Exact Hessian of b_av in orthonormal coordinates (z1 first, then z2).
-
-    The mean term T = -l1 l2 / (s1 l2 - s2 l1) depends on the pair only
-    through y = (l1, s1, l2, s2), l_i = ||z_i||^2 = |x_i|^2 and
-    s_i = ||z_i^2||^2, whose gradients are 2 x_i and 4 z_i^3 and whose
-    Hessians are 2 I and 12 M[z_i^2].  So H_T = sum_a T_a Hess(y_a)
-    + J T'' J^T, with J the columns of the gradients of y.
-    """
-    gap = require_mean_admissible(pair)
-    (l1, _, s1), (l2, _, s2) = _pair_norms(pair)
-    z1, z2 = pair.z1, pair.z2
-    c1, m1 = frozen._cubic_galerkin(z1)
-    c2, m2 = frozen._cubic_galerkin(z2)
-    # T_a = num_a / gap^2; T_ab = dnum_ab / gap^2 - 2 num_a dgap_b / gap^3,
-    # symmetric in exact arithmetic (its average below drops the rounding)
-    num = np.array([-s1 * l2**2, l1 * l2**2, s2 * l1**2, -(l1**2) * l2])
-    dnum = np.array([
-        [0.0, -(l2**2), -2.0 * s1 * l2, 0.0],
-        [l2**2, 0.0, 2.0 * l1 * l2, 0.0],
-        [2.0 * s2 * l1, 0.0, 0.0, l1**2],
-        [-2.0 * l1 * l2, 0.0, -(l1**2), 0.0],
-    ])
-    dgap = np.array([-s2, l2, s1, -l1])
-    t2 = dnum / gap**2 - 2.0 * np.outer(num, dgap) / gap**3
-    t1 = num / gap**2
-    n1 = z1.n
-    jac = np.zeros((n1 + z2.n, 4))
-    jac[:n1, 0] = 2.0 * np.sqrt(loops.gram_diag(z1.klass, n1)) * z1.coeffs
-    jac[:n1, 1] = 4.0 * c1
-    jac[n1:, 2] = 2.0 * np.sqrt(loops.gram_diag(z2.klass, z2.n)) * z2.coeffs
-    jac[n1:, 3] = 4.0 * c2
-    h = _block_diag(
-        _smooth_hessian(z1) + 2.0 * t1[0] * np.eye(n1) + 12.0 * t1[1] * m1,
-        _smooth_hessian(z2) + 2.0 * t1[2] * np.eye(z2.n) + 12.0 * t1[3] * m2,
-    )
-    return h + jac @ (0.5 * (t2 + t2.T)) @ jac.T
+    """Exact Hessian of b_av in orthonormal coordinates (z1 first, then z2)."""
+    return pair_hessian(pair, 0.0)
 
 
 def b_in_hessian(pair: PairLoop, n_quad=N_QUAD):
-    """Exact Hessian of the discretized b_in in orthonormal coordinates.
-
-    The interaction -mean(1/g), g = q1 - q2 at the nodes, has Hessian
-    (1/M) sum_m [d^2 g / g^2 - 2 dg dg^T / g^3]; the first term is block
-    diagonal (``_TimeMapVariation.second``) and the cross block comes
-    only from the second.
-    """
-    t, tau1, tau2, gap = _admissible_gap(pair, n_quad)
-    var1 = _TimeMapVariation(pair.z1, tau1, t)
-    var2 = _TimeMapVariation(pair.z2, tau2, t)
-    wts = 1.0 / (gap**2 * n_quad)
-    h = _block_diag(
-        _smooth_hessian(pair.z1) + var1.second(wts),
-        _smooth_hessian(pair.z2) + var2.second(-wts),
-    )
-    dg = np.concatenate([var1.dq, -var2.dq])
-    return h - 2.0 * (dg / (gap**3 * n_quad)) @ dg.T
+    """Exact Hessian of the discretized b_in in orthonormal coordinates."""
+    return pair_hessian(pair, 1.0, n_quad)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +495,7 @@ class PairObjective:
     """Interpolated pair functional in packed orthonormal coordinates."""
 
     def __init__(self, s, n1=16, n2=32, n_quad=N_QUAD):
-        if not 0.0 <= s <= 1.0:
-            raise DomainError("interpolation parameter must lie in [0, 1]", tag="helium.s")
+        _check_s(s)
         self.s = float(s)
         self.n1 = int(n1)
         self.n2 = int(n2)
@@ -602,7 +526,6 @@ class PairObjective:
     def admissible(self, x):
         try:
             pair = self.unpack(x)
-            _pair_norms(pair)
             require_mean_admissible(pair)
             if self.s > 0.0:
                 _admissible_gap(pair, self.n_quad)
@@ -628,14 +551,7 @@ class PairObjective:
 
     def hessian(self, x):
         """(1 - s) H_av + s H_in, exact, in packed coordinates."""
-        pair = self.unpack(x)
-        if self.s == 0.0:
-            return b_av_hessian(pair)
-        if self.s == 1.0:
-            return b_in_hessian(pair, self.n_quad)
-        return (1.0 - self.s) * b_av_hessian(pair) + self.s * b_in_hessian(
-            pair, self.n_quad
-        )
+        return pair_hessian(self.unpack(x), self.s, self.n_quad)
 
     def certify(self, x):
         """Residuals and value at x from one ``b_interp`` evaluation."""

@@ -477,13 +477,18 @@ def _power(z: Loop, k):
     k and in even-cosine for even k (full if z is).  Cached per loop."""
     cache = _loop_cache(z)
     if ("power", k) not in cache:
-        klass = z.klass if k % 2 or z.klass == FULL else EVEN_COSINE
-        # the slot of the top frequency kF of z^k, as its top sine for full loops
-        n_coeffs = int(_slot(klass, k * mode_count(z.klass, z.n), True)) + 1
+        klass, n_coeffs = _power_layout(z, k)
         p = quad_size(z.n_active_modes())
         coeffs = project(klass, z.quad_samples() ** k, n_coeffs, p=p)
         cache[("power", k)] = from_coeffs(klass, coeffs)
     return cache[("power", k)]
+
+
+def _power_layout(z: Loop, k):
+    """The class and the coefficient count of z^k, without forming it."""
+    klass = z.klass if k % 2 or z.klass == FULL else EVEN_COSINE
+    # the slot of the top frequency kF of z^k, as its top sine for full loops
+    return klass, int(_slot(klass, k * mode_count(z.klass, z.n), True)) + 1
 
 
 def square(z: Loop) -> Loop:

@@ -32,6 +32,13 @@ class TestSolveCommand:
         assert out == ""
         assert json.loads(err)["invariant"] == "frozen.r"
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
+    def test_bad_tolerance_is_config_error(self, capsys, tol):
+        code, out, err = run(capsys, "solve", "--r", "0", "--modes", "8", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["invariant"] == "cli.config"
+
     def test_reruns_byte_identical(self, capsys):
         code1, out1, _ = run(capsys, "solve", "--r", "0.1", "--modes", "16")
         code2, out2, _ = run(capsys, "solve", "--r", "0.1", "--modes", "16")
@@ -291,6 +298,15 @@ class TestDetlineCommand:
         payload = json.loads(out)
         assert payload["sign"] == -1
         assert trace.read_text().startswith("tau,e_m2,e_m1,e_0,e_1,e_2,zeta")
+
+    @pytest.mark.parametrize(
+        "weights", [("--a=nan",), ("--b=inf",), ("--a=0", "--b=0"), ("--b=-inf",)]
+    )
+    def test_bad_stabilizer_is_domain_error(self, capsys, weights):
+        code, out, err = run(capsys, "detline", "--modes", "4", "--steps", "10", *weights)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["invariant"] == "detline.stabilizer"
 
     def test_unknown_demo_is_config_error(self, capsys):
         code, _, err = run(capsys, "detline", "--demo", "mystery")

@@ -173,6 +173,19 @@ class TestCounterexampleLoop:
         fam = detline.OperatorFamily(n_modes=8)
         assert detline.holonomy(fam, n_steps=steps)["sign"] == -1
 
+    @pytest.mark.parametrize(
+        "a,b", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0), (1.0, np.nan), (0.0, 0.0)]
+    )
+    def test_bad_stabilizer_rejected(self, a, b):
+        with pytest.raises(DomainError) as err:
+            detline.OperatorFamily(n_modes=8, a=a, b=b)
+        assert err.value.tag == "detline.stabilizer"
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-2.0, 0.5)])
+    def test_one_zero_weight_admitted(self, a, b):
+        fam = detline.OperatorFamily(n_modes=4, a=a, b=b)
+        assert np.count_nonzero(fam.stabilizer()) == np.count_nonzero([a, b])
+
     def test_closed_form_section_midpoint(self):
         fam = detline.OperatorFamily(n_modes=8, a=1.0, b=1.0)
         f, zeta = detline.closed_form_section(0.5, fam)

@@ -114,6 +114,27 @@ class TestHessian:
         assert np.max(np.abs(h - h_fd)) < 1e-8 * np.max(np.abs(h))
 
 
+class TestNormChainRule:
+    @pytest.mark.parametrize("klass", [loops.ODD_SINE, loops.FULL])
+    def test_curvature_in_s_without_slope(self, klass):
+        # F = c (s - s0)^2 has F_s = 0 at s = s0 but F_ss = 2c: the Hessian
+        # still reads z^3, and matches central differences of the gradient
+        z0 = loops.from_coeffs(klass, [0.3, 1.0, -0.2, 0.1, 0.05])
+        sg = np.sqrt(loops.gram_diag(klass, z0.n))
+        s0, c = loops.norm_data(z0)[2], 0.7
+
+        def grad(x):
+            z = loops.from_coeffs(klass, x / sg)
+            s = loops.norm_data(z)[2]
+            return sg * frozen.norm_gradient(z, (0.0, 0.0, 2.0 * c * (s - s0)))[: z.n]
+
+        h = frozen.norm_hessian((z0,), np.zeros(3), np.diag([0.0, 0.0, 2.0 * c]))
+        x0, step = sg * z0.coeffs, 1e-6
+        fd = np.array([grad(x0 + step * e) - grad(x0 - step * e) for e in np.eye(z0.n)]) / (2 * step)
+        assert np.max(np.abs(h)) > 1.0
+        assert np.max(np.abs(h - fd)) < 1e-7 * np.max(np.abs(h))
+
+
 class TestCubicGalerkinOracle:
     """The FFT gather of ``_cubic_galerkin`` against the dense table
     (B / sqrt(g)) diag(z^2) (B / sqrt(g))^T / P and (B / sqrt(g)) z^3 / P

@@ -242,6 +242,108 @@ class TestInterp:
         assert err.value.tag == "helium.s"
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+class TestInterpLinearity:
+    """b_interp and the pair Hessian at interior s against the endpoint
+    functionals, which share no evaluation with them."""
+
+    def test_gradient_is_the_convex_combination(self, interp_pair, s):
+        got = helium.b_interp(interp_pair, s)["gradient"]
+        av = helium.b_av(interp_pair)["gradient"]
+        inn = helium.b_in(interp_pair)["gradient"]
+        for g, a, b in zip(got, av, inn):
+            want = (1.0 - s) * a.coeffs + s * b.coeffs
+            assert g.coeffs.shape == want.shape
+            assert np.max(np.abs(g.coeffs - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_hessian_is_the_convex_combination(self, interp_pair, s):
+        obj = helium.PairObjective(s, n1=2, n2=2)
+        h = obj.hessian(obj.pack(interp_pair))
+        want = (1.0 - s) * helium.b_av_hessian(interp_pair) + s * helium.b_in_hessian(
+            interp_pair
+        )
+        assert _rel_max(h, want) < 1e-12
+
+
+def _zero_component_pairs():
+    z1 = loops.from_coeffs(loops.EVEN_COSINE, [1.6, 0.05])
+    z2 = loops.from_coeffs(loops.ODD_SINE, [1.0, 0.1])
+    return [
+        helium.PairLoop(loops.from_coeffs(loops.EVEN_COSINE, [0.0, 0.0]), z2),
+        helium.PairLoop(z1, loops.from_coeffs(loops.ODD_SINE, [0.0, 0.0])),
+    ]
+
+
+PAIR_ENTRY_POINTS = {
+    "mean_gap": helium.mean_gap,
+    "b_av": helium.b_av,
+    "b_in": helium.b_in,
+    "b_interp": lambda pair: helium.b_interp(pair, 0.5),
+    "pair_grad_res": lambda pair: helium.pair_grad_res(pair, 0.5),
+    "b_av_hessian": helium.b_av_hessian,
+    "b_in_hessian": helium.b_in_hessian,
+    "pair_hessian": lambda pair: helium.pair_hessian(pair, 0.5),
+}
+
+
+class TestZeroComponent:
+    @pytest.mark.parametrize("name", sorted(PAIR_ENTRY_POINTS))
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_entry_points_raise_zero_loop(self, name, which):
+        with pytest.raises(DomainError) as err:
+            PAIR_ENTRY_POINTS[name](_zero_component_pairs()[which])
+        assert err.value.tag == "helium.zero-loop"
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_objective_rejects_zero_component(self, s, which):
+        obj = helium.PairObjective(s, n1=2, n2=2)
+        x = obj.pack(_zero_component_pairs()[which])
+        assert not obj.admissible(x)
+        for method in (obj.value, obj.gradient, obj.hessian, obj.certify):
+            with pytest.raises(DomainError) as err:
+                method(x)
+            assert err.value.tag == "helium.zero-loop"
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("a term of weight 0 was evaluated")
+
+
+class TestWeightZeroTermsSkipped:
+    def test_free_fall_forms_no_cube(self, monkeypatch, interp_pair):
+        # where every s-partial is zero, the chain rule forms neither z^3
+        # nor M[z^2]: the pair at s = 1 and the one-loop family at r = 0
+        monkeypatch.setattr(loops, "cube", forbidden)
+        monkeypatch.setattr(frozen, "_cubic_galerkin", forbidden)
+        helium.b_in(interp_pair, n_quad=256)
+        helium.b_in_hessian(interp_pair, n_quad=256)
+        z = interp_pair.z2
+        frozen.gradient(z, 0.0)
+        frozen.hessian_analytic(z, 0.0)
+        with pytest.raises(AssertionError):
+            helium.b_interp(interp_pair, 0.5, n_quad=256)
+
+    def test_instantaneous_end_skips_the_mean_term(self, monkeypatch, interp_pair):
+        monkeypatch.setattr(helium, "require_mean_admissible", forbidden)
+        helium.b_in(interp_pair, n_quad=256)
+        helium.b_in_hessian(interp_pair, n_quad=256)
+        with pytest.raises(AssertionError):
+            helium.b_interp(interp_pair, 0.5, n_quad=256)
+
+    def test_mean_end_inverts_no_time_map(self, monkeypatch, interp_pair):
+        monkeypatch.setattr(levi_civita, "tau_of_t", forbidden)
+        # fresh loops, with no time map cached on them
+        pair = helium.PairLoop(
+            loops.from_coeffs(loops.EVEN_COSINE, interp_pair.z1.coeffs),
+            loops.from_coeffs(loops.ODD_SINE, interp_pair.z2.coeffs),
+        )
+        helium.b_av(pair)
+        helium.b_av_hessian(pair)
+        with pytest.raises(AssertionError):
+            helium.b_interp(pair, 0.5, n_quad=256)
+
+
 class TestMeanCriticalPair:
     def test_resolved_pair_residual(self, mean_pair):
         obj, x = mean_pair
@@ -395,6 +497,7 @@ class TestSharedTimeMaps:
         assert np.array_equal(g, want[0]) and v == want[1]
 
     def test_certify_evaluates_once(self, monkeypatch, interp_pair):
+        # one b_interp evaluation, and one time-map inversion per loop
         fresh = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512)
         x = fresh.pack(interp_pair)
         want = (
@@ -404,8 +507,8 @@ class TestSharedTimeMaps:
         )
         calls = []
 
-        def counted(name):
-            fn = getattr(helium, name)
+        def counted(module, name):
+            fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
@@ -413,10 +516,10 @@ class TestSharedTimeMaps:
 
             return wrapper
 
-        for name in ("b_av", "b_in"):
-            monkeypatch.setattr(helium, name, counted(name))
+        monkeypatch.setattr(helium, "b_interp", counted(helium, "b_interp"))
+        monkeypatch.setattr(levi_civita, "tau_of_t", counted(levi_civita, "tau_of_t"))
         cert = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512).certify(x)
-        assert sorted(calls) == ["b_av", "b_in"]
+        assert sorted(calls) == ["b_interp", "tau_of_t", "tau_of_t"]
         assert (cert.grad_res, cert.full_res, cert.value) == want
 
 

@@ -1,8 +1,12 @@
 from tools import bench_pairs
 
 
-def runs(values):
-    return [{"result": {"metrics": {"wall_s": {"value": v, "unit": "s"}}}} for v in values]
+def runs(values, failed=None):
+    failed = failed or [0] * len(values)
+    return [
+        {"result": {"attempted": 4, "failed": f, "metrics": {"wall_s": {"value": v, "unit": "s"}}}}
+        for v, f in zip(values, failed)
+    ]
 
 
 class TestBenchPairs:
@@ -14,3 +18,10 @@ class TestBenchPairs:
         assert wall["pairs"] == 5
         assert wall["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
         assert wall["change"]["median"] == 2.0
+
+    def test_compare_totals_failed_checks_per_side(self):
+        out = bench_pairs.compare(runs([1.0, 2.0], [0, 1]), runs([1.0, 2.0], [2, 3]))
+        assert out["checks"] == {
+            "parent": {"failed": 1, "attempted": 8},
+            "change": {"failed": 5, "attempted": 8},
+        }

@@ -11,7 +11,8 @@ and ``BENCH_change.json`` in the current directory.
 ``BENCH_change.json`` also holds, per workload and seed, the median and
 quartiles of each end-to-end metric on both sides and how many pairs the
 change won (lower is better for every metric ``bench/run.py`` reports
-without tracing).
+without tracing), and under ``checks`` each side's failed and attempted
+check totals.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def quartiles(values):
 
 
 def compare(parent_runs, change_runs):
-    """Per end-to-end metric: both sides' quartiles and the change's wins."""
+    """Per end-to-end metric: both sides' quartiles and the change's wins;
+    under ``checks``, each side's failed and attempted check totals."""
     out = {}
     for name in parent_runs[0]["result"]["metrics"]:
         pv = [r["result"]["metrics"][name]["value"] for r in parent_runs]
@@ -56,6 +58,10 @@ def compare(parent_runs, change_runs):
             "change_wins": sum(c < p for p, c in zip(pv, cv)),
             "pairs": len(pv),
         }
+    out["checks"] = {
+        side: {key: sum(r["result"][key] for r in side_runs) for key in ("failed", "attempted")}
+        for side, side_runs in zip(SIDES, (parent_runs, change_runs))
+    }
     return out
 
 
