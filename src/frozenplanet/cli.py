@@ -347,8 +347,17 @@ def cmd_detline(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise the tagged cli.config
+    error, so that ``main`` reports them as JSON like every other exit 2.
+    Sub-command parsers are built from the same class."""
+
+    def error(self, message):
+        raise FrozenPlanetError(f"{self.prog}: {message}", tag="cli.config")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frozenplanet",
         description="Regularized frozen-planet orbits: solving, identities, "
         "spectra, and determinant-line demos.",
@@ -415,10 +424,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    caps = dict(MAX_COUNTS, modes=MAX_DETLINE_MODES) if args.command == "detline" else MAX_COUNTS
     try:
+        args = build_parser().parse_args(argv)
+        caps = dict(MAX_COUNTS, modes=MAX_DETLINE_MODES) if args.command == "detline" else MAX_COUNTS
         for name in ("modes", "steps", "samples"):
             if hasattr(args, name):
                 _check_size(f"--{name}", getattr(args, name), caps[name])

@@ -174,7 +174,7 @@ def bridge_pair(z: loops.Loop, n1=8) -> PairLoop:
 def bridge_check(z: loops.Loop):
     """|frozen value at rho - mean value on the bridge graph| (algebraic)."""
     pair = bridge_pair(z)
-    return abs(frozen.value(z, RHO) - b_av(pair)["value"])
+    return abs(frozen.value(z, RHO) - b_interp_value(pair, 0.0))
 
 
 def reduced_first_component(z1_const, z2: loops.Loop):
@@ -374,6 +374,28 @@ class _TimeMapVariation:
         return h
 
 
+def _repulsion(gap, s):
+    """s mean(1/gap) over the quadrature nodes, the instantaneous term that
+    b_interp subtracts; warns when the gap nearly closes."""
+    if np.min(gap) < 1e-6 * float(np.max(gap)):
+        warnings.warn(
+            "interaction gap nearly closes; the instantaneous value is ill conditioned",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return s * float(np.mean(1.0 / gap))
+
+
+def b_interp_value(pair: PairLoop, s, n_quad=N_QUAD):
+    """The value of ``b_interp`` alone, bit for bit: no gradient loops and
+    no time-map variations are built."""
+    _check_s(s)
+    value = _partials(pair, s)[0]
+    if s > 0.0:
+        value -= _repulsion(_admissible_gap(pair, n_quad)[3], s)
+    return value
+
+
 def b_interp(pair: PairLoop, s, n_quad=N_QUAD):
     """(1 - s) b_av + s b_in: value and L2-gradient (as a pair of loops).
 
@@ -387,14 +409,7 @@ def b_interp(pair: PairLoop, s, n_quad=N_QUAD):
     g2 = frozen.norm_gradient(pair.z2, df[3:])
     if s > 0.0:
         t, tau1, tau2, gap = _admissible_gap(pair, n_quad)
-        if np.min(gap) < 1e-6 * float(np.max(gap)):
-            warnings.warn(
-                "interaction gap nearly closes; the instantaneous value is "
-                "ill conditioned",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        value -= s * float(np.mean(1.0 / gap))
+        value -= _repulsion(gap, s)
         # interaction gradient weights: d(-s Q)/dq_i at the nodes
         wts = s / (gap**2 * n_quad)
         for z, taus, w, g in ((pair.z1, tau1, wts, g1), (pair.z2, tau2, -wts, g2)):
@@ -534,7 +549,7 @@ class PairObjective:
         return True
 
     def value(self, x):
-        return b_interp(self.unpack(x), self.s, self.n_quad)["value"]
+        return b_interp_value(self.unpack(x), self.s, self.n_quad)
 
     def gradient(self, x):
         return self._packed(b_interp(self.unpack(x), self.s, self.n_quad)["gradient"])

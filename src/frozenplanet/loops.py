@@ -366,8 +366,10 @@ def norms(z: Loop):
 
 
 def sup_norm(z: Loop):
-    """Max of |z|: the largest sample of a fine uniform scan, refined by
-    Newton on z' = 0 in the two scan cells around it.  Cached per loop."""
+    """Max of |z| from a fine uniform scan: Newton on z' = 0 refines, in
+    the two scan cells around it, every local maximum of the scan that can
+    hide the true maximum, and the largest result is kept.  Cached per
+    loop."""
     cache = _loop_cache(z)
     if "sup_norm" not in cache:
         cache["sup_norm"] = _scan_sup_norm(z)
@@ -377,17 +379,23 @@ def sup_norm(z: Loop):
 def _scan_sup_norm(z: Loop):
     p = max(4 * quad_size(z.n_active_modes()), 512)
     vals = _synthesize_uniform(z.klass, z.coeffs, p)
-    i = int(np.argmax(np.abs(vals)))
+    mags = np.abs(vals)
+    top = float(np.max(mags))
     h = 2.0 / p
+    # the sample nearest the maximum lies within h/2 of it, so it misses it
+    # by at most h^2 max|z''| / 8; the scan is periodic on [0, 2)
+    miss = h * h / 8.0 * float(np.sum(np.abs(second_derivative_coeffs(z))))
+    peak = (mags >= np.roll(mags, 1)) & (mags >= np.roll(mags, -1)) & (mags >= top - miss)
+    i = np.flatnonzero(peak)
     t0 = i * h
-    # oriented by the sign of z, z' decreases through the maximum of |z|
+    # oriented by the sign of z, z' decreases through a maximum of |z|
     orient = -np.sign(vals[i])
 
-    def slope(t, _):
-        return orient * jets(z, t, (1, 2))
+    def slope(t, idx):
+        return orient[idx] * jets(z, t, (1, 2))
 
-    t = _newton(slope, [t0 - h], [t0 + h], [t0], tol=1e-15, max_iter=8)
-    return max(abs(float(vals[i])), abs(float(z(t)[0])))
+    t = _newton(slope, t0 - h, t0 + h, t0, tol=1e-15, max_iter=8)
+    return max(top, float(np.max(np.abs(z(t)))))
 
 
 def _newton(fn, lo, hi, x0, tol, max_iter, min_slope=0.0):

@@ -3,9 +3,10 @@
 Objectives expose the value/gradient/Hessian of a functional in an
 orthonormal Galerkin coordinate system; Newton works on those coordinates
 with backtracking damping and an admissibility guard.  Continuation drives
-a parameter with a zeroth-order predictor and an adaptive step (halve on
-failure, double after three successes), recording a certificate and its
-diagnostics at every accepted step.
+a parameter with a secant predictor through the last two solutions and an
+adaptive step (halve on failure, double when Newton's first contraction is
+below ``GROWTH_CONTRACTION``), recording a certificate and its diagnostics
+at every accepted step.
 
 Spectral reports count negative and near-null eigenvalues of the Galerkin
 Hessian.  On the symmetry-reduced space a nondegenerate critical point has
@@ -31,6 +32,9 @@ from .errors import (
 
 NEWTON_TOL = 1e-10
 DEFAULT_MODES = 64
+#: continuation doubles its step after a solve whose first contraction
+#: r_1 / r_0 is below this (Deuflhard, Newton Methods, ch. 5)
+GROWTH_CONTRACTION = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +353,14 @@ def continuation(
     """Track a critical point from parameter p0 to p1.
 
     ``make_objective(p)`` builds the objective at parameter p; ``x0`` must
-    be (near-)critical at p0.  The previous solution seeds each Newton
-    solve; the step halves on failure and doubles after three successes.
-    Parameters listed in ``through`` are forced onto the grid.
-    ``diagnostics(objective, x, report)`` may attach per-step data.
+    be (near-)critical at p0.  Once two points are accepted, each Newton
+    solve starts from the secant through them, extrapolated to the next
+    parameter; the first starts from the last solution.  The step halves on
+    failure and doubles, up to ``max_step``, after a solve whose first
+    contraction r_1 / r_0 is below ``GROWTH_CONTRACTION`` (a seed that is
+    already converged counts as 0).  Parameters listed in ``through`` are
+    forced onto the grid.  ``diagnostics(objective, x, report)`` may attach
+    per-step data.
     """
     span = p1 - p0
     if not np.isfinite(span):
@@ -372,7 +380,7 @@ def continuation(
     failures = []
     x = rep0.x
     p = p0
-    successes = 0
+    x_prev = p_prev = None
     while direction * (p1 - p) > 1e-14:
         p_next = p + direction * step
         for wp in waypoints:
@@ -381,12 +389,12 @@ def continuation(
                 break
         if direction * (p_next - p1) > 0:
             p_next = p1
+        seed = x if p_prev is None else x + (x - x_prev) * ((p_next - p) / (p - p_prev))
         try:
             obj = make_objective(p_next)
-            rep = newton(obj, x, tol=tol, **newton_kwargs)
+            rep = newton(obj, seed, tol=tol, **newton_kwargs)
         except (NonConvergenceError, SingularHessianError, DomainError) as exc:
             failures.append((p_next, type(exc).__name__))
-            successes = 0
             step *= 0.5
             if step < min_step:
                 raise ContinuationStuckError(
@@ -394,14 +402,13 @@ def continuation(
                     partial=ContinuationPath(steps, step_history, failures),
                 ) from exc
             continue
-        x = rep.x
-        p = p_next
+        x_prev, p_prev = x, p
+        x, p = rep.x, p_next
         steps.append(PathStep(p, obj.certify(x), _diag(diagnostics, obj, rep)))
         step_history.append(step)
-        successes += 1
-        if successes >= 3:
+        res = rep.residuals
+        if len(res) == 1 or res[1] < GROWTH_CONTRACTION * res[0]:
             step = min(2.0 * step, max_step)
-            successes = 0
     return ContinuationPath(steps, step_history, failures)
 
 

@@ -39,6 +39,31 @@ class TestSolveCommand:
         assert out == ""
         assert json.loads(err)["invariant"] == "cli.config"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--r", "0", "--tol", "-inf"],
+            ["solve"],
+            ["solve", "--r", "x"],
+            ["solve", "--r", "0", "--modes", "1.5"],
+            ["bogus"],
+            [],
+        ],
+        ids=["tol-as-option", "missing-argument", "bad-float", "bad-int", "unknown-command", "no-command"],
+    )
+    def test_usage_error_is_tagged_json(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["invariant"] == "cli.config"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage: frozenplanet" in capsys.readouterr().out
+
     def test_reruns_byte_identical(self, capsys):
         code1, out1, _ = run(capsys, "solve", "--r", "0.1", "--modes", "16")
         code2, out2, _ = run(capsys, "solve", "--r", "0.1", "--modes", "16")

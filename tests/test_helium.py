@@ -279,6 +279,7 @@ PAIR_ENTRY_POINTS = {
     "b_av": helium.b_av,
     "b_in": helium.b_in,
     "b_interp": lambda pair: helium.b_interp(pair, 0.5),
+    "b_interp_value": lambda pair: helium.b_interp_value(pair, 0.5),
     "pair_grad_res": lambda pair: helium.pair_grad_res(pair, 0.5),
     "b_av_hessian": helium.b_av_hessian,
     "b_in_hessian": helium.b_in_hessian,
@@ -342,6 +343,25 @@ class TestWeightZeroTermsSkipped:
         helium.b_av_hessian(pair)
         with pytest.raises(AssertionError):
             helium.b_interp(pair, 0.5, n_quad=256)
+
+
+class TestValueOnly:
+    @pytest.mark.parametrize("s", [0.0, 0.25, 1.0])
+    def test_bit_identical_without_gradient(self, monkeypatch, interp_pair, s):
+        fresh = helium.PairObjective(s, n1=2, n2=2, n_quad=256)
+        x = fresh.pack(interp_pair)
+        want = helium.b_interp(interp_pair, s, n_quad=256)["value"]
+        want_obj = helium.b_interp(fresh.unpack(x), s, n_quad=256)["value"]
+        monkeypatch.setattr(frozen, "norm_gradient", forbidden)
+        monkeypatch.setattr(helium, "_TimeMapVariation", forbidden)
+        assert helium.b_interp_value(interp_pair, s, n_quad=256) == want
+        assert helium.PairObjective(s, n1=2, n2=2, n_quad=256).value(x) == want_obj
+
+    def test_bridge_check_reads_the_value(self, monkeypatch):
+        z = random_admissible(np.random.default_rng(5))
+        want = abs(frozen.value(z, helium.RHO) - helium.b_av(helium.bridge_pair(z))["value"])
+        monkeypatch.setattr(frozen, "norm_gradient", forbidden)
+        assert helium.bridge_check(z) == want
 
 
 class TestMeanCriticalPair:
@@ -527,6 +547,10 @@ class TestHomotopy:
     def test_reaches_instantaneous_endpoint(self, homotopy_path):
         assert abs(homotopy_path.steps[-1].parameter - 1.0) < 1e-12
         assert len(homotopy_path.steps) <= 100
+
+    def test_newton_evaluations(self, homotopy_path):
+        total = sum(len(s.diagnostics["newton_residuals"]) for s in homotopy_path.steps)
+        assert total <= 30  # 54 without the predictor
 
     def test_bound_holds_along_path(self, homotopy_path):
         assert all(s.diagnostics["bound_ok"] for s in homotopy_path.steps)

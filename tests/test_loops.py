@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frozenplanet import frozen, helium, loops
@@ -150,6 +150,8 @@ class TestSlotMap:
 class TestSupNorm:
     @settings(max_examples=30, deadline=None)
     @given(klass=st.sampled_from(loops.CLASSES), n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    # the scan's largest sample (tau = 1.5) is not beside the maximum (0.18)
+    @example(klass=loops.ODD_SINE, n=15, seed=1451465)
     def test_refines_the_scan(self, klass, n, seed):
         c = np.random.default_rng(seed).normal(size=n) / (1.0 + np.arange(n))
         z = loops.from_coeffs(klass, c)

@@ -174,7 +174,62 @@ class TestSingularHessian:
         assert obj.hessian_calls == (1 if jacobian == "frozen" else rep.iterations)
 
 
+class PowerPath:
+    """g(x) = x - p^k a, so the critical point p^k a is linear in p for
+    k = 1; a point farther than ``reach`` from it is inadmissible."""
+
+    def __init__(self, p, k, reach=np.inf):
+        self.p, self.k, self.reach = p, k, reach
+
+    def admissible(self, x):
+        return float(np.linalg.norm(self.gradient(x))) <= self.reach
+
+    def gradient(self, x):
+        return x - self.p**self.k * np.array([0.6, -0.8])
+
+    def hessian(self, x):
+        return np.eye(2)
+
+    def certify(self, x):
+        return x
+
+
+def _newton_evaluations(path):
+    return sum(len(s.diagnostics["newton_residuals"]) for s in path.steps)
+
+
 class TestContinuation:
+    def test_secant_seed_exact_on_a_linear_path(self):
+        path = solve.continuation(lambda p: PowerPath(p, 1), 0.0, 1.0, np.zeros(2))
+        residuals = [s.diagnostics["newton_residuals"] for s in path.steps]
+        # the first step starts from the last solution, then the secant
+        # predicts the critical point; every converged seed doubles the step
+        assert len(residuals[1]) == 2
+        assert all(len(r) == 1 for r in residuals[2:])
+        assert path.parameters == [0.0, 1 / 16, 3 / 16, 7 / 16, 11 / 16, 15 / 16, 1.0]
+        assert path.step_history == [1 / 16, 1 / 8] + [1 / 4] * 4
+
+    def test_failed_prediction_halves_and_repredicts(self):
+        # on x = p^2 a the secant misses by dp (dp + dp_prev): 1/8 at 11/16,
+        # beyond reach; the halved step's secant misses by 3/64 and is solved
+        path = solve.continuation(
+            lambda p: PowerPath(p, 2, reach=0.1), 0.0, 1.0, np.zeros(2)
+        )
+        assert path.failures == [(11 / 16, "DomainError")]
+        assert path.parameters == [0.0, 1 / 16, 3 / 16, 7 / 16, 9 / 16, 13 / 16, 1.0]
+        assert path.step_history == [1 / 16, 1 / 8, 1 / 4, 1 / 8, 1 / 4, 1 / 4]
+
+    def test_slow_contraction_keeps_the_step(self):
+        class Slow(PowerPath):
+            def hessian(self, x):
+                return 4.0 * np.eye(2)  # contracts the residual by 3/4 a step
+
+        path = solve.continuation(lambda p: Slow(p, 2), 0.0, 1.0, np.zeros(2), tol=1e-4)
+        assert set(path.step_history) == {1 / 16}
+
+    def test_newton_evaluations_along_frozen_path(self, frozen_path):
+        assert _newton_evaluations(frozen_path) <= 32  # 38 without the predictor
+
     def test_path_reaches_endpoint(self, frozen_path):
         assert abs(frozen_path.steps[-1].parameter - 5.0) < 1e-12
         assert not frozen_path.failures
