@@ -10,12 +10,18 @@ functional couples the loops only through half-period norms,
 so its gradient is closed-form.  The instantaneous functional replaces the
 last term by the physical-time repulsion
 
-    - int_0^1 dt / (z1^2(tau_{z1}(t)) - z2^2(tau_{z2}(t))),
+    - R = - int_0^1 dt / (z1^2(tau_{z1}(t)) - z2^2(tau_{z2}(t))),
 
-evaluated by a fixed midpoint rule through the Levi-Civita time maps; its
-gradient is the exact derivative of that discretized quadrature (implicit
-differentiation of the inverse time maps), so gradient and objective stay
-mutually consistent for Newton.
+integrated in the inner loop's own time: t = P2(tau2)/||z2||^2, P2 the
+primitive of z2^2, makes the integrand periodic and analytic in tau2, so
+the midpoint rule at fixed tau2-nodes converges geometrically, and only
+the outer loop's time map is inverted (``_Repulsion``).  The default node
+count, max(N_QUAD, 4 n2), is fixed by a convergence test.  Its gradient
+is the exact derivative of that discretized quadrature (implicit
+differentiation of z1's inverse time map, z2 varied at fixed tau2), so
+gradient and objective stay mutually consistent for Newton.
+``interaction_gap`` still samples the gap on a uniform t-grid, both time
+maps inverted, for the pair CSV export alone.
 
 The sum over i is the free fall F_0 of ``frozen`` for each loop, so
 b_interp = (1 - s) b_av + s b_in is F_0(z1) + F_0(z2) + (1 - s) T plus s
@@ -24,11 +30,11 @@ norm vector y = (l1, d1, s1, l2, d2, s2) of the pair (``_partials``), whose
 gradient and exact Hessian are one chain rule through y
 (``frozen.norm_gradient``, ``frozen.norm_hessian``).  The repulsion adds
 s times the node sums of the first and second variation of its quadrature:
-the inverse time maps are differentiated twice, and node sums of
-int_0^tau e_j e_k are read from one product-to-sum table.  A term of weight
-0 is not evaluated.  ``b_av``, ``b_in`` and their Hessians are the s = 0
-and s = 1 ends of ``b_interp`` and ``pair_hessian``; the tests check the
-Hessians against central differences of the gradient.
+z1's inverse time map and z2's time change are differentiated twice, and
+node sums of int_0^tau e_j e_k are read from one product-to-sum table.  A
+term of weight 0 is not evaluated.  ``b_av`` and ``b_in`` are the s = 0
+and s = 1 ends of ``b_interp``, and ``pair_hessian`` is the Hessian at
+every s; the tests check it against central differences of the gradient.
 
 The bridge to the one-loop family: with rho = (sqrt 2 - 1)^2 and
 alpha = (sqrt 2 - 1)/sqrt 2, pairing z with the constant loop
@@ -46,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import elliptic, frozen, loops
+from . import elliptic, frozen, levi_civita, loops
 from .errors import AdmissibilityError, DomainError
 
 _ZERO_LOOP = "helium.zero-loop"
@@ -57,8 +63,8 @@ _MEAN_BLOCK = np.ix_(_MEAN_AT, _MEAN_AT)
 RHO = (np.sqrt(2.0) - 1.0) ** 2
 ALPHA = (np.sqrt(2.0) - 1.0) / np.sqrt(2.0)
 
-#: quadrature points for the physical-time interaction integral
-N_QUAD = 1024
+#: the least node count of the repulsion quadrature (``_node_count``)
+N_QUAD = 64
 
 
 @dataclass(frozen=True)
@@ -220,20 +226,21 @@ def bridge_graph_constants(z: loops.Loop):
 
 
 def _midpoint_taus(z: loops.Loop, n_quad):
-    """tau_z at the midpoint nodes (k + 1/2)/n_quad, cached on the loop."""
-    from . import levi_civita as lc
-
+    """tau_z at the midpoint nodes (k + 1/2)/n_quad, cached on the loop;
+    read by ``interaction_gap`` alone."""
     cache = loops._loop_cache(z)
     key = ("midpoint_tau", n_quad)
     if key not in cache:
-        taus = lc.tau_of_t(z, (np.arange(n_quad) + 0.5) / n_quad)
+        taus = levi_civita.tau_of_t(z, (np.arange(n_quad) + 0.5) / n_quad)
         taus.setflags(write=False)
         cache[key] = taus
     return cache[key]
 
 
-def interaction_gap(pair: PairLoop, n_quad=N_QUAD):
-    """Samples of z1^2 - z2^2 in physical time at the quadrature nodes."""
+def interaction_gap(pair: PairLoop, n_quad=1024):
+    """Samples of z1^2 - z2^2 in physical time at the midpoints of a uniform
+    t-grid, both time maps inverted: the export of ``serialize.pair_orbit_csv``.
+    The functionals integrate in z2's own time instead (``_Repulsion``)."""
     t = (np.arange(n_quad) + 0.5) / n_quad
     tau1 = _midpoint_taus(pair.z1, n_quad)
     tau2 = _midpoint_taus(pair.z2, n_quad)
@@ -242,18 +249,30 @@ def interaction_gap(pair: PairLoop, n_quad=N_QUAD):
     return t, tau1, tau2, q1 - q2, q1, q2
 
 
+def _node_count(pair: PairLoop, n_quad):
+    """n_quad, or by default max(N_QUAD, 4 n2): z2^2 has 2 n2 - 1
+    frequencies, and the convergence test of ``tests/test_helium.py``
+    checks that doubling this count moves nothing."""
+    return max(N_QUAD, 4 * pair.z2.n) if n_quad is None else int(n_quad)
+
+
 def _admissible_gap(pair: PairLoop, n_quad):
-    """``interaction_gap`` without q1, q2; raises unless the gap is positive."""
-    t, tau1, tau2, gap, _, _ = interaction_gap(pair, n_quad)
-    if np.any(gap <= 0.0):
-        raise AdmissibilityError(
-            "pointwise admissibility violated: z1^2(tau1(t)) - z2^2(tau2(t)) "
-            f"<= 0 at t = {t[int(np.argmin(gap))]:.6g}"
-        )
-    return t, tau1, tau2, gap
+    """The pair's ``_Repulsion`` on its nodes, cached on the pair; raises
+    unless the gap is positive at every node."""
+    m = _node_count(pair, n_quad)
+    cache = loops._loop_cache(pair)
+    if ("repulsion", m) not in cache:
+        rep = _Repulsion(pair, m)
+        if np.any(rep.gap <= 0.0):
+            raise AdmissibilityError(
+                "pointwise admissibility violated: z1^2(tau1(t)) - z2^2(tau2(t)) "
+                f"<= 0 at t = {rep.t[int(np.argmin(rep.gap))]:.6g}"
+            )
+        cache["repulsion", m] = rep
+    return cache["repulsion", m]
 
 
-def b_in(pair: PairLoop, n_quad=N_QUAD):
+def b_in(pair: PairLoop, n_quad=None):
     """Value and exact discrete gradient of the instantaneous functional."""
     return b_interp(pair, 1.0, n_quad)
 
@@ -280,34 +299,66 @@ def _product_to_sum(klass, n):
     return q, di, pi, -1.0 if sine[0] else 1.0
 
 
-def _phi_table(z: loops.Loop, taus):
-    """Phi[k](tau) = int_0^tau 2 z e_k at the points taus, as the factors
-    (C, S) of Phi = C @ S.
-
-    By the product-to-sum rule 2 z e_k = sum_j c_j (cos(pi d_jk s)
-    + sign cos(pi p_jk s)), so C is a coefficient matrix over the
-    frequencies q, which are the even-cosine layout of q.size, and S holds
-    their primitives, ``loops.basis_matrix(EVEN_COSINE, q.size, taus, -1)``.
-    """
+def _phi_coef(z: loops.Loop):
+    """The coefficients C of Phi[k] = int_0^tau 2 z e_k over the primitive
+    rows of ``_phi_table``: by the product-to-sum rule
+    2 z e_k = sum_j c_j (cos(pi d_jk s) + sign cos(pi p_jk s))."""
     n = z.n
     q, di, pi, sign = _product_to_sum(z.klass, n)
-    prim = loops.basis_matrix(loops.EVEN_COSINE, q.size, taus, -1)
     coef = np.zeros((n, q.size))
     rows = np.broadcast_to(np.arange(n)[:, None], (n, n))
     np.add.at(coef, (rows, di), z.coeffs[None, :])
     np.add.at(coef, (rows, pi), sign * z.coeffs[None, :])
-    return coef, prim
+    return coef
+
+
+def _phi_table(z: loops.Loop, taus):
+    """Phi[k](tau) = int_0^tau 2 z e_k at the points taus, as the factors
+    (C, S) of Phi = C @ S: C from ``_phi_coef``, and S the primitives of the
+    frequencies q, which are the even-cosine layout of q.size,
+    ``loops.basis_matrix(EVEN_COSINE, q.size, taus, -1)``.
+    """
+    q = _product_to_sum(z.klass, z.n)[0]
+    return _phi_coef(z), loops.basis_matrix(loops.EVEN_COSINE, q.size, taus, -1)
+
+
+def _product_sums(klass, n, v):
+    """sum_m c_m P_ef(tau_m) over orthonormal directions e, f (n x n), with
+    P_ef = int_0^tau e f, from the node sums v = S @ c of the primitive rows
+    of ``_phi_table``: 0.5 (v[d] + sign v[p]) / sqrt(g_e g_f)."""
+    _, di, pi, sign = _product_to_sum(klass, n)
+    sg = np.sqrt(loops.gram_diag(klass, n))
+    return 0.5 * (v[di] + sign * v[pi]) / np.outer(sg, sg)
+
+
+@functools.cache
+def _tau2_rule(n, m):
+    """What an odd-sine loop of n coefficients needs at the m nodes
+    (k + 1/2)/m, fixed by (n, m) and cached read-only: its orthonormal rows
+    e_k / sqrt(g_k) and the primitive rows S of ``_phi_table``."""
+    taus = (np.arange(m) + 0.5) / m
+    rows = loops.basis_matrix(loops.ODD_SINE, n, taus)
+    rows /= np.sqrt(loops.gram_diag(loops.ODD_SINE, n))[:, None]
+    q = _product_to_sum(loops.ODD_SINE, n)[0]
+    prim = loops.basis_matrix(loops.EVEN_COSINE, q.size, taus, -1)
+    for arr in (rows, prim):
+        arr.setflags(write=False)
+    return rows, prim
 
 
 class _TimeMapVariation:
-    """First variation of q(t) = z(tau_z(t))^2 at the quadrature nodes.
+    """First variation of the outer loop's Q(t) = z(tau_z(t))^2 at the
+    nodes t, held at fixed t, and the t-derivative terms of the pair.
 
     Directions are the orthonormal e_k / sqrt(g_k).  Implicit
     differentiation of int_0^tau z^2 = t ||z||^2 gives the variation of the
     inverse time map, tau_e = (2 t <z, e> - Phi_e(tau)) / z^2 with Phi_e the
-    primitive of 2 z e (``_phi_table``), and then dq_e = 2 z (e + z' tau_e).
-    The (n, M) tables tau_e and dq are formed only when the Hessian asks for
-    them; the gradient reads their weighted node sums from ``first``.
+    primitive of 2 z e (``_phi_table``), and then dQ_e = 2 z (e + z' tau_e).
+    With tau_t = ||z||^2 / z^2, the rate Q_t = 2 ||z||^2 z'/z has the
+    t-derivative ``rate_t`` and the first variation ``rate_e``.  Every 1/z
+    is finite because z, the outer loop of an admissible pair, has no zero.
+    The (n, M) tables tau_e and dq are formed only when the Hessian asks
+    for them; the gradient reads their weighted node sums from ``first``.
     """
 
     def __init__(self, z: loops.Loop, taus, t_nodes):
@@ -319,12 +370,13 @@ class _TimeMapVariation:
         # the raw rows e_k'; ``second`` divides its products by sqrt(g)
         self.ep = loops.basis_matrix(z.klass, z.n, taus, 1)
         self.x = self.sg * z.coeffs  # <z, e> in orthonormal directions
+        self.norm = float(self.x @ self.x)  # ||z||^2
         self.zv = self.x @ self.e
         self.zp = z.coeffs @ self.ep
         self.zpp = (self.sg * loops.second_derivative_coeffs(z)) @ self.e
         self.coef, self.prim = _phi_table(z, taus)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.inv_z = np.where(np.abs(self.zv) > 1e-150, 1.0 / self.zv, 0.0)
+        self.inv_z = 1.0 / self.zv
+        self.rate = 2.0 * self.norm * self.zp * self.inv_z
 
     @functools.cached_property
     def tau_e(self):
@@ -334,6 +386,24 @@ class _TimeMapVariation:
     @functools.cached_property
     def dq(self):
         return 2.0 * self.zv * (self.e + self.zp * self.tau_e)
+
+    @functools.cached_property
+    def rate_t(self):
+        """d^2 Q / dt^2 = 2 ||z||^4 (z z'' - z'^2) / z^4."""
+        return 2.0 * self.norm**2 * (self.zv * self.zpp - self.zp**2) * self.inv_z**4
+
+    @functools.cached_property
+    def rate_e(self):
+        """The first variation of the rate Q_t = 2 ||z||^2 z'/z at fixed t:
+
+            4 <z, e> z'/z + 2 ||z||^2 (e'/z - z' e/z^2 + tau_e (z z'' - z'^2)/z^2).
+        """
+        curv = (self.zv * self.zpp - self.zp**2) * self.inv_z**2
+        out = (self.ep / self.sg[:, None] - self.e * (self.zp * self.inv_z)) * self.inv_z
+        out += self.tau_e * curv
+        out *= 2.0 * self.norm
+        out += np.outer(4.0 * self.x, self.zp * self.inv_z)
+        return out
 
     def first(self, w):
         """dq @ w without the tables: with u = 2 z w and v = u z' / z^2,
@@ -347,20 +417,19 @@ class _TimeMapVariation:
         return self.e @ u + 2.0 * float(self.t @ v) * self.x - phi_v / self.sg
 
     def second(self, w):
-        """sum_m w_m d^2 q_ef(t_m) over orthonormal directions e, f (n x n).
+        """sum_m w_m d^2 Q_ef(t_m) over orthonormal directions e, f (n x n).
 
         Differentiating int_0^tau z^2 = t ||z||^2 twice gives tau_ef, and
         with A_e = e + z' tau_e the second variation reads
 
-            d^2 q_ef = 2 A_e A_f + 2 z (e' tau_f + f' tau_e + z'' tau_e tau_f
+            d^2 Q_ef = 2 A_e A_f + 2 z (e' tau_f + f' tau_e + z'' tau_e tau_f
                                          + z' tau_ef)
                      = 2 e f - 2 z' (e tau_f + f tau_e)
                        + 2 (z z'' - z'^2) tau_e tau_f + 2 z (e' tau_f + f' tau_e)
                        + (4 z'/z) (t <e, f> - P_ef(tau)),
 
         P_ef = int_0^tau e f.  Every term but the last is an (n, M) diag
-        (M, n) product; the weighted node sum of P_ef is read from
-        V(q) = sum_m c_m S_q(tau_m) at the product-to-sum indices.
+        (M, n) product; the weighted node sum of P_ef is ``_product_sums``.
         """
         ratio = 4.0 * self.zp * self.inv_z * w  # the weights (4 z'/z) w
         cross = (self.e * (-2.0 * w * self.zp)) @ self.tau_e.T
@@ -368,61 +437,134 @@ class _TimeMapVariation:
         h = 2.0 * (self.e * w) @ self.e.T + cross + cross.T
         h += (self.tau_e * (2.0 * w * (self.zv * self.zpp - self.zp**2))) @ self.tau_e.T
         h[np.diag_indices_from(h)] += float(ratio @ self.t)
-        _, di, pi, sign = _product_to_sum(self.klass, self.sg.size)
-        v = self.prim @ ratio
-        h -= 0.5 * (v[di] + sign * v[pi]) / np.outer(self.sg, self.sg)
+        h -= _product_sums(self.klass, self.sg.size, self.prim @ ratio)
         return h
 
 
-def _repulsion(gap, s):
-    """s mean(1/gap) over the quadrature nodes, the instantaneous term that
+class _Repulsion:
+    """The repulsion R = int_0^1 dt / (q1 - q2) of a pair, in z2's own time.
+
+    Substituting t = P2(tau)/I2, P2 the primitive of z2^2 and I2 = ||z2||^2,
+    gives R = int_0^1 w / g dtau with w = z2^2 / I2 = dt/dtau and
+    g = Q1(t) - z2^2, Q1(t) = z1(tau1(t))^2.  On an admissible pair z1 has
+    no zero, so the integrand is periodic and analytic in tau, and the
+    midpoint rule R = mean(w / g) over the nodes (k + 1/2)/m converges
+    geometrically (Trefethen and Weideman, SIAM Review 56, 2014).  Only
+    z1's time map is inverted, at the nodes' t.
+
+    z2 is varied at fixed tau, with its orthonormal rows e and x = <z2, e>:
+    dt_f = (Phi_f - 2 t x_f) / I2 (``_phi_table``), dw_f = 2 (z2 f - w x_f) / I2
+    and dg_f = Q1_t dt_f - 2 z2 f.  z1 is varied at fixed t
+    (``_TimeMapVariation``), and its rate Q1_t carries the mixed terms.
+    """
+
+    def __init__(self, pair: PairLoop, m):
+        z2 = pair.z2
+        self.e, self.prim = _tau2_rule(z2.n, m)
+        self.sg = np.sqrt(loops.gram_diag(z2.klass, z2.n))
+        self.x = self.sg * z2.coeffs
+        self.i2 = float(self.x @ self.x)
+        self.z2 = self.x @ self.e
+        self.phi = _phi_coef(z2) @ self.prim / self.sg[:, None]
+        self.t = 0.5 * (self.x @ self.phi) / self.i2  # sum_k c_k Phi_k = 2 P2
+        self.w = self.z2**2 / self.i2
+        self.tau1 = levi_civita.tau_of_t(pair.z1, self.t)
+        self.gap = pair.z1(self.tau1) ** 2 - self.z2**2
+
+    def _weights(self, s):
+        """With R = mean(w / g), the derivatives of -s R in w and g at the
+        nodes: (-d/dw, d/dg) = (s / (m g), s w / (m g^2))."""
+        a = s / (self.gap.size * self.gap)
+        return a, a * self.w / self.gap
+
+    def gradient(self, z1, s):
+        """The coefficient gradients of -s R for z1 and z2: the node sums
+        of b dg - a dw, (a, b) from ``_weights``."""
+        var = _TimeMapVariation(z1, self.tau1, self.t)
+        a, b = self._weights(s)
+        c = b * var.rate
+        d2 = self.phi @ c / self.i2 - 2.0 * self.e @ ((b + a / self.i2) * self.z2)
+        d2 += (2.0 / self.i2) * float(a @ self.w - self.t @ c) * self.x
+        return var.first(b) / var.sg, d2 / self.sg
+
+    def hessian(self, z1, s):
+        """The Hessian of -s R in orthonormal coordinates (z1 first):
+
+            sum_m b d^2 g - a d^2 w + (a/g) (dw dg^T + dg dw^T) - (2 b/g) dg dg^T,
+
+        d^2 g = d^2 Q1 at fixed t on the z1 block, (rate_e) dt^T between the
+        loops and Q1_tt dt dt^T + Q1_t d^2 t - 2 e e^T on the z2 block, where
+        I2 d^2 t_ef = 2 P_ef - 2 t <e, f> - 2 (x_e dt_f + x_f dt_e) and
+        I2 d^2 w_ef = 2 e f - 2 w <e, f> - 2 (x_e dw_f + x_f dw_e).
+        """
+        var = _TimeMapVariation(z1, self.tau1, self.t)
+        a, b = self._weights(s)
+        n1 = z1.n
+        dt = (self.phi - np.outer(2.0 * self.x, self.t)) / self.i2
+        dw = 2.0 * (self.e * self.z2 - np.outer(self.x, self.w)) / self.i2
+        dg = np.concatenate([var.dq, dt * var.rate - 2.0 * self.e * self.z2])
+        h = (dg * (-2.0 * b / self.gap)) @ dg.T
+        cross = (dg * (a / self.gap)) @ dw.T
+        cross[:n1] += (var.rate_e * b) @ dt.T
+        h[:, n1:] += cross
+        h[n1:, :] += cross.T
+        h[:n1, :n1] += var.second(b)
+        c = b * var.rate
+        h2 = (dt * (b * var.rate_t)) @ dt.T - (self.e * (2.0 * (b + a / self.i2))) @ self.e.T
+        h2 += (2.0 / self.i2) * _product_sums(loops.ODD_SINE, self.x.size, self.prim @ c)
+        sym = dt @ c - dw @ a
+        h2 -= (2.0 / self.i2) * (np.outer(self.x, sym) + np.outer(sym, self.x))
+        h2[np.diag_indices_from(h2)] -= (2.0 / self.i2) * float(c @ self.t - a @ self.w)
+        h[n1:, n1:] += h2
+        return h
+
+
+def _repulsion(rep: _Repulsion, s):
+    """s R = s mean(w / gap) over the nodes, the instantaneous term that
     b_interp subtracts; warns when the gap nearly closes."""
-    if np.min(gap) < 1e-6 * float(np.max(gap)):
+    if np.min(rep.gap) < 1e-6 * float(np.max(rep.gap)):
         warnings.warn(
             "interaction gap nearly closes; the instantaneous value is ill conditioned",
             RuntimeWarning,
             stacklevel=3,
         )
-    return s * float(np.mean(1.0 / gap))
+    return s * float(np.mean(rep.w / rep.gap))
 
 
-def b_interp_value(pair: PairLoop, s, n_quad=N_QUAD):
+def b_interp_value(pair: PairLoop, s, n_quad=None):
     """The value of ``b_interp`` alone, bit for bit: no gradient loops and
     no time-map variations are built."""
     _check_s(s)
     value = _partials(pair, s)[0]
     if s > 0.0:
-        value -= _repulsion(_admissible_gap(pair, n_quad)[3], s)
+        value -= _repulsion(_admissible_gap(pair, n_quad), s)
     return value
 
 
-def b_interp(pair: PairLoop, s, n_quad=N_QUAD):
+def b_interp(pair: PairLoop, s, n_quad=None):
     """(1 - s) b_av + s b_in: value and L2-gradient (as a pair of loops).
 
-    For s > 0, s times the repulsion -mean(1/gap) over the midpoint nodes
-    is added, with the exact gradient of that discretized quadrature (the
-    inverse time maps differentiated), consistent with the value to rounding.
+    For s > 0, s times the repulsion -R on the tau2 nodes (``_Repulsion``)
+    is added, with the exact gradient of that discretized quadrature,
+    consistent with the value to rounding.  n_quad pins the node count.
     """
     _check_s(s)
     value, df, _ = _partials(pair, s)
     g1 = frozen.norm_gradient(pair.z1, df[:3])
     g2 = frozen.norm_gradient(pair.z2, df[3:])
     if s > 0.0:
-        t, tau1, tau2, gap = _admissible_gap(pair, n_quad)
-        value -= _repulsion(gap, s)
-        # interaction gradient weights: d(-s Q)/dq_i at the nodes
-        wts = s / (gap**2 * n_quad)
-        for z, taus, w, g in ((pair.z1, tau1, wts, g1), (pair.z2, tau2, -wts, g2)):
-            var = _TimeMapVariation(z, taus, t)
-            g[: z.n] += var.first(w) / var.sg
-            del var  # free its (n, M) tables before the next are built
+        rep = _admissible_gap(pair, n_quad)
+        value -= _repulsion(rep, s)
+        d1, d2 = rep.gradient(pair.z1, s)
+        g1[: pair.z1.n] += d1
+        g2[: pair.z2.n] += d2
     return {
         "value": value,
         "gradient": (loops.from_coeffs(pair.z1.klass, g1), loops.from_coeffs(pair.z2.klass, g2)),
     }
 
 
-def pair_grad_res(pair: PairLoop, s, n_quad=N_QUAD):
+def pair_grad_res(pair: PairLoop, s, n_quad=None):
     """L2 norm of the interpolated gradient over both components."""
     return _pair_l2(b_interp(pair, s, n_quad)["gradient"])
 
@@ -468,37 +610,18 @@ def hessian_bound(h_matrix, pair: PairLoop, n1, n2):
 # ---------------------------------------------------------------------------
 
 
-def pair_hessian(pair: PairLoop, s, n_quad=N_QUAD):
+def pair_hessian(pair: PairLoop, s, n_quad=None):
     """Exact Hessian of b_interp at s, in orthonormal coordinates (z1 first).
 
-    The repulsion -s mean(1/g), g = q1 - q2 at the nodes, adds
-    (s/M) sum_m [d^2 g / g^2 - 2 dg dg^T / g^3] to the norm part; the first
-    term is block diagonal (``_TimeMapVariation.second``).
+    For s > 0 the repulsion adds the Hessian of -s R on the tau2 nodes
+    (``_Repulsion.hessian``) to the norm part; n_quad pins the node count.
     """
     _check_s(s)
     _, df, d2f = _partials(pair, s, hessian=True)
     h = frozen.norm_hessian((pair.z1, pair.z2), df, d2f)
     if s > 0.0:
-        t, tau1, tau2, gap = _admissible_gap(pair, n_quad)
-        var1 = _TimeMapVariation(pair.z1, tau1, t)
-        var2 = _TimeMapVariation(pair.z2, tau2, t)
-        wts = s / (gap**2 * n_quad)
-        n1 = pair.z1.n
-        h[:n1, :n1] += var1.second(wts)
-        h[n1:, n1:] += var2.second(-wts)
-        dg = np.concatenate([var1.dq, -var2.dq])
-        h -= (dg * (2.0 * s / (gap**3 * n_quad))) @ dg.T
+        h += _admissible_gap(pair, n_quad).hessian(pair.z1, s)
     return h
-
-
-def b_av_hessian(pair: PairLoop):
-    """Exact Hessian of b_av in orthonormal coordinates (z1 first, then z2)."""
-    return pair_hessian(pair, 0.0)
-
-
-def b_in_hessian(pair: PairLoop, n_quad=N_QUAD):
-    """Exact Hessian of the discretized b_in in orthonormal coordinates."""
-    return pair_hessian(pair, 1.0, n_quad)
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +632,13 @@ def b_in_hessian(pair: PairLoop, n_quad=N_QUAD):
 class PairObjective:
     """Interpolated pair functional in packed orthonormal coordinates."""
 
-    def __init__(self, s, n1=16, n2=32, n_quad=N_QUAD):
+    def __init__(self, s, n1=16, n2=32, n_quad=None):
         _check_s(s)
         self.s = float(s)
         self.n1 = int(n1)
         self.n2 = int(n2)
         self.n = self.n1 + self.n2
-        self.n_quad = int(n_quad)
+        self.n_quad = None if n_quad is None else int(n_quad)
         self._sg1 = np.sqrt(loops.gram_diag(loops.EVEN_COSINE, self.n1))
         self._sg2 = np.sqrt(loops.gram_diag(loops.ODD_SINE, self.n2))
         self._last = loops.LastBuild()

@@ -114,7 +114,12 @@ def tau_of_t(z: loops.Loop, t_values, table=512):
     non-finite t raises DomainError.  Safeguarded Newton (``loops._newton``)
     on the exact primitive, bracketed by a dense table; the bracket
     midpoint substitutes whenever the derivative degenerates near a
-    collision, and an exact root (residual 0) is kept as it is.
+    collision, and an exact root (residual 0) is kept as it is.  A point
+    stops on a step below 1e-14 or once its residual is at the primitive's
+    rounding level, 2 eps sum |a_k| / I(1) over the coefficients a of z^2
+    (for a Newton step that is a step below the level over the slope z^2/I),
+    so near a collision, where the slope is small, rounding noise in the
+    step no longer decides the sweep count.
     Where z is bounded away from zero the result is good to ~1e-13 in tau.
     Near a collision t - t* ~ (tau - tau*)^3, so the inversion is cube-root
     conditioned: a rounding error of 1e-16 in t moves tau by up to ~1e-6
@@ -143,7 +148,9 @@ def tau_of_t(z: loops.Loop, t_values, table=512):
         zx = z(x)
         return primitive(x) / i_one - t[idx], zx * zx / i_one
 
-    x = loops._newton(residual, lo, hi, x0, tol=1e-14, max_iter=80, min_slope=1e-14)
+    # the rounding level of the primitive: twice eps times its coefficient sum
+    level = 2.0 * np.finfo(float).eps * float(np.sum(np.abs(loops.square(z).coeffs))) / i_one
+    x = loops._newton(residual, lo, hi, x0, tol=1e-14, max_iter=80, min_slope=1e-14, ftol=level)
     return x if np.ndim(t_values) else float(x[0])
 
 

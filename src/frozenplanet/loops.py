@@ -398,7 +398,7 @@ def _scan_sup_norm(z: Loop):
     return max(top, float(np.max(np.abs(z(t)))))
 
 
-def _newton(fn, lo, hi, x0, tol, max_iter, min_slope=0.0):
+def _newton(fn, lo, hi, x0, tol, max_iter, min_slope=0.0, ftol=0.0):
     """Safeguarded Newton for one root per bracket [lo[j], hi[j]], all
     points at once.
 
@@ -407,8 +407,9 @@ def _newton(fn, lo, hi, x0, tol, max_iter, min_slope=0.0):
     evaluation shrinks the bracket to the side the root is on; a step that
     does not land strictly inside the bracket (or stay put), or a slope at
     or below ``min_slope``, is replaced by the bracket midpoint.  A point
-    stops on a step below ``tol`` or after ``max_iter`` evaluations, and
-    keeps x once f(x) = 0 or its bracket holds no float strictly inside.
+    stops on a step below ``tol``, on |f(x)| <= ``ftol`` (after that step)
+    or after ``max_iter`` evaluations, and keeps x once f(x) = 0 or its
+    bracket holds no float strictly inside.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -429,7 +430,7 @@ def _newton(fn, lo, hi, x0, tol, max_iter, min_slope=0.0):
         done = (fx == 0.0) | (np.nextafter(lo, hi) >= hi)
         x_new = np.where(done, x, x_new)
         out[idx] = x_new
-        moving = ~done & (np.abs(x_new - x) >= tol)
+        moving = ~done & (np.abs(x_new - x) >= tol) & (np.abs(fx) > ftol)
         idx, x, lo, hi = idx[moving], x_new[moving], lo[moving], hi[moving]
     return out
 

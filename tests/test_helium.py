@@ -138,23 +138,22 @@ class TestD1W:
 
 class TestBIn:
     def test_constant_outer_matches_orbit_quadrature(self):
+        # with z1 = gamma the repulsion is int_0^1 z2^2 / (I2 (gamma^2 - z2^2)) dtau,
+        # analytic in tau: 200-point Gauss-Legendre is exact to rounding
         gamma = 1.5
         z2 = loops.from_coeffs(loops.ODD_SINE, [0.9, 0.05])
         pair = helium.PairLoop(loops.from_coeffs(loops.EVEN_COSINE, [gamma]), z2)
-        out = helium.b_in(pair, n_quad=2048)
-        # with constant z1 the interaction is int dt / (gamma^2 - q2(t))
-        orbit = levi_civita.forward(z2, n_t=8192)
-        t = (np.arange(8192) + 0.5) / 8192
-        taus = levi_civita.tau_of_t(z2, t)
-        q2 = z2(taus) ** 2
-        want = float(np.mean(1.0 / (gamma**2 - q2)))
+        out = helium.b_in(pair)
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        q2 = z2(0.5 * (nodes + 1.0)) ** 2
         g = loops.gram_diag(z2.klass, z2.n)
         l2 = float(np.sum(g * z2.coeffs**2))
+        want = 0.5 * float(weights @ (q2 / (l2 * (gamma**2 - q2))))
         d1 = float(
             np.sum(g * (loops.frequencies(z2.klass, z2.n) * z2.coeffs) ** 2)
         )
         smooth = 2 * (gamma**2 * 0.0 + 1.0 / gamma**2) + 2 * (l2 * d1 + 1.0 / l2)
-        assert abs(out["value"] - (smooth - want)) < 1e-5
+        assert abs(out["value"] - (smooth - want)) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -259,8 +258,8 @@ class TestInterpLinearity:
     def test_hessian_is_the_convex_combination(self, interp_pair, s):
         obj = helium.PairObjective(s, n1=2, n2=2)
         h = obj.hessian(obj.pack(interp_pair))
-        want = (1.0 - s) * helium.b_av_hessian(interp_pair) + s * helium.b_in_hessian(
-            interp_pair
+        want = (1.0 - s) * helium.pair_hessian(interp_pair, 0.0) + s * helium.pair_hessian(
+            interp_pair, 1.0
         )
         assert _rel_max(h, want) < 1e-12
 
@@ -281,8 +280,8 @@ PAIR_ENTRY_POINTS = {
     "b_interp": lambda pair: helium.b_interp(pair, 0.5),
     "b_interp_value": lambda pair: helium.b_interp_value(pair, 0.5),
     "pair_grad_res": lambda pair: helium.pair_grad_res(pair, 0.5),
-    "b_av_hessian": helium.b_av_hessian,
-    "b_in_hessian": helium.b_in_hessian,
+    "pair_hessian_mean": lambda pair: helium.pair_hessian(pair, 0.0),
+    "pair_hessian_inst": lambda pair: helium.pair_hessian(pair, 1.0),
     "pair_hessian": lambda pair: helium.pair_hessian(pair, 0.5),
 }
 
@@ -318,7 +317,7 @@ class TestWeightZeroTermsSkipped:
         monkeypatch.setattr(loops, "cube", forbidden)
         monkeypatch.setattr(frozen, "_cubic_galerkin", forbidden)
         helium.b_in(interp_pair, n_quad=256)
-        helium.b_in_hessian(interp_pair, n_quad=256)
+        helium.pair_hessian(interp_pair, 1.0, n_quad=256)
         z = interp_pair.z2
         frozen.gradient(z, 0.0)
         frozen.hessian_analytic(z, 0.0)
@@ -328,7 +327,7 @@ class TestWeightZeroTermsSkipped:
     def test_instantaneous_end_skips_the_mean_term(self, monkeypatch, interp_pair):
         monkeypatch.setattr(helium, "require_mean_admissible", forbidden)
         helium.b_in(interp_pair, n_quad=256)
-        helium.b_in_hessian(interp_pair, n_quad=256)
+        helium.pair_hessian(interp_pair, 1.0, n_quad=256)
         with pytest.raises(AssertionError):
             helium.b_interp(interp_pair, 0.5, n_quad=256)
 
@@ -340,7 +339,7 @@ class TestWeightZeroTermsSkipped:
             loops.from_coeffs(loops.ODD_SINE, interp_pair.z2.coeffs),
         )
         helium.b_av(pair)
-        helium.b_av_hessian(pair)
+        helium.pair_hessian(pair, 0.0)
         with pytest.raises(AssertionError):
             helium.b_interp(pair, 0.5, n_quad=256)
 
@@ -513,11 +512,12 @@ class TestSharedTimeMaps:
         assert obj.admissible(x)
         g = obj.gradient(x.copy())
         v = obj.value(x)
-        assert len(calls) == 2
+        # the repulsion inverts the outer loop's time map alone, once per x
+        assert [z.klass for z in calls] == [loops.EVEN_COSINE]
         assert np.array_equal(g, want[0]) and v == want[1]
 
     def test_certify_evaluates_once(self, monkeypatch, interp_pair):
-        # one b_interp evaluation, and one time-map inversion per loop
+        # one b_interp evaluation, and one time-map inversion (the outer loop's)
         fresh = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512)
         x = fresh.pack(interp_pair)
         want = (
@@ -539,8 +539,42 @@ class TestSharedTimeMaps:
         monkeypatch.setattr(helium, "b_interp", counted(helium, "b_interp"))
         monkeypatch.setattr(levi_civita, "tau_of_t", counted(levi_civita, "tau_of_t"))
         cert = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512).certify(x)
-        assert sorted(calls) == ["b_interp", "tau_of_t", "tau_of_t"]
+        assert sorted(calls) == ["b_interp", "tau_of_t"]
         assert (cert.grad_res, cert.full_res, cert.value) == want
+
+
+@pytest.fixture(scope="module")
+def homotopy_points(cert_rho, homotopy_path):
+    """(n1, n2, s, pair) at the accepted step nearest s = 0.4375 and at
+    s = 1 of the 8x16 homotopy and of the shared 16x32 one."""
+    z32 = loops.from_coeffs(loops.ODD_SINE, cert_rho.z.coeffs[:32])
+    x0 = helium.PairObjective(0.0, 8, 16).pack(helium.bridge_pair(z32, n1=8))
+    path8 = solve.continuation(
+        lambda s: helium.PairObjective(s, 8, 16), 0.0, 1.0, x0,
+        tol=1e-9, newton_kwargs={"jacobian": "frozen"},
+    )
+    out = []
+    for (n1, n2), path in (((8, 16), path8), ((16, 32), homotopy_path)):
+        inner = min(path.steps, key=lambda step: abs(step.parameter - 0.4375))
+        out += [(n1, n2, step.parameter, step.cert.pair) for step in (inner, path.steps[-1])]
+    return out
+
+
+class TestNodeRule:
+    """The default repulsion node count, max(N_QUAD, 4 n2), is converged:
+    doubling it moves neither R nor the gradient on the homotopy paths."""
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_doubling_the_nodes_moves_nothing(self, homotopy_points, k):
+        n1, n2, s, pair = homotopy_points[k]
+        m = helium._node_count(pair, None)
+        assert m == max(helium.N_QUAD, 4 * n2)
+        r = [float(np.mean(rep.w / rep.gap)) for rep in (
+            helium._Repulsion(pair, m), helium._Repulsion(pair, 2 * m))]
+        assert abs(r[1] - r[0]) < 1e-14 * r[0]
+        x = helium.PairObjective(s, n1, n2).pack(pair)
+        g = [helium.PairObjective(s, n1, n2, n_quad=q).gradient(x) for q in (None, 2 * m)]
+        assert np.linalg.norm(g[1] - g[0]) < 1e-12
 
 
 class TestHomotopy:

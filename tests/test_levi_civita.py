@@ -104,6 +104,21 @@ class TestTauOfT:
             lc.tau_of_t(sine_loop, [0.25, bad])
         assert exc.value.tag == "levi_civita.t"
 
+    def test_rounding_level_stop_keeps_the_root(self):
+        # against Newton run until its bracket holds no inner float: where z
+        # is bounded away from 0 the early stop costs no accuracy
+        z = loops.from_coeffs(loops.ODD_SINE, [1.0, 0.2, -0.03])
+        primitive, i_one = lc.square_primitive(z)
+        t = np.arange(1, 4096) / 4096
+        got = lc.tau_of_t(z, t)
+
+        def residual(x, idx):
+            return primitive(x) / i_one - t[idx], z(x) ** 2 / i_one
+
+        ref = loops._newton(residual, np.zeros(t.size), np.ones(t.size), got, tol=0.0, max_iter=200)
+        away = np.abs(z(ref)) > 0.1
+        assert np.max(np.abs(got - ref)[away]) < 1e-13
+
     def test_forward_starts_at_zero(self, sine_orbit):
         assert sine_orbit.taus[0] == 0.0
 

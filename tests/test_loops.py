@@ -285,6 +285,22 @@ class TestNewton:
         assert len(calls) < 60
 
 
+    def test_residual_at_ftol_stops_after_its_step(self):
+        # f = x - r with a slope of 1e-10: every Newton step lands on the
+        # root, yet the step 1e-3 stays far above tol; |f| <= ftol stops
+        # the point after the step it has taken
+        r = 0.25
+        calls = []
+
+        def flat(x, idx):
+            calls.append(x[0])
+            return 1e-10 * (x - r), np.full_like(x, 1e-10)
+
+        x = loops._newton(flat, [0.0], [1.0], [r + 1e-3], tol=1e-14, max_iter=80, ftol=1e-12)
+        assert x[0] == r
+        assert calls == [r + 1e-3]
+
+
 class TestRescaleCover:
     def test_substitution(self):
         z3 = loops.rescale_cover(loops.from_coeffs(loops.ODD_SINE, [1.0]), 3)

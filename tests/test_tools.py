@@ -25,3 +25,10 @@ class TestBenchPairs:
             "parent": {"failed": 1, "attempted": 8},
             "change": {"failed": 5, "attempted": 8},
         }
+
+    def test_compare_reports_relative_median_change(self):
+        out = bench_pairs.compare(runs([2.0, 4.0, 6.0]), runs([1.0, 3.0, 5.0]))
+        assert out["wall_s"]["rel_change"] == -0.25
+        # a parent median of 0 has no relative change
+        out = bench_pairs.compare(runs([0.0, 0.0, 1.0]), runs([0.0, 1.0, 1.0]))
+        assert out["wall_s"]["rel_change"] is None

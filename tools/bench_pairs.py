@@ -9,10 +9,11 @@ Then each side runs ``TRACED`` once with ``--trace 1``, on the first seed.
 The report line and the result line of every run go to ``BENCH_parent.json``
 and ``BENCH_change.json`` in the current directory.
 ``BENCH_change.json`` also holds, per workload and seed, the median and
-quartiles of each end-to-end metric on both sides and how many pairs the
-change won (lower is better for every metric ``bench/run.py`` reports
-without tracing), and under ``checks`` each side's failed and attempted
-check totals.
+quartiles of each end-to-end metric on both sides, the relative change of
+the median, (change - parent) / parent, and how many pairs the change won
+(lower is better for every metric ``bench/run.py`` reports without
+tracing), and under ``checks`` each side's failed and attempted check
+totals.
 """
 
 from __future__ import annotations
@@ -46,15 +47,19 @@ def quartiles(values):
 
 
 def compare(parent_runs, change_runs):
-    """Per end-to-end metric: both sides' quartiles and the change's wins;
-    under ``checks``, each side's failed and attempted check totals."""
+    """Per end-to-end metric: both sides' quartiles, the relative change of
+    the median, (change - parent) / parent (None when the parent's median
+    is 0), and the change's wins; under ``checks``, each side's failed and
+    attempted check totals."""
     out = {}
     for name in parent_runs[0]["result"]["metrics"]:
         pv = [r["result"]["metrics"][name]["value"] for r in parent_runs]
         cv = [r["result"]["metrics"][name]["value"] for r in change_runs]
+        sides = {"parent": quartiles(pv), "change": quartiles(cv)}
+        base = sides["parent"]["median"]
         out[name] = {
-            "parent": quartiles(pv),
-            "change": quartiles(cv),
+            **sides,
+            "rel_change": (sides["change"]["median"] - base) / base if base else None,
             "change_wins": sum(c < p for p, c in zip(pv, cv)),
             "pairs": len(pv),
         }
