@@ -16,7 +16,9 @@ integrated in the inner loop's own time: t = P2(tau2)/||z2||^2, P2 the
 primitive of z2^2, makes the integrand periodic and analytic in tau2, so
 the midpoint rule at fixed tau2-nodes converges geometrically, and only
 the outer loop's time map is inverted (``_Repulsion``).  The default node
-count, max(N_QUAD, 4 n2), is fixed by a convergence test.  Its gradient
+count, max(N_QUAD, 4 n2), is fixed by a convergence test.  Pointwise
+admissibility, a positive gap, is tested at the gap's minimum refined
+between the nodes, not at the nodes alone.  The gradient
 is the exact derivative of that discretized quadrature (implicit
 differentiation of z1's inverse time map, z2 varied at fixed tau2), so
 gradient and objective stay mutually consistent for Newton.
@@ -237,7 +239,7 @@ def _midpoint_taus(z: loops.Loop, n_quad):
     return cache[key]
 
 
-def interaction_gap(pair: PairLoop, n_quad=1024):
+def interaction_gap(pair: PairLoop, n_quad):
     """Samples of z1^2 - z2^2 in physical time at the midpoints of a uniform
     t-grid, both time maps inverted: the export of ``serialize.pair_orbit_csv``.
     The functionals integrate in z2's own time instead (``_Repulsion``)."""
@@ -258,15 +260,16 @@ def _node_count(pair: PairLoop, n_quad):
 
 def _admissible_gap(pair: PairLoop, n_quad):
     """The pair's ``_Repulsion`` on its nodes, cached on the pair; raises
-    unless the gap is positive at every node."""
+    unless the gap is positive everywhere (``_Repulsion._least``)."""
     m = _node_count(pair, n_quad)
     cache = loops._loop_cache(pair)
     if ("repulsion", m) not in cache:
         rep = _Repulsion(pair, m)
-        if np.any(rep.gap <= 0.0):
+        least, t = rep.least
+        if least <= 0.0:
             raise AdmissibilityError(
                 "pointwise admissibility violated: z1^2(tau1(t)) - z2^2(tau2(t)) "
-                f"<= 0 at t = {rep.t[int(np.argmin(rep.gap))]:.6g}"
+                f"<= 0 at t = {t:.6g}"
             )
         cache["repulsion", m] = rep
     return cache["repulsion", m]
@@ -335,15 +338,17 @@ def _product_sums(klass, n, v):
 def _tau2_rule(n, m):
     """What an odd-sine loop of n coefficients needs at the m nodes
     (k + 1/2)/m, fixed by (n, m) and cached read-only: its orthonormal rows
-    e_k / sqrt(g_k) and the primitive rows S of ``_phi_table``."""
+    e_k / sqrt(g_k), their derivatives and the primitive rows S of
+    ``_phi_table``."""
     taus = (np.arange(m) + 0.5) / m
-    rows = loops.basis_matrix(loops.ODD_SINE, n, taus)
-    rows /= np.sqrt(loops.gram_diag(loops.ODD_SINE, n))[:, None]
+    sg = np.sqrt(loops.gram_diag(loops.ODD_SINE, n))[:, None]
+    rows = loops.basis_matrix(loops.ODD_SINE, n, taus) / sg
+    drows = loops.basis_matrix(loops.ODD_SINE, n, taus, 1) / sg
     q = _product_to_sum(loops.ODD_SINE, n)[0]
     prim = loops.basis_matrix(loops.EVEN_COSINE, q.size, taus, -1)
-    for arr in (rows, prim):
+    for arr in (rows, drows, prim):
         arr.setflags(write=False)
-    return rows, prim
+    return rows, drows, prim
 
 
 class _TimeMapVariation:
@@ -441,6 +446,21 @@ class _TimeMapVariation:
         return h
 
 
+def _hermite_min(g0, g1, d0, d1):
+    """The point s in [0, 1] where the cubic with values g0, g1 and slopes
+    d0 <= 0 < d1 at s = 0, 1 has its minimum: the one root of its slope
+    d0 + 2 c2 s + 3 c3 s^2 in [0, 1], by the stable quadratic formula."""
+    c2 = 3.0 * (g1 - g0) - 2.0 * d0 - d1
+    c3 = 2.0 * (g0 - g1) + d0 + d1
+    a, b = 3.0 * c3, 2.0 * c2
+    disc = np.sqrt(np.maximum(b * b - 4.0 * a * d0, 0.0))
+    q = -0.5 * (b + np.where(b < 0.0, -disc, disc))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1, r2 = q / a, d0 / q
+    s = np.where((r2 >= 0.0) & (r2 <= 1.0), r2, r1)
+    return np.where((s >= 0.0) & (s <= 1.0), s, 0.5)
+
+
 class _Repulsion:
     """The repulsion R = int_0^1 dt / (q1 - q2) of a pair, in z2's own time.
 
@@ -450,7 +470,8 @@ class _Repulsion:
     no zero, so the integrand is periodic and analytic in tau, and the
     midpoint rule R = mean(w / g) over the nodes (k + 1/2)/m converges
     geometrically (Trefethen and Weideman, SIAM Review 56, 2014).  Only
-    z1's time map is inverted, at the nodes' t.
+    z1's time map is inverted: at the nodes' t, and where ``_least``
+    refines the gap's minimum between them.
 
     z2 is varied at fixed tau, with its orthonormal rows e and x = <z2, e>:
     dt_f = (Phi_f - 2 t x_f) / I2 (``_phi_table``), dw_f = 2 (z2 f - w x_f) / I2
@@ -460,16 +481,55 @@ class _Repulsion:
 
     def __init__(self, pair: PairLoop, m):
         z2 = pair.z2
-        self.e, self.prim = _tau2_rule(z2.n, m)
+        self.z1 = pair.z1
+        self.e, self.de, self.prim = _tau2_rule(z2.n, m)
         self.sg = np.sqrt(loops.gram_diag(z2.klass, z2.n))
         self.x = self.sg * z2.coeffs
         self.i2 = float(self.x @ self.x)
         self.z2 = self.x @ self.e
-        self.phi = _phi_coef(z2) @ self.prim / self.sg[:, None]
-        self.t = 0.5 * (self.x @ self.phi) / self.i2  # sum_k c_k Phi_k = 2 P2
+        coef = _phi_coef(z2)
+        self.phi = coef @ self.prim / self.sg[:, None]
+        # t = P2 / I2 over the primitive rows S, as sum_k c_k Phi_k = 2 P2
+        self.p2 = 0.5 * (z2.coeffs @ coef) / self.i2
+        self.t = self.p2 @ self.prim
         self.w = self.z2**2 / self.i2
         self.tau1 = levi_civita.tau_of_t(pair.z1, self.t)
-        self.gap = pair.z1(self.tau1) ** 2 - self.z2**2
+        v1, d1 = loops.jets(pair.z1, self.tau1, (0, 1))
+        self.gap = v1**2 - self.z2**2
+        self.least = self._least(pair, v1, d1)
+
+    def _least(self, pair, v1, d1):
+        """(min g, the t there) of the gap g(tau) = Q1(t) - z2^2, found
+        off the nodes as well, so the admissibility test does not rest on
+        the node count.  Between two nodes where the slope
+        g' = Q1_t w - 2 z2 z2', Q1_t = 2 I1 z1'/z1, turns from <= 0 to > 0,
+        the minimum of the cubic Hermite interpolant of (g, g') is a point
+        where g, g' and g'' are then evaluated, and the quadratic model
+        g - g'^2 / (2 g'') estimates the minimum; the ends tau = 0, 1 and
+        the nodes join the candidates.
+        """
+        z1, z2 = pair.z1, pair.z2
+        i1 = levi_civita.square_primitive(z1)[1]
+        h = 1.0 / self.gap.size
+        # a zero of z1 makes a rate infinite or nan; its gap -z2^2 <= 0 is kept
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = h * (2.0 * i1 * d1 / v1 * self.w - 2.0 * self.z2 * (self.x @ self.de))
+            j = np.flatnonzero((slope[:-1] <= 0.0) & (slope[1:] > 0.0))
+            s = _hermite_min(self.gap[j], self.gap[j + 1], slope[j], slope[j + 1])
+            tau = np.concatenate([[0.0, 1.0], (j + 0.5 + s) * h])
+            t = self.p2 @ loops.basis_matrix(loops.EVEN_COSINE, self.p2.size, tau, -1)
+            a0, a1, a2 = loops.jets(z1, levi_civita.tau_of_t(z1, t), (0, 1, 2))
+            b0, b1, b2 = loops.jets(z2, tau, (0, 1, 2))
+            w = b0**2 / self.i2
+            rate = 2.0 * i1 * a1 / a0
+            rate_t = 2.0 * i1**2 * (a0 * a2 - a1**2) / a0**4
+            g = a0**2 - b0**2
+            dg = rate * w - 2.0 * b0 * b1
+            d2g = rate_t * w**2 + rate * (2.0 * b0 * b1 / self.i2) - 2.0 * (b1**2 + b0 * b2)
+            g = np.where(d2g > 0.0, g - dg**2 / (2.0 * d2g), g)
+        gaps, ts = np.concatenate([self.gap, g]), np.concatenate([self.t, t])
+        k = int(np.argmin(gaps))
+        return float(gaps[k]), float(ts[k])
 
     def _weights(self, s):
         """With R = mean(w / g), the derivatives of -s R in w and g at the
@@ -477,17 +537,17 @@ class _Repulsion:
         a = s / (self.gap.size * self.gap)
         return a, a * self.w / self.gap
 
-    def gradient(self, z1, s):
+    def gradient(self, s):
         """The coefficient gradients of -s R for z1 and z2: the node sums
         of b dg - a dw, (a, b) from ``_weights``."""
-        var = _TimeMapVariation(z1, self.tau1, self.t)
+        var = _TimeMapVariation(self.z1, self.tau1, self.t)
         a, b = self._weights(s)
         c = b * var.rate
         d2 = self.phi @ c / self.i2 - 2.0 * self.e @ ((b + a / self.i2) * self.z2)
         d2 += (2.0 / self.i2) * float(a @ self.w - self.t @ c) * self.x
         return var.first(b) / var.sg, d2 / self.sg
 
-    def hessian(self, z1, s):
+    def hessian(self, s):
         """The Hessian of -s R in orthonormal coordinates (z1 first):
 
             sum_m b d^2 g - a d^2 w + (a/g) (dw dg^T + dg dw^T) - (2 b/g) dg dg^T,
@@ -497,9 +557,9 @@ class _Repulsion:
         I2 d^2 t_ef = 2 P_ef - 2 t <e, f> - 2 (x_e dt_f + x_f dt_e) and
         I2 d^2 w_ef = 2 e f - 2 w <e, f> - 2 (x_e dw_f + x_f dw_e).
         """
-        var = _TimeMapVariation(z1, self.tau1, self.t)
+        var = _TimeMapVariation(self.z1, self.tau1, self.t)
         a, b = self._weights(s)
-        n1 = z1.n
+        n1 = self.z1.n
         dt = (self.phi - np.outer(2.0 * self.x, self.t)) / self.i2
         dw = 2.0 * (self.e * self.z2 - np.outer(self.x, self.w)) / self.i2
         dg = np.concatenate([var.dq, dt * var.rate - 2.0 * self.e * self.z2])
@@ -522,7 +582,7 @@ class _Repulsion:
 def _repulsion(rep: _Repulsion, s):
     """s R = s mean(w / gap) over the nodes, the instantaneous term that
     b_interp subtracts; warns when the gap nearly closes."""
-    if np.min(rep.gap) < 1e-6 * float(np.max(rep.gap)):
+    if rep.least[0] < 1e-6 * float(np.max(rep.gap)):
         warnings.warn(
             "interaction gap nearly closes; the instantaneous value is ill conditioned",
             RuntimeWarning,
@@ -555,7 +615,7 @@ def b_interp(pair: PairLoop, s, n_quad=None):
     if s > 0.0:
         rep = _admissible_gap(pair, n_quad)
         value -= _repulsion(rep, s)
-        d1, d2 = rep.gradient(pair.z1, s)
+        d1, d2 = rep.gradient(s)
         g1[: pair.z1.n] += d1
         g2[: pair.z2.n] += d2
     return {
@@ -620,7 +680,7 @@ def pair_hessian(pair: PairLoop, s, n_quad=None):
     _, df, d2f = _partials(pair, s, hessian=True)
     h = frozen.norm_hessian((pair.z1, pair.z2), df, d2f)
     if s > 0.0:
-        h += _admissible_gap(pair, n_quad).hessian(pair.z1, s)
+        h += _admissible_gap(pair, n_quad).hessian(s)
     return h
 
 

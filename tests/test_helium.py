@@ -196,6 +196,51 @@ class TestBIn:
         with pytest.raises(AdmissibilityError):
             helium.b_in(pair)
 
+    @staticmethod
+    def _constant_outer(gamma):
+        return helium.PairLoop(
+            loops.from_coeffs(loops.EVEN_COSINE, [gamma]),
+            loops.from_coeffs(loops.ODD_SINE, [1.0]),
+        )
+
+    @pytest.mark.parametrize("n_quad", [None, 96, 1000])
+    def test_gap_closing_between_nodes_rejected(self, n_quad):
+        # the gap 0.99975^2 - sin^2(pi tau) is -5e-4 at tau = 1/2, a point
+        # between the nodes: at the 64 default nodes it is still >= 1e-4
+        pair = self._constant_outer(0.99975)
+        assert helium.mean_gap(pair) > 0
+        assert np.min(helium._Repulsion(pair, 64).gap) > 9e-5
+        with pytest.raises(AdmissibilityError):
+            helium.b_in(pair, n_quad)
+        with pytest.raises(AdmissibilityError):
+            helium.b_interp_value(pair, 0.5, n_quad)
+        obj = helium.PairObjective(1.0, n1=1, n2=1, n_quad=n_quad)
+        assert not obj.admissible(obj.pack(pair))
+
+    def test_nearly_closing_gap_warns(self):
+        # least gap 2e-7 of a largest ~1: ill conditioned, though no node sees it
+        pair = self._constant_outer(1.0000001)
+        assert np.min(helium._Repulsion(pair, 64).gap) > 1e-4
+        with pytest.warns(RuntimeWarning, match="nearly closes"):
+            helium.b_in(pair)
+
+    def test_least_gap_matches_dense_scan(self):
+        # the gap's minimum sits off tau = 1/2 here, at t ~ 0.3725 and 0.6275
+        pair = helium.PairLoop(
+            loops.from_coeffs(loops.EVEN_COSINE, [1.0, 0.05, 0.02]),
+            loops.from_coeffs(loops.ODD_SINE, [0.5, 0.2, 0.1, 0.05]),
+        )
+        tau = np.linspace(0.0, 1.0, 100001)
+        primitive, i2 = levi_civita.square_primitive(pair.z2)
+        tau1 = levi_civita.tau_of_t(pair.z1, primitive(tau) / i2)
+        dense = float(np.min(pair.z1(tau1) ** 2 - pair.z2(tau) ** 2))
+        for m in (8, 16, 32, 64, 128):
+            least = helium._Repulsion(pair, m).least[0]
+            # never above the true minimum, and at it once the nodes resolve g
+            assert least <= dense + 1e-12
+            if m >= 32:
+                assert least > dense - 1e-9
+
 
 @pytest.fixture(scope="module")
 def interp_pair():
@@ -513,11 +558,13 @@ class TestSharedTimeMaps:
         g = obj.gradient(x.copy())
         v = obj.value(x)
         # the repulsion inverts the outer loop's time map alone, once per x
-        assert [z.klass for z in calls] == [loops.EVEN_COSINE]
+        # at the nodes and once where the gap's minimum is refined
+        assert [z.klass for z in calls] == [loops.EVEN_COSINE] * 2
         assert np.array_equal(g, want[0]) and v == want[1]
 
     def test_certify_evaluates_once(self, monkeypatch, interp_pair):
-        # one b_interp evaluation, and one time-map inversion (the outer loop's)
+        # one b_interp evaluation, and the outer loop's time-map inversions
+        # of one ``_Repulsion`` (nodes and refined minimum)
         fresh = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512)
         x = fresh.pack(interp_pair)
         want = (
@@ -539,7 +586,7 @@ class TestSharedTimeMaps:
         monkeypatch.setattr(helium, "b_interp", counted(helium, "b_interp"))
         monkeypatch.setattr(levi_civita, "tau_of_t", counted(levi_civita, "tau_of_t"))
         cert = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512).certify(x)
-        assert sorted(calls) == ["b_interp", "tau_of_t"]
+        assert sorted(calls) == ["b_interp", "tau_of_t", "tau_of_t"]
         assert (cert.grad_res, cert.full_res, cert.value) == want
 
 

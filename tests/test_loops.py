@@ -443,6 +443,13 @@ class TestTrig:
             assert loops._trig(f, sine, 0.25).shape == (len(f), 1)
 
     @pytest.mark.parametrize("klass", loops.CLASSES)
+    def test_direct_and_angle_addition_sides(self, klass):
+        # up to DIRECT_POINTS points the rows are direct, beyond by angle addition
+        for m in (loops.DIRECT_POINTS, loops.DIRECT_POINTS + 1):
+            for f, sine in self.tables(klass, 40):
+                self.check(f, sine, np.linspace(-2.0, 4.0, m))
+
+    @pytest.mark.parametrize("klass", loops.CLASSES)
     def test_empty_layout(self, klass):
         f, sine = loops._layout(klass, 0)
         assert loops._trig(f, sine, np.linspace(0.0, 2.0, 5)).shape == (0, 5)
