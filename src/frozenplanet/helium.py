@@ -15,13 +15,14 @@ last term by the physical-time repulsion
 integrated in the inner loop's own time: t = P2(tau2)/||z2||^2, P2 the
 primitive of z2^2, makes the integrand periodic and analytic in tau2, so
 the midpoint rule at fixed tau2-nodes converges geometrically, and only
-the outer loop's time map is inverted (``_Repulsion``).  The default node
-count, max(N_QUAD, 4 n2), is fixed by a convergence test.  Pointwise
-admissibility, a positive gap, is tested at the gap's minimum refined
-between the nodes, not at the nodes alone.  The gradient
-is the exact derivative of that discretized quadrature (implicit
+the outer loop's time map is inverted (``_Repulsion``, one per pair).  The
+node count, max(N_QUAD, 4 n2), is derived from the pair and fixed by a
+convergence test.  Pointwise admissibility, a positive gap, is tested at
+the gap's minimum refined between the nodes, not at the nodes alone.  The
+gradient is the exact derivative of that discretized quadrature (implicit
 differentiation of z1's inverse time map, z2 varied at fixed tau2), so
-gradient and objective stay mutually consistent for Newton.
+gradient and objective stay mutually consistent for Newton; it and the
+Hessian read one set of first-variation tables.
 ``interaction_gap`` still samples the gap on a uniform t-grid, both time
 maps inverted, for the pair CSV export alone.
 
@@ -227,57 +228,43 @@ def bridge_graph_constants(z: loops.Loop):
 # ---------------------------------------------------------------------------
 
 
-def _midpoint_taus(z: loops.Loop, n_quad):
-    """tau_z at the midpoint nodes (k + 1/2)/n_quad, cached on the loop;
-    read by ``interaction_gap`` alone."""
-    cache = loops._loop_cache(z)
-    key = ("midpoint_tau", n_quad)
-    if key not in cache:
-        taus = levi_civita.tau_of_t(z, (np.arange(n_quad) + 0.5) / n_quad)
-        taus.setflags(write=False)
-        cache[key] = taus
-    return cache[key]
+def interaction_gap(pair: PairLoop, n):
+    """(t, z1^2 - z2^2, z1^2, z2^2) in physical time at the n midpoints
+    t = (k + 1/2)/n, both time maps inverted: the export of
+    ``serialize.pair_orbit_csv``.  The functionals integrate in z2's own
+    time instead (``_Repulsion``)."""
+    t = (np.arange(n) + 0.5) / n
+    q1 = pair.z1(levi_civita.tau_of_t(pair.z1, t)) ** 2
+    q2 = pair.z2(levi_civita.tau_of_t(pair.z2, t)) ** 2
+    return t, q1 - q2, q1, q2
 
 
-def interaction_gap(pair: PairLoop, n_quad):
-    """Samples of z1^2 - z2^2 in physical time at the midpoints of a uniform
-    t-grid, both time maps inverted: the export of ``serialize.pair_orbit_csv``.
-    The functionals integrate in z2's own time instead (``_Repulsion``)."""
-    t = (np.arange(n_quad) + 0.5) / n_quad
-    tau1 = _midpoint_taus(pair.z1, n_quad)
-    tau2 = _midpoint_taus(pair.z2, n_quad)
-    q1 = pair.z1(tau1) ** 2
-    q2 = pair.z2(tau2) ** 2
-    return t, tau1, tau2, q1 - q2, q1, q2
+def _node_count(pair: PairLoop):
+    """max(N_QUAD, 4 n2): z2^2 has 2 n2 - 1 frequencies, and the
+    convergence test of ``tests/test_helium.py`` checks that doubling this
+    count moves nothing."""
+    return max(N_QUAD, 4 * pair.z2.n)
 
 
-def _node_count(pair: PairLoop, n_quad):
-    """n_quad, or by default max(N_QUAD, 4 n2): z2^2 has 2 n2 - 1
-    frequencies, and the convergence test of ``tests/test_helium.py``
-    checks that doubling this count moves nothing."""
-    return max(N_QUAD, 4 * pair.z2.n) if n_quad is None else int(n_quad)
-
-
-def _admissible_gap(pair: PairLoop, n_quad):
+def _admissible_gap(pair: PairLoop):
     """The pair's ``_Repulsion`` on its nodes, cached on the pair; raises
     unless the gap is positive everywhere (``_Repulsion._least``)."""
-    m = _node_count(pair, n_quad)
     cache = loops._loop_cache(pair)
-    if ("repulsion", m) not in cache:
-        rep = _Repulsion(pair, m)
+    if "repulsion" not in cache:
+        rep = _Repulsion(pair, _node_count(pair))
         least, t = rep.least
         if least <= 0.0:
             raise AdmissibilityError(
                 "pointwise admissibility violated: z1^2(tau1(t)) - z2^2(tau2(t)) "
                 f"<= 0 at t = {t:.6g}"
             )
-        cache["repulsion", m] = rep
-    return cache["repulsion", m]
+        cache["repulsion"] = rep
+    return cache["repulsion"]
 
 
-def b_in(pair: PairLoop, n_quad=None):
+def b_in(pair: PairLoop):
     """Value and exact discrete gradient of the instantaneous functional."""
-    return b_interp(pair, 1.0, n_quad)
+    return b_interp(pair, 1.0)
 
 
 @functools.cache
@@ -362,40 +349,44 @@ class _TimeMapVariation:
     With tau_t = ||z||^2 / z^2, the rate Q_t = 2 ||z||^2 z'/z has the
     t-derivative ``rate_t`` and the first variation ``rate_e``.  Every 1/z
     is finite because z, the outer loop of an admissible pair, has no zero.
-    The (n, M) tables tau_e and dq are formed only when the Hessian asks
-    for them; the gradient reads their weighted node sums from ``first``.
+    z, z', z'' and the rates at the nodes are formed at once; the rows and
+    the (n, M) tables only when a derivative in the coefficients asks.
     """
 
     def __init__(self, z: loops.Loop, taus, t_nodes):
-        self.klass = z.klass
-        self.t = t_nodes
+        self.z, self.taus, self.t = z, taus, t_nodes
         self.sg = np.sqrt(loops.gram_diag(z.klass, z.n))
-        self.e = loops.basis_matrix(z.klass, z.n, taus)
-        self.e /= self.sg[:, None]
-        # the raw rows e_k'; ``second`` divides its products by sqrt(g)
-        self.ep = loops.basis_matrix(z.klass, z.n, taus, 1)
         self.x = self.sg * z.coeffs  # <z, e> in orthonormal directions
         self.norm = float(self.x @ self.x)  # ||z||^2
-        self.zv = self.x @ self.e
-        self.zp = z.coeffs @ self.ep
-        self.zpp = (self.sg * loops.second_derivative_coeffs(z)) @ self.e
-        self.coef, self.prim = _phi_table(z, taus)
+        self.zv, self.zp, self.zpp = loops.jets(z, taus, (0, 1, 2))
         self.inv_z = 1.0 / self.zv
+        self.curv = self.zv * self.zpp - self.zp**2  # z z'' - z'^2
         self.rate = 2.0 * self.norm * self.zp * self.inv_z
+        # d^2 Q / dt^2 = 2 ||z||^4 (z z'' - z'^2) / z^4
+        self.rate_t = 2.0 * self.norm**2 * self.curv * self.inv_z**4
+
+    @functools.cached_property
+    def e(self):
+        return loops.basis_matrix(self.z.klass, self.z.n, self.taus) / self.sg[:, None]
+
+    @functools.cached_property
+    def ep(self):
+        """The raw rows e_k'; their users divide by sqrt(g)."""
+        return loops.basis_matrix(self.z.klass, self.z.n, self.taus, 1)
+
+    @functools.cached_property
+    def phi(self):
+        """The factors (C, S) of ``_phi_table`` at the nodes."""
+        return _phi_table(self.z, self.taus)
 
     @functools.cached_property
     def tau_e(self):
-        phi = self.coef @ self.prim
-        return (2.0 * np.outer(self.x, self.t) - phi / self.sg[:, None]) * self.inv_z**2
+        coef, prim = self.phi
+        return (2.0 * np.outer(self.x, self.t) - coef @ prim / self.sg[:, None]) * self.inv_z**2
 
     @functools.cached_property
     def dq(self):
         return 2.0 * self.zv * (self.e + self.zp * self.tau_e)
-
-    @functools.cached_property
-    def rate_t(self):
-        """d^2 Q / dt^2 = 2 ||z||^4 (z z'' - z'^2) / z^4."""
-        return 2.0 * self.norm**2 * (self.zv * self.zpp - self.zp**2) * self.inv_z**4
 
     @functools.cached_property
     def rate_e(self):
@@ -403,23 +394,11 @@ class _TimeMapVariation:
 
             4 <z, e> z'/z + 2 ||z||^2 (e'/z - z' e/z^2 + tau_e (z z'' - z'^2)/z^2).
         """
-        curv = (self.zv * self.zpp - self.zp**2) * self.inv_z**2
         out = (self.ep / self.sg[:, None] - self.e * (self.zp * self.inv_z)) * self.inv_z
-        out += self.tau_e * curv
+        out += self.tau_e * (self.curv * self.inv_z**2)
         out *= 2.0 * self.norm
         out += np.outer(4.0 * self.x, self.zp * self.inv_z)
         return out
-
-    def first(self, w):
-        """dq @ w without the tables: with u = 2 z w and v = u z' / z^2,
-
-            dq @ w = e @ u + tau_e @ (u z')
-                   = e @ u + 2 <z, e> (t @ v) - C (S v) / sqrt(g).
-        """
-        u = 2.0 * self.zv * w
-        v = u * self.zp * self.inv_z**2
-        phi_v = self.coef @ (self.prim @ v)
-        return self.e @ u + 2.0 * float(self.t @ v) * self.x - phi_v / self.sg
 
     def second(self, w):
         """sum_m w_m d^2 Q_ef(t_m) over orthonormal directions e, f (n x n).
@@ -440,9 +419,9 @@ class _TimeMapVariation:
         cross = (self.e * (-2.0 * w * self.zp)) @ self.tau_e.T
         cross += (self.ep * (2.0 * w * self.zv)) @ self.tau_e.T / self.sg[:, None]
         h = 2.0 * (self.e * w) @ self.e.T + cross + cross.T
-        h += (self.tau_e * (2.0 * w * (self.zv * self.zpp - self.zp**2))) @ self.tau_e.T
+        h += (self.tau_e * (2.0 * w * self.curv)) @ self.tau_e.T
         h[np.diag_indices_from(h)] += float(ratio @ self.t)
-        h -= _product_sums(self.klass, self.sg.size, self.prim @ ratio)
+        h -= _product_sums(self.z.klass, self.z.n, self.phi[1] @ ratio)
         return h
 
 
@@ -476,7 +455,8 @@ class _Repulsion:
     z2 is varied at fixed tau, with its orthonormal rows e and x = <z2, e>:
     dt_f = (Phi_f - 2 t x_f) / I2 (``_phi_table``), dw_f = 2 (z2 f - w x_f) / I2
     and dg_f = Q1_t dt_f - 2 z2 f.  z1 is varied at fixed t
-    (``_TimeMapVariation``), and its rate Q1_t carries the mixed terms.
+    (``_TimeMapVariation``, built once at the nodes), and its rate Q1_t
+    carries the mixed terms.
     """
 
     def __init__(self, pair: PairLoop, m):
@@ -493,40 +473,40 @@ class _Repulsion:
         self.p2 = 0.5 * (z2.coeffs @ coef) / self.i2
         self.t = self.p2 @ self.prim
         self.w = self.z2**2 / self.i2
-        self.tau1 = levi_civita.tau_of_t(pair.z1, self.t)
-        v1, d1 = loops.jets(pair.z1, self.tau1, (0, 1))
-        self.gap = v1**2 - self.z2**2
-        self.least = self._least(pair, v1, d1)
+        # a zero of z1 makes a rate infinite or nan; its gap -z2^2 <= 0 is
+        # kept, so the pair is refused rather than warned about
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.var = self._variation(self.t)
+            self.gap = self.var.zv**2 - self.z2**2
+            self.least = self._least(z2)
 
-    def _least(self, pair, v1, d1):
+    def _variation(self, t):
+        """z1's ``_TimeMapVariation`` at the physical times t."""
+        return _TimeMapVariation(self.z1, levi_civita.tau_of_t(self.z1, t), t)
+
+    def _least(self, z2):
         """(min g, the t there) of the gap g(tau) = Q1(t) - z2^2, found
         off the nodes as well, so the admissibility test does not rest on
         the node count.  Between two nodes where the slope
-        g' = Q1_t w - 2 z2 z2', Q1_t = 2 I1 z1'/z1, turns from <= 0 to > 0,
-        the minimum of the cubic Hermite interpolant of (g, g') is a point
-        where g, g' and g'' are then evaluated, and the quadratic model
-        g - g'^2 / (2 g'') estimates the minimum; the ends tau = 0, 1 and
-        the nodes join the candidates.
+        g' = Q1_t w - 2 z2 z2' turns from <= 0 to > 0, the minimum of the
+        cubic Hermite interpolant of (g, g') is a point where g, g' and g''
+        are then evaluated, and the quadratic model g - g'^2 / (2 g'')
+        estimates the minimum; the ends tau = 0, 1 and the nodes join the
+        candidates.
         """
-        z1, z2 = pair.z1, pair.z2
-        i1 = levi_civita.square_primitive(z1)[1]
         h = 1.0 / self.gap.size
-        # a zero of z1 makes a rate infinite or nan; its gap -z2^2 <= 0 is kept
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = h * (2.0 * i1 * d1 / v1 * self.w - 2.0 * self.z2 * (self.x @ self.de))
-            j = np.flatnonzero((slope[:-1] <= 0.0) & (slope[1:] > 0.0))
-            s = _hermite_min(self.gap[j], self.gap[j + 1], slope[j], slope[j + 1])
-            tau = np.concatenate([[0.0, 1.0], (j + 0.5 + s) * h])
-            t = self.p2 @ loops.basis_matrix(loops.EVEN_COSINE, self.p2.size, tau, -1)
-            a0, a1, a2 = loops.jets(z1, levi_civita.tau_of_t(z1, t), (0, 1, 2))
-            b0, b1, b2 = loops.jets(z2, tau, (0, 1, 2))
-            w = b0**2 / self.i2
-            rate = 2.0 * i1 * a1 / a0
-            rate_t = 2.0 * i1**2 * (a0 * a2 - a1**2) / a0**4
-            g = a0**2 - b0**2
-            dg = rate * w - 2.0 * b0 * b1
-            d2g = rate_t * w**2 + rate * (2.0 * b0 * b1 / self.i2) - 2.0 * (b1**2 + b0 * b2)
-            g = np.where(d2g > 0.0, g - dg**2 / (2.0 * d2g), g)
+        slope = h * (self.var.rate * self.w - 2.0 * self.z2 * (self.x @ self.de))
+        j = np.flatnonzero((slope[:-1] <= 0.0) & (slope[1:] > 0.0))
+        s = _hermite_min(self.gap[j], self.gap[j + 1], slope[j], slope[j + 1])
+        tau = np.concatenate([[0.0, 1.0], (j + 0.5 + s) * h])
+        t = self.p2 @ loops.basis_matrix(loops.EVEN_COSINE, self.p2.size, tau, -1)
+        var = self._variation(t)
+        b0, b1, b2 = loops.jets(z2, tau, (0, 1, 2))
+        w = b0**2 / self.i2
+        g = var.zv**2 - b0**2
+        dg = var.rate * w - 2.0 * b0 * b1
+        d2g = var.rate_t * w**2 + var.rate * (2.0 * b0 * b1 / self.i2) - 2.0 * (b1**2 + b0 * b2)
+        g = np.where(d2g > 0.0, g - dg**2 / (2.0 * d2g), g)
         gaps, ts = np.concatenate([self.gap, g]), np.concatenate([self.t, t])
         k = int(np.argmin(gaps))
         return float(gaps[k]), float(ts[k])
@@ -537,15 +517,27 @@ class _Repulsion:
         a = s / (self.gap.size * self.gap)
         return a, a * self.w / self.gap
 
+    @functools.cached_property
+    def dt(self):
+        return (self.phi - np.outer(2.0 * self.x, self.t)) / self.i2
+
+    @functools.cached_property
+    def dw(self):
+        return 2.0 * (self.e * self.z2 - np.outer(self.x, self.w)) / self.i2
+
+    @functools.cached_property
+    def dg(self):
+        """dg at the nodes over both loops' orthonormal directions, z1 first."""
+        return np.concatenate([self.var.dq, self.dt * self.var.rate - 2.0 * self.e * self.z2])
+
     def gradient(self, s):
         """The coefficient gradients of -s R for z1 and z2: the node sums
-        of b dg - a dw, (a, b) from ``_weights``."""
-        var = _TimeMapVariation(self.z1, self.tau1, self.t)
+        of b dg - a dw, (a, b) from ``_weights``, over the tables that
+        ``hessian`` reads."""
         a, b = self._weights(s)
-        c = b * var.rate
-        d2 = self.phi @ c / self.i2 - 2.0 * self.e @ ((b + a / self.i2) * self.z2)
-        d2 += (2.0 / self.i2) * float(a @ self.w - self.t @ c) * self.x
-        return var.first(b) / var.sg, d2 / self.sg
+        n1 = self.z1.n
+        d = self.dg @ b
+        return d[:n1] / self.var.sg, (d[n1:] - self.dw @ a) / self.sg
 
     def hessian(self, s):
         """The Hessian of -s R in orthonormal coordinates (z1 first):
@@ -557,12 +549,9 @@ class _Repulsion:
         I2 d^2 t_ef = 2 P_ef - 2 t <e, f> - 2 (x_e dt_f + x_f dt_e) and
         I2 d^2 w_ef = 2 e f - 2 w <e, f> - 2 (x_e dw_f + x_f dw_e).
         """
-        var = _TimeMapVariation(self.z1, self.tau1, self.t)
+        var, dt, dw, dg = self.var, self.dt, self.dw, self.dg
         a, b = self._weights(s)
         n1 = self.z1.n
-        dt = (self.phi - np.outer(2.0 * self.x, self.t)) / self.i2
-        dw = 2.0 * (self.e * self.z2 - np.outer(self.x, self.w)) / self.i2
-        dg = np.concatenate([var.dq, dt * var.rate - 2.0 * self.e * self.z2])
         h = (dg * (-2.0 * b / self.gap)) @ dg.T
         cross = (dg * (a / self.gap)) @ dw.T
         cross[:n1] += (var.rate_e * b) @ dt.T
@@ -591,29 +580,29 @@ def _repulsion(rep: _Repulsion, s):
     return s * float(np.mean(rep.w / rep.gap))
 
 
-def b_interp_value(pair: PairLoop, s, n_quad=None):
+def b_interp_value(pair: PairLoop, s):
     """The value of ``b_interp`` alone, bit for bit: no gradient loops and
-    no time-map variations are built."""
+    no variation tables are built."""
     _check_s(s)
     value = _partials(pair, s)[0]
     if s > 0.0:
-        value -= _repulsion(_admissible_gap(pair, n_quad), s)
+        value -= _repulsion(_admissible_gap(pair), s)
     return value
 
 
-def b_interp(pair: PairLoop, s, n_quad=None):
+def b_interp(pair: PairLoop, s):
     """(1 - s) b_av + s b_in: value and L2-gradient (as a pair of loops).
 
     For s > 0, s times the repulsion -R on the tau2 nodes (``_Repulsion``)
     is added, with the exact gradient of that discretized quadrature,
-    consistent with the value to rounding.  n_quad pins the node count.
+    consistent with the value to rounding.
     """
     _check_s(s)
     value, df, _ = _partials(pair, s)
     g1 = frozen.norm_gradient(pair.z1, df[:3])
     g2 = frozen.norm_gradient(pair.z2, df[3:])
     if s > 0.0:
-        rep = _admissible_gap(pair, n_quad)
+        rep = _admissible_gap(pair)
         value -= _repulsion(rep, s)
         d1, d2 = rep.gradient(s)
         g1[: pair.z1.n] += d1
@@ -624,9 +613,9 @@ def b_interp(pair: PairLoop, s, n_quad=None):
     }
 
 
-def pair_grad_res(pair: PairLoop, s, n_quad=None):
+def pair_grad_res(pair: PairLoop, s):
     """L2 norm of the interpolated gradient over both components."""
-    return _pair_l2(b_interp(pair, s, n_quad)["gradient"])
+    return _pair_l2(b_interp(pair, s)["gradient"])
 
 
 def _pair_l2(gradient):
@@ -670,17 +659,17 @@ def hessian_bound(h_matrix, pair: PairLoop, n1, n2):
 # ---------------------------------------------------------------------------
 
 
-def pair_hessian(pair: PairLoop, s, n_quad=None):
+def pair_hessian(pair: PairLoop, s):
     """Exact Hessian of b_interp at s, in orthonormal coordinates (z1 first).
 
     For s > 0 the repulsion adds the Hessian of -s R on the tau2 nodes
-    (``_Repulsion.hessian``) to the norm part; n_quad pins the node count.
+    (``_Repulsion.hessian``) to the norm part.
     """
     _check_s(s)
     _, df, d2f = _partials(pair, s, hessian=True)
     h = frozen.norm_hessian((pair.z1, pair.z2), df, d2f)
     if s > 0.0:
-        h += _admissible_gap(pair, n_quad).hessian(s)
+        h += _admissible_gap(pair).hessian(s)
     return h
 
 
@@ -692,13 +681,12 @@ def pair_hessian(pair: PairLoop, s, n_quad=None):
 class PairObjective:
     """Interpolated pair functional in packed orthonormal coordinates."""
 
-    def __init__(self, s, n1=16, n2=32, n_quad=None):
+    def __init__(self, s, n1=16, n2=32):
         _check_s(s)
         self.s = float(s)
         self.n1 = int(n1)
         self.n2 = int(n2)
         self.n = self.n1 + self.n2
-        self.n_quad = None if n_quad is None else int(n_quad)
         self._sg1 = np.sqrt(loops.gram_diag(loops.EVEN_COSINE, self.n1))
         self._sg2 = np.sqrt(loops.gram_diag(loops.ODD_SINE, self.n2))
         self._last = loops.LastBuild()
@@ -726,16 +714,16 @@ class PairObjective:
             pair = self.unpack(x)
             require_mean_admissible(pair)
             if self.s > 0.0:
-                _admissible_gap(pair, self.n_quad)
+                _admissible_gap(pair)
         except (DomainError, AdmissibilityError):
             return False
         return True
 
     def value(self, x):
-        return b_interp_value(self.unpack(x), self.s, self.n_quad)
+        return b_interp_value(self.unpack(x), self.s)
 
     def gradient(self, x):
-        return self._packed(b_interp(self.unpack(x), self.s, self.n_quad)["gradient"])
+        return self._packed(b_interp(self.unpack(x), self.s)["gradient"])
 
     def _packed(self, gradient):
         """A gradient pair in packed coordinates, truncated to (n1, n2) modes."""
@@ -745,16 +733,16 @@ class PairObjective:
         return np.concatenate([out1[: self.n1], out2[: self.n2]])
 
     def full_residual(self, x):
-        return pair_grad_res(self.unpack(x), self.s, self.n_quad)
+        return pair_grad_res(self.unpack(x), self.s)
 
     def hessian(self, x):
         """(1 - s) H_av + s H_in, exact, in packed coordinates."""
-        return pair_hessian(self.unpack(x), self.s, self.n_quad)
+        return pair_hessian(self.unpack(x), self.s)
 
     def certify(self, x):
         """Residuals and value at x from one ``b_interp`` evaluation."""
         pair = self.unpack(x)
-        out = b_interp(pair, self.s, self.n_quad)
+        out = b_interp(pair, self.s)
         return PairCert(
             pair=pair,
             s=self.s,

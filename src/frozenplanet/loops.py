@@ -31,7 +31,7 @@ is computed when a computation asks for it and then cached on the loop:
 the dealiased quad samples (``Loop.quad_samples``), the norm data
 (``norm_data``), the square and the cube (``square``, ``cube``), the sup
 norm (``sup_norm``) and the Levi-Civita time maps (the z^2 primitive and
-tau tables of ``levi_civita``, the midpoint taus of ``helium``).
+tau tables of ``levi_civita``).
 
 On the uniform grid tau_i = 2i/M each basis function is cos or
 sin(2 pi f i / M), so synthesis onto the grid (``Loop.quad_samples``, the

@@ -29,6 +29,14 @@ def _json_number(x):
     return fmt(x)
 
 
+# backslash, quote and the control characters U+0000-U+001F, escaped as JSON requires
+_STRING_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', **{c: f"\\u{c:04x}" for c in range(32)}}
+
+
+def _json_string(text):
+    return '"' + str(text).translate(_STRING_ESCAPES) + '"'
+
+
 def dumps(obj, indent=0):
     """Minimal JSON emitter with fixed float formatting; nan/inf become null."""
     pad = "  " * indent
@@ -36,7 +44,7 @@ def dumps(obj, indent=0):
         if not obj:
             return "{}"
         items = [
-            f'{pad}  "{k}": {dumps(v, indent + 1)}' for k, v in obj.items()
+            f"{pad}  {_json_string(k)}: {dumps(v, indent + 1)}" for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -56,7 +64,7 @@ def dumps(obj, indent=0):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _json_number(obj)
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return _json_string(obj)
 
 
 def cert_to_dict(cert: frozen.CriticalPointCert):
@@ -105,9 +113,10 @@ def orbit_to_csv(orbit: levi_civita.Orbit):
     return "\n".join(lines) + "\n"
 
 
-def pair_orbit_csv(pair: helium.PairLoop, n_quad=1024):
-    """Columns t, q1, q2, gap for plotting the physical-time picture."""
-    t, _, _, gap, q1, q2 = helium.interaction_gap(pair, n_quad)
+def pair_orbit_csv(pair: helium.PairLoop):
+    """Columns t, q1, q2, gap at 1024 uniform midpoints in physical time,
+    for plotting the physical-time picture."""
+    t, gap, q1, q2 = helium.interaction_gap(pair, 1024)
     lines = ["t,q1,q2,gap"]
     for i in range(t.size):
         lines.append(f"{fmt(t[i])},{fmt(q1[i])},{fmt(q2[i])},{fmt(gap[i])}")

@@ -445,8 +445,9 @@ def frozen_step_diagnostics(objective, x, rep):
     }
 
 
-def solve_frozen(r, n_modes=DEFAULT_MODES, through_rho=True, tol=NEWTON_TOL):
-    """Continuation from the free fall to the requested parameter value."""
+def solve_frozen(r, n_modes=DEFAULT_MODES):
+    """Continuation from the free fall to the requested parameter value,
+    through rho when r > rho, at the default Newton tolerance."""
     from .helium import RHO
 
     seed = free_fall_seed(n_modes)
@@ -454,7 +455,5 @@ def solve_frozen(r, n_modes=DEFAULT_MODES, through_rho=True, tol=NEWTON_TOL):
     x0 = obj0.pack(seed.z)
     if r == 0.0:
         return ContinuationPath([PathStep(0.0, seed, {})], [], [])
-    through = (RHO,) if (through_rho and r > RHO) else ()
-    return continuation(
-        lambda p: FrozenObjective(p, n_modes), 0.0, r, x0, tol=tol, through=through
-    )
+    through = (RHO,) if r > RHO else ()
+    return continuation(lambda p: FrozenObjective(p, n_modes), 0.0, r, x0, through=through)

@@ -293,7 +293,7 @@ def test_criterion_8_numerical_hygiene(cert_rho, frozen_fd_hessian):
                 rand_loop(loops.EVEN_COSINE, 3, floor=1.5),
                 rand_loop(loops.ODD_SINE, 3, floor=0.8),
             )
-            obj = helium.PairObjective(s, n1=3, n2=3, n_quad=512)
+            obj = helium.PairObjective(s, n1=3, n2=3)
             x = obj.pack(pair)
             if not obj.admissible(x):
                 continue
@@ -317,7 +317,7 @@ def test_criterion_8_numerical_hygiene(cert_rho, frozen_fd_hessian):
         rand_loop(loops.EVEN_COSINE, 2, floor=1.5),
         rand_loop(loops.ODD_SINE, 2, floor=0.8),
     )
-    obj = helium.PairObjective(1.0, n1=2, n2=2, n_quad=512)
+    obj = helium.PairObjective(1.0, n1=2, n2=2)
     x = obj.pack(pair)
     step = 2e-6
     raw = np.empty((4, 4))

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from frozenplanet import cli, levi_civita, loops, serialize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from frozenplanet import cli, helium, levi_civita, loops, serialize
 
 
 def run(capsys, *argv):
@@ -83,6 +86,13 @@ class TestEllipticCommand:
         rec_col = header.index("rec_res")
         for line in lines[1:]:
             assert float(line.split(",")[rec_col]) < 1e-9
+
+    def test_control_character_in_echo_is_escaped(self, capsys, tmp_path):
+        # the grid parses (float strips the tab), and the echoed config is strict JSON
+        grid = "0:0.1:\t0.05"
+        code, out, _ = run(capsys, "elliptic", "--grid", grid, "--out", str(tmp_path / "e.csv"))
+        assert code == 0
+        assert json.loads(out)["config"]["grid"] == grid
 
     def test_bad_grid_is_config_error(self, capsys):
         for grid in ("nonsense", "nan:1:0.1"):
@@ -251,6 +261,12 @@ class TestDumps:
         parsed = json.loads(serialize.dumps(payload), parse_constant=reject)
         assert parsed == {"x": None, "y": [1.0, None, None], "z": 0.5}
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_text_round_trips(self, text):
+        assert json.loads(serialize.dumps(text)) == text
+        assert json.loads(serialize.dumps({text: [text]})) == {text: [text]}
+
 
 class TestHeliumCommand:
     def test_bridge_from_pair_file(self, capsys, tmp_path):
@@ -268,6 +284,26 @@ class TestHeliumCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["bridge_res"] < 1e-11
+
+    def test_pair_csv(self, capsys, tmp_path):
+        pair = helium.PairLoop(
+            loops.from_coeffs(loops.EVEN_COSINE, [1.7, 0.05]),
+            loops.from_coeffs(loops.ODD_SINE, [1.0, 0.1]),
+        )
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(serialize.dumps(serialize.pair_to_dict(pair)))
+        csv_file = tmp_path / "pair.csv"
+        code, _, _ = run(
+            capsys, "helium", "--mode", "in", "--input", str(pair_file), "--csv", str(csv_file)
+        )
+        assert code == 0
+        header, *rows = csv_file.read_text().splitlines()
+        assert header == "t,q1,q2,gap"
+        t, q1, q2, gap = np.array([[float(c) for c in row.split(",")] for row in rows]).T
+        assert np.array_equal(t, (np.arange(1024) + 0.5) / 1024)
+        assert np.array_equal(gap, q1 - q2) and np.all(gap > 0.0)
+        for z, q in ((pair.z1, q1), (pair.z2, q2)):
+            assert np.max(np.abs(q - z(levi_civita.tau_of_t(z, t)) ** 2)) < 1e-12
 
     def test_non_finite_coefficient_is_domain_error(self, capsys, tmp_path):
         pair_file = tmp_path / "pair.json"

@@ -161,7 +161,7 @@ class TestBIn:
             loops.from_coeffs(loops.EVEN_COSINE, [1.5, 0.08]),
             loops.from_coeffs(loops.ODD_SINE, [1.0, 0.1]),
         )
-        obj = helium.PairObjective(1.0, n1=2, n2=2, n_quad=512)
+        obj = helium.PairObjective(1.0, n1=2, n2=2)
         x = obj.pack(pair)
         g = obj.gradient(x)
         h = 1e-6
@@ -171,19 +171,28 @@ class TestBIn:
             fd = (obj.value(x + h * xi) - obj.value(x - h * xi)) / (2 * h)
             assert abs(fd - float(g @ xi)) / max(1.0, abs(fd)) < 1e-6
 
-    @pytest.mark.parametrize("klass", [loops.ODD_SINE, loops.EVEN_COSINE])
     @pytest.mark.parametrize("n", [1, 3, 16])
-    def test_first_variation_matches_tables(self, klass, n):
+    def test_first_variation_matches_central_differences(self, n):
+        # dq_k is the derivative of Q(t) = z(tau_z(t))^2 at fixed t along
+        # the orthonormal direction e_k / sqrt(g_k)
         rng = np.random.default_rng(n)
         coeffs = rng.normal(size=n) * np.exp(-0.8 * np.arange(n))
-        coeffs[0] = 1.0
-        z = loops.from_coeffs(klass, coeffs)
-        t = (np.arange(256) + 0.5) / 256
+        coeffs[0] = 2.0
+        z = loops.from_coeffs(loops.EVEN_COSINE, coeffs)
+        t = (np.arange(64) + 0.5) / 64
         var = helium._TimeMapVariation(z, levi_civita.tau_of_t(z, t), t)
-        w = rng.normal(size=t.size)
-        want = var.dq @ w
-        scale = np.max(np.abs(var.dq)) * np.sum(np.abs(w))
-        assert np.max(np.abs(var.first(w) - want)) < 1e-13 * scale
+        sg = np.sqrt(loops.gram_diag(z.klass, n))
+        h = 1e-5
+
+        def q(c):
+            zc = loops.from_coeffs(z.klass, c)
+            return zc(levi_civita.tau_of_t(zc, t)) ** 2
+
+        for k in range(n):
+            step = np.zeros(n)
+            step[k] = h / sg[k]
+            fd = (q(coeffs + step) - q(coeffs - step)) / (2.0 * h)
+            assert np.max(np.abs(var.dq[k] - fd)) < 1e-9 * np.max(np.abs(var.dq))
 
     def test_pointwise_gap_violation_rejected(self):
         # mean-admissible (0.95^2 > 3/4) yet the pointwise gap closes at
@@ -203,18 +212,19 @@ class TestBIn:
             loops.from_coeffs(loops.ODD_SINE, [1.0]),
         )
 
-    @pytest.mark.parametrize("n_quad", [None, 96, 1000])
-    def test_gap_closing_between_nodes_rejected(self, n_quad):
+    @pytest.mark.parametrize("m", [64, 96, 1000])
+    def test_gap_closing_between_nodes_rejected(self, m):
         # the gap 0.99975^2 - sin^2(pi tau) is -5e-4 at tau = 1/2, a point
         # between the nodes: at the 64 default nodes it is still >= 1e-4
         pair = self._constant_outer(0.99975)
         assert helium.mean_gap(pair) > 0
         assert np.min(helium._Repulsion(pair, 64).gap) > 9e-5
+        assert helium._Repulsion(pair, m).least[0] < 0.0
         with pytest.raises(AdmissibilityError):
-            helium.b_in(pair, n_quad)
+            helium.b_in(pair)
         with pytest.raises(AdmissibilityError):
-            helium.b_interp_value(pair, 0.5, n_quad)
-        obj = helium.PairObjective(1.0, n1=1, n2=1, n_quad=n_quad)
+            helium.b_interp_value(pair, 0.5)
+        obj = helium.PairObjective(1.0, n1=1, n2=1)
         assert not obj.admissible(obj.pack(pair))
 
     def test_nearly_closing_gap_warns(self):
@@ -361,20 +371,20 @@ class TestWeightZeroTermsSkipped:
         # nor M[z^2]: the pair at s = 1 and the one-loop family at r = 0
         monkeypatch.setattr(loops, "cube", forbidden)
         monkeypatch.setattr(frozen, "_cubic_galerkin", forbidden)
-        helium.b_in(interp_pair, n_quad=256)
-        helium.pair_hessian(interp_pair, 1.0, n_quad=256)
+        helium.b_in(interp_pair)
+        helium.pair_hessian(interp_pair, 1.0)
         z = interp_pair.z2
         frozen.gradient(z, 0.0)
         frozen.hessian_analytic(z, 0.0)
         with pytest.raises(AssertionError):
-            helium.b_interp(interp_pair, 0.5, n_quad=256)
+            helium.b_interp(interp_pair, 0.5)
 
     def test_instantaneous_end_skips_the_mean_term(self, monkeypatch, interp_pair):
         monkeypatch.setattr(helium, "require_mean_admissible", forbidden)
-        helium.b_in(interp_pair, n_quad=256)
-        helium.pair_hessian(interp_pair, 1.0, n_quad=256)
+        helium.b_in(interp_pair)
+        helium.pair_hessian(interp_pair, 1.0)
         with pytest.raises(AssertionError):
-            helium.b_interp(interp_pair, 0.5, n_quad=256)
+            helium.b_interp(interp_pair, 0.5)
 
     def test_mean_end_inverts_no_time_map(self, monkeypatch, interp_pair):
         monkeypatch.setattr(levi_civita, "tau_of_t", forbidden)
@@ -386,20 +396,20 @@ class TestWeightZeroTermsSkipped:
         helium.b_av(pair)
         helium.pair_hessian(pair, 0.0)
         with pytest.raises(AssertionError):
-            helium.b_interp(pair, 0.5, n_quad=256)
+            helium.b_interp(pair, 0.5)
 
 
 class TestValueOnly:
     @pytest.mark.parametrize("s", [0.0, 0.25, 1.0])
     def test_bit_identical_without_gradient(self, monkeypatch, interp_pair, s):
-        fresh = helium.PairObjective(s, n1=2, n2=2, n_quad=256)
+        fresh = helium.PairObjective(s, n1=2, n2=2)
         x = fresh.pack(interp_pair)
-        want = helium.b_interp(interp_pair, s, n_quad=256)["value"]
-        want_obj = helium.b_interp(fresh.unpack(x), s, n_quad=256)["value"]
+        want = helium.b_interp(interp_pair, s)["value"]
+        want_obj = helium.b_interp(fresh.unpack(x), s)["value"]
         monkeypatch.setattr(frozen, "norm_gradient", forbidden)
-        monkeypatch.setattr(helium, "_TimeMapVariation", forbidden)
-        assert helium.b_interp_value(interp_pair, s, n_quad=256) == want
-        assert helium.PairObjective(s, n1=2, n2=2, n_quad=256).value(x) == want_obj
+        monkeypatch.setattr(helium, "_phi_table", forbidden)
+        assert helium.b_interp_value(interp_pair, s) == want
+        assert helium.PairObjective(s, n1=2, n2=2).value(x) == want_obj
 
     def test_bridge_check_reads_the_value(self, monkeypatch):
         z = random_admissible(np.random.default_rng(5))
@@ -549,11 +559,11 @@ class TestSharedTimeMaps:
             calls.append(z)
             return tau_of_t(z, t, *args, **kwargs)
 
-        fresh = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512)
+        fresh = helium.PairObjective(0.5, n1=2, n2=2)
         x = fresh.pack(interp_pair)
-        want = (fresh.gradient(x), helium.PairObjective(0.5, 2, 2, 512).value(x))
+        want = (fresh.gradient(x), helium.PairObjective(0.5, 2, 2).value(x))
         monkeypatch.setattr(levi_civita, "tau_of_t", counted)
-        obj = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512)
+        obj = helium.PairObjective(0.5, n1=2, n2=2)
         assert obj.admissible(x)
         g = obj.gradient(x.copy())
         v = obj.value(x)
@@ -562,10 +572,28 @@ class TestSharedTimeMaps:
         assert [z.klass for z in calls] == [loops.EVEN_COSINE] * 2
         assert np.array_equal(g, want[0]) and v == want[1]
 
+    def test_one_phi_table_per_x(self, monkeypatch, interp_pair):
+        # gradient, Hessian and certify at one x share the outer loop's
+        # variation tables, built once
+        builds = []
+        phi_table = helium._phi_table
+
+        def counted(z, taus):
+            builds.append(z.klass)
+            return phi_table(z, taus)
+
+        monkeypatch.setattr(helium, "_phi_table", counted)
+        obj = helium.PairObjective(0.5, n1=2, n2=2)
+        x = obj.pack(interp_pair)
+        obj.gradient(x)
+        obj.hessian(x)
+        obj.certify(x)
+        assert builds == [loops.EVEN_COSINE]
+
     def test_certify_evaluates_once(self, monkeypatch, interp_pair):
         # one b_interp evaluation, and the outer loop's time-map inversions
         # of one ``_Repulsion`` (nodes and refined minimum)
-        fresh = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512)
+        fresh = helium.PairObjective(0.5, n1=2, n2=2)
         x = fresh.pack(interp_pair)
         want = (
             float(np.linalg.norm(fresh.gradient(x))),
@@ -585,7 +613,7 @@ class TestSharedTimeMaps:
 
         monkeypatch.setattr(helium, "b_interp", counted(helium, "b_interp"))
         monkeypatch.setattr(levi_civita, "tau_of_t", counted(levi_civita, "tau_of_t"))
-        cert = helium.PairObjective(0.5, n1=2, n2=2, n_quad=512).certify(x)
+        cert = helium.PairObjective(0.5, n1=2, n2=2).certify(x)
         assert sorted(calls) == ["b_interp", "tau_of_t", "tau_of_t"]
         assert (cert.grad_res, cert.full_res, cert.value) == want
 
@@ -613,14 +641,13 @@ class TestNodeRule:
 
     @pytest.mark.parametrize("k", range(4))
     def test_doubling_the_nodes_moves_nothing(self, homotopy_points, k):
-        n1, n2, s, pair = homotopy_points[k]
-        m = helium._node_count(pair, None)
+        _, n2, s, pair = homotopy_points[k]
+        m = helium._node_count(pair)
         assert m == max(helium.N_QUAD, 4 * n2)
         r = [float(np.mean(rep.w / rep.gap)) for rep in (
             helium._Repulsion(pair, m), helium._Repulsion(pair, 2 * m))]
         assert abs(r[1] - r[0]) < 1e-14 * r[0]
-        x = helium.PairObjective(s, n1, n2).pack(pair)
-        g = [helium.PairObjective(s, n1, n2, n_quad=q).gradient(x) for q in (None, 2 * m)]
+        g = [np.concatenate(helium._Repulsion(pair, q).gradient(s)) for q in (m, 2 * m)]
         assert np.linalg.norm(g[1] - g[0]) < 1e-12
 
 

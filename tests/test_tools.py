@@ -32,3 +32,12 @@ class TestBenchPairs:
         # a parent median of 0 has no relative change
         out = bench_pairs.compare(runs([0.0, 0.0, 1.0]), runs([0.0, 1.0, 1.0]))
         assert out["wall_s"]["rel_change"] is None
+
+    def test_src_lines_sums_python_files_under_src(self, tmp_path):
+        (tmp_path / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+        (tmp_path / "src" / "b.py").write_text("z = 3\n")
+        (tmp_path / "src" / "notes.txt").write_text("not code\n")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "c.py").write_text("w = 4\n")
+        assert bench_pairs.src_lines(tmp_path) == 4

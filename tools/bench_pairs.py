@@ -13,7 +13,8 @@ quartiles of each end-to-end metric on both sides, the relative change of
 the median, (change - parent) / parent, and how many pairs the change won
 (lower is better for every metric ``bench/run.py`` reports without
 tracing), and under ``checks`` each side's failed and attempted check
-totals.
+totals.  Each file also holds its checkout's ``src_lines``, the summed
+line count of ``src/**/*.py``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ def run_bench(checkout, workload, seed, seconds, trace):
     )
     report, result = out.stdout.strip().splitlines()[-2:]
     return {"report": json.loads(report)["report"], "result": json.loads(result)}
+
+
+def src_lines(checkout):
+    """The summed line count of the checkout's ``src/**/*.py``."""
+    return sum(len(p.read_text().splitlines()) for p in Path(checkout).glob("src/**/*.py"))
 
 
 def quartiles(values):
@@ -97,7 +103,7 @@ def main(argv=None):
     for side in SIDES:
         runs[side].append(run_bench(checkouts[side], TRACED, args.seeds[0], seconds, 1))
     for side in SIDES:
-        data = {"runs": runs[side]}
+        data = {"src_lines": src_lines(checkouts[side]), "runs": runs[side]}
         if side == "change":
             data["comparison"] = comparison
         Path(f"BENCH_{side}.json").write_text(json.dumps(data, indent=1) + "\n")
