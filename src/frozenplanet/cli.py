@@ -162,8 +162,7 @@ def cmd_spectrum(args):
 
 def cmd_identity(args):
     cert = _read(args.input, _cert)
-    orbit = levi_civita.forward(cert.z, n_t=args.samples)
-    qres = levi_civita.q_residual(orbit, cert.r)
+    qres = levi_civita.loop_residual(cert.z, cert.r, samples=args.samples)
     bounds = frozen.sup_bounds(cert.z, cert.r)
     ok = (
         max(cert.identity_res) < 1e-7
@@ -386,7 +385,9 @@ def build_parser():
 
     p = sub.add_parser("identity", help="identity residuals of a certificate")
     p.add_argument("--input", type=str, required=True)
-    p.add_argument("--samples", type=int, default=8192)
+    p.add_argument(
+        "--samples", type=int, default=8192, help="uniform tau-points of the collision-ODE residual"
+    )
     p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("elliptic", help="elliptic-integral table over a grid")

@@ -493,7 +493,23 @@ class _Repulsion:
         are then evaluated, and the quadratic model g - g'^2 / (2 g'')
         estimates the minimum; the ends tau = 0, 1 and the nodes join the
         candidates.
+
+        That model assumes a smooth gap, and Q1 has a cusp at a zero of z1,
+        where g = -Q2 <= 0; the time map crosses a zero of z1 so fast that
+        it can fall between two nodes.  So z1 is first checked on its own
+        grid (``Loop.quad_samples``, cached): at a sign change, or a zero,
+        the gap -Q2 at the interpolated zero's t is returned, Q2 read off
+        the nodes.
         """
+        v = self.z1.quad_samples()
+        v = v[: v.size // 2 + 1]  # tau1 in [0, 1]
+        flip = np.flatnonzero(v[:-1] * v[1:] <= 0.0)
+        if flip.size:
+            i = flip[0]
+            tau = (i + (v[i] / (v[i] - v[i + 1]) if v[i] != v[i + 1] else 0.0)) / (v.size - 1)
+            primitive, i_one = levi_civita.square_primitive(self.z1)
+            t = float(primitive(np.array([tau]))[0]) / i_one
+            return -float(np.interp(t, self.t, self.z2**2)), t
         h = 1.0 / self.gap.size
         slope = h * (self.var.rate * self.w - 2.0 * self.z2 * (self.x @ self.de))
         j = np.flatnonzero((slope[:-1] <= 0.0) & (slope[1:] > 0.0))

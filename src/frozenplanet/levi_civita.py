@@ -18,6 +18,12 @@ Every 1-D inversion here, the zeros of z (``loop_zeros``), the time map
 (``tau_of_t``) and the inverse quadrature (``ReciprocalIntegral.solve``),
 like the sup norm in ``loops``, goes through the one bracketed,
 vectorized Newton ``loops._newton``.
+
+The collision-ODE residual of the orbit of a loop (``loop_residual``)
+needs no time map: q, qdot and qdd are z^2 and its chain rule in tau, with
+z, z' and z'' on a uniform tau-grid from one inverse FFT each.  The
+residual of sampled orbit data (``q_residual``) reads a five-point stencil
+on the t-grid; both take the sup of one formula (``_ode_sup``).
 """
 
 from __future__ import annotations
@@ -588,53 +594,89 @@ def inverse(orbit: Orbit, parity="odd", m_out=512) -> loops.Loop:
 # ---------------------------------------------------------------------------
 
 
-def q_residual(orbit: Orbit, r, safe_fraction=0.05, method=None):
-    """Residuals of the regularized collision ODE on the safe region.
+def _ode_sup(q, qdd, qbar, r):
+    """The sups of the collision ODE over the given points of q:
 
-    ode_res     = sup |qdd + 2/q^2 + r/qbar^2|  over  q >= safe_fraction * max q
+    ode_res     = sup |qdd + 2/q^2 + r/qbar^2|
     beta_mu_res = sup |beta q^3 + 2|  with  beta = (qdd + r/qbar^2)/q.
-
-    With a source loop attached, qdd is evaluated through the chain rule of
-    the transform (spectral accuracy); otherwise a five-point stencil on
-    the sample grid is used, which is the best available from data alone.
     """
-    frozen.check_r(r)
-    q = orbit.q
-    qmax = float(np.max(q))
-    mask = q >= safe_fraction * qmax
-    if not np.any(mask):
-        raise AllCollisionError("no samples away from the collision set")
-    if method is None:
-        method = "spectral" if orbit.source is not None else "fd"
-    if method == "spectral":
-        if orbit.source is None or orbit.taus is None:
-            raise DomainError(
-                "spectral residual needs the source loop", tag="levi_civita.source"
-            )
-        z = orbit.source
-        taus = orbit.taus[mask]
-        l2sq = loops.norm_data(z)[0]
-        zv, zp, zpp = loops.jets(z, taus, (0, 1, 2))
-        qv = zv**2
-        qdot = 2.0 * l2sq * zp / zv
-        qdd = (2.0 * l2sq**2 * zpp / zv - 0.5 * qdot**2) / qv
-    else:
-        n = orbit.n
-        h = 1.0 / n
-        qp = np.concatenate([q[-2:], q, q[:2]])
-        i = np.arange(n) + 2
-        qdd_all = (
-            -qp[i - 2] + 16 * qp[i - 1] - 30 * qp[i] + 16 * qp[i + 1] - qp[i + 2]
-        ) / (12 * h * h)
-        qdd = qdd_all[mask]
-        qv = q[mask]
-    qb = orbit.qbar
-    ode = qdd + 2.0 / qv**2 + r / qb**2
-    beta = (qdd + r / qb**2) / qv
+    ode = qdd + 2.0 / q**2 + r / qbar**2
+    beta = (qdd + r / qbar**2) / q
     return {
         "ode_res": float(np.max(np.abs(ode))),
-        "beta_mu_res": float(np.max(np.abs(beta * qv**3 + 2.0))),
+        "beta_mu_res": float(np.max(np.abs(beta * q**3 + 2.0))),
     }
+
+
+def _uniform_jets(z: loops.Loop, m):
+    """z, z' and z'' at tau_i = i/m, i < m: one inverse FFT of length 2m
+    (the grid of [0, 2)) for each of the coefficients of z, its
+    derivative and its second derivative."""
+    rows = (
+        (z.klass, z.coeffs),
+        (loops.FULL, loops.derivative(z).coeffs),
+        (z.klass, loops.second_derivative_coeffs(z)),
+    )
+    return [loops._synthesize_uniform(klass, c, 2 * m)[:m] for klass, c in rows]
+
+
+def loop_residual(z: loops.Loop, r, samples=4096, safe_fraction=0.05):
+    """Residuals of the collision ODE of the orbit q = z(tau(t))^2, on the
+    safe region z^2 >= safe_fraction * max z^2 of the tau-grid i/samples.
+
+    The chain rule of the transform, dt/dtau = z^2/||z||^2, gives
+    qdot = 2 ||z||^2 z'/z and qdd = (2 ||z||^4 z''/z - qdot^2/2)/q at each
+    point, so no time map is inverted and no zero of z is located.  The
+    sups are those of ``q_residual`` (``_ode_sup``), taken over uniform
+    tau rather than uniform t.  Raises DomainError on a negative or
+    non-finite r, a non-positive sample count or the zero loop.
+    """
+    frozen.check_r(r)
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise DomainError(
+            f"sample count must be a positive integer, got {samples!r}",
+            tag="levi_civita.samples",
+        )
+    l2sq, _, sq_sq = frozen._norm_data(z, "levi_civita.degenerate-loop")
+    zv, zp, zpp = _uniform_jets(z, int(samples))
+    q = zv**2
+    mask = q >= safe_fraction * float(np.max(q))
+    if not np.any(mask):
+        raise AllCollisionError("no samples away from the collision set")
+    zv, zp, zpp, q = zv[mask], zp[mask], zpp[mask], q[mask]
+    qdot = 2.0 * l2sq * zp / zv
+    qdd = (2.0 * l2sq**2 * zpp / zv - 0.5 * qdot**2) / q
+    return _ode_sup(q, qdd, sq_sq / l2sq, r)
+
+
+def _qdd_fd(q):
+    """Five-point second difference of periodic samples q on [0, 1)."""
+    h = 1.0 / q.size
+    qp = np.concatenate([q[-2:], q, q[:2]])
+    i = np.arange(q.size) + 2
+    return (-qp[i - 2] + 16 * qp[i - 1] - 30 * qp[i] + 16 * qp[i + 1] - qp[i + 2]) / (12 * h * h)
+
+
+def q_residual(orbit: Orbit, r, safe_fraction=0.05, method=None):
+    """Residuals of the collision ODE from the orbit samples alone, on the
+    safe region q >= safe_fraction * max q: the sups of ``_ode_sup``, with
+    qdd from a five-point stencil on the sample grid.  ``loop_residual``
+    gives the same residuals of a loop's orbit by the chain rule.
+
+    ``method`` may be None or "fd", both the stencil; any other value
+    raises DomainError.
+    """
+    frozen.check_r(r)
+    if method not in (None, "fd"):
+        raise DomainError(
+            f"q_residual works from samples (method 'fd'), got {method!r}",
+            tag="levi_civita.method",
+        )
+    q = orbit.q
+    mask = q >= safe_fraction * float(np.max(q))
+    if not np.any(mask):
+        raise AllCollisionError("no samples away from the collision set")
+    return _ode_sup(q[mask], _qdd_fd(q)[mask], orbit.qbar, r)
 
 
 def qdot_fd(orbit: Orbit):

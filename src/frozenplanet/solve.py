@@ -421,12 +421,13 @@ def _diag(diagnostics, obj, rep):
 
 def frozen_step_diagnostics(objective, x, rep):
     """Per-step diagnostics for the one-loop family: identity residuals,
-    collision-ODE residuals, spectral data, and the C0 bounds."""
+    spectral data, the C0 bounds, and the collision-ODE residuals of the
+    orbit, sups over 4096 uniform tau-points (``levi_civita.loop_residual``,
+    no time map inverted)."""
     cert = objective.certify(x)
     h = objective.hessian(x)
     srep = spectrum_report(h)
-    orbit = levi_civita.forward(cert.z, n_t=4096)
-    qres = levi_civita.q_residual(orbit, cert.r)
+    qres = levi_civita.loop_residual(cert.z, cert.r, samples=4096)
     bounds = frozen.sup_bounds(cert.z, cert.r)
     return {
         "vw_res": cert.identity_res,

@@ -16,6 +16,21 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.fixture()
+def time_map_calls(monkeypatch):
+    """Call counts of the time-map entry points of levi_civita."""
+    calls = {}
+    for name in ("forward", "tau_of_t", "loop_zeros"):
+        calls[name] = 0
+
+        def counted(*args, _name=name, _fn=getattr(levi_civita, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(levi_civita, name, counted)
+    return calls
+
+
 class TestSolveCommand:
     def test_free_fall_summary(self, capsys, tmp_path):
         out_file = tmp_path / "cert.json"
@@ -133,6 +148,11 @@ class TestCertPipelines:
         assert code == 0
         payload = json.loads(out)
         assert payload["ode_res"] < 1e-5
+
+    def test_identity_inverts_no_time_map(self, capsys, cert_file, time_map_calls):
+        code, _, _ = run(capsys, "identity", "--input", str(cert_file))
+        assert code == 0
+        assert time_map_calls == {"forward": 0, "tau_of_t": 0, "loop_zeros": 0}
 
     def test_tolerance_violation_exits_one(self, capsys, tmp_path):
         # a non-critical loop fails the identity gates -> exit code 1
@@ -399,6 +419,16 @@ class TestContinueCommand:
         lines = out_file.read_text().strip().splitlines()
         assert len(lines) == payload["steps"]
         assert summary.read_text().startswith("r,value,a,b,v,w,index")
+
+    def test_frozen_path_inverts_no_time_map(self, capsys, time_map_calls):
+        # the step diagnostics take the collision-ODE residual of each node
+        # from its loop: no time map, no zero scan, no orbit
+        code, out, _ = run(capsys, "continue", "--from", "0", "--to", "5", "--modes", "64")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["steps"] == 7 and payload["indices"] == [0]
+        assert payload["worst_ode_res"] < 1e-5
+        assert time_map_calls == {"forward": 0, "tau_of_t": 0, "loop_zeros": 0}
 
     @pytest.mark.parametrize("bounds", [("0", "nan"), ("nan", "1"), ("0", "inf")])
     def test_non_finite_range_is_domain_error(self, capsys, bounds):

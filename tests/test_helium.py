@@ -227,6 +227,25 @@ class TestBIn:
         obj = helium.PairObjective(1.0, n1=1, n2=1)
         assert not obj.admissible(obj.pack(pair))
 
+    @pytest.mark.parametrize("outer", [[0.3, 1.0], [0.0, 2.0, 0.5]])
+    def test_outer_loop_with_a_zero_rejected(self, outer):
+        # z1 changes sign twice; at its zeros the gap is -q2 < 0, yet the
+        # time map crosses them between two nodes, where Q1 has a cusp
+        pair = helium.PairLoop(
+            loops.from_coeffs(loops.EVEN_COSINE, outer),
+            loops.from_coeffs(loops.ODD_SINE, [0.1]),
+        )
+        assert helium.mean_gap(pair) > 0
+        assert np.min(helium._Repulsion(pair, 64).gap) > 0.1
+        for m in (8, 16, 64, 96, 256, 1000):
+            assert helium._Repulsion(pair, m).least[0] <= 0.0
+        with pytest.raises(AdmissibilityError):
+            helium.b_in(pair)
+        with pytest.raises(AdmissibilityError):
+            helium.b_interp_value(pair, 0.5)
+        obj = helium.PairObjective(1.0, n1=len(outer), n2=1)
+        assert not obj.admissible(obj.pack(pair))
+
     def test_nearly_closing_gap_warns(self):
         # least gap 2e-7 of a largest ~1: ill conditioned, though no node sees it
         pair = self._constant_outer(1.0000001)

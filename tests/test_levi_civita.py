@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frozenplanet
 
@@ -183,10 +185,15 @@ class TestForward:
 
 class TestChainRule:
     def test_fd_matches_spectral_in_the_interior(self, sine_orbit):
-        res_fd = lc.q_residual(sine_orbit, 0.0, safe_fraction=0.5, method="fd")
-        res_sp = lc.q_residual(sine_orbit, 0.0, safe_fraction=0.5, method="spectral")
-        assert abs(res_fd["ode_res"] - res_sp["ode_res"]) < 1e-4
-        assert abs(res_fd["beta_mu_res"] - res_sp["beta_mu_res"]) < 1e-4
+        # the five-point qdd of q_residual against the chain rule of the
+        # transform at the orbit's own tau, pointwise where q >= max q / 2
+        z, taus, q = sine_orbit.source, sine_orbit.taus, sine_orbit.q
+        mask = q >= 0.5 * np.max(q)
+        l2sq = loops.norm_data(z)[0]
+        zv, zp, zpp = loops.jets(z, taus[mask], (0, 1, 2))
+        qdot = 2.0 * l2sq * zp / zv
+        qdd = (2.0 * l2sq**2 * zpp / zv - 0.5 * qdot**2) / zv**2
+        assert np.max(np.abs(lc._qdd_fd(q)[mask] - qdd)) < 1e-4
 
 
 RECIPROCAL_LOOPS = {
@@ -375,14 +382,12 @@ class TestInverse:
 
 class TestQResidual:
     def test_certified_point_satisfies_ode(self, cert_rho):
-        orbit = lc.forward(cert_rho.z, n_t=4096)
-        res = lc.q_residual(orbit, cert_rho.r)
+        res = lc.loop_residual(cert_rho.z, cert_rho.r)
         assert res["ode_res"] < 1e-5
         assert res["beta_mu_res"] < 1e-5
 
     def test_free_fall_beta(self, seed64):
-        orbit = lc.forward(seed64.z, n_t=4096)
-        res = lc.q_residual(orbit, 0.0)
+        res = lc.loop_residual(seed64.z, 0.0)
         assert res["beta_mu_res"] < 1e-5
 
     def test_unit_orbit_residual_is_two(self):
@@ -398,6 +403,74 @@ class TestQResidual:
     def test_non_finite_r_rejected(self, sine_orbit, r):
         with pytest.raises(DomainError):
             lc.q_residual(sine_orbit, r)
+
+    def test_only_the_stencil_is_a_method(self, sine_orbit):
+        assert lc.q_residual(sine_orbit, 0.0, method="fd") == lc.q_residual(sine_orbit, 0.0)
+        with pytest.raises(DomainError) as info:
+            lc.q_residual(sine_orbit, 0.0, method="spectral")
+        assert info.value.tag == "levi_civita.method"
+
+
+@pytest.fixture(scope="module")
+def cert_five(frozen_path):
+    """The certified point at the r = 5 end of the shared path."""
+    assert frozen_path.steps[-1].parameter == 5.0
+    return frozen_path.steps[-1].cert
+
+
+class TestLoopResidual:
+    @pytest.mark.parametrize("which", ["cert_rho", "cert_five"])
+    def test_fft_jets_match_dense_rows(self, request, which):
+        # the slow dense rows stay only as the oracle of the FFT path
+        z = request.getfixturevalue(which).z
+        m = 4096
+        fast = lc._uniform_jets(z, m)
+        dense = loops.jets(z, np.arange(m) / m, (0, 1, 2))
+        for got, want in zip(fast, dense):
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_unit_orbit_residual_is_two(self):
+        # q = 1, qdd = 0: ode_res = 2/q^2 = 2, and beta q^3 + 2 = 2 too
+        res = lc.loop_residual(loops.from_coeffs(loops.EVEN_COSINE, [1.0]), 0.0)
+        assert abs(res["ode_res"] - 2.0) < 1e-12
+        assert abs(res["beta_mu_res"] - 2.0) < 1e-12
+
+    def test_sine_orbit_closed_form(self, sine_loop):
+        # z = sin(pi tau), ||z||^2 = 1/2: qdd = -pi^2 / (2 q^2), so the ODE
+        # residual is (2 - pi^2/2) / q^2 and beta q^3 + 2 = 2 - pi^2/2
+        m = 1024
+        q = np.sin(np.pi * np.arange(m) / m) ** 2
+        q = q[q >= 0.3 * np.max(q)]
+        res = lc.loop_residual(sine_loop, 0.0, samples=m, safe_fraction=0.3)
+        c = np.pi**2 / 2.0 - 2.0
+        assert abs(res["ode_res"] - c / np.min(q) ** 2) < 1e-11 * res["ode_res"]
+        assert abs(res["beta_mu_res"] - c) < 1e-11
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.one_of(
+            st.floats(max_value=-1e-300, allow_nan=False, allow_infinity=True),
+            st.sampled_from([np.nan, np.inf]),
+        )
+    )
+    def test_bad_r_rejected(self, sine_loop, r):
+        with pytest.raises(DomainError) as info:
+            lc.loop_residual(sine_loop, r)
+        assert info.value.tag == "frozen.r"
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=8), klass=st.sampled_from(loops.CLASSES))
+    def test_zero_loop_rejected(self, n, klass):
+        with pytest.raises(DomainError) as info:
+            lc.loop_residual(loops.from_coeffs(klass, np.zeros(n)), 1.0)
+        assert info.value.tag == "levi_civita.degenerate-loop"
+
+    @settings(max_examples=40, deadline=None)
+    @given(samples=st.integers(max_value=0))
+    def test_non_positive_samples_rejected(self, sine_loop, samples):
+        with pytest.raises(DomainError) as info:
+            lc.loop_residual(sine_loop, 1.0, samples=samples)
+        assert info.value.tag == "levi_civita.samples"
 
 
 def test_package_import_adds_only_numpy():

@@ -33,6 +33,20 @@ class TestBenchPairs:
         out = bench_pairs.compare(runs([0.0, 0.0, 1.0]), runs([0.0, 1.0, 1.0]))
         assert out["wall_s"]["rel_change"] is None
 
+    def test_layers_pair_the_traced_runs_metric_by_metric(self):
+        def traced(metrics):
+            values = {k: {"value": v, "unit": "s"} for k, v in metrics.items()}
+            return {"result": {"metrics": values}}
+
+        out = bench_pairs.layers(
+            traced({"loops.self_s": 4.0, "levi_civita.forward.calls": 7, "helium.self_s": 0.0}),
+            traced({"loops.self_s": 3.0, "levi_civita.forward.calls": 0, "helium.self_s": 0.0}),
+        )
+        assert out["loops.self_s"] == {"parent": 4.0, "change": 3.0, "rel_change": -0.25}
+        assert out["levi_civita.forward.calls"]["rel_change"] == -1.0
+        # a parent value of 0 has no relative change
+        assert out["helium.self_s"]["rel_change"] is None
+
     def test_src_lines_sums_python_files_under_src(self, tmp_path):
         (tmp_path / "src" / "pkg").mkdir(parents=True)
         (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")

@@ -13,7 +13,9 @@ quartiles of each end-to-end metric on both sides, the relative change of
 the median, (change - parent) / parent, and how many pairs the change won
 (lower is better for every metric ``bench/run.py`` reports without
 tracing), and under ``checks`` each side's failed and attempted check
-totals.  Each file also holds its checkout's ``src_lines``, the summed
+totals.  Under ``layers`` it holds, for every per-layer metric of the two
+traced runs, the parent's value, the change's value and their relative
+change.  Each file also holds its checkout's ``src_lines``, the summed
 line count of ``src/**/*.py``.
 """
 
@@ -52,6 +54,11 @@ def quartiles(values):
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def rel_change(parent, change):
+    """(change - parent) / parent, or None when the parent's value is 0."""
+    return (change - parent) / parent if parent else None
+
+
 def compare(parent_runs, change_runs):
     """Per end-to-end metric: both sides' quartiles, the relative change of
     the median, (change - parent) / parent (None when the parent's median
@@ -62,10 +69,9 @@ def compare(parent_runs, change_runs):
         pv = [r["result"]["metrics"][name]["value"] for r in parent_runs]
         cv = [r["result"]["metrics"][name]["value"] for r in change_runs]
         sides = {"parent": quartiles(pv), "change": quartiles(cv)}
-        base = sides["parent"]["median"]
         out[name] = {
             **sides,
-            "rel_change": (sides["change"]["median"] - base) / base if base else None,
+            "rel_change": rel_change(sides["parent"]["median"], sides["change"]["median"]),
             "change_wins": sum(c < p for p, c in zip(pv, cv)),
             "pairs": len(pv),
         }
@@ -73,6 +79,17 @@ def compare(parent_runs, change_runs):
         side: {key: sum(r["result"][key] for r in side_runs) for key in ("failed", "attempted")}
         for side, side_runs in zip(SIDES, (parent_runs, change_runs))
     }
+    return out
+
+
+def layers(parent_run, change_run):
+    """Per metric of the two traced runs: the parent's value, the change's
+    value and ``rel_change``."""
+    pm, cm = (run["result"]["metrics"] for run in (parent_run, change_run))
+    out = {}
+    for name in (n for n in pm if n in cm):
+        p, c = pm[name]["value"], cm[name]["value"]
+        out[name] = {"parent": p, "change": c, "rel_change": rel_change(p, c)}
     return out
 
 
@@ -100,12 +117,12 @@ def main(argv=None):
             for side in SIDES:
                 runs[side] += batch[side]
             comparison[f"{workload} seed {seed}"] = compare(batch["parent"], batch["change"])
+    traced = {side: run_bench(checkouts[side], TRACED, args.seeds[0], seconds, 1) for side in SIDES}
     for side in SIDES:
-        runs[side].append(run_bench(checkouts[side], TRACED, args.seeds[0], seconds, 1))
-    for side in SIDES:
-        data = {"src_lines": src_lines(checkouts[side]), "runs": runs[side]}
+        data = {"src_lines": src_lines(checkouts[side]), "runs": runs[side] + [traced[side]]}
         if side == "change":
             data["comparison"] = comparison
+            data["layers"] = layers(traced["parent"], traced["change"])
         Path(f"BENCH_{side}.json").write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
