@@ -50,6 +50,8 @@ WINDOW_CELLS = 16
 FIT_CELLS = 96
 #: degree of the fitted polynomial factor p(sigma) in q = sigma^2 p(sigma)
 FIT_DEGREE = 6
+#: the collision-ODE residuals are taken where q >= SAFE_FRACTION * max q
+SAFE_FRACTION = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +622,9 @@ def _uniform_jets(z: loops.Loop, m):
     return [loops._synthesize_uniform(klass, c, 2 * m)[:m] for klass, c in rows]
 
 
-def loop_residual(z: loops.Loop, r, samples=4096, safe_fraction=0.05):
+def loop_residual(z: loops.Loop, r, samples=4096):
     """Residuals of the collision ODE of the orbit q = z(tau(t))^2, on the
-    safe region z^2 >= safe_fraction * max z^2 of the tau-grid i/samples.
+    safe region z^2 >= SAFE_FRACTION * max z^2 of the tau-grid i/samples.
 
     The chain rule of the transform, dt/dtau = z^2/||z||^2, gives
     qdot = 2 ||z||^2 z'/z and qdd = (2 ||z||^4 z''/z - qdot^2/2)/q at each
@@ -640,7 +642,7 @@ def loop_residual(z: loops.Loop, r, samples=4096, safe_fraction=0.05):
     l2sq, _, sq_sq = frozen._norm_data(z, "levi_civita.degenerate-loop")
     zv, zp, zpp = _uniform_jets(z, int(samples))
     q = zv**2
-    mask = q >= safe_fraction * float(np.max(q))
+    mask = q >= SAFE_FRACTION * float(np.max(q))
     if not np.any(mask):
         raise AllCollisionError("no samples away from the collision set")
     zv, zp, zpp, q = zv[mask], zp[mask], zpp[mask], q[mask]
@@ -657,9 +659,9 @@ def _qdd_fd(q):
     return (-qp[i - 2] + 16 * qp[i - 1] - 30 * qp[i] + 16 * qp[i + 1] - qp[i + 2]) / (12 * h * h)
 
 
-def q_residual(orbit: Orbit, r, safe_fraction=0.05, method=None):
+def q_residual(orbit: Orbit, r, method=None):
     """Residuals of the collision ODE from the orbit samples alone, on the
-    safe region q >= safe_fraction * max q: the sups of ``_ode_sup``, with
+    safe region q >= SAFE_FRACTION * max q: the sups of ``_ode_sup``, with
     qdd from a five-point stencil on the sample grid.  ``loop_residual``
     gives the same residuals of a loop's orbit by the chain rule.
 
@@ -673,7 +675,7 @@ def q_residual(orbit: Orbit, r, safe_fraction=0.05, method=None):
             tag="levi_civita.method",
         )
     q = orbit.q
-    mask = q >= safe_fraction * float(np.max(q))
+    mask = q >= SAFE_FRACTION * float(np.max(q))
     if not np.any(mask):
         raise AllCollisionError("no samples away from the collision set")
     return _ode_sup(q[mask], _qdd_fd(q)[mask], orbit.qbar, r)

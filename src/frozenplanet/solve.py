@@ -422,12 +422,12 @@ def _diag(diagnostics, obj, rep):
 def frozen_step_diagnostics(objective, x, rep):
     """Per-step diagnostics for the one-loop family: identity residuals,
     spectral data, the C0 bounds, and the collision-ODE residuals of the
-    orbit, sups over 4096 uniform tau-points (``levi_civita.loop_residual``,
-    no time map inverted)."""
+    orbit, sups over the default uniform tau-grid of
+    ``levi_civita.loop_residual`` (no time map inverted)."""
     cert = objective.certify(x)
     h = objective.hessian(x)
     srep = spectrum_report(h)
-    qres = levi_civita.loop_residual(cert.z, cert.r, samples=4096)
+    qres = levi_civita.loop_residual(cert.z, cert.r)
     bounds = frozen.sup_bounds(cert.z, cert.r)
     return {
         "vw_res": cert.identity_res,

@@ -440,8 +440,8 @@ class TestLoopResidual:
         # residual is (2 - pi^2/2) / q^2 and beta q^3 + 2 = 2 - pi^2/2
         m = 1024
         q = np.sin(np.pi * np.arange(m) / m) ** 2
-        q = q[q >= 0.3 * np.max(q)]
-        res = lc.loop_residual(sine_loop, 0.0, samples=m, safe_fraction=0.3)
+        q = q[q >= lc.SAFE_FRACTION * np.max(q)]
+        res = lc.loop_residual(sine_loop, 0.0, samples=m)
         c = np.pi**2 / 2.0 - 2.0
         assert abs(res["ode_res"] - c / np.min(q) ** 2) < 1e-11 * res["ode_res"]
         assert abs(res["beta_mu_res"] - c) < 1e-11
