@@ -497,16 +497,11 @@ class _Repulsion:
         That model assumes a smooth gap, and Q1 has a cusp at a zero of z1,
         where g = -Q2 <= 0; the time map crosses a zero of z1 so fast that
         it can fall between two nodes.  So z1 is first checked on its own
-        grid (``Loop.quad_samples``, cached): at a sign change, or a zero,
-        the gap -Q2 at the interpolated zero's t is returned, Q2 read off
-        the nodes.
+        grid (``_grid_zero``): at a zero, the gap -Q2 at the zero's t is
+        returned, Q2 read off the nodes.
         """
-        v = self.z1.quad_samples()
-        v = v[: v.size // 2 + 1]  # tau1 in [0, 1]
-        flip = np.flatnonzero(v[:-1] * v[1:] <= 0.0)
-        if flip.size:
-            i = flip[0]
-            tau = (i + (v[i] / (v[i] - v[i + 1]) if v[i] != v[i + 1] else 0.0)) / (v.size - 1)
+        tau = _grid_zero(self.z1)
+        if tau is not None:
             primitive, i_one = levi_civita.square_primitive(self.z1)
             t = float(primitive(np.array([tau]))[0]) / i_one
             return -float(np.interp(t, self.t, self.z2**2)), t
@@ -582,6 +577,44 @@ class _Repulsion:
         h2[np.diag_indices_from(h2)] -= (2.0 / self.i2) * float(c @ self.t - a @ self.w)
         h[n1:, n1:] += h2
         return h
+
+
+def _grid_zero(z: loops.Loop):
+    """A tau in [0, 1] where z vanishes, found from its grid
+    (``Loop.quad_samples``, spacing h), or None.
+
+    A sign change, or a zero, between two samples is interpolated.  Two
+    zeros closer than h leave no sign change, but the sample nearest the
+    extremum between them is then within h^2 max|z''| / 8 of zero: each
+    local minimum of |z| on the grid that small is refined by Newton on
+    z' = 0, as ``loops.sup_norm`` refines its maxima, and z there is a
+    zero when its sign is not the sample's.
+    """
+    v = z.quad_samples()
+    h = 2.0 / v.size
+    half = v[: v.size // 2 + 1]  # tau in [0, 1]
+    flip = np.flatnonzero(half[:-1] * half[1:] <= 0.0)
+    if flip.size:
+        i = flip[0]
+        return (i + (half[i] / (half[i] - half[i + 1]) if half[i] != half[i + 1] else 0.0)) * h
+    mags = np.abs(v)
+    miss = h * h / 8.0 * float(np.sum(np.abs(loops.second_derivative_coeffs(z))))
+    if np.min(mags) > miss:
+        return None
+    low = (mags <= np.roll(mags, 1)) & (mags <= np.roll(mags, -1)) & (mags <= miss)
+    i = np.flatnonzero(low[: half.size])
+    if not i.size:
+        return None
+    t0 = i * h
+    # oriented by the sign of z, z' increases through a minimum of |z|
+    orient = np.sign(v[i])
+
+    def slope(t, idx):
+        return orient[idx] * loops.jets(z, t, (1, 2))
+
+    t = loops._newton(slope, t0 - h, t0 + h, t0, tol=1e-15, max_iter=8)
+    hit = np.flatnonzero(z(t) * orient <= 0.0)
+    return float(np.clip(t[hit[0]], 0.0, 1.0)) if hit.size else None
 
 
 def _repulsion(rep: _Repulsion, s):

@@ -35,6 +35,11 @@ DEFAULT_MODES = 64
 #: continuation doubles its step after a solve whose first contraction
 #: r_1 / r_0 is below this (Deuflhard, Newton Methods, ch. 5)
 GROWTH_CONTRACTION = 0.1
+#: ``solve_frozen`` continues on at most this many modes, doubling them
+#: while the endpoint's coefficient tail exceeds ``TAIL_FRACTION`` of its
+#: l1 norm (Boyd, Chebyshev and Fourier Spectral Methods, ch. 2)
+WORK_MODES = 16
+TAIL_FRACTION = 1e-17
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +58,7 @@ class FrozenObjective:
         self.n = int(n_modes)
         self._sg = np.sqrt(loops.gram_diag(self.klass, self.n))
         self._last = loops.LastBuild()
+        self._cert = loops.LastBuild()
 
     def pack(self, z: loops.Loop):
         c = np.zeros(self.n)
@@ -85,7 +91,9 @@ class FrozenObjective:
         return frozen.hessian_analytic(self.unpack(x), self.r)
 
     def certify(self, x):
-        return frozen.certify(self.unpack(x), self.r)
+        """The certificate at x, kept like the loop, so that the step
+        diagnostics read the one ``continuation`` has just made."""
+        return self._cert(x, lambda x: frozen.certify(self.unpack(x), self.r))
 
 
 class FullLoopObjective(FrozenObjective):
@@ -423,7 +431,9 @@ def frozen_step_diagnostics(objective, x, rep):
     """Per-step diagnostics for the one-loop family: identity residuals,
     spectral data, the C0 bounds, and the collision-ODE residuals of the
     orbit, sups over the default uniform tau-grid of
-    ``levi_civita.loop_residual`` (no time map inverted)."""
+    ``levi_civita.loop_residual`` (no time map inverted).  The certificate
+    is the one ``continuation`` has just made at x, which the objective
+    keeps."""
     cert = objective.certify(x)
     h = objective.hessian(x)
     srep = spectrum_report(h)
@@ -447,14 +457,51 @@ def frozen_step_diagnostics(objective, x, rep):
 
 
 def solve_frozen(r, n_modes=DEFAULT_MODES):
-    """Continuation from the free fall to the requested parameter value,
-    through rho when r > rho, at the default Newton tolerance."""
+    """The one-loop critical point at r, certified at ``n_modes`` modes.
+
+    Continuation from the free fall, through rho when r > rho, at the
+    default Newton tolerance, on a working grid of n_w = min(N,
+    ``WORK_MODES``) modes: the solutions are resolved far below N (at
+    r = 5, |c_16| is 6e-16).  While the endpoint's last quarter of
+    coefficients sums to more than ``TAIL_FRACTION`` of their l1 norm, n_w
+    doubles (up to N) and Newton re-solves the zero-padded point there.
+    Then the point is zero-padded to N, one full Newton step is taken
+    there unconditionally (a padded point is often already below the
+    tolerance, and Newton at N would accept it with the working grid's
+    residual) and Newton runs on to the tolerance.  The last step holds
+    that certificate at N with the residuals of the N solve; the earlier
+    steps stay at n_w modes, and no caller reads them.  r = 0 returns the
+    analytic seed at N.
+    """
     from .helium import RHO
 
-    seed = free_fall_seed(n_modes)
-    obj0 = FrozenObjective(0.0, n_modes)
-    x0 = obj0.pack(seed.z)
+    n = int(n_modes)
+    seed = free_fall_seed(n)
     if r == 0.0:
         return ContinuationPath([PathStep(0.0, seed, {})], [], [])
+    n_w = min(n, WORK_MODES)
+    x0 = FrozenObjective(0.0, n_w).pack(seed.z)
     through = (RHO,) if r > RHO else ()
-    return continuation(lambda p: FrozenObjective(p, n_modes), 0.0, r, x0, through=through)
+    path = continuation(lambda p: FrozenObjective(p, n_w), 0.0, r, x0, through=through)
+    z = path.last().cert.z
+    while n_w < n and _tail_unresolved(z.coeffs):
+        n_w = min(2 * n_w, n)
+        obj = FrozenObjective(r, n_w)
+        z = obj.unpack(newton(obj, obj.pack(z)).x)
+    obj = FrozenObjective(r, n)
+    x = obj.pack(z)
+    g = obj.gradient(x)
+    h = obj.hessian(x)
+    _check_conditioned(h)
+    rep = newton(obj, x + np.linalg.solve(h, -g))
+    residuals = [float(np.linalg.norm(g))] + rep.residuals
+    cert = obj.certify(rep.x)
+    path.steps[-1] = PathStep(path.last().parameter, cert, {"newton_residuals": residuals})
+    return path
+
+
+def _tail_unresolved(c):
+    """Whether the last quarter of the coefficients c sums to more than
+    ``TAIL_FRACTION`` of their l1 norm."""
+    mags = np.abs(c)
+    return float(np.sum(mags[mags.size - mags.size // 4 :])) > TAIL_FRACTION * float(np.sum(mags))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frozenplanet import cli, helium, levi_civita, loops, serialize
+from frozenplanet import cli, frozen, helium, levi_civita, loops, serialize
 
 
 def run(capsys, *argv):
@@ -31,6 +31,21 @@ def time_map_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def frozen_calls(monkeypatch):
+    """The loop size of every call of frozen.certify and hessian_analytic."""
+    calls = {}
+    for name in ("certify", "hessian_analytic"):
+        calls[name] = []
+
+        def counted(z, r, *args, _name=name, _fn=getattr(frozen, name), **kwargs):
+            calls[_name].append(z.n)
+            return _fn(z, r, *args, **kwargs)
+
+        monkeypatch.setattr(frozen, name, counted)
+    return calls
+
+
 class TestSolveCommand:
     def test_free_fall_summary(self, capsys, tmp_path):
         out_file = tmp_path / "cert.json"
@@ -42,6 +57,14 @@ class TestSolveCommand:
         assert abs(payload["v"] - 0.5) < 1e-10
         assert payload["ok"] is True
         assert out_file.exists()
+
+    def test_continues_below_the_requested_size(self, capsys, frozen_calls):
+        # solve_frozen continues on a working grid and builds the full-size
+        # Hessian only for its forced step and the Newton iterations after it
+        code, out, _ = run(capsys, "solve", "--r", "5", "--modes", "128")
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+        assert frozen_calls["hessian_analytic"].count(128) <= 2
 
     @pytest.mark.parametrize("r", ["nan", "inf", "-1"])
     def test_bad_parameter_is_domain_error(self, capsys, r):
@@ -429,6 +452,13 @@ class TestContinueCommand:
         assert payload["steps"] == 7 and payload["indices"] == [0]
         assert payload["worst_ode_res"] < 1e-5
         assert time_map_calls == {"forward": 0, "tau_of_t": 0, "loop_zeros": 0}
+
+    def test_one_certificate_per_step(self, capsys, frozen_calls):
+        # the step diagnostics reuse the certificate continuation made; the
+        # one more is the free-fall seed's
+        code, out, _ = run(capsys, "continue", "--from", "0", "--to", "5", "--modes", "64")
+        assert code == 0
+        assert len(frozen_calls["certify"]) == json.loads(out)["steps"] + 1
 
     @pytest.mark.parametrize("bounds", [("0", "nan"), ("nan", "1"), ("0", "inf")])
     def test_non_finite_range_is_domain_error(self, capsys, bounds):

@@ -246,6 +246,33 @@ class TestBIn:
         obj = helium.PairObjective(1.0, n1=len(outer), n2=1)
         assert not obj.admissible(obj.pack(pair))
 
+    def test_outer_loop_with_a_near_double_zero_rejected(self):
+        # z1 dips to -1e-6 near tau = 0.22 over a span narrower than one
+        # cell of its grid, so no two grid samples differ in sign
+        z1 = loops.from_coeffs(
+            loops.EVEN_COSINE,
+            [0.4442275716781513, -0.136, 0.318, 0.0426, -0.0336, -0.0789, 0.0280],
+        )
+        pair = helium.PairLoop(z1, loops.from_coeffs(loops.ODD_SINE, [0.104, -0.0211, 0.0573]))
+        assert np.all(z1.quad_samples() > 0.0)
+        assert np.min(z1(np.linspace(0.2, 0.24, 40001))) < -9e-7
+        with pytest.raises(AdmissibilityError):
+            helium.b_in(pair)
+        with pytest.raises(AdmissibilityError):
+            helium.b_interp_value(pair, 0.5)
+        obj = helium.PairObjective(1.0, n1=z1.n, n2=3)
+        assert not obj.admissible(obj.pack(pair))
+
+    def test_positive_outer_loop_near_zero_has_no_grid_zero(self):
+        # the same z1 raised by 2e-6 has no zero; its minimum is refined
+        # by Newton and found positive
+        z1 = loops.from_coeffs(
+            loops.EVEN_COSINE,
+            [0.4442295716781513, -0.136, 0.318, 0.0426, -0.0336, -0.0789, 0.0280],
+        )
+        assert np.min(z1(np.linspace(0.2, 0.24, 40001))) > 9e-7
+        assert helium._grid_zero(z1) is None
+
     def test_nearly_closing_gap_warns(self):
         # least gap 2e-7 of a largest ~1: ill conditioned, though no node sees it
         pair = self._constant_outer(1.0000001)

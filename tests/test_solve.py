@@ -290,6 +290,46 @@ class TestContinuation:
             )
 
 
+def direct_continuation(r, n):
+    """The whole continuation from the free fall at N modes: the oracle of
+    ``solve_frozen``, which continues on fewer modes."""
+    x0 = solve.FrozenObjective(0.0, n).pack(solve.free_fall_seed(n).z)
+    through = (helium.RHO,) if r > helium.RHO else ()
+    return solve.continuation(lambda p: solve.FrozenObjective(p, n), 0.0, r, x0, through=through)
+
+
+class TestTwoGridSolve:
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("r", [helium.RHO, 5.0, 20.0, 100.0, 1000.0])
+    def test_matches_direct_continuation(self, r, n):
+        path, oracle = solve.solve_frozen(r, n_modes=n), direct_continuation(r, n)
+        assert path.parameters == oracle.parameters
+        assert all(s.cert.z.n == solve.WORK_MODES for s in path.steps[:-1])
+        cert, ref = path.last().cert, oracle.last().cert
+        assert cert.z.n == n
+        assert np.max(np.abs(cert.z.coeffs - ref.z.coeffs)) <= 1e-13
+        assert cert.grad_res <= max(3.0 * ref.grad_res, 1e-13)
+        assert path.last().diagnostics["newton_residuals"][-1] < solve.NEWTON_TOL
+        rep, ref_rep = solve.spectrum(cert), solve.spectrum(ref)
+        assert rep.morse_index == 0 and rep.nullity == 0
+        assert abs(rep.min_abs - ref_rep.min_abs) <= 1e-10 * ref_rep.min_abs
+
+    def test_free_fall_is_the_analytic_seed(self):
+        path = solve.solve_frozen(0.0, n_modes=128)
+        assert path.parameters == [0.0]
+        cert = path.last().cert
+        assert cert.z.n == 128
+        assert np.array_equal(cert.z.coeffs, solve.free_fall_seed(128).z.coeffs)
+
+    def test_small_sizes_continue_at_the_requested_size(self):
+        path, oracle = solve.solve_frozen(1.0, n_modes=8), direct_continuation(1.0, 8)
+        assert {s.cert.z.n for s in path.steps} == {8}
+        assert path.parameters == oracle.parameters
+        cert, ref = path.last().cert, oracle.last().cert
+        assert np.max(np.abs(cert.z.coeffs - ref.z.coeffs)) <= 1e-13
+        assert cert.grad_res <= 3.0 * ref.grad_res
+
+
 class TestFullSpaceNondegeneracy:
     def test_rho_point_also_nondegenerate_as_periodic_orbit(self, cert_rho):
         # in the unrestricted period-2 space the kernel is exactly the
