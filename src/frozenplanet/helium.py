@@ -16,13 +16,14 @@ integrated in the inner loop's own time: t = P2(tau2)/||z2||^2, P2 the
 primitive of z2^2, makes the integrand periodic and analytic in tau2, so
 the midpoint rule at fixed tau2-nodes converges geometrically, and only
 the outer loop's time map is inverted (``_Repulsion``, one per pair).  The
-node count, max(N_QUAD, 4 n2), is derived from the pair and fixed by a
-convergence test.  Pointwise admissibility, a positive gap, is tested at
-the gap's minimum refined between the nodes, not at the nodes alone.  The
-gradient is the exact derivative of that discretized quadrature (implicit
-differentiation of z1's inverse time map, z2 varied at fixed tau2), so
-gradient and objective stay mutually consistent for Newton; it and the
-Hessian read one set of first-variation tables.
+node count, max(N_QUAD, 4 n2, 8 n1), is derived from the pair
+(``_node_count``) and fixed by a convergence test.  Pointwise
+admissibility, a positive gap, is tested at the gap's minimum refined
+between the nodes, not at the nodes alone.  The gradient is the exact
+derivative of that discretized quadrature (implicit differentiation of
+z1's inverse time map, z2 varied at fixed tau2), so gradient and objective
+stay mutually consistent for Newton; it and the Hessian read one set of
+first-variation tables.
 ``interaction_gap`` still samples the gap on a uniform t-grid, both time
 maps inverted, for the pair CSV export alone.
 
@@ -240,10 +241,18 @@ def interaction_gap(pair: PairLoop, n):
 
 
 def _node_count(pair: PairLoop):
-    """max(N_QUAD, 4 n2): z2^2 has 2 n2 - 1 frequencies, and the
-    convergence test of ``tests/test_helium.py`` checks that doubling this
-    count moves nothing."""
-    return max(N_QUAD, 4 * pair.z2.n)
+    """max(N_QUAD, 4 n2, 8 n1), fixed by the convergence test of
+    ``tests/test_helium.py``: doubling it moves nothing.
+
+    The nodes are uniform in tau2, where z2^2 has 2 n2 - 1 harmonics.  The
+    outer loop enters through z1^2, with harmonics up to about 2 n1 in
+    tau1, a shortest period of 1/(2 n1).  Between two nodes tau1 advances by
+    (dtau1/dt)(dt/dtau2)/m = (I1/z1^2)(z2^2/I2)/m, at most about
+    max(z2^2/I2)/m = 2/m for the near-constant z1 and near-sine z2 of the
+    pair family.  Two nodes per shortest period, 2/m <= 1/(4 n1), need
+    m >= 8 n1.
+    """
+    return max(N_QUAD, 4 * pair.z2.n, 8 * pair.z1.n)
 
 
 def _admissible_gap(pair: PairLoop):
@@ -739,6 +748,7 @@ class PairObjective:
         self._sg1 = np.sqrt(loops.gram_diag(loops.EVEN_COSINE, self.n1))
         self._sg2 = np.sqrt(loops.gram_diag(loops.ODD_SINE, self.n2))
         self._last = loops.LastBuild()
+        self._hessian = loops.LastBuild()
 
     def pack(self, pair: PairLoop):
         c1 = np.zeros(self.n1)
@@ -748,7 +758,7 @@ class PairObjective:
         return np.concatenate([self._sg1 * c1, self._sg2 * c2])
 
     def unpack(self, x) -> PairLoop:
-        """The pair at x, kept until the next x (``loops.LastBuild``), so
+        """The pair at x, kept for the last few x (``loops.LastBuild``), so
         that calls at one x share its loops' norms and time maps."""
         return self._last(x, self._build)
 
@@ -774,6 +784,14 @@ class PairObjective:
     def gradient(self, x):
         return self._packed(b_interp(self.unpack(x), self.s)["gradient"])
 
+    def parameter_gradient(self, x):
+        """d_s of ``gradient`` at x: b_interp is affine in s, so this is the
+        s = 1 gradient minus the s = 0 one at the same pair, -grad T - grad R."""
+        pair = self.unpack(x)
+        return self._packed(b_interp(pair, 1.0)["gradient"]) - self._packed(
+            b_interp(pair, 0.0)["gradient"]
+        )
+
     def _packed(self, gradient):
         """A gradient pair in packed coordinates, truncated to (n1, n2) modes."""
         g1, g2 = gradient
@@ -785,8 +803,10 @@ class PairObjective:
         return pair_grad_res(self.unpack(x), self.s)
 
     def hessian(self, x):
-        """(1 - s) H_av + s H_in, exact, in packed coordinates."""
-        return pair_hessian(self.unpack(x), self.s)
+        """(1 - s) H_av + s H_in, exact, in packed coordinates; read-only
+        and kept like the pair, so that the tangent of ``continuation``
+        reads the one the step diagnostics have just formed."""
+        return self._hessian(x, lambda x: loops.read_only(pair_hessian(self.unpack(x), self.s)))
 
     def certify(self, x):
         """Residuals and value at x from one ``b_interp`` evaluation."""

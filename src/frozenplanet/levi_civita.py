@@ -152,12 +152,15 @@ def tau_of_t(z: loops.Loop, t_values, table=512):
     width = np.maximum(thi - tlo, 1e-300)
     x0 = lo + (t - tlo) / width * (hi - lo)
 
+    sq = loops.square(z)
+
     def residual(x, idx):
-        zx = z(x)
-        return primitive(x) / i_one - t[idx], zx * zx / i_one
+        # the primitive of z^2 and z^2 itself, from one row pass
+        prim, value = loops.jets(sq, x, (-1, 0))
+        return prim / i_one - t[idx], value / i_one
 
     # the rounding level of the primitive: twice eps times its coefficient sum
-    level = 2.0 * np.finfo(float).eps * float(np.sum(np.abs(loops.square(z).coeffs))) / i_one
+    level = 2.0 * np.finfo(float).eps * float(np.sum(np.abs(sq.coeffs))) / i_one
     x = loops._newton(residual, lo, hi, x0, tol=1e-14, max_iter=80, min_slope=1e-14, ftol=level)
     return x if np.ndim(t_values) else float(x[0])
 

@@ -68,6 +68,11 @@ SYMMETRY_TOL = 1e-8
 #: that was as fast as angle addition or faster at 8 to 64 rows
 DIRECT_POINTS = 32
 
+#: how many builds a ``LastBuild`` keeps: a diagnostic that probes x + h xi
+#: and x - h xi and then asks at x again finds x still built
+LAST_BUILDS = 3
+
+
 def _validate_class(klass):
     if klass not in CLASSES:
         raise DomainError(f"unknown symmetry class {klass!r}", tag="loops.class")
@@ -279,21 +284,31 @@ def _loop_cache(z: Loop) -> dict:
 
 
 class LastBuild:
-    """The value ``build(x)`` at the last coefficient array x, keyed by its
-    bytes, so that calls at one x share one loop and what is cached on it.
-    The old value is dropped before a build: a failed build leaves none."""
+    """The values ``build(x)`` at the last ``LAST_BUILDS`` coefficient arrays
+    x, keyed by their bytes, so that calls at one x share one loop and what
+    is cached on it.  A hit makes its x the newest; a new x pushes out the
+    oldest.  A failed build caches nothing for its x."""
 
     def __init__(self):
-        self.key = self.value = None
+        self.values = {}  # key -> value, oldest first
 
     def __call__(self, x, build):
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
-        if self.key != key:
-            self.key = self.value = None
-            self.value = build(x)
-            self.key = key
-        return self.value
+        values = self.values
+        if key in values:
+            values[key] = values.pop(key)
+        else:
+            values[key] = build(x)
+            if len(values) > LAST_BUILDS:
+                del values[next(iter(values))]
+        return values[key]
+
+
+def read_only(a):
+    """The array a, made read-only in place, as a cache hands it out."""
+    a.setflags(write=False)
+    return a
 
 
 def quad_size(n_modes, factor=QUAD_FACTOR):

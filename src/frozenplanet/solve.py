@@ -1,12 +1,19 @@
 """Newton solving, parameter continuation, spectra, and the signed count.
 
 Objectives expose the value/gradient/Hessian of a functional in an
-orthonormal Galerkin coordinate system; Newton works on those coordinates
-with backtracking damping and an admissibility guard.  Continuation drives
-a parameter with a secant predictor through the last two solutions and an
-adaptive step (halve on failure, double when Newton's first contraction is
-below ``GROWTH_CONTRACTION``), recording a certificate and its diagnostics
-at every accepted step.
+orthonormal Galerkin coordinate system, and the derivative of the gradient
+in the functional's parameter; Newton works on those coordinates with
+backtracking damping and an admissibility guard.  Continuation drives the
+parameter p with a tangent predictor and an adaptive step (halve on
+failure, double when Newton's first contraction is below
+``GROWTH_CONTRACTION``), recording a certificate and its diagnostics at
+every accepted step.  Its hypothesis is the paper's nondegeneracy: at a
+critical point with invertible Hessian H the critical points form a smooth
+path, by the implicit function theorem, with tangent
+dx/dp = -H^{-1} d_p g, g the gradient.  The seed of the first step is the
+Euler step along that tangent, and of every later step the cubic Hermite
+interpolant through the last two accepted points and their tangents,
+extrapolated.
 
 Spectral reports count negative and near-null eigenvalues of the Galerkin
 Hessian.  On the symmetry-reduced space a nondegenerate critical point has
@@ -59,6 +66,7 @@ class FrozenObjective:
         self._sg = np.sqrt(loops.gram_diag(self.klass, self.n))
         self._last = loops.LastBuild()
         self._cert = loops.LastBuild()
+        self._hessian = loops.LastBuild()
 
     def pack(self, z: loops.Loop):
         c = np.zeros(self.n)
@@ -66,7 +74,7 @@ class FrozenObjective:
         return self._sg * c
 
     def unpack(self, x):
-        """The loop at x, kept until the next x (``loops.LastBuild``), so
+        """The loop at x, kept for the last few x (``loops.LastBuild``), so
         that calls at one x share its samples, norms, cube and sup norm."""
         return self._last(x, self._build)
 
@@ -80,15 +88,29 @@ class FrozenObjective:
         return frozen.value(self.unpack(x), self.r)
 
     def gradient(self, x):
-        gl = frozen.gradient(self.unpack(x), self.r)
-        sg_out = np.sqrt(loops.gram_diag(gl.klass, gl.n))
-        return (sg_out * gl.coeffs)[: self.n]
+        return self._packed(frozen.gradient(self.unpack(x), self.r).coeffs)
+
+    def parameter_gradient(self, x):
+        """d_r of ``gradient`` at x: F_r = 2 l d + 2/l + r l/s is affine in
+        r, with the partials (1/s, 0, -l/s^2) in (l, d, s)."""
+        z = self.unpack(x)
+        l, _, s = frozen._norm_data(z)
+        return self._packed(frozen.norm_gradient(z, (1.0 / s, 0.0, -l / s**2)))
+
+    def _packed(self, coeffs):
+        """Gradient coefficients in packed coordinates, truncated to N modes."""
+        return (np.sqrt(loops.gram_diag(self.klass, coeffs.size)) * coeffs)[: self.n]
 
     def full_residual(self, x):
         return frozen.grad_res(self.unpack(x), self.r)
 
     def hessian(self, x):
-        return frozen.hessian_analytic(self.unpack(x), self.r)
+        """The Hessian at x, read-only and kept like the certificate, so
+        that the tangent of ``continuation`` reads the one the step
+        diagnostics have just formed."""
+        return self._hessian(
+            x, lambda x: loops.read_only(frozen.hessian_analytic(self.unpack(x), self.r))
+        )
 
     def certify(self, x):
         """The certificate at x, kept like the loop, so that the step
@@ -360,15 +382,21 @@ def continuation(
 ):
     """Track a critical point from parameter p0 to p1.
 
-    ``make_objective(p)`` builds the objective at parameter p; ``x0`` must
-    be (near-)critical at p0.  Once two points are accepted, each Newton
-    solve starts from the secant through them, extrapolated to the next
-    parameter; the first starts from the last solution.  The step halves on
-    failure and doubles, up to ``max_step``, after a solve whose first
-    contraction r_1 / r_0 is below ``GROWTH_CONTRACTION`` (a seed that is
-    already converged counts as 0).  Parameters listed in ``through`` are
-    forced onto the grid.  ``diagnostics(objective, x, report)`` may attach
-    per-step data.
+    ``make_objective(p)`` builds the objective at parameter p, with
+    ``parameter_gradient``; ``x0`` must be (near-)critical at p0.  Every
+    Newton solve starts from a tangent predictor.  At each accepted point
+    the tangent dx/dp = -H^{-1} d_p g is solved, when the next step is
+    seeded (the endpoint pays nothing), on the Hessian the objective keeps
+    for x; it is checked like Newton's (``_check_conditioned``), so a
+    degenerate accepted point raises SingularHessianError.  The first step
+    is the Euler step along the tangent; every later one extrapolates the
+    cubic Hermite interpolant through the last two accepted points and
+    their tangents, exact on paths cubic in p.  The step halves on failure
+    (and the same data predict again) and doubles, up to ``max_step``,
+    after a solve whose first contraction r_1 / r_0 is below
+    ``GROWTH_CONTRACTION`` (a seed that is already converged counts as 0).
+    Parameters listed in ``through`` are forced onto the grid.
+    ``diagnostics(objective, x, report)`` may attach per-step data.
     """
     span = p1 - p0
     if not np.isfinite(span):
@@ -381,14 +409,13 @@ def continuation(
     waypoints = sorted({p for p in through if min(p0, p1) < p < max(p0, p1)})
     newton_kwargs = newton_kwargs or {}
 
-    obj0 = make_objective(p0)
-    rep0 = newton(obj0, x0, tol=tol, **newton_kwargs)
-    steps = [PathStep(p0, obj0.certify(rep0.x), _diag(diagnostics, obj0, rep0))]
+    obj = make_objective(p0)
+    rep = newton(obj, x0, tol=tol, **newton_kwargs)
+    steps = [PathStep(p0, obj.certify(rep.x), _diag(diagnostics, obj, rep))]
     step_history = []
     failures = []
-    x = rep0.x
-    p = p0
-    x_prev = p_prev = None
+    p, x = p0, rep.x
+    prev = v = None  # the accepted (p, x, dx/dp) before (p, x), and dx/dp at x
     while direction * (p1 - p) > 1e-14:
         p_next = p + direction * step
         for wp in waypoints:
@@ -397,10 +424,12 @@ def continuation(
                 break
         if direction * (p_next - p1) > 0:
             p_next = p1
-        seed = x if p_prev is None else x + (x - x_prev) * ((p_next - p) / (p - p_prev))
+        if v is None:
+            v = _tangent(obj, x)
+        seed = _predict(prev, (p, x, v), p_next)
         try:
-            obj = make_objective(p_next)
-            rep = newton(obj, seed, tol=tol, **newton_kwargs)
+            obj_next = make_objective(p_next)
+            rep = newton(obj_next, seed, tol=tol, **newton_kwargs)
         except (NonConvergenceError, SingularHessianError, DomainError) as exc:
             failures.append((p_next, type(exc).__name__))
             step *= 0.5
@@ -410,14 +439,41 @@ def continuation(
                     partial=ContinuationPath(steps, step_history, failures),
                 ) from exc
             continue
-        x_prev, p_prev = x, p
-        x, p = rep.x, p_next
+        prev, v = (p, x, v), None
+        obj, p, x = obj_next, p_next, rep.x
         steps.append(PathStep(p, obj.certify(x), _diag(diagnostics, obj, rep)))
         step_history.append(step)
         res = rep.residuals
         if len(res) == 1 or res[1] < GROWTH_CONTRACTION * res[0]:
             step = min(2.0 * step, max_step)
     return ContinuationPath(steps, step_history, failures)
+
+
+def _tangent(objective, x):
+    """dx/dp = -H^{-1} d_p g at the critical point x, on the Hessian that
+    the objective keeps for x, checked as Newton checks its own."""
+    h = objective.hessian(x)
+    _check_conditioned(h)
+    return np.linalg.solve(h, -objective.parameter_gradient(x))
+
+
+def _predict(prev, cur, p_next):
+    """The seed at p_next from the accepted (p, x, dx/dp) ``cur``: the Euler
+    step without an earlier point ``prev``, else the cubic Hermite
+    interpolant through both, extrapolated in u = (p_next - p_a)/(p_b - p_a)."""
+    p_b, x_b, v_b = cur
+    if prev is None:
+        return x_b + (p_next - p_b) * v_b
+    p_a, x_a, v_a = prev
+    dp = p_b - p_a
+    u = (p_next - p_a) / dp
+    u2, u3 = u * u, u * u * u
+    return (
+        (2.0 * u3 - 3.0 * u2 + 1.0) * x_a
+        + (u3 - 2.0 * u2 + u) * dp * v_a
+        + (3.0 * u2 - 2.0 * u3) * x_b
+        + (u3 - u2) * dp * v_b
+    )
 
 
 def _diag(diagnostics, obj, rep):

@@ -116,48 +116,61 @@ def mean_pair(cert_rho):
     return _timed("mean_pair", run)
 
 
+def _homotopy_diagnostics(obj, x, rep):
+    """The per-step diagnostics of the pair homotopy: spectrum, the split at
+    the constant outer mode, the Garding bound, and a directional central
+    difference of the value at x +- h xi against the gradient at x."""
+    pair = obj.unpack(x)
+    h = obj.hessian(x)
+    srep = solve.spectrum_report(h)
+    h00, schur = _split_constant_mode(h)
+    hb = helium.hessian_bound(h, pair, obj.n1, obj.n2)
+    rng = np.random.default_rng(11)
+    xi = rng.normal(size=obj.n)
+    xi /= np.linalg.norm(xi)
+    hstep = 1e-5
+    fd = (obj.value(x + hstep * xi) - obj.value(x - hstep * xi)) / (2 * hstep)
+    ip = float(obj.gradient(x) @ xi)
+    return {
+        "morse_index": srep.morse_index,
+        "nullity": srep.nullity,
+        "min_abs_eig": srep.min_abs,
+        "spectrum": srep,
+        "h00": h00,
+        "schur_index": schur.morse_index,
+        "schur_nullity": schur.nullity,
+        "bound_ok": hb["ok"],
+        "R_bound": hb["R_bound"],
+        "min_hess_eig": hb["min_eig"],
+        "grad_fd_rel": abs(fd - ip) / max(1.0, abs(fd)),
+    }
+
+
+def _homotopy(cert_rho, n1, n2, diagnostics=_homotopy_diagnostics):
+    """The mean -> instantaneous pair continuation at (n1, n2) from the
+    bridge pair of the rho certificate."""
+    z32 = loops.from_coeffs(loops.ODD_SINE, cert_rho.z.coeffs[:32])
+    x0 = helium.PairObjective(0.0, n1, n2).pack(helium.bridge_pair(z32, n1=n1))
+    return solve.continuation(
+        lambda s: helium.PairObjective(s, n1, n2),
+        0.0,
+        1.0,
+        x0,
+        tol=1e-9,
+        diagnostics=diagnostics,
+        newton_kwargs={"jacobian": "frozen"},
+    )
+
+
+@pytest.fixture(scope="session")
+def homotopy():
+    """``(cert_rho, n1, n2, diagnostics=...) -> path``, the pair homotopy
+    with the per-step diagnostics of ``homotopy_path`` unless others (or
+    None) are given."""
+    return _homotopy
+
+
 @pytest.fixture(scope="session")
 def homotopy_path(cert_rho):
     """Pair continuation from the mean to the instantaneous interaction."""
-
-    def diagnostics(obj, x, rep):
-        pair = obj.unpack(x)
-        h = obj.hessian(x)
-        srep = solve.spectrum_report(h)
-        h00, schur = _split_constant_mode(h)
-        hb = helium.hessian_bound(h, pair, obj.n1, obj.n2)
-        rng = np.random.default_rng(11)
-        xi = rng.normal(size=obj.n)
-        xi /= np.linalg.norm(xi)
-        hstep = 1e-5
-        fd = (obj.value(x + hstep * xi) - obj.value(x - hstep * xi)) / (2 * hstep)
-        ip = float(obj.gradient(x) @ xi)
-        return {
-            "morse_index": srep.morse_index,
-            "nullity": srep.nullity,
-            "min_abs_eig": srep.min_abs,
-            "spectrum": srep,
-            "h00": h00,
-            "schur_index": schur.morse_index,
-            "schur_nullity": schur.nullity,
-            "bound_ok": hb["ok"],
-            "R_bound": hb["R_bound"],
-            "min_hess_eig": hb["min_eig"],
-            "grad_fd_rel": abs(fd - ip) / max(1.0, abs(fd)),
-        }
-
-    def run():
-        z32 = loops.from_coeffs(loops.ODD_SINE, cert_rho.z.coeffs[:32])
-        pair0 = helium.bridge_pair(z32, n1=16)
-        obj0 = helium.PairObjective(0.0, n1=16, n2=32)
-        return solve.continuation(
-            lambda s: helium.PairObjective(s, n1=16, n2=32),
-            0.0,
-            1.0,
-            obj0.pack(pair0),
-            tol=1e-9,
-            diagnostics=diagnostics,
-            newton_kwargs={"jacobian": "frozen"},
-        )
-
-    return _timed("homotopy_path", run)
+    return _timed("homotopy_path", lambda: _homotopy(cert_rho, 16, 32))

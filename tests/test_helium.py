@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from frozenplanet import frozen, helium, levi_civita, loops, solve
+from frozenplanet import cli, frozen, helium, levi_civita, loops, serialize, solve
 from frozenplanet.errors import AdmissibilityError, DomainError
 
 
@@ -356,6 +358,14 @@ class TestInterpLinearity:
             assert g.coeffs.shape == want.shape
             assert np.max(np.abs(g.coeffs - want)) < 1e-12 * np.max(np.abs(want))
 
+    def test_parameter_gradient_is_the_central_difference(self, interp_pair, s):
+        # b_interp is affine in s, so a wide difference is exact but for rounding
+        x, ds = helium.PairObjective(s, 2, 2).pack(interp_pair), min(s, 1.0 - s)
+        fd = [helium.PairObjective(s + d, 2, 2).gradient(x) for d in (ds, -ds)]
+        want = (fd[0] - fd[1]) / (2.0 * ds)
+        got = helium.PairObjective(s, 2, 2).parameter_gradient(x)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_hessian_is_the_convex_combination(self, interp_pair, s):
         obj = helium.PairObjective(s, n1=2, n2=2)
         h = obj.hessian(obj.pack(interp_pair))
@@ -665,15 +675,10 @@ class TestSharedTimeMaps:
 
 
 @pytest.fixture(scope="module")
-def homotopy_points(cert_rho, homotopy_path):
+def homotopy_points(cert_rho, homotopy, homotopy_path):
     """(n1, n2, s, pair) at the accepted step nearest s = 0.4375 and at
     s = 1 of the 8x16 homotopy and of the shared 16x32 one."""
-    z32 = loops.from_coeffs(loops.ODD_SINE, cert_rho.z.coeffs[:32])
-    x0 = helium.PairObjective(0.0, 8, 16).pack(helium.bridge_pair(z32, n1=8))
-    path8 = solve.continuation(
-        lambda s: helium.PairObjective(s, 8, 16), 0.0, 1.0, x0,
-        tol=1e-9, newton_kwargs={"jacobian": "frozen"},
-    )
+    path8 = homotopy(cert_rho, 8, 16, diagnostics=None)
     out = []
     for (n1, n2), path in (((8, 16), path8), ((16, 32), homotopy_path)):
         inner = min(path.steps, key=lambda step: abs(step.parameter - 0.4375))
@@ -681,20 +686,61 @@ def homotopy_points(cert_rho, homotopy_path):
     return out
 
 
+def _padded(pair, n1):
+    """The pair with z1 padded to n1 modes by the algebraic tail
+    c_k = c_last (k / last)^(-11/3) of the pair family's outer loop."""
+    c = pair.z1.coeffs
+    k = np.arange(c.size, n1)
+    tail = c[-1] * (k / (c.size - 1)) ** (-11 / 3)
+    return helium.PairLoop(loops.from_coeffs(loops.EVEN_COSINE, np.concatenate([c, tail])), pair.z2)
+
+
+def _doubling_moves(pair, s):
+    """|dR| / R and |d grad| when the default node count doubles."""
+    m = helium._node_count(pair)
+    reps = helium._Repulsion(pair, m), helium._Repulsion(pair, 2 * m)
+    r = [float(np.mean(rep.w / rep.gap)) for rep in reps]
+    g = [np.concatenate(rep.gradient(s)) for rep in reps]
+    return abs(r[1] - r[0]) / r[0], float(np.linalg.norm(g[1] - g[0]))
+
+
 class TestNodeRule:
-    """The default repulsion node count, max(N_QUAD, 4 n2), is converged:
-    doubling it moves neither R nor the gradient on the homotopy paths."""
+    """The default repulsion node count, max(N_QUAD, 4 n2, 8 n1), is
+    converged: doubling it moves neither R nor the gradient."""
 
     @pytest.mark.parametrize("k", range(4))
     def test_doubling_the_nodes_moves_nothing(self, homotopy_points, k):
         _, n2, s, pair = homotopy_points[k]
-        m = helium._node_count(pair)
-        assert m == max(helium.N_QUAD, 4 * n2)
-        r = [float(np.mean(rep.w / rep.gap)) for rep in (
-            helium._Repulsion(pair, m), helium._Repulsion(pair, 2 * m))]
-        assert abs(r[1] - r[0]) < 1e-14 * r[0]
-        g = [np.concatenate(helium._Repulsion(pair, q).gradient(s)) for q in (m, 2 * m)]
-        assert np.linalg.norm(g[1] - g[0]) < 1e-12
+        # 8 n1 never exceeds 4 n2 on the homotopy paths, so they keep their nodes
+        assert helium._node_count(pair) == max(helium.N_QUAD, 4 * n2)
+        dr, dg = _doubling_moves(pair, s)
+        assert dr < 1e-14 and dg < 1e-12
+
+    @pytest.mark.parametrize("n1", [32, 64])
+    def test_outer_modes_set_the_count(self, homotopy_path, n1):
+        # the s = 1 pair of the 16x32 homotopy, z1 padded from 16 modes; on
+        # 4 n2 = 128 nodes, doubling moved the gradient by 2.9e-9 at
+        # n1 = 32 and by 1.09 at n1 = 64
+        padded = _padded(homotopy_path.steps[-1].cert.pair, n1)
+        assert helium._node_count(padded) == 8 * n1
+        dr, dg = _doubling_moves(padded, 1.0)
+        assert dr < 1e-14 and dg < 1e-12
+
+    def test_pair_file_gets_the_resolved_functional(
+        self, homotopy_path, tmp_path, capsys, monkeypatch
+    ):
+        # `helium --input` reads any pair: at n1 = 64 it must agree with
+        # the functional on twice the nodes
+        pair_file = tmp_path / "pair.json"
+        padded = _padded(homotopy_path.steps[-1].cert.pair, 64)
+        pair_file.write_text(serialize.dumps(serialize.pair_to_dict(padded)))
+        cli.main(["helium", "--mode", "in", "--input", str(pair_file)])
+        got = json.loads(capsys.readouterr().out)
+        node_count = helium._node_count
+        monkeypatch.setattr(helium, "_node_count", lambda pair: 2 * node_count(pair))
+        want = helium.b_in(serialize.pair_from_dict(json.loads(pair_file.read_text())))
+        assert abs(got["value"] - want["value"]) < 1e-14 * abs(want["value"])
+        assert abs(got["grad_res"] - helium._pair_l2(want["gradient"])) < 1e-12
 
 
 class TestHomotopy:
@@ -704,7 +750,19 @@ class TestHomotopy:
 
     def test_newton_evaluations(self, homotopy_path):
         total = sum(len(s.diagnostics["newton_residuals"]) for s in homotopy_path.steps)
-        assert total <= 30  # 54 without the predictor
+        # 14 with the tangent predictor, 25 with a secant, 54 without either
+        assert total <= 16
+
+    def test_repulsion_builds(self, cert_rho, homotopy, monkeypatch):
+        # one 8x16 run with the per-step diagnostics: 42 builds with a
+        # secant seed and a one-entry pair cache, 26 now
+        builds = []
+        init = helium._Repulsion.__init__
+        monkeypatch.setattr(
+            helium._Repulsion, "__init__", lambda rep, *a: builds.append(1) or init(rep, *a)
+        )
+        homotopy(cert_rho, 8, 16)
+        assert len(builds) <= 26
 
     def test_bound_holds_along_path(self, homotopy_path):
         assert all(s.diagnostics["bound_ok"] for s in homotopy_path.steps)

@@ -188,18 +188,24 @@ class TestLoopCache:
         assert loops.sup_norm(z) == sup
         assert loops.norms(z)["sup"] == sup
 
-    def test_last_build_keeps_one_value(self):
+    def test_last_build_keeps_three_values(self):
         last = loops.LastBuild()
         built = []
         build = lambda x: built.append(x) or loops.from_coeffs(loops.ODD_SINE, x)
-        x = np.array([1.0, 0.2])
+        x, h = np.array([1.0, 0.2]), np.array([0.0, 1e-5])
         z = last(x, build)
         assert last(x.copy(), build) is z and len(built) == 1
-        assert last(np.array([1.0, 0.3]), build) is not z and len(built) == 2
+        # a probe at x + h and x - h, then x again: three builds
+        for y in (x + h, x - h, x):
+            last(y, build)
+        assert len(built) == 3 and last(x, build) is z
+        # a new x pushes out the oldest, x + h, and a failed build adds none
+        last(np.array([1.0, 0.3]), build)
         with pytest.raises(DomainError):
             last(np.array([1.0, np.nan]), build)
-        assert last.value is None
-        assert last(x, build) is not z and len(built) == 4
+        assert list(last.values) == [(x - h).tobytes(), x.tobytes(), np.array([1.0, 0.3]).tobytes()]
+        # x + h is built again, after the new x and the failed attempt
+        assert last(x + h, build) is not z and len(built) == 6
 
 
 class TestNewton:

@@ -114,8 +114,25 @@ class TestObjectiveCache:
             with pytest.raises(DomainError) as exc:
                 getattr(objective, method)(y)
             assert exc.value.tag == "loops.coeffs"
-            assert objective._last.value is None
+            # the failed build leaves no entry for y, and keeps x's
+            assert list(objective._last.values) == [x.tobytes()]
         assert not objective.admissible(y)
+
+    def test_hessian_kept_read_only(self, objective, monkeypatch):
+        x = self.point(objective)
+        h = objective.hessian(x)
+        monkeypatch.setattr(frozen, "hessian_analytic", None)
+        assert objective.hessian(x.copy()) is h
+        assert not h.flags.writeable
+
+    def test_parameter_gradient_is_the_central_difference(self, objective):
+        # F_r is affine in r, so a wide difference is exact but for
+        # rounding, which a narrow one would blow up by |g| / dr
+        x, dr = self.point(objective), 0.5
+        fd = type(objective)(1.0 + dr, 8).gradient(x) - type(objective)(1.0 - dr, 8).gradient(x)
+        want = fd / (2.0 * dr)
+        got = objective.parameter_gradient(x)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class QuadraticObjective:
@@ -175,8 +192,8 @@ class TestSingularHessian:
 
 
 class PowerPath:
-    """g(x) = x - p^k a, so the critical point p^k a is linear in p for
-    k = 1; a point farther than ``reach`` from it is inadmissible."""
+    """g(x) = x - p^k a, |a| = 1, so the critical point p^k a is linear in
+    p for k = 1; a point farther than ``reach`` from it is inadmissible."""
 
     def __init__(self, p, k, reach=np.inf):
         self.p, self.k, self.reach = p, k, reach
@@ -186,6 +203,9 @@ class PowerPath:
 
     def gradient(self, x):
         return x - self.p**self.k * np.array([0.6, -0.8])
+
+    def parameter_gradient(self, x):
+        return -self.k * self.p ** (self.k - 1) * np.array([0.6, -0.8])
 
     def hessian(self, x):
         return np.eye(2)
@@ -199,25 +219,45 @@ def _newton_evaluations(path):
 
 
 class TestContinuation:
-    def test_secant_seed_exact_on_a_linear_path(self):
-        path = solve.continuation(lambda p: PowerPath(p, 1), 0.0, 1.0, np.zeros(2))
-        residuals = [s.diagnostics["newton_residuals"] for s in path.steps]
-        # the first step starts from the last solution, then the secant
-        # predicts the critical point; every converged seed doubles the step
-        assert len(residuals[1]) == 2
-        assert all(len(r) == 1 for r in residuals[2:])
-        assert path.parameters == [0.0, 1 / 16, 3 / 16, 7 / 16, 11 / 16, 15 / 16, 1.0]
-        assert path.step_history == [1 / 16, 1 / 8] + [1 / 4] * 4
+    def test_tangent_seed_exact_on_polynomial_paths(self):
+        # the Euler step from p = 0 is exact for k = 1 and misses p^k a by
+        # (1/16)^k for k > 1; the cubic Hermite through two points and their
+        # tangents is exact for k <= 3, so every later seed is converged,
+        # and every converged seed or one-step solve doubles the step
+        for k in (1, 2, 3):
+            path = solve.continuation(lambda p: PowerPath(p, k), 0.0, 1.0, np.zeros(2))
+            residuals = [s.diagnostics["newton_residuals"] for s in path.steps]
+            assert len(residuals[1]) == (1 if k == 1 else 2)
+            assert all(len(r) == 1 for r in residuals[2:])
+            assert not path.failures
+            assert path.parameters == [0.0, 1 / 16, 3 / 16, 7 / 16, 11 / 16, 15 / 16, 1.0]
+            assert path.step_history == [1 / 16, 1 / 8] + [1 / 4] * 4
 
     def test_failed_prediction_halves_and_repredicts(self):
-        # on x = p^2 a the secant misses by dp (dp + dp_prev): 1/8 at 11/16,
-        # beyond reach; the halved step's secant misses by 3/64 and is solved
+        # on x = p^5 a the Hermite seed through (a, b) misses at p by
+        # (p - a)^2 (p - b)^2 (2a + 2b + p), the fifth divided difference
+        # of p^5: at 15/16 through (7/16, 11/16) by 51/1024, beyond reach;
+        # the halved step to 13/16 misses by 7056/16^5, the last one to 1
+        # through (11/16, 13/16) by 900/16^4, and both are solved
         path = solve.continuation(
-            lambda p: PowerPath(p, 2, reach=0.1), 0.0, 1.0, np.zeros(2)
+            lambda p: PowerPath(p, 5, reach=0.04), 0.0, 1.0, np.zeros(2)
         )
-        assert path.failures == [(11 / 16, "DomainError")]
-        assert path.parameters == [0.0, 1 / 16, 3 / 16, 7 / 16, 9 / 16, 13 / 16, 1.0]
-        assert path.step_history == [1 / 16, 1 / 8, 1 / 4, 1 / 8, 1 / 4, 1 / 4]
+        assert path.failures == [(15 / 16, "DomainError")]
+        assert path.parameters == [0.0, 1 / 16, 3 / 16, 7 / 16, 11 / 16, 13 / 16, 1.0]
+        assert path.step_history == [1 / 16, 1 / 8, 1 / 4, 1 / 4, 1 / 8, 1 / 4]
+        seeds = [s.diagnostics["newton_residuals"][0] for s in path.steps]
+        assert np.allclose(seeds[-2:], [7056 / 16**5, 900 / 16**4], rtol=1e-12)
+
+    def test_degenerate_accepted_point_raises(self):
+        # a singular Hessian at the accepted start stops the tangent, as a
+        # tagged SingularHessianError rather than numpy's LinAlgError
+        class Flat(PowerPath):
+            def hessian(self, x):
+                return np.diag([1.0, 0.0])
+
+        with pytest.raises(SingularHessianError) as exc:
+            solve.continuation(lambda p: Flat(p, 1), 0.0, 1.0, np.array([0.0, 0.0]))
+        assert exc.value.tag == "solve.singular-hessian"
 
     def test_slow_contraction_keeps_the_step(self):
         class Slow(PowerPath):
@@ -228,7 +268,8 @@ class TestContinuation:
         assert set(path.step_history) == {1 / 16}
 
     def test_newton_evaluations_along_frozen_path(self, frozen_path):
-        assert _newton_evaluations(frozen_path) <= 32  # 38 without the predictor
+        # 21 with the tangent predictor, 25 with a secant, 38 without either
+        assert _newton_evaluations(frozen_path) <= 22
 
     def test_path_reaches_endpoint(self, frozen_path):
         assert abs(frozen_path.steps[-1].parameter - 5.0) < 1e-12
@@ -325,7 +366,11 @@ class TestTwoGridSolve:
         path, oracle = solve.solve_frozen(1.0, n_modes=8), direct_continuation(1.0, 8)
         assert {s.cert.z.n for s in path.steps} == {8}
         assert path.parameters == oracle.parameters
-        cert, ref = path.last().cert, oracle.last().cert
+        # the oracle stops just under the tolerance; solve_frozen takes one
+        # forced Newton step at N, so the oracle's endpoint takes one as well
+        obj = solve.FrozenObjective(1.0, 8)
+        x = obj.pack(oracle.last().cert.z)
+        cert, ref = path.last().cert, obj.certify(x + np.linalg.solve(obj.hessian(x), -obj.gradient(x)))
         assert np.max(np.abs(cert.z.coeffs - ref.z.coeffs)) <= 1e-13
         assert cert.grad_res <= 3.0 * ref.grad_res
 

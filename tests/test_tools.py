@@ -33,6 +33,29 @@ class TestBenchPairs:
         out = bench_pairs.compare(runs([0.0, 0.0, 1.0]), runs([0.0, 1.0, 1.0]))
         assert out["wall_s"]["rel_change"] is None
 
+    def test_gain_shown_needs_nine_wins_in_ten_and_a_drop_beyond_the_spread(self):
+        parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # q3 - q1 = 0.45
+        # 9 wins of 10, median drop 0.5
+        change = [v - 0.5 for v in parent[:9]] + [2.0]
+        assert bench_pairs.compare(runs(parent), runs(change))["wall_s"]["gain_shown"]
+        # 8 wins of 10, median drop 0.5
+        change = [v - 0.5 for v in parent[:8]] + [2.0, 2.0]
+        assert not bench_pairs.compare(runs(parent), runs(change))["wall_s"]["gain_shown"]
+        # 10 wins of 10, median drop 0.4: within the parent's spread
+        change = [v - 0.4 for v in parent]
+        out = bench_pairs.compare(runs(parent), runs(change))["wall_s"]
+        assert out["change_wins"] == 10 and not out["gain_shown"]
+
+    def test_within_bound_reads_the_metrics_bound(self):
+        parent, change = runs([1.0, 1.0, 1.0]), runs([1.2, 1.2, 1.2])
+        assert bench_pairs.compare(parent, change, {"wall_s": 0.25})["wall_s"]["within_bound"]
+        out = bench_pairs.compare(parent, change, {"wall_s": 0.1})["wall_s"]
+        assert out["within_bound"] is False
+        # no bound, or no relative change, says nothing
+        assert bench_pairs.compare(parent, change)["wall_s"]["within_bound"] is None
+        out = bench_pairs.compare(runs([0.0] * 3), change, {"wall_s": 0.25})["wall_s"]
+        assert out["within_bound"] is None
+
     def test_layers_pair_the_traced_runs_metric_by_metric(self):
         def traced(metrics):
             values = {k: {"value": v, "unit": "s"} for k, v in metrics.items()}

@@ -10,13 +10,15 @@ The report line and the result line of every run go to ``BENCH_parent.json``
 and ``BENCH_change.json`` in the current directory.
 ``BENCH_change.json`` also holds, per workload and seed, the median and
 quartiles of each end-to-end metric on both sides, the relative change of
-the median, (change - parent) / parent, and how many pairs the change won
+the median, (change - parent) / parent, how many pairs the change won
 (lower is better for every metric ``bench/run.py`` reports without
-tracing), and under ``checks`` each side's failed and attempted check
-totals.  Under ``layers`` it holds, for every per-layer metric of the two
-traced runs, the parent's value, the change's value and their relative
-change.  Each file also holds its checkout's ``src_lines``, the summed
-line count of ``src/**/*.py``.
+tracing), whether that shows a gain (``gain_shown``) and whether the
+change stays within the metric's bound in ``BENCHMARK.json``
+(``within_bound``), and under ``checks`` each side's failed and attempted
+check totals.  Under ``layers`` it holds, for every per-layer metric of
+the two traced runs, the parent's value, the change's value and their
+relative change.  Each file also holds its checkout's ``src_lines``, the
+summed line count of ``src/**/*.py``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from pathlib import Path
 SIDES = ("parent", "change")
 PAIRS = 10  # alternating parent/change pairs per workload and seed
 TRACED = "oneloop-cli"  # the north-star workload, traced once per side
+#: a gain is shown when the change wins at least this share of the pairs and
+#: its median drop exceeds the parent's interquartile range
+GAIN_WINS = 0.9
 
 
 def run_bench(checkout, workload, seed, seconds, trace):
@@ -59,21 +64,32 @@ def rel_change(parent, change):
     return (change - parent) / parent if parent else None
 
 
-def compare(parent_runs, change_runs):
+def compare(parent_runs, change_runs, bounds=None):
     """Per end-to-end metric: both sides' quartiles, the relative change of
     the median, (change - parent) / parent (None when the parent's median
-    is 0), and the change's wins; under ``checks``, each side's failed and
-    attempted check totals."""
+    is 0), the change's wins, ``gain_shown`` (at least ``GAIN_WINS`` of the
+    pairs won and a median drop larger than the parent's q3 - q1) and
+    ``within_bound`` (``rel_change`` at most the metric's entry in
+    ``bounds``, None without either); under ``checks``, each side's failed
+    and attempted check totals."""
+    bounds = bounds or {}
     out = {}
     for name in parent_runs[0]["result"]["metrics"]:
         pv = [r["result"]["metrics"][name]["value"] for r in parent_runs]
         cv = [r["result"]["metrics"][name]["value"] for r in change_runs]
-        sides = {"parent": quartiles(pv), "change": quartiles(cv)}
+        parent, change = quartiles(pv), quartiles(cv)
+        rel = rel_change(parent["median"], change["median"])
+        wins = sum(c < p for p, c in zip(pv, cv))
+        bound = bounds.get(name)
         out[name] = {
-            **sides,
-            "rel_change": rel_change(sides["parent"]["median"], sides["change"]["median"]),
-            "change_wins": sum(c < p for p, c in zip(pv, cv)),
+            "parent": parent,
+            "change": change,
+            "rel_change": rel,
+            "change_wins": wins,
             "pairs": len(pv),
+            "gain_shown": wins >= GAIN_WINS * len(pv)
+            and parent["median"] - change["median"] > parent["q3"] - parent["q1"],
+            "within_bound": None if bound is None or rel is None else rel <= bound,
         }
     out["checks"] = {
         side: {key: sum(r["result"][key] for r in side_runs) for key in ("failed", "attempted")}
@@ -101,6 +117,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in SIDES}
@@ -116,7 +133,7 @@ def main(argv=None):
                           file=sys.stderr, flush=True)
             for side in SIDES:
                 runs[side] += batch[side]
-            comparison[f"{workload} seed {seed}"] = compare(batch["parent"], batch["change"])
+            comparison[f"{workload} seed {seed}"] = compare(batch["parent"], batch["change"], bounds)
     traced = {side: run_bench(checkouts[side], TRACED, args.seeds[0], seconds, 1) for side in SIDES}
     for side in SIDES:
         data = {"src_lines": src_lines(checkouts[side]), "runs": runs[side] + [traced[side]]}
