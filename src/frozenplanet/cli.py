@@ -271,7 +271,7 @@ def cmd_helium(args):
         out = helium.b_in(pair)
     else:
         out = helium.b_interp(pair, args.s)
-    res = helium._pair_l2(out["gradient"])
+    res = loops.l2_norm(*out["gradient"])
     if args.csv:
         _write(args.csv, serialize.pair_orbit_csv(pair))
     bridge_res = helium.bridge_check(pair.z2)
@@ -289,36 +289,34 @@ def cmd_helium(args):
 
 
 def cmd_euler(args):
-    count = 0
-    indices = []
     records = _read(args.path, lambda fh: [json.loads(line) for line in fh if line.strip()])
     if not records:
         return _emit({"config": _echo(args, "euler"), "euler": 0, "ok": True}, True)
-    per_step = []
+    indices = []
     for rec in records:
-        diag = rec.get("diagnostics", {}) if isinstance(rec, dict) else {}
-        if "nullity" not in diag or "morse_index" not in diag:
+        diag = rec.get("diagnostics") if isinstance(rec, dict) else None
+        diag = diag if isinstance(diag, dict) else {}
+        index, nullity = diag.get("morse_index"), diag.get("nullity")
+        # JSON integers only (the type of true and false is bool, not int)
+        if not all(type(v) is int and v >= 0 for v in (index, nullity)):
             raise FrozenPlanetError(
-                "path records lack spectral diagnostics", tag="cli.euler-input"
+                "path records need non-negative integer morse_index and nullity",
+                tag="cli.euler-input",
             )
-        if diag["nullity"] > 0:
+        if nullity > 0:
             raise FrozenPlanetError(
                 "degenerate critical point: count undefined",
                 tag="solve.degenerate-point",
             )
-        per_step.append((-1) ** diag["morse_index"])
-        indices.append(diag["morse_index"])
-    count = per_step[-1]
-    constant = len(set(per_step)) == 1
-    print(count)
+        indices.append(index)
+    constant = len({(-1) ** i for i in indices}) == 1
     payload = {
         "config": _echo(args, "euler"),
-        "euler": count,
-        "constant_along_path": constant,
+        "euler": (-1) ** indices[-1],
         "indices": indices,
+        "ok": constant,
     }
-    print(serialize.dumps(payload))
-    return 0 if constant else 1
+    return _emit(payload, constant)
 
 
 def cmd_detline(args):

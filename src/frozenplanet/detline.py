@@ -81,13 +81,14 @@ def mu(spectrum, rho: CutoffRho | None = None, lower_bound=-np.inf, zero_tol=0.0
     return float(np.prod(vals)) if np.any(keep) else 1.0
 
 
-def sections(t_matrix, rho: CutoffRho | None = None, null_tol=1e-10):
+def sections(t_matrix, rho: CutoffRho | None = None):
     """Section data of a finite symmetric operator.
 
     For invertible T: the weighted-section sign sign(mu(T)), the
     tautological sign +1, the negative count i, and the verified relation
     s = (-1)^i t.  For singular T: the continuous weight mu(T) over the
-    nonzero spectrum together with an orthonormal kernel basis.
+    nonzero spectrum together with an orthonormal kernel basis.  The kernel
+    holds the eigenvalues within 1e-10 max(1, spectral radius) of zero.
     """
     t_matrix = np.asarray(t_matrix, dtype=float)
     if np.max(np.abs(t_matrix - t_matrix.T)) > 1e-10 * max(
@@ -97,8 +98,9 @@ def sections(t_matrix, rho: CutoffRho | None = None, null_tol=1e-10):
     rho = rho or CutoffRho()
     evals, evecs = np.linalg.eigh(0.5 * (t_matrix + t_matrix.T))
     scale = max(1.0, float(np.max(np.abs(evals))))
-    null_mask = np.abs(evals) <= null_tol * scale
-    i_neg = int(np.sum(evals < -null_tol * scale))
+    null_tol = 1e-10 * scale
+    null_mask = np.abs(evals) <= null_tol
+    i_neg = int(np.sum(evals < -null_tol))
     weight = mu(evals[~null_mask], rho)
     if not np.any(null_mask):
         s_sign = 1 if weight > 0 else -1
@@ -271,13 +273,13 @@ def closed_form_section(tau, family: OperatorFamily):
     return f, zeta
 
 
-def holonomy(family: OperatorFamily, n_steps=400, min_alignment=0.99):
+def holonomy(family: OperatorFamily, n_steps=400):
     """Track the stabilized kernel line once around the loop.
 
     Returns the holonomy sign <section(2), section(0)> (expected -1: the
     bundle is non-orientable), the trace of tracked sections, and their
     worst alignment against the closed form.  The step count refines until
-    successive sections stay aligned above ``min_alignment``.
+    successive sections stay aligned above 0.99.
     """
     for attempt in range(4):
         taus = np.linspace(0.0, 2.0, n_steps + 1)
@@ -294,7 +296,7 @@ def holonomy(family: OperatorFamily, n_steps=400, min_alignment=0.99):
             w = vt[-1]
             if prev is not None:
                 dot = float(w @ prev)
-                if abs(dot) < min_alignment:
+                if abs(dot) < 0.99:
                     ok = False
                     break
                 if dot < 0.0:

@@ -128,15 +128,12 @@ def ode_residual(z: loops.Loop, a, b):
     coefficients are prescribed rather than recomputed.
     """
     coeffs = norm_gradient(z, (0.5 * b, -0.5, 0.5 * a))
-    g = loops.gram_diag(z.klass, coeffs.size)
-    return float(np.sqrt(np.sum(g * coeffs**2)))
+    return loops.l2_norm(loops.from_coeffs(z.klass, coeffs))
 
 
 def grad_res(z: loops.Loop, r):
     """L2 norm of the gradient (full resolution)."""
-    gl = gradient(z, r)
-    g = loops.gram_diag(gl.klass, gl.n)
-    return float(np.sqrt(np.sum(g * gl.coeffs**2)))
+    return loops.l2_norm(gradient(z, r))
 
 
 def hessian_analytic(z: loops.Loop, r):
@@ -277,8 +274,9 @@ class CriticalPointCert:
         return self.grad_res < tol
 
 
-def certify(z: loops.Loop, r, check=True) -> CriticalPointCert:
-    """Bundle a loop into a certificate with all derived quantities."""
+def certify(z: loops.Loop, r) -> CriticalPointCert:
+    """Bundle a loop into a certificate with all derived quantities; a
+    non-positive energy raises DomainError (``frozen.energy``)."""
     a, b = coefficients(z, r)
     res = grad_res(z, r)
     energy = energy_check(z, r)
@@ -295,7 +293,7 @@ def certify(z: loops.Loop, r, check=True) -> CriticalPointCert:
         grad_res=res,
         identity_res=ident,
     )
-    if check and energy["c"] <= 0.0:
+    if energy["c"] <= 0.0:
         raise DomainError("certificate has non-positive energy", tag="frozen.energy")
     return cert
 

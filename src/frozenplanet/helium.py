@@ -46,6 +46,9 @@ c(z) = alpha^{-1/2} ||z^2||/||z|| turns the frozen functional at rho into
 b_av on the graph of c, the first component of the gradient vanishes
 there, and the constant-direction derivative of the reduced first-
 component equation is the nonzero universal constant -2 alpha.
+
+``PairObjective`` is b_interp at fixed s for the solvers: a ``loops.Packed``
+of two blocks, z1's first as in ``frozen.norm_hessian``.
 """
 
 from __future__ import annotations
@@ -197,16 +200,17 @@ def reduced_first_component(z1_const, z2: loops.Loop):
     return a1 * z1_const + b1 * z1_const**3, (a1, b1, p)
 
 
-def d1w_check(z: loops.Loop, step=1e-6):
+def d1w_check(z: loops.Loop):
     """Numeric check that the constant-direction derivative of W at c(z)
-    recovers the universal constant -2 alpha.
+    recovers the universal constant -2 alpha, by Richardson extrapolation
+    from steps of 1e-6 c.
 
     K = P^3 z1^6 D1W / (||z2||^6 z1^12) is scale free; its nonvanishing is
     the transversality that pins the bridge graph.
     """
     c = c_of(z)
     l2, _, _ = frozen._norm_data(z, _ZERO_LOOP)
-    d1w = elliptic._richardson(lambda x: reduced_first_component(x, z)[0], c, step * c)
+    d1w = elliptic._richardson(lambda x: reduced_first_component(x, z)[0], c, 1e-6 * c)
     _, (_, _, p) = reduced_first_component(c, z)
     x_value = p**3 * c**6 * d1w
     k_numeric = x_value / (l2**3 * c**12)
@@ -673,15 +677,7 @@ def b_interp(pair: PairLoop, s):
 
 def pair_grad_res(pair: PairLoop, s):
     """L2 norm of the interpolated gradient over both components."""
-    return _pair_l2(b_interp(pair, s)["gradient"])
-
-
-def _pair_l2(gradient):
-    """L2 norm of a gradient pair (g1, g2) of loops, over both components."""
-    g1, g2 = gradient
-    r1 = float(np.sum(loops.gram_diag(g1.klass, g1.n) * g1.coeffs**2))
-    r2 = float(np.sum(loops.gram_diag(g2.klass, g2.n) * g2.coeffs**2))
-    return float(np.sqrt(r1 + r2))
+    return loops.l2_norm(*b_interp(pair, s)["gradient"])
 
 
 def hessian_bound(h_matrix, pair: PairLoop, n1, n2):
@@ -736,37 +732,22 @@ def pair_hessian(pair: PairLoop, s):
 # ---------------------------------------------------------------------------
 
 
-class PairObjective:
-    """Interpolated pair functional in packed orthonormal coordinates."""
+class PairObjective(loops.Packed):
+    """Interpolated pair functional in packed orthonormal coordinates, z1's
+    block first."""
 
     def __init__(self, s, n1=16, n2=32):
         _check_s(s)
         self.s = float(s)
         self.n1 = int(n1)
         self.n2 = int(n2)
-        self.n = self.n1 + self.n2
-        self._sg1 = np.sqrt(loops.gram_diag(loops.EVEN_COSINE, self.n1))
-        self._sg2 = np.sqrt(loops.gram_diag(loops.ODD_SINE, self.n2))
-        self._last = loops.LastBuild()
-        self._hessian = loops.LastBuild()
+        super().__init__(((loops.EVEN_COSINE, self.n1), (loops.ODD_SINE, self.n2)))
 
-    def pack(self, pair: PairLoop):
-        c1 = np.zeros(self.n1)
-        c1[: min(pair.z1.n, self.n1)] = pair.z1.coeffs[: self.n1]
-        c2 = np.zeros(self.n2)
-        c2[: min(pair.z2.n, self.n2)] = pair.z2.coeffs[: self.n2]
-        return np.concatenate([self._sg1 * c1, self._sg2 * c2])
+    def _parts(self, pair):
+        return pair.z1, pair.z2
 
-    def unpack(self, x) -> PairLoop:
-        """The pair at x, kept for the last few x (``loops.LastBuild``), so
-        that calls at one x share its loops' norms and time maps."""
-        return self._last(x, self._build)
-
-    def _build(self, x):
-        return PairLoop(
-            loops.from_coeffs(loops.EVEN_COSINE, x[: self.n1] / self._sg1),
-            loops.from_coeffs(loops.ODD_SINE, x[self.n1 :] / self._sg2),
-        )
+    def _join(self, zs):
+        return PairLoop(*zs)
 
     def admissible(self, x):
         try:
@@ -782,41 +763,38 @@ class PairObjective:
         return b_interp_value(self.unpack(x), self.s)
 
     def gradient(self, x):
-        return self._packed(b_interp(self.unpack(x), self.s)["gradient"])
+        return self._packed(*b_interp(self.unpack(x), self.s)["gradient"])
 
     def parameter_gradient(self, x):
         """d_s of ``gradient`` at x: b_interp is affine in s, so this is the
         s = 1 gradient minus the s = 0 one at the same pair, -grad T - grad R."""
         pair = self.unpack(x)
-        return self._packed(b_interp(pair, 1.0)["gradient"]) - self._packed(
-            b_interp(pair, 0.0)["gradient"]
+        return self._packed(*b_interp(pair, 1.0)["gradient"]) - self._packed(
+            *b_interp(pair, 0.0)["gradient"]
         )
-
-    def _packed(self, gradient):
-        """A gradient pair in packed coordinates, truncated to (n1, n2) modes."""
-        g1, g2 = gradient
-        out1 = np.sqrt(loops.gram_diag(g1.klass, g1.n)) * g1.coeffs
-        out2 = np.sqrt(loops.gram_diag(g2.klass, g2.n)) * g2.coeffs
-        return np.concatenate([out1[: self.n1], out2[: self.n2]])
 
     def full_residual(self, x):
         return pair_grad_res(self.unpack(x), self.s)
 
     def hessian(self, x):
         """(1 - s) H_av + s H_in, exact, in packed coordinates; read-only
-        and kept like the pair, so that the tangent of ``continuation``
-        reads the one the step diagnostics have just formed."""
-        return self._hessian(x, lambda x: loops.read_only(pair_hessian(self.unpack(x), self.s)))
+        and kept (``loops.Packed._kept``), so that the tangent of
+        ``continuation`` reads the one the step diagnostics have just formed."""
+        return self._kept(
+            "hessian", x, lambda pair: loops.read_only(pair_hessian(pair, self.s))
+        )
 
     def certify(self, x):
-        """Residuals and value at x from one ``b_interp`` evaluation."""
-        pair = self.unpack(x)
+        """Residuals and value at x from one ``b_interp`` evaluation, kept."""
+        return self._kept("certify", x, self._certificate)
+
+    def _certificate(self, pair):
         out = b_interp(pair, self.s)
         return PairCert(
             pair=pair,
             s=self.s,
-            grad_res=float(np.linalg.norm(self._packed(out["gradient"]))),
-            full_res=_pair_l2(out["gradient"]),
+            grad_res=float(np.linalg.norm(self._packed(*out["gradient"]))),
+            full_res=loops.l2_norm(*out["gradient"]),
             value=out["value"],
         )
 

@@ -79,15 +79,17 @@ def square_primitive(z: loops.Loop):
     return cache["square_primitive"]
 
 
-def loop_zeros(z: loops.Loop, scan=4096):
-    """Zeros of z in [0, 1]: sign changes on a uniform scan, each refined by
-    safeguarded Newton inside its scan cell, all cells together.
+def loop_zeros(z: loops.Loop):
+    """Zeros of z in [0, 1]: sign changes on a uniform scan of 4096 cells,
+    each refined by safeguarded Newton inside its scan cell, all cells
+    together.
 
     A sign change between two samples that are both below 1e-13 of the
     peak is rounding noise next to a high-order zero, not a zero of its
     own.  Raises DegenerateLoopError when z vanishes on a whole stretch of
     the scan grid (no admissible time change exists there).
     """
+    scan = 4096
     taus = np.linspace(0.0, 1.0, scan + 1)
     vals = z(taus)
     scale = float(np.max(np.abs(vals)))
@@ -115,12 +117,12 @@ def loop_zeros(z: loops.Loop, scan=4096):
     return np.array(sorted(zeros))
 
 
-def tau_of_t(z: loops.Loop, t_values, table=512):
+def tau_of_t(z: loops.Loop, t_values):
     """Invert the time map of z at the given t, clamped to [0, 1].
 
     Callers pass ratios I(tau)/I(1), which may round just outside [0, 1];
     non-finite t raises DomainError.  Safeguarded Newton (``loops._newton``)
-    on the exact primitive, bracketed by a dense table; the bracket
+    on the exact primitive, bracketed by a table of 512 cells; the bracket
     midpoint substitutes whenever the derivative degenerates near a
     collision, and an exact root (residual 0) is kept as it is.  A point
     stops on a step below 1e-14 or once its residual is at the primitive's
@@ -139,13 +141,13 @@ def tau_of_t(z: loops.Loop, t_values, table=512):
     t = np.clip(t, 0.0, 1.0)
     primitive, i_one = square_primitive(z)
     cache = loops._loop_cache(z)
-    key = ("tau_table", table)
-    if key not in cache:
+    table = 512
+    if "tau_table" not in cache:
         nodes = np.linspace(0.0, 1.0, table + 1)
         tn = primitive(nodes) / i_one
         tn[0], tn[-1] = 0.0, 1.0
-        cache[key] = (nodes, tn)
-    nodes, tn = cache[key]
+        cache["tau_table"] = (nodes, tn)
+    nodes, tn = cache["tau_table"]
     idx = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, table - 1)
     lo, hi = nodes[idx], nodes[idx + 1]
     tlo, thi = tn[idx], tn[idx + 1]

@@ -40,6 +40,9 @@ scan in ``sup_norm``) is one inverse FFT of length M and ``project``
 one forward FFT; frequencies above M/2 fold into their aliased bins.  The
 dense ``basis_matrix`` evaluates loops off the grid (``Loop.__call__``)
 and is the reference for the FFT paths and the M[z^2] of ``frozen``.
+
+The solvers work on packed coordinates x = sqrt(g) c, orthonormal in the
+half-period pairing, one block per loop (``Packed``).
 """
 
 from __future__ import annotations
@@ -262,9 +265,9 @@ class Loop:
     def __call__(self, taus):
         return basis_matrix(self.klass, self.n, taus).T @ self.coeffs
 
-    def quad_samples(self, factor=QUAD_FACTOR):
+    def quad_samples(self):
         """Samples on the internal dealiased grid (cached per loop)."""
-        p = quad_size(self.n_active_modes(), factor)
+        p = quad_size(self.n_active_modes())
         key = ("quad", p)
         cache = _loop_cache(self)
         if key not in cache:
@@ -303,6 +306,51 @@ class LastBuild:
             if len(values) > LAST_BUILDS:
                 del values[next(iter(values))]
         return values[key]
+
+
+class Packed:
+    """Loops in packed orthonormal coordinates x = sqrt(g) c, one block of x
+    per loop, as ``layout``, a tuple of (class, size) blocks.  The point at
+    x, and each form of it that ``_kept`` is asked for, are kept for the
+    last few x (``LastBuild``).  A subclass splits its point into loops
+    (``_parts``) and joins them (``_join``)."""
+
+    def __init__(self, layout):
+        self.layout = tuple(layout)
+        self.n = sum(n for _, n in self.layout)
+        self._sg = np.concatenate([np.sqrt(gram_diag(k, n)) for k, n in self.layout])
+        self._last = LastBuild()
+        self._forms = {}  # name -> LastBuild of that form
+
+    def pack(self, point):
+        return self._packed(*self._parts(point))
+
+    def unpack(self, x):
+        """The point at x, kept for the last few x, so that calls at one x
+        share what is cached on its loops."""
+        return self._last(x, self._build)
+
+    def _build(self, x):
+        c, start, parts = x / self._sg, 0, []
+        for klass, n in self.layout:
+            parts.append(from_coeffs(klass, c[start : start + n]))
+            start += n
+        return self._join(parts)
+
+    def _packed(self, *zs):
+        """Loops of the blocks' classes, one per block (a point's, or a
+        gradient's), in packed coordinates, each truncated or zero-padded to
+        its block."""
+        blocks = [np.zeros(n) for _, n in self.layout]
+        for c, z in zip(blocks, zs):
+            c[: z.n] = z.coeffs[: c.size]
+        return self._sg * np.concatenate(blocks)
+
+    def _kept(self, name, x, form):
+        """form(point at x), kept for the last few x like the point."""
+        if name not in self._forms:
+            self._forms[name] = LastBuild()
+        return self._forms[name](x, lambda x: form(self.unpack(x)))
 
 
 def read_only(a):
@@ -376,6 +424,14 @@ def norm_data(z: Loop):
             float(np.mean(z.quad_samples() ** 4)),
         )
     return cache["norm_data"]
+
+
+def l2_norm(*zs):
+    """The L2 norm of the loops zs taken together (a pair's gradient, say):
+    sqrt(||z_1||^2 + ||z_2||^2 + ...), each term a gram-weighted sum of
+    squared coefficients."""
+    sums = (float(np.sum(gram_diag(z.klass, z.n) * z.coeffs**2)) for z in zs)
+    return float(np.sqrt(sum(sums)))
 
 
 def norms(z: Loop):
@@ -561,16 +617,12 @@ def rescale_cover(z: Loop, n: int) -> Loop:
     return from_coeffs(z.klass, coeffs)
 
 
-def embed_full(z: Loop, n_modes=None) -> Loop:
-    """Embed a symmetric-class loop into the unrestricted period-2 basis."""
+def embed_full(z: Loop) -> Loop:
+    """Embed a symmetric-class loop into the unrestricted period-2 basis,
+    up to its top frequency."""
     if z.klass == FULL:
         return z
-    max_freq = mode_count(z.klass, z.n)
-    if n_modes is None:
-        n_modes = max_freq
-    if n_modes < max_freq:
-        raise DomainError("embedding would truncate the loop", tag="loops.embed")
-    coeffs = np.zeros(2 * n_modes + 1)
+    coeffs = np.zeros(2 * mode_count(z.klass, z.n) + 1)
     coeffs[_slot(FULL, *_layout(z.klass, z.n))] = z.coeffs
     return from_coeffs(FULL, coeffs)
 

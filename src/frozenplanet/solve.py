@@ -3,11 +3,14 @@
 Objectives expose the value/gradient/Hessian of a functional in an
 orthonormal Galerkin coordinate system, and the derivative of the gradient
 in the functional's parameter; Newton works on those coordinates with
-backtracking damping and an admissibility guard.  Continuation drives the
-parameter p with a tangent predictor and an adaptive step (halve on
-failure, double when Newton's first contraction is below
-``GROWTH_CONTRACTION``), recording a certificate and its diagnostics at
-every accepted step.  Its hypothesis is the paper's nondegeneracy: at a
+backtracking damping and an admissibility guard.  ``FrozenObjective`` and
+``helium.PairObjective`` are both ``loops.Packed``: the packed coordinates,
+and the point, Hessian and certificate kept for the last few x, are
+shared, and each objective holds only its functional's calls.
+Continuation drives the parameter p with a tangent predictor and an
+adaptive step (halve on failure, double when Newton's first contraction
+is below ``GROWTH_CONTRACTION``), recording a certificate and its
+diagnostics at every accepted step.  Its hypothesis is the paper's nondegeneracy: at a
 critical point with invertible Hessian H the critical points form a smooth
 path, by the implicit function theorem, with tangent
 dx/dp = -H^{-1} d_p g, g the gradient.  The seed of the first step is the
@@ -18,8 +21,8 @@ extrapolated.
 Spectral reports count negative and near-null eigenvalues of the Galerkin
 Hessian.  On the symmetry-reduced space a nondegenerate critical point has
 nullity 0; the auxiliary full-loop-space mode re-embeds the point in the
-unrestricted period-2 basis, where time-shift invariance forces a
-one-dimensional kernel spanned by z'.
+unrestricted period-2 basis and forms the Hessian there, where time-shift
+invariance forces a one-dimensional kernel spanned by z'.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ TAIL_FRACTION = 1e-17
 # ---------------------------------------------------------------------------
 
 
-class FrozenObjective:
+class FrozenObjective(loops.Packed):
     """The one-loop functional at fixed r, over odd-sine loops of N modes."""
 
     klass = loops.ODD_SINE
@@ -62,24 +65,13 @@ class FrozenObjective:
     def __init__(self, r, n_modes=DEFAULT_MODES):
         frozen.check_r(r)
         self.r = float(r)
-        self.n = int(n_modes)
-        self._sg = np.sqrt(loops.gram_diag(self.klass, self.n))
-        self._last = loops.LastBuild()
-        self._cert = loops.LastBuild()
-        self._hessian = loops.LastBuild()
+        super().__init__(((self.klass, int(n_modes)),))
 
-    def pack(self, z: loops.Loop):
-        c = np.zeros(self.n)
-        c[: min(z.n, self.n)] = z.coeffs[: self.n]
-        return self._sg * c
+    def _parts(self, z):
+        return (z,)
 
-    def unpack(self, x):
-        """The loop at x, kept for the last few x (``loops.LastBuild``), so
-        that calls at one x share its samples, norms, cube and sup norm."""
-        return self._last(x, self._build)
-
-    def _build(self, x):
-        return loops.from_coeffs(self.klass, x / self._sg)
+    def _join(self, zs):
+        return zs[0]
 
     def admissible(self, x):
         return bool(np.all(np.isfinite(x))) and float(np.linalg.norm(x)) > 1e-6
@@ -88,55 +80,31 @@ class FrozenObjective:
         return frozen.value(self.unpack(x), self.r)
 
     def gradient(self, x):
-        return self._packed(frozen.gradient(self.unpack(x), self.r).coeffs)
+        return self._packed(frozen.gradient(self.unpack(x), self.r))
 
     def parameter_gradient(self, x):
         """d_r of ``gradient`` at x: F_r = 2 l d + 2/l + r l/s is affine in
         r, with the partials (1/s, 0, -l/s^2) in (l, d, s)."""
         z = self.unpack(x)
         l, _, s = frozen._norm_data(z)
-        return self._packed(frozen.norm_gradient(z, (1.0 / s, 0.0, -l / s**2)))
-
-    def _packed(self, coeffs):
-        """Gradient coefficients in packed coordinates, truncated to N modes."""
-        return (np.sqrt(loops.gram_diag(self.klass, coeffs.size)) * coeffs)[: self.n]
+        coeffs = frozen.norm_gradient(z, (1.0 / s, 0.0, -l / s**2))
+        return self._packed(loops.from_coeffs(self.klass, coeffs))
 
     def full_residual(self, x):
         return frozen.grad_res(self.unpack(x), self.r)
 
     def hessian(self, x):
-        """The Hessian at x, read-only and kept like the certificate, so
+        """The Hessian at x, read-only and kept (``loops.Packed._kept``), so
         that the tangent of ``continuation`` reads the one the step
         diagnostics have just formed."""
-        return self._hessian(
-            x, lambda x: loops.read_only(frozen.hessian_analytic(self.unpack(x), self.r))
+        return self._kept(
+            "hessian", x, lambda z: loops.read_only(frozen.hessian_analytic(z, self.r))
         )
 
     def certify(self, x):
-        """The certificate at x, kept like the loop, so that the step
-        diagnostics read the one ``continuation`` has just made."""
-        return self._cert(x, lambda x: frozen.certify(self.unpack(x), self.r))
-
-
-class FullLoopObjective(FrozenObjective):
-    """The same functional over the unrestricted period-2 Fourier basis of
-    2N + 1 coefficients.
-
-    Used only for the auxiliary checks: nullity 1 with kernel along z',
-    and the Morse index of the orbit with the symmetry forgotten.
-    """
-
-    klass = loops.FULL
-
-    def __init__(self, r, n_modes=DEFAULT_MODES):
-        super().__init__(r, 2 * n_modes + 1)
-
-
-def embed_cert_full(cert: frozen.CriticalPointCert, n_modes=None):
-    """Embed an odd-sine certificate into the full period-2 basis."""
-    zf = loops.embed_full(cert.z, n_modes)
-    obj = FullLoopObjective(cert.r, n_modes=(zf.n - 1) // 2)
-    return obj, obj.pack(zf)
+        """The certificate at x, kept, so that the step diagnostics read the
+        one ``continuation`` has just made."""
+        return self._kept("certify", x, lambda z: frozen.certify(z, self.r))
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +132,22 @@ def _check_conditioned(h):
         raise SingularHessianError(f"Hessian condition number {cond:.3e} exceeds 1e12")
 
 
-def newton(objective, x0, tol=NEWTON_TOL, max_iter=30, jacobian="every"):
+def newton(objective, x0, tol=NEWTON_TOL, jacobian="every"):
     """Damped Newton on the packed coordinates.
 
     Residuals are L2 norms of the projected gradient; the last-step
     ratios r_{k+1} / r_k^2 are reported so quadratic convergence can be
     asserted at nondegenerate points.  Steps that leave the admissible set
-    (or fail to reduce the residual) are halved up to 12 times.  Each new
-    Hessian is checked once: a non-finite one, or one with condition
-    number above 1e12, raises SingularHessianError.
+    (or fail to reduce the residual) are halved up to 12 times, and at most
+    30 steps are taken.  Each new Hessian is checked once: a non-finite
+    one, or one with condition number above 1e12, raises
+    SingularHessianError.
 
     jacobian='frozen' factors the Hessian once at the seed and reuses it
     (cheap quasi-Newton for objectives with expensive Hessians); it is
     refreshed automatically if the line search stalls.
     """
+    max_iter = 30
     x = np.asarray(x0, dtype=float).copy()
     if not objective.admissible(x):
         raise DomainError("initial guess outside the admissible set", tag="solve.seed")
@@ -273,18 +243,18 @@ class SpectrumReport:
         return self.nullity == 0
 
 
-def spectrum_report(h, null_tol=None, rho=None, align_with=None):
-    """Morse data of a symmetric matrix, plus the cutoff spectral count."""
+def spectrum_report(h, align_with=None):
+    """Morse data of a symmetric matrix, plus the cutoff spectral count
+    (``detline.mu`` at the default ``detline.CutoffRho``).  An eigenvalue
+    below 1e-6 of the spectral radius in magnitude is null."""
     h = 0.5 * (h + h.T)
     evals, evecs = np.linalg.eigh(h)
     radius = float(np.max(np.abs(evals))) if evals.size else 1.0
-    if null_tol is None:
-        null_tol = 1e-6 * radius
+    null_tol = 1e-6 * radius
     null_mask = np.abs(evals) < null_tol
     nullity = int(np.sum(null_mask))
     morse = int(np.sum(evals < -null_tol))
-    rho = rho or detline.CutoffRho()
-    mu = detline.mu(evals[~null_mask], rho)
+    mu = detline.mu(evals[~null_mask])
     alignment = None
     if align_with is not None and nullity >= 1:
         vec = np.asarray(align_with, dtype=float)
@@ -303,26 +273,23 @@ def spectrum_report(h, null_tol=None, rho=None, align_with=None):
     )
 
 
-def spectrum(cert: frozen.CriticalPointCert, null_tol=None, space="symmetric"):
+def spectrum(cert: frozen.CriticalPointCert, space="symmetric"):
     """Spectral report of a certificate's Hessian.
 
     space='symmetric' uses the odd-sine Galerkin space (expected nullity
-    0); space='full' re-embeds into the unrestricted period-2 basis, where
-    the kernel is one-dimensional and aligned with z'.
+    0); space='full' re-embeds the loop into the unrestricted period-2
+    basis up to its top frequency (``loops.embed_full``), where the kernel
+    is one-dimensional and aligned with z', whose orthonormal coordinates
+    the report compares it with.
     """
     if space == "symmetric":
-        h = frozen.hessian_analytic(cert.z, cert.r)
-        return spectrum_report(h, null_tol)
+        return spectrum_report(frozen.hessian_analytic(cert.z, cert.r))
     if space != "full":
         raise DomainError("space must be 'symmetric' or 'full'", tag="solve.space")
-    obj, x = embed_cert_full(cert)
-    h = obj.hessian(x)
-    zf = obj.unpack(x)
+    zf = loops.embed_full(cert.z)
     d1 = loops.derivative(zf)
-    dcoef = np.zeros(obj.n)
-    dcoef[: d1.n] = d1.coeffs[: obj.n]
-    align = np.sqrt(loops.gram_diag(loops.FULL, obj.n)) * dcoef
-    return spectrum_report(h, null_tol, align_with=align)
+    align = np.sqrt(loops.gram_diag(d1.klass, d1.n)) * d1.coeffs
+    return spectrum_report(frozen.hessian_analytic(zf, cert.r), align_with=align)
 
 
 def euler_count(reports):
@@ -372,9 +339,6 @@ def continuation(
     p0,
     p1,
     x0,
-    initial_step=None,
-    min_step=1e-6,
-    max_step=None,
     tol=NEWTON_TOL,
     diagnostics=None,
     through=(),
@@ -391,8 +355,9 @@ def continuation(
     degenerate accepted point raises SingularHessianError.  The first step
     is the Euler step along the tangent; every later one extrapolates the
     cubic Hermite interpolant through the last two accepted points and
-    their tangents, exact on paths cubic in p.  The step halves on failure
-    (and the same data predict again) and doubles, up to ``max_step``,
+    their tangents, exact on paths cubic in p.  The step starts at 1/16 of
+    the range, halves on failure (and the same data predict again; below
+    1e-6 the path is stuck) and doubles, up to 1/4 of the range,
     after a solve whose first contraction r_1 / r_0 is below
     ``GROWTH_CONTRACTION`` (a seed that is already converged counts as 0).
     Parameters listed in ``through`` are forced onto the grid.
@@ -404,8 +369,7 @@ def continuation(
     if span == 0.0:
         raise DomainError("empty continuation range", tag="solve.range")
     direction = 1.0 if span > 0 else -1.0
-    step = abs(initial_step) if initial_step else abs(span) / 16.0
-    max_step = max_step or abs(span) / 4.0
+    step, max_step, min_step = abs(span) / 16.0, abs(span) / 4.0, 1e-6
     waypoints = sorted({p for p in through if min(p0, p1) < p < max(p0, p1)})
     newton_kwargs = newton_kwargs or {}
 

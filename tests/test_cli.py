@@ -372,7 +372,28 @@ class TestEulerCommand:
         )
         code, out, _ = run(capsys, "euler", "--path", str(path_file))
         assert code == 0
-        assert out.splitlines()[0].strip() == "1"
+        assert json.loads(out)["euler"] == 1
+
+    @pytest.mark.parametrize(
+        "diagnostics",
+        [
+            {"morse_index": 0, "nullity": "x"},
+            {"morse_index": None, "nullity": 0},
+            {"morse_index": 1.5, "nullity": 0},
+            {"morse_index": -1, "nullity": 0},
+            {"morse_index": True, "nullity": 0},
+            {"morse_index": 0, "nullity": 0.0},
+            [0, 0],
+        ],
+    )
+    def test_malformed_record_is_input_error(self, capsys, tmp_path, diagnostics):
+        record = {"parameter": 0.0, "diagnostics": diagnostics}
+        path_file = tmp_path / "path.jsonl"
+        path_file.write_text(json.dumps(record) + "\n")
+        code, out, err = run(capsys, "euler", "--path", str(path_file))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["invariant"] == "cli.euler-input"
 
     def test_degenerate_path_is_error(self, capsys, tmp_path):
         records = [{"parameter": 0.0, "diagnostics": {"morse_index": 0, "nullity": 2}}]

@@ -67,37 +67,57 @@ class TestNewton:
         assert tail and max(tail) < 1e4
 
 
+def frozen_case():
+    """FrozenObjective(r, 8) at an odd-sine point, with the frozen calls
+    that see its loop and how many of them one x makes."""
+    x = np.zeros(8)
+    x[0], x[-1] = 1.0, 0.05
+    return {
+        "make": lambda r: solve.FrozenObjective(r, 8), "p": 1.0, "dp": 0.5, "x": x,
+        "module": frozen, "calls": ("gradient", "hessian_analytic", "certify"),
+        # certify reaches frozen.gradient once more, through grad_res
+        "seen": 4,
+    }
+
+
+def pair_case():
+    """PairObjective(s, 3, 5), n1 != n2, at the bridge pair of an odd-sine
+    loop, admissible for every s, with the helium calls that see its pair."""
+    z = loops.from_coeffs(loops.ODD_SINE, [1.0, 0.0, 0.0, 0.0, 0.05])
+    x = helium.PairObjective(0.0, 3, 5).pack(helium.bridge_pair(z, n1=3))
+    return {
+        "make": lambda s: helium.PairObjective(s, 3, 5), "p": 0.5, "dp": 0.5, "x": x,
+        "module": helium, "calls": ("b_interp", "pair_hessian"), "seen": 3,
+    }
+
+
 class TestObjectiveCache:
-    """The objectives keep the loop of the last x, as PairObjective does."""
+    """Both objectives keep the point of the last few x, and the Hessian and
+    the certificate there (``loops.Packed``)."""
 
-    @pytest.fixture(params=[solve.FrozenObjective, solve.FullLoopObjective])
-    def objective(self, request):
-        return request.param(1.0, 8)
+    @pytest.fixture(params=[frozen_case, pair_case], ids=["FrozenObjective", "PairObjective"])
+    def case(self, request):
+        case = request.param()
+        case["objective"] = case["make"](case["p"])
+        return case
 
-    def point(self, obj):
-        x = np.zeros(obj.n)
-        x[1 if obj.klass == loops.FULL else 0] = 1.0
-        x[-1] = 0.05
-        return x
-
-    def test_methods_share_one_loop(self, objective, monkeypatch):
+    def test_methods_share_one_loop(self, case, monkeypatch):
+        objective, module, x = case["objective"], case["module"], case["x"]
         seen = []
-        for name in ("gradient", "hessian_analytic", "certify"):
-            fn = getattr(frozen, name)
+        for name in case["calls"]:
+            fn = getattr(module, name)
             monkeypatch.setattr(
-                frozen, name, lambda z, r, _fn=fn: seen.append(z) or _fn(z, r)
+                module, name, lambda z, p, _fn=fn: seen.append(z) or _fn(z, p)
             )
-        x = self.point(objective)
         objective.gradient(x)
         objective.hessian(x.copy())
         objective.certify(x)
-        # certify reaches frozen.gradient once more, through grad_res
-        assert len(seen) == 4
+        assert len(seen) == case["seen"]
         assert all(z is seen[0] for z in seen)
         assert objective.unpack(x) is seen[0]
 
-    def test_one_ulp_is_a_new_loop(self, objective):
-        x = self.point(objective)
+    def test_one_ulp_is_a_new_loop(self, case):
+        objective, x = case["objective"], case["x"]
         z = objective.unpack(x)
         y = x.copy()
         y[-1] = np.nextafter(y[-1], np.inf)
@@ -105,8 +125,8 @@ class TestObjectiveCache:
         assert objective.unpack(y) is objective.unpack(y.copy())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_x_rejected(self, objective, bad):
-        x = self.point(objective)
+    def test_non_finite_x_rejected(self, case, bad):
+        objective, x = case["objective"], case["x"]
         objective.unpack(x)
         y = x.copy()
         y[0] = bad
@@ -118,21 +138,52 @@ class TestObjectiveCache:
             assert list(objective._last.values) == [x.tobytes()]
         assert not objective.admissible(y)
 
-    def test_hessian_kept_read_only(self, objective, monkeypatch):
-        x = self.point(objective)
+    def test_hessian_kept_read_only(self, case, monkeypatch):
+        objective, x = case["objective"], case["x"]
         h = objective.hessian(x)
-        monkeypatch.setattr(frozen, "hessian_analytic", None)
+        for name in case["calls"]:
+            monkeypatch.setattr(case["module"], name, None)
         assert objective.hessian(x.copy()) is h
         assert not h.flags.writeable
 
-    def test_parameter_gradient_is_the_central_difference(self, objective):
-        # F_r is affine in r, so a wide difference is exact but for
-        # rounding, which a narrow one would blow up by |g| / dr
-        x, dr = self.point(objective), 0.5
-        fd = type(objective)(1.0 + dr, 8).gradient(x) - type(objective)(1.0 - dr, 8).gradient(x)
-        want = fd / (2.0 * dr)
-        got = objective.parameter_gradient(x)
+    def test_certificate_kept(self, case, monkeypatch):
+        objective, x = case["objective"], case["x"]
+        cert = objective.certify(x)
+        for name in case["calls"]:
+            monkeypatch.setattr(case["module"], name, None)
+        assert objective.certify(x.copy()) is cert
+
+    def test_parameter_gradient_is_the_central_difference(self, case):
+        # both functionals are affine in their parameter, so a wide
+        # difference is exact but for rounding, which a narrow one would
+        # blow up by |g| / dp
+        make, p, dp, x = case["make"], case["p"], case["dp"], case["x"]
+        want = (make(p + dp).gradient(x) - make(p - dp).gradient(x)) / (2.0 * dp)
+        got = case["objective"].parameter_gradient(x)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestPackedBlocks:
+    """The two-block layout of the pair: z1's block first, each block
+    truncated or zero-padded on its own."""
+
+    def test_pack_truncates_and_pads_each_block(self):
+        obj = helium.PairObjective(0.0, n1=4, n2=6)
+        rng = np.random.default_rng(5)
+        c1, c2 = rng.normal(size=7), rng.normal(size=3)
+        pair = helium.PairLoop(
+            loops.from_coeffs(loops.EVEN_COSINE, c1), loops.from_coeffs(loops.ODD_SINE, c2)
+        )
+        x = obj.pack(pair)
+        assert x.shape == (obj.n,) == (10,)
+        sg1 = np.sqrt(loops.gram_diag(loops.EVEN_COSINE, 4))
+        sg2 = np.sqrt(loops.gram_diag(loops.ODD_SINE, 6))
+        assert np.array_equal(x[:4], sg1 * c1[:4])
+        assert np.array_equal(x[4:], sg2 * np.concatenate([c2, np.zeros(3)]))
+        back = obj.unpack(x)
+        for got, want in ((back.z1.coeffs, c1[:4]), (back.z2.coeffs[:3], c2)):
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        assert np.array_equal(back.z2.coeffs[3:], np.zeros(3))
 
 
 class QuadraticObjective:
@@ -327,7 +378,6 @@ class TestContinuation:
                 0.0,
                 1.0,
                 obj0.pack(seed.z),
-                min_step=1e-3,
             )
 
 

@@ -1,3 +1,5 @@
+import frozenplanet
+from bench import tracer
 from tools import bench_pairs
 
 
@@ -78,3 +80,14 @@ class TestBenchPairs:
         (tmp_path / "tests").mkdir()
         (tmp_path / "tests" / "c.py").write_text("w = 4\n")
         assert bench_pairs.src_lines(tmp_path) == 4
+
+
+class TestTracedSpans:
+    def test_every_reported_span_is_traced(self):
+        # a method a traced class inherits is not in vars(cls), so moving one
+        # into a base class would silently zero its per-layer metrics
+        traced = {name for _, _, name, _ in tracer.traced_attributes(frozenplanet)}
+        missing = set(tracer.SPAN_METRICS + tracer.MEAN_METRICS) - traced
+        # loops.synthesize left src with the FFT synthesis; the next
+        # benchmark change replaces it
+        assert missing <= {"loops.synthesize"}
