@@ -107,9 +107,7 @@ def cmd_solve(args):
 
 def cmd_continue(args):
     frozen.check_r(args.start, args.stop)
-    seed = solve.free_fall_seed(args.modes)
-    obj0 = solve.FrozenObjective(0.0, args.modes)
-    x0 = obj0.pack(seed.z)
+    x0 = solve.FrozenObjective(0.0, args.modes).pack(solve.free_fall_seed(args.modes))
     path = solve.continuation(
         lambda p: solve.FrozenObjective(p, args.modes),
         args.start,
@@ -429,7 +427,10 @@ def main(argv=None):
         for name in ("modes", "steps", "samples"):
             if hasattr(args, name):
                 _check_size(f"--{name}", getattr(args, name), caps[name])
-        return args.func(args)
+        # an overflow is reported by its tagged error or its checked
+        # residual, so stderr holds at most the one JSON error object
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except FrozenPlanetError as exc:
         print(
             serialize.dumps({"error": str(exc), "invariant": exc.tag}),

@@ -59,17 +59,24 @@ def _norm_data(z: loops.Loop, tag="frozen.zero-loop"):
 def _partials(y, r, hessian=False):
     """F_r = 2 l d + 2/l + r l/s at the norm vector y = (l, d, s), with its
     gradient in y and, if asked, its Hessian in y (else None); F_0 is the
-    free fall."""
+    free fall.  A value or gradient that overflows the float range raises
+    DomainError (``frozen.overflow``): a Newton seed far out along a long
+    continuation step can reach such norms."""
     l, d, s = y
-    value = 2.0 * l * d + 2.0 / l + r * l / s
-    df = np.array([2.0 * d - 2.0 / l**2 + r / s, 2.0 * l, -r * l / s**2])
-    if not hessian:
-        return value, df, None
-    d2f = np.array([
-        [4.0 / l**3, 2.0, -r / s**2],
-        [2.0, 0.0, 0.0],
-        [-r / s**2, 0.0, 2.0 * r * l / s**3],
-    ])
+    try:
+        value = 2.0 * l * d + 2.0 / l + r * l / s
+        df = np.array([2.0 * d - 2.0 / l**2 + r / s, 2.0 * l, -r * l / s**2])
+        d2f = None
+        if hessian:
+            d2f = np.array([
+                [4.0 / l**3, 2.0, -r / s**2],
+                [2.0, 0.0, 0.0],
+                [-r / s**2, 0.0, 2.0 * r * l / s**3],
+            ])
+    except OverflowError:
+        value = np.inf
+    if not (np.isfinite(value) and np.all(np.isfinite(df))):
+        raise DomainError(f"functional overflows at the norms {tuple(y)}", tag="frozen.overflow")
     return value, df, d2f
 
 

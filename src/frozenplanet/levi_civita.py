@@ -616,9 +616,10 @@ def _ode_sup(q, qdd, qbar, r):
 
 
 def _uniform_jets(z: loops.Loop, m):
-    """z, z' and z'' at tau_i = i/m, i < m: one inverse FFT of length 2m
-    (the grid of [0, 2)) for each of the coefficients of z, its
-    derivative and its second derivative."""
+    """z, z' and z'' at tau_i = i/m, i < m: one real inverse FFT of length
+    2m (the grid of [0, 2)) on the half spectrum for each of the
+    coefficients of z, its derivative and its second derivative
+    (``loops._synthesize_uniform``)."""
     rows = (
         (z.klass, z.coeffs),
         (loops.FULL, loops.derivative(z).coeffs),

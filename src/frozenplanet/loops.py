@@ -35,10 +35,11 @@ tau tables of ``levi_civita``).
 
 On the uniform grid tau_i = 2i/M each basis function is cos or
 sin(2 pi f i / M), so synthesis onto the grid (``Loop.quad_samples``, the
-scan in ``sup_norm``) is one inverse FFT of length M and ``project``
+scan in ``sup_norm``) is one real inverse FFT of length M and ``project``
 (hence ``analyze``, ``square`` and ``cube``) reads its coefficients from
-one forward FFT; frequencies above M/2 fold into their aliased bins.  The
-dense ``basis_matrix`` evaluates loops off the grid (``Loop.__call__``)
+one real forward FFT, both on the half spectrum of bins 0..M/2;
+frequencies above M/2 fold into their aliased bins (``_half_spectrum``).
+The dense ``basis_matrix`` evaluates loops off the grid (``Loop.__call__``)
 and is the reference for the FFT paths and the M[z^2] of ``frozen``.
 
 The solvers work on packed coordinates x = sqrt(g) c, orthonormal in the
@@ -156,9 +157,11 @@ def frequencies(klass, n_coeffs):
     return np.pi * _layout(klass, n_coeffs)[0]
 
 
+@functools.cache
 def gram_diag(klass, n_coeffs):
-    """Diagonal of the Gram matrix <e_j, e_k> of the raw basis."""
-    return np.where(_layout(klass, n_coeffs)[0] == 0, 1.0, 0.5)
+    """Diagonal of the Gram matrix <e_j, e_k> of the raw basis, cached
+    read-only like ``_layout``."""
+    return read_only(np.where(_layout(klass, n_coeffs)[0] == 0, 1.0, 0.5))
 
 
 @functools.cache
@@ -215,15 +218,44 @@ def jets(z: Loop, taus, orders):
     return out
 
 
+@functools.cache
+def _half_spectrum(klass, n_coeffs, m):
+    """Where each coefficient sits in the half spectrum of a real loop
+    sampled on ``grid_points(m)``, cached read-only like ``_layout``.
+
+    cos(2 pi f i/m) is Re e^{2 pi i f i/m} and sin(...) is Re(-1j e^{...}),
+    so coefficient k adds c_k, or -1j c_k for a sine, to bin b = f mod m
+    of the full spectrum.  A real transform keeps the bins 0..m//2; bin
+    b > m/2 is the conjugate of bin m - b, so there a sine adds +1j c_k.
+    In the interleaved (real, imaginary) parts of the half spectrum,
+    coefficient k is entry ``slot[k]`` = 2 b' + sine with sign
+    ``sign[k]``, -1 for an unfolded sine and +1 otherwise; the projection
+    reads its coefficient off the same entry with the same sign.  Returns
+    (slot, to_half, from_half): ``to_half`` scales coefficients to the
+    entries that ``irfft`` inverts to the samples (m, halved on interior
+    bins, which it counts twice), and ``from_half`` scales the entries of
+    ``rfft`` back to coefficients (1/(m g_k)).
+    """
+    f, sine = _layout(klass, n_coeffs)
+    b = f % m
+    folded = 2 * b > m
+    b = np.where(folded, m - b, b)
+    slot = 2 * b + sine
+    sign = np.where(sine & ~folded, -1.0, 1.0)
+    interior = (b > 0) & (2 * b < m)
+    to_half = np.where(interior, 0.5 * m, m) * sign
+    from_half = sign / (m * gram_diag(klass, n_coeffs))
+    return read_only(slot), read_only(to_half), read_only(from_half)
+
+
 def _synthesize_uniform(klass, coeffs, m):
-    """The loop's values on ``grid_points(m)`` by one inverse FFT."""
+    """The loop's values on ``grid_points(m)`` by one real inverse FFT of
+    the half spectrum (``_half_spectrum``); ``bincount`` sums the
+    coefficients that alias into one bin."""
     coeffs = np.asarray(coeffs, dtype=float)
-    f, sine = _layout(klass, coeffs.size)
-    # cos(2 pi f i/m) = Re e^{2 pi i f i/m} and sin(...) = Re(-1j e^{...});
-    # add.at sums coefficients that alias into one bin
-    spec = np.zeros(m, dtype=complex)
-    np.add.at(spec, f % m, np.where(sine, -1j, 1.0) * coeffs)
-    return m * np.fft.ifft(spec).real
+    slot, to_half, _ = _half_spectrum(klass, coeffs.size, m)
+    half = np.bincount(slot, weights=to_half * coeffs, minlength=2 * (m // 2 + 1))
+    return np.fft.irfft(half.view(complex), m)
 
 
 def grid_points(m):
@@ -546,8 +578,9 @@ def project(klass, samples_fn_or_values, n_out, p=None):
 
     ``samples_fn_or_values`` is either an array of samples on the uniform
     [0, 2) grid of size p, or a callable evaluated there.  The discrete
-    inner products with the basis are read from one FFT: Re F[f] for a
-    cosine of frequency f, -Im F[f] for a sine.
+    inner products with the basis are read from one real FFT: Re F[f] for
+    a cosine of frequency f, -Im F[f] for a sine, where F[b] for b > p/2
+    is the conjugate of the half spectrum's F[p - b] (``_half_spectrum``).
     """
     if p is None:
         p = quad_size(n_out, factor=8)
@@ -560,9 +593,8 @@ def project(klass, samples_fn_or_values, n_out, p=None):
         raise DomainError(
             f"projection needs {p} samples, got shape {vals.shape}", tag="loops.grid"
         )
-    f, sine = _layout(klass, n_out)
-    spec = np.fft.fft(vals)[f % p]
-    return np.where(sine, -spec.imag, spec.real) / (p * gram_diag(klass, n_out))
+    slot, _, from_half = _half_spectrum(klass, n_out, p)
+    return from_half * np.fft.rfft(vals).view(float)[slot]
 
 
 def _power(z: Loop, k):

@@ -122,9 +122,29 @@ class NewtonReport:
 
 def _check_conditioned(h):
     """Raise SingularHessianError unless the symmetric Hessian h is finite
-    with 2-norm condition number at most 1e12, read from its eigenvalues."""
+    with 2-norm condition number at most 1e12.
+
+    The Gershgorin discs |lambda - h_ii| <= sum_{j != i} |h_ij| enclose
+    the spectrum (Horn and Johnson, Matrix Analysis, Thm 6.1.1).  Their
+    union [lo, hi] is widened by n eps ||h||_inf, which covers the rounding
+    of the sums and the error of an eigensolver.  When the widened
+    enclosure is one-signed, cond_2 <= max(|lo|, |hi|) / min(|lo|, |hi|),
+    and h passes without a factorization when that is at most 1e12.
+    Otherwise (an indefinite h, or discs too wide to tell) the condition
+    number is read from ``eigvalsh``, so the decision is the eigenvalue
+    test's either way.  The positive definite Newton Hessians of the
+    one-loop family all pass on the discs.
+    """
     if not np.all(np.isfinite(h)):
         raise SingularHessianError("Hessian has non-finite entries")
+    diag = np.diagonal(h)
+    rows = np.abs(h).sum(axis=1)
+    slack = h.shape[0] * np.finfo(float).eps * float(rows.max())
+    radius = rows - np.abs(diag)
+    lo = float(np.min(diag - radius)) - slack
+    hi = float(np.max(diag + radius)) + slack
+    if 0.0 < lo and hi <= 1e12 * lo or hi < 0.0 and -lo <= -1e12 * hi:
+        return
     mags = np.abs(np.linalg.eigvalsh(h))
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = mags.max() / mags.min()
@@ -139,9 +159,11 @@ def newton(objective, x0, tol=NEWTON_TOL, jacobian="every"):
     ratios r_{k+1} / r_k^2 are reported so quadratic convergence can be
     asserted at nondegenerate points.  Steps that leave the admissible set
     (or fail to reduce the residual) are halved up to 12 times, and at most
-    30 steps are taken.  Each new Hessian is checked once: a non-finite
-    one, or one with condition number above 1e12, raises
-    SingularHessianError.
+    30 steps are taken.  Each new Hessian is checked once
+    (``_check_conditioned``): a non-finite one, or one with condition
+    number above 1e12, raises SingularHessianError.  At the nondegenerate
+    minima of the one-loop family the Gershgorin discs decide that check,
+    so those solves run no eigensolver.
 
     jacobian='frozen' factors the Hessian once at the seed and reuses it
     (cheap quasi-Newton for objectives with expensive Hessians); it is
@@ -206,19 +228,20 @@ def newton(objective, x0, tol=NEWTON_TOL, jacobian="every"):
 # ---------------------------------------------------------------------------
 
 
-def free_fall_seed(n_modes=DEFAULT_MODES) -> frozen.CriticalPointCert:
-    """The explicit critical point at r = 0: A sin(pi tau), A = (2/pi)^{1/3}.
+def free_fall_seed(n_modes=DEFAULT_MODES) -> loops.Loop:
+    """The explicit critical point at r = 0: A sin(pi tau), A = (2/pi)^{1/3},
+    as an odd-sine loop of ``n_modes`` coefficients.
 
     Pure fundamental mode, a = 0, b = pi^2, so the gradient vanishes to
-    rounding and the certificate is analytic rather than solved.
+    rounding; ``frozen.certify(seed, 0.0)`` certifies it.  Callers that
+    only continue from it pay no certificate.
     """
     if n_modes < 4:
         raise DomainError("need at least 4 modes", tag="solve.modes")
     amp = (2.0 / np.pi) ** (1.0 / 3.0)
     coeffs = np.zeros(n_modes)
     coeffs[0] = amp
-    z = loops.from_coeffs(loops.ODD_SINE, coeffs)
-    return frozen.certify(z, 0.0)
+    return loops.from_coeffs(loops.ODD_SINE, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +269,14 @@ class SpectrumReport:
 def spectrum_report(h, align_with=None):
     """Morse data of a symmetric matrix, plus the cutoff spectral count
     (``detline.mu`` at the default ``detline.CutoffRho``).  An eigenvalue
-    below 1e-6 of the spectral radius in magnitude is null."""
+    below 1e-6 of the spectral radius in magnitude is null.  Only the
+    kernel alignment with ``align_with`` reads eigenvectors, so without it
+    the spectrum comes from ``eigvalsh``, with it from ``eigh``."""
     h = 0.5 * (h + h.T)
-    evals, evecs = np.linalg.eigh(h)
+    if align_with is None:
+        evals = np.linalg.eigvalsh(h)
+    else:
+        evals, evecs = np.linalg.eigh(h)
     radius = float(np.max(np.abs(evals))) if evals.size else 1.0
     null_tol = 1e-6 * radius
     null_mask = np.abs(evals) < null_tol
@@ -491,16 +519,16 @@ def solve_frozen(r, n_modes=DEFAULT_MODES):
     residual) and Newton runs on to the tolerance.  The last step holds
     that certificate at N with the residuals of the N solve; the earlier
     steps stay at n_w modes, and no caller reads them.  r = 0 returns the
-    analytic seed at N.
+    certificate of the analytic seed at N.
     """
     from .helium import RHO
 
     n = int(n_modes)
     seed = free_fall_seed(n)
     if r == 0.0:
-        return ContinuationPath([PathStep(0.0, seed, {})], [], [])
+        return ContinuationPath([PathStep(0.0, frozen.certify(seed, 0.0), {})], [], [])
     n_w = min(n, WORK_MODES)
-    x0 = FrozenObjective(0.0, n_w).pack(seed.z)
+    x0 = FrozenObjective(0.0, n_w).pack(seed)
     through = (RHO,) if r > RHO else ()
     path = continuation(lambda p: FrozenObjective(p, n_w), 0.0, r, x0, through=through)
     z = path.last().cert.z

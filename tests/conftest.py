@@ -67,7 +67,8 @@ def timings():
 
 @pytest.fixture(scope="session")
 def seed64():
-    return solve.free_fall_seed(64)
+    """The certificate of the analytic free fall at N = 64."""
+    return frozen.certify(solve.free_fall_seed(64), 0.0)
 
 
 @pytest.fixture(scope="session")
@@ -75,13 +76,12 @@ def frozen_path():
     """Continuation of the one-loop family from 0 through rho to 5, N = 64."""
 
     def run():
-        seed = solve.free_fall_seed(64)
         obj0 = solve.FrozenObjective(0.0, 64)
         return solve.continuation(
             lambda p: solve.FrozenObjective(p, 64),
             0.0,
             5.0,
-            obj0.pack(seed.z),
+            obj0.pack(solve.free_fall_seed(64)),
             diagnostics=solve.frozen_step_diagnostics,
             through=(helium.RHO,),
         )

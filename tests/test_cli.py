@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,28 @@ def frozen_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def eigen_solves(monkeypatch):
+    """Call counts of numpy's dense eigensolvers."""
+    calls = {}
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        calls[name] = 0
+
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestSolveCommand:
     def test_free_fall_summary(self, capsys, tmp_path):
         out_file = tmp_path / "cert.json"
@@ -65,6 +88,39 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out)["ok"] is True
         assert frozen_calls["hessian_analytic"].count(128) <= 2
+
+    def test_runs_no_eigensolver(self, capsys, eigen_solves):
+        # every Newton Hessian of the path is decided by its Gershgorin discs
+        code, _, _ = run(capsys, "solve", "--r", "5", "--modes", "128")
+        assert code == 0
+        assert eigen_solves == {"eig": 0, "eigh": 0, "eigvals": 0, "eigvalsh": 0}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--r", "1e20"],
+            ["solve", "--r", "1e300"],
+            ["continue", "--from", "0", "--to", "1e20"],
+        ],
+        ids=["solve-1e20", "solve-1e300", "continue-1e20"],
+    )
+    def test_huge_parameter_is_tagged_error(self, capsys, argv):
+        # the long first steps predict seeds whose norms overflow the
+        # functional; each is a tagged DomainError that halves the step, and
+        # the path ends stuck, reported as one JSON error without warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--modes", "16")
+        assert code == 2
+        assert out == ""
+        assert _strict_json(err)["invariant"] == "solve.continuation-stuck"
+
+    def test_large_parameter_misses_tolerance(self, capsys):
+        code, out, _ = run(capsys, "solve", "--r", "1e8", "--modes", "16")
+        assert code == 1
+        payload = _strict_json(out)
+        assert payload["ok"] is False
+        assert not payload["grad_res"] < payload["config"]["tol"]
 
     @pytest.mark.parametrize("r", ["nan", "inf", "-1"])
     def test_bad_parameter_is_domain_error(self, capsys, r):
@@ -475,11 +531,19 @@ class TestContinueCommand:
         assert time_map_calls == {"forward": 0, "tau_of_t": 0, "loop_zeros": 0}
 
     def test_one_certificate_per_step(self, capsys, frozen_calls):
-        # the step diagnostics reuse the certificate continuation made; the
-        # one more is the free-fall seed's
+        # the step diagnostics reuse the certificate continuation made, and
+        # the free-fall seed is continued from without a certificate
         code, out, _ = run(capsys, "continue", "--from", "0", "--to", "5", "--modes", "64")
         assert code == 0
-        assert len(frozen_calls["certify"]) == json.loads(out)["steps"] + 1
+        assert len(frozen_calls["certify"]) == json.loads(out)["steps"]
+
+    def test_eigensolves_only_the_step_spectra(self, capsys, eigen_solves):
+        # one eigvalsh for each accepted step's Morse data; Newton's and the
+        # tangent's condition checks are decided by Gershgorin discs
+        code, out, _ = run(capsys, "continue", "--from", "0", "--to", "5", "--modes", "64")
+        assert code == 0
+        assert json.loads(out)["steps"] == 7
+        assert eigen_solves == {"eig": 0, "eigh": 0, "eigvals": 0, "eigvalsh": 7}
 
     @pytest.mark.parametrize("bounds", [("0", "nan"), ("nan", "1"), ("0", "inf")])
     def test_non_finite_range_is_domain_error(self, capsys, bounds):

@@ -229,3 +229,15 @@ class TestNondegeneracy:
         assert all(rep.morse_index == 0 and rep.nullity == 0 for rep in reps)
         mins = np.array([rep.min_abs for rep in reps])
         assert np.max(np.abs(mins - mins[0])) < 1e-10 * mins[0]
+
+
+@pytest.mark.parametrize("amp", [1e80, 1e100, 1e160])
+def test_overflowing_norms_are_domain_errors(amp):
+    # far out along a long continuation step a predicted seed can reach
+    # norms whose functional overflows the float range
+    z = loops.from_coeffs(loops.ODD_SINE, [amp, 0.5 * amp, 0.25 * amp])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (frozen.value, frozen.gradient, frozen.hessian_analytic):
+            with pytest.raises(DomainError) as exc:
+                fn(z, 1.0)
+            assert exc.value.tag == "frozen.overflow"

@@ -541,8 +541,28 @@ class TestCalculusRule:
             assert np.array_equal(q, loops._layout(loops.EVEN_COSINE, q.size)[0])
 
 
+def complex_synthesis(klass, c, m):
+    """The loop's values on ``grid_points(m)`` from the full complex
+    spectrum: cos(2 pi f i/m) = Re e^{2 pi i f i/m} and sin = Re(-1j e^...),
+    with add.at summing the coefficients that alias into one bin."""
+    f, sine = loops._layout(klass, c.size)
+    spec = np.zeros(m, dtype=complex)
+    np.add.at(spec, f % m, np.where(sine, -1j, 1.0) * c)
+    return m * np.fft.ifft(spec).real
+
+
+def complex_projection(klass, vals, n):
+    """The discrete inner products of m samples with n basis functions from
+    the full complex FFT: Re F[f] for a cosine, -Im F[f] for a sine."""
+    m = vals.size
+    f, sine = loops._layout(klass, n)
+    spec = np.fft.fft(vals)[f % m]
+    return np.where(sine, -spec.imag, spec.real) / (m * loops.gram_diag(klass, n))
+
+
 class TestFFTOracle:
-    """The uniform-grid FFT paths against the dense ``basis_matrix`` table.
+    """The uniform-grid FFT paths against the dense ``basis_matrix`` table,
+    and the real half-spectrum transforms against the complex-FFT formula.
 
     M ranges below twice the top frequency, so several coefficients fold
     into one DFT bin.
@@ -570,6 +590,34 @@ class TestFFTOracle:
         B = loops.basis_matrix(klass, n, loops.grid_points(m))
         dense = (B @ vals) / (m * loops.gram_diag(klass, n))
         assert np.max(np.abs(loops.project(klass, vals, n, p=m) - dense)) < 1e-12
+
+    # any grid size, odd ones too, and down to one point, so that folding
+    # above m/2 and the unpaired Nyquist bin of even m are both covered
+    half_spectrum_cases = dict(cases, m=st.integers(1, 160))
+
+    @settings(max_examples=150, deadline=None)
+    @given(**half_spectrum_cases)
+    @example(klass=loops.FULL, n=9, m=5, seed=0)
+    @example(klass=loops.ODD_SINE, n=40, m=7, seed=1)
+    @example(klass=loops.EVEN_COSINE, n=40, m=8, seed=2)
+    def test_real_synthesis_matches_complex_spectrum(self, klass, n, m, seed):
+        c = np.random.default_rng(seed).normal(size=n)
+        ref = complex_synthesis(klass, c, m)
+        assert np.max(np.abs(loops._synthesize_uniform(klass, c, m) - ref)) <= 1e-14 * np.sum(np.abs(c))
+
+    @settings(max_examples=150, deadline=None)
+    @given(**half_spectrum_cases)
+    @example(klass=loops.FULL, n=9, m=5, seed=0)
+    @example(klass=loops.ODD_SINE, n=40, m=7, seed=1)
+    @example(klass=loops.EVEN_COSINE, n=40, m=8, seed=2)
+    def test_real_projection_matches_complex_spectrum(self, klass, n, m, seed):
+        vals = np.random.default_rng(seed).normal(size=m)
+        ref = complex_projection(klass, vals, n)
+        assert np.max(np.abs(loops.project(klass, vals, n, p=m) - ref)) <= 1e-14 * np.max(np.abs(vals))
+
+    def test_half_spectrum_tables_are_read_only(self):
+        for arr in (*loops._half_spectrum(loops.FULL, 9, 12), loops.gram_diag(loops.FULL, 9)):
+            assert not arr.flags.writeable
 
     @settings(max_examples=30, deadline=None)
     @given(klass=cases["klass"], n=st.integers(1, 12), seed=cases["seed"])

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import frozenplanet
 from frozenplanet import frozen, helium, loops, solve
 from frozenplanet.errors import (
     ContinuationStuckError,
@@ -41,7 +46,7 @@ class TestNewton:
 
     def test_direct_solve_at_rho(self):
         obj = solve.FrozenObjective(helium.RHO, 64)
-        x0 = obj.pack(solve.free_fall_seed(64).z)
+        x0 = obj.pack(solve.free_fall_seed(64))
         rep = solve.newton(obj, x0)
         assert rep.residuals[-1] < 1e-10
 
@@ -242,6 +247,84 @@ class TestSingularHessian:
         assert obj.hessian_calls == (1 if jacobian == "frozen" else rep.iterations)
 
 
+def _eigen_decision(h):
+    """The condition test on eigenvalues alone: the oracle of
+    ``solve._check_conditioned``.  True when h passes."""
+    if not np.all(np.isfinite(h)):
+        return False
+    mags = np.abs(np.linalg.eigvalsh(h))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return bool(mags.max() / mags.min() <= 1e12)
+
+
+def _symmetric(rng, evals, spread):
+    """A symmetric matrix with eigenvalues ``evals``: diag(evals) rotated by
+    the orthogonal factor of I + spread * K, K a random skew matrix, so
+    small spreads keep it diagonally dominant (the discs decide) and large
+    ones mix it fully (the eigensolver decides)."""
+    n = evals.size
+    k = rng.normal(size=(n, n))
+    q = np.linalg.qr(np.eye(n) + spread * (k - k.T))[0]
+    h = (q * evals) @ q.T
+    return 0.5 * (h + h.T)
+
+
+class TestConditionCheck:
+    """``_check_conditioned`` decides as the eigenvalue test does, on seeded
+    random symmetric matrices on both sides of the 1e12 bound."""
+
+    families = {
+        "spd-cond-1e3": lambda rng, n: np.geomspace(1.0, 1e3, n),
+        "spd-cond-0.9e12": lambda rng, n: np.geomspace(1.0, 0.9e12, n),
+        "spd-cond-1.1e12": lambda rng, n: np.geomspace(1.0, 1.1e12, n),
+        "spd-cond-1e14": lambda rng, n: np.geomspace(1.0, 1e14, n),
+        "negative-definite": lambda rng, n: -np.geomspace(2.0, 5e4, n),
+        "negative-cond-1e13": lambda rng, n: -np.geomspace(1.0, 1e13, n),
+        "indefinite": lambda rng, n: np.concatenate([[-1.0], np.geomspace(1.0, 1e3, n - 1)]),
+        "singular": lambda rng, n: np.concatenate([[0.0], np.geomspace(1.0, 1e3, n - 1)]),
+        "random-spectrum": lambda rng, n: rng.normal(size=n),
+    }
+
+    @staticmethod
+    def _passes(h):
+        try:
+            solve._check_conditioned(h)
+        except SingularHessianError as exc:
+            assert exc.tag == "solve.singular-hessian"
+            return False
+        return True
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-5, 1e-2, 1.0])
+    @pytest.mark.parametrize("family", sorted(families))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decides_like_the_eigenvalues(self, family, spread, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 65))
+        h = _symmetric(rng, self.families[family](rng, n), spread)
+        assert self._passes(h) == _eigen_decision(h)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries(self, bad):
+        h = np.eye(4)
+        h[1, 2] = h[2, 1] = bad
+        with pytest.raises(SingularHessianError, match="non-finite"):
+            solve._check_conditioned(h)
+
+    def test_definite_hessians_skip_the_eigensolver(self, monkeypatch, seed64):
+        # the discs decide a diagonally dominant definite matrix of either
+        # sign, and the free-fall Hessian; an indefinite one needs eigvalsh
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+        rng = np.random.default_rng(0)
+        dominant = _symmetric(rng, np.geomspace(1.0, 1e3, 32), 1e-5)
+        for h in (dominant, -dominant, frozen.hessian_analytic(seed64.z, 0.0)):
+            solve._check_conditioned(h)
+        assert calls == []
+        solve._check_conditioned(_symmetric(rng, np.linspace(-1.0, 2.0, 32), 1e-4))
+        assert calls == [1]
+
+
 class PowerPath:
     """g(x) = x - p^k a, |a| = 1, so the critical point p^k a is linear in
     p for k = 1; a point farther than ``reach`` from it is inadmissible."""
@@ -377,14 +460,14 @@ class TestContinuation:
                 lambda p: Impossible(p, 8) if p > 0 else solve.FrozenObjective(p, 8),
                 0.0,
                 1.0,
-                obj0.pack(seed.z),
+                obj0.pack(seed),
             )
 
 
 def direct_continuation(r, n):
     """The whole continuation from the free fall at N modes: the oracle of
     ``solve_frozen``, which continues on fewer modes."""
-    x0 = solve.FrozenObjective(0.0, n).pack(solve.free_fall_seed(n).z)
+    x0 = solve.FrozenObjective(0.0, n).pack(solve.free_fall_seed(n))
     through = (helium.RHO,) if r > helium.RHO else ()
     return solve.continuation(lambda p: solve.FrozenObjective(p, n), 0.0, r, x0, through=through)
 
@@ -410,7 +493,7 @@ class TestTwoGridSolve:
         assert path.parameters == [0.0]
         cert = path.last().cert
         assert cert.z.n == 128
-        assert np.array_equal(cert.z.coeffs, solve.free_fall_seed(128).z.coeffs)
+        assert np.array_equal(cert.z.coeffs, solve.free_fall_seed(128).coeffs)
 
     def test_small_sizes_continue_at_the_requested_size(self):
         path, oracle = solve.solve_frozen(1.0, n_modes=8), direct_continuation(1.0, 8)
@@ -496,3 +579,31 @@ class TestEulerCount:
             (-1) ** s.diagnostics["morse_index"] for s in homotopy_path.steps
         }
         assert len(counts) == 1
+
+
+def test_solves_leave_numpy_ma_unimported():
+    # numpy.ma costs about 1 MB of peak memory, and numpy imports it on
+    # demand (np.unique on an int array does): a one-loop solve_frozen and
+    # a pair Newton solve, in a fresh interpreter, must not pull it in
+    src = os.path.dirname(os.path.dirname(frozenplanet.__file__))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from frozenplanet import helium, solve\n"
+        "cert = solve.solve_frozen(helium.RHO, n_modes=16).last().cert\n"
+        "obj = helium.PairObjective(0.0, n1=8, n2=16)\n"
+        "x0 = obj.pack(helium.bridge_pair(cert.z, n1=8))\n"
+        "kick = 1e-4 * np.random.default_rng(0).normal(size=x0.size)\n"
+        "rep = solve.newton(obj, x0 + kick)\n"
+        "print(rep.iterations, 'numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    iterations, imported = out.stdout.split()
+    assert int(iterations) > 0
+    assert imported == "False"
