@@ -121,7 +121,7 @@ def norm_gradient(z: loops.Loop, df):
     """
     f_l, f_d, f_s = df
     if f_s == 0.0:
-        coeffs = np.zeros(loops._power_layout(z, 3)[1])
+        coeffs = np.zeros(loops._power_layout(z.klass, z.n, 3)[1])
     else:
         coeffs = 4.0 * f_s * loops.cube(z).coeffs
     coeffs[: z.n] += 2.0 * f_l * z.coeffs - 2.0 * f_d * loops.second_derivative_coeffs(z)
@@ -190,31 +190,22 @@ def norm_hessian(zs, df, d2f):
 
 def _cubic_galerkin(z: loops.Loop):
     """z^3 and the multiplication operator M[z^2] in the orthonormal basis
-    e_k / sqrt(g_k), both exact on the dealiased grid of P points.
+    e_k / sqrt(g_k), both exact for band-limited loops.
 
     They are the gradient and Hessian of the quartic norm:
     ||z^2||^2 has gradient 4 z^3 and Hessian 12 M[z^2] in those coordinates.
     z^3 is sqrt(g) times the head of the cached ``loops.cube``.  M[z^2] is
-    gathered from one FFT of z^2 (the Galerkin product rule): with
-    e_j / sqrt(g_j) = a_j e^{i pi f_j tau} + c.c., a_j = (1/2, or -i/2 for a
-    sine) / sqrt(g_j), and W[m] = mean of z^2 e^{i pi m tau} over the grid
-    (indexed mod P),
-
-        M_jk = 2 Re(a_j a_k W[f_j + f_k] + a_j conj(a_k) W[f_j - f_k]),
-
-    one formula for all three classes, exactly symmetric.
+    read off the cached ``loops.square`` by the product-to-sum rule
+    (``loops._product_sums``): M_jk = <z^2, e_j e_k> / sqrt(g_j g_k), and
+    e_j e_k is half a signed sum of two basis functions of the square's
+    layout, so the pairing is half a signed sum of two of the square's
+    coefficients u, each times its gram weight.  One formula for all three
+    classes, exactly symmetric, and no transform once the square is cached.
     """
-    n = z.n
-    sg = np.sqrt(loops.gram_diag(z.klass, n))
-    p = loops.quad_size(z.n_active_modes())
-    f, sine = loops._layout(z.klass, n)
-    a = np.where(sine, -0.5j, 0.5) / sg
-    # W from the half spectrum of the real z^2, so W[P - m] = conj(W[m]) exactly
-    half = np.fft.rfft(z.quad_samples() ** 2) / p
-    w = np.conj(np.concatenate([half, np.conj(half[-2:0:-1])]))
-    fj, fk = f[:, None], f[None, :]
-    mult = np.outer(a, a) * w[(fj + fk) % p] + np.outer(a, a.conj()) * w[(fj - fk) % p]
-    return sg * loops.cube(z).coeffs[:n], 2.0 * mult.real
+    sq = loops.square(z)
+    mult = loops._product_sums(z.klass, z.n, loops.gram_diag(sq.klass, sq.n) * sq.coeffs)
+    sg = np.sqrt(loops.gram_diag(z.klass, z.n))
+    return sg * loops.cube(z).coeffs[: z.n], mult
 
 
 def energy_check(z: loops.Loop, r):
@@ -229,7 +220,8 @@ def energy_check(z: loops.Loop, r):
     zv = z.quad_samples()
     d1 = loops.derivative(z)
     zp = loops._synthesize_uniform(d1.klass, d1.coeffs, p)
-    e = 0.5 * zp**2 + 0.5 * b * zv**2 + 0.5 * a * zv**4
+    zv2 = zv * zv  # z^4 as (z z)(z z), not through libm pow
+    e = 0.5 * zp**2 + 0.5 * b * zv2 + 0.5 * a * (zv2 * zv2)
     c = 2.0 * float(np.mean(e))
     deviation = float(np.max(np.abs(2.0 * e - c)))
     return {"c": c, "deviation": deviation}

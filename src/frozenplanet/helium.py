@@ -280,58 +280,27 @@ def b_in(pair: PairLoop):
     return b_interp(pair, 1.0)
 
 
-@functools.cache
-def _product_to_sum(klass, n):
-    """e_j e_k = (cos(pi d s) + sign cos(pi p s)) / 2, d = |f_j - f_k|, p = f_j + f_k.
-
-    Read from the ``loops._layout`` frequencies f; sign is -1 for a product
-    of sines and +1 for a product of cosines, so the rule holds on both
-    symmetric classes.  Returns the frequencies q that occur, the (n, n)
-    indices of d and p into q, and the sign; cached read-only.
-    """
-    if klass == loops.FULL:
-        raise DomainError("product table needs a symmetric class", tag="helium.classes")
-    f, sine = loops._layout(klass, n)
-    d = np.abs(f[:, None] - f[None, :])
-    p = f[:, None] + f[None, :]
-    q, idx = np.unique(np.concatenate([d, p]), return_inverse=True)
-    idx = idx.reshape(2 * n, n)
-    di, pi = idx[:n], idx[n:]
-    for arr in (q, di, pi):
-        arr.setflags(write=False)
-    return q, di, pi, -1.0 if sine[0] else 1.0
-
-
 def _phi_coef(z: loops.Loop):
     """The coefficients C of Phi[k] = int_0^tau 2 z e_k over the primitive
     rows of ``_phi_table``: by the product-to-sum rule
-    2 z e_k = sum_j c_j (cos(pi d_jk s) + sign cos(pi p_jk s))."""
+    (``loops._product_to_sum``) 2 z e_k = sum_j c_j (sd_jk u_di + sp_jk u_pi),
+    u the basis of the square's layout."""
     n = z.n
-    q, di, pi, sign = _product_to_sum(z.klass, n)
-    coef = np.zeros((n, q.size))
+    di, pi, sd, sp = loops._product_to_sum(z.klass, n)
+    coef = np.zeros((n, loops._power_layout(z.klass, n, 2)[1]))
     rows = np.broadcast_to(np.arange(n)[:, None], (n, n))
-    np.add.at(coef, (rows, di), z.coeffs[None, :])
-    np.add.at(coef, (rows, pi), sign * z.coeffs[None, :])
+    np.add.at(coef, (rows, di), sd * z.coeffs[None, :])
+    np.add.at(coef, (rows, pi), sp * z.coeffs[None, :])
     return coef
 
 
 def _phi_table(z: loops.Loop, taus):
     """Phi[k](tau) = int_0^tau 2 z e_k at the points taus, as the factors
-    (C, S) of Phi = C @ S: C from ``_phi_coef``, and S the primitives of the
-    frequencies q, which are the even-cosine layout of q.size,
-    ``loops.basis_matrix(EVEN_COSINE, q.size, taus, -1)``.
+    (C, S) of Phi = C @ S: C from ``_phi_coef``, and S the primitive rows
+    of the square's layout (even-cosine for both symmetric classes).
     """
-    q = _product_to_sum(z.klass, z.n)[0]
-    return _phi_coef(z), loops.basis_matrix(loops.EVEN_COSINE, q.size, taus, -1)
-
-
-def _product_sums(klass, n, v):
-    """sum_m c_m P_ef(tau_m) over orthonormal directions e, f (n x n), with
-    P_ef = int_0^tau e f, from the node sums v = S @ c of the primitive rows
-    of ``_phi_table``: 0.5 (v[d] + sign v[p]) / sqrt(g_e g_f)."""
-    _, di, pi, sign = _product_to_sum(klass, n)
-    sg = np.sqrt(loops.gram_diag(klass, n))
-    return 0.5 * (v[di] + sign * v[pi]) / np.outer(sg, sg)
+    klass, size = loops._power_layout(z.klass, z.n, 2)
+    return _phi_coef(z), loops.basis_matrix(klass, size, taus, -1)
 
 
 @functools.cache
@@ -344,8 +313,7 @@ def _tau2_rule(n, m):
     sg = np.sqrt(loops.gram_diag(loops.ODD_SINE, n))[:, None]
     rows = loops.basis_matrix(loops.ODD_SINE, n, taus) / sg
     drows = loops.basis_matrix(loops.ODD_SINE, n, taus, 1) / sg
-    q = _product_to_sum(loops.ODD_SINE, n)[0]
-    prim = loops.basis_matrix(loops.EVEN_COSINE, q.size, taus, -1)
+    prim = loops.basis_matrix(*loops._power_layout(loops.ODD_SINE, n, 2), taus, -1)
     for arr in (rows, drows, prim):
         arr.setflags(write=False)
     return rows, drows, prim
@@ -426,7 +394,7 @@ class _TimeMapVariation:
                        + (4 z'/z) (t <e, f> - P_ef(tau)),
 
         P_ef = int_0^tau e f.  Every term but the last is an (n, M) diag
-        (M, n) product; the weighted node sum of P_ef is ``_product_sums``.
+        (M, n) product; the weighted node sum of P_ef is ``loops._product_sums``.
         """
         ratio = 4.0 * self.zp * self.inv_z * w  # the weights (4 z'/z) w
         cross = (self.e * (-2.0 * w * self.zp)) @ self.tau_e.T
@@ -434,7 +402,7 @@ class _TimeMapVariation:
         h = 2.0 * (self.e * w) @ self.e.T + cross + cross.T
         h += (self.tau_e * (2.0 * w * self.curv)) @ self.tau_e.T
         h[np.diag_indices_from(h)] += float(ratio @ self.t)
-        h -= _product_sums(self.z.klass, self.z.n, self.phi[1] @ ratio)
+        h -= loops._product_sums(self.z.klass, self.z.n, self.phi[1] @ ratio)
         return h
 
 
@@ -462,8 +430,9 @@ class _Repulsion:
     no zero, so the integrand is periodic and analytic in tau, and the
     midpoint rule R = mean(w / g) over the nodes (k + 1/2)/m converges
     geometrically (Trefethen and Weideman, SIAM Review 56, 2014).  Only
-    z1's time map is inverted: at the nodes' t, and where ``_least``
-    refines the gap's minimum between them.
+    z1's time map is inverted, once by ``tau_of_t`` at the nodes' t; where
+    ``_least`` refines the gap's minimum between two nodes, tau1 is found
+    in their cell (``_tau1_between``).
 
     z2 is varied at fixed tau, with its orthonormal rows e and x = <z2, e>:
     dt_f = (Phi_f - 2 t x_f) / I2 (``_phi_table``), dw_f = 2 (z2 f - w x_f) / I2
@@ -489,13 +458,9 @@ class _Repulsion:
         # a zero of z1 makes a rate infinite or nan; its gap -z2^2 <= 0 is
         # kept, so the pair is refused rather than warned about
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.var = self._variation(self.t)
+            self.var = _TimeMapVariation(self.z1, levi_civita.tau_of_t(self.z1, self.t), self.t)
             self.gap = self.var.zv**2 - self.z2**2
             self.least = self._least(z2)
-
-    def _variation(self, t):
-        """z1's ``_TimeMapVariation`` at the physical times t."""
-        return _TimeMapVariation(self.z1, levi_civita.tau_of_t(self.z1, t), t)
 
     def _least(self, z2):
         """(min g, the t there) of the gap g(tau) = Q1(t) - z2^2, found
@@ -524,7 +489,8 @@ class _Repulsion:
         s = _hermite_min(self.gap[j], self.gap[j + 1], slope[j], slope[j + 1])
         tau = np.concatenate([[0.0, 1.0], (j + 0.5 + s) * h])
         t = self.p2 @ loops.basis_matrix(loops.EVEN_COSINE, self.p2.size, tau, -1)
-        var = self._variation(t)
+        tau1 = np.concatenate([[0.0, 1.0], self._tau1_between(t[2:], j)])
+        var = _TimeMapVariation(self.z1, tau1, t)
         b0, b1, b2 = loops.jets(z2, tau, (0, 1, 2))
         w = b0**2 / self.i2
         g = var.zv**2 - b0**2
@@ -534,6 +500,21 @@ class _Repulsion:
         gaps, ts = np.concatenate([self.gap, g]), np.concatenate([self.t, t])
         k = int(np.argmin(gaps))
         return float(gaps[k]), float(ts[k])
+
+    def _tau1_between(self, t, j):
+        """z1's tau at the times t, each between the nodes j and j + 1: the
+        time map inverted in the node cell of tau1 (``levi_civita.
+        tau_in_brackets``), from the cubic Hermite through the nodes' tau1
+        with their slopes dtau1/dt = I1 / z1^2."""
+        var = self.var
+        lo, hi = var.taus[j], var.taus[j + 1]
+        width = self.t[j + 1] - self.t[j]
+        slope = var.norm * var.inv_z**2
+        u = np.divide(t - self.t[j], width, out=np.zeros(t.size), where=width > 0.0)
+        v = 1.0 - u
+        x0 = v * v * ((1.0 + 2.0 * u) * lo + u * width * slope[j])
+        x0 += u * u * ((3.0 - 2.0 * u) * hi - v * width * slope[j + 1])
+        return levi_civita.tau_in_brackets(self.z1, t, lo, hi, np.clip(x0, lo, hi))
 
     def _weights(self, s):
         """With R = mean(w / g), the derivatives of -s R in w and g at the
@@ -584,7 +565,7 @@ class _Repulsion:
         h[:n1, :n1] += var.second(b)
         c = b * var.rate
         h2 = (dt * (b * var.rate_t)) @ dt.T - (self.e * (2.0 * (b + a / self.i2))) @ self.e.T
-        h2 += (2.0 / self.i2) * _product_sums(loops.ODD_SINE, self.x.size, self.prim @ c)
+        h2 += (2.0 / self.i2) * loops._product_sums(loops.ODD_SINE, self.x.size, self.prim @ c)
         sym = dt @ c - dw @ a
         h2 -= (2.0 / self.i2) * (np.outer(self.x, sym) + np.outer(sym, self.x))
         h2[np.diag_indices_from(h2)] -= (2.0 / self.i2) * float(c @ self.t - a @ self.w)

@@ -40,7 +40,14 @@ scan in ``sup_norm``) is one real inverse FFT of length M and ``project``
 one real forward FFT, both on the half spectrum of bins 0..M/2;
 frequencies above M/2 fold into their aliased bins (``_half_spectrum``).
 The dense ``basis_matrix`` evaluates loops off the grid (``Loop.__call__``)
-and is the reference for the FFT paths and the M[z^2] of ``frozen``.
+and is the reference for the FFT paths and the product rule.
+
+A product e_j e_k of two basis functions is half a signed sum of two basis
+functions of the square's layout, at |f_j - f_k| and f_j + f_k
+(``_product_to_sum``).  ``_product_sums`` applies that one rule to a linear
+functional on the products: the Galerkin matrix M[z^2] of ``frozen``, read
+off the cached square, and the node sums of the product primitives of
+``helium``.
 
 The solvers work on packed coordinates x = sqrt(g) c, orthonormal in the
 half-period pairing, one block per loop (``Packed``).
@@ -443,17 +450,21 @@ def norm_data(z: Loop):
     """The squared norms (||z||^2, ||z'||^2, ||z^2||^2), cached per loop.
 
     The first two are coefficient sums; ||z^2||^2 is the mean of z^4 on the
-    dealiased grid, exact for band-limited loops.  A zero loop yields
+    dealiased grid, exact for band-limited loops, formed as (z z)(z z):
+    numpy's ``**`` with exponent 4 calls libm ``pow``, which takes a slow
+    path on every negative sample.  A zero loop yields
     ||z||^2 = 0; callers that divide by it reject it themselves.
     """
     cache = _loop_cache(z)
     if "norm_data" not in cache:
         g = gram_diag(z.klass, z.n)
         w = frequencies(z.klass, z.n)
+        v = z.quad_samples()
+        v2 = v * v
         cache["norm_data"] = (
             float(np.sum(g * z.coeffs**2)),
             float(np.sum(g * (w * z.coeffs) ** 2)),
-            float(np.mean(z.quad_samples() ** 4)),
+            float(np.mean(v2 * v2)),
         )
     return cache["norm_data"]
 
@@ -598,22 +609,82 @@ def project(klass, samples_fn_or_values, n_out, p=None):
 
 
 def _power(z: Loop, k):
-    """z^k re-analyzed exactly from the dealiased grid, in z's class for odd
-    k and in even-cosine for even k (full if z is).  Cached per loop."""
+    """z^k for k = 2 or 3, re-analyzed exactly from the dealiased grid, in
+    z's class for odd k and in even-cosine for even k (full if z is).
+    Cached per loop.  The samples are multiplied, v v or v v v: numpy's
+    ``**`` with exponent 3 calls libm ``pow``, which takes a slow path on
+    every negative sample."""
     cache = _loop_cache(z)
     if ("power", k) not in cache:
-        klass, n_coeffs = _power_layout(z, k)
+        klass, n_coeffs = _power_layout(z.klass, z.n, k)
         p = quad_size(z.n_active_modes())
-        coeffs = project(klass, z.quad_samples() ** k, n_coeffs, p=p)
+        v = z.quad_samples()
+        vals = v * v if k == 2 else v * v * v
+        coeffs = project(klass, vals, n_coeffs, p=p)
         cache[("power", k)] = from_coeffs(klass, coeffs)
     return cache[("power", k)]
 
 
-def _power_layout(z: Loop, k):
-    """The class and the coefficient count of z^k, without forming it."""
-    klass = z.klass if k % 2 or z.klass == FULL else EVEN_COSINE
+def _power_layout(klass, n_coeffs, k):
+    """The class and the coefficient count of z^k for a loop z of ``klass``
+    with ``n_coeffs`` coefficients, without forming it."""
+    top = k * mode_count(klass, n_coeffs)
+    klass = klass if k % 2 or klass == FULL else EVEN_COSINE
     # the slot of the top frequency kF of z^k, as its top sine for full loops
-    return klass, int(_slot(klass, k * mode_count(z.klass, z.n), True)) + 1
+    return klass, int(_slot(klass, top, True)) + 1
+
+
+@functools.cache
+def _product_to_sum(klass, n_coeffs):
+    """The product-to-sum rule of the basis: e_j e_k is half the sum of
+    sd[j, k] times the basis function di[j, k] and sp[j, k] times the basis
+    function pi[j, k] of the square's layout (``_power_layout(klass, n, 2)``).
+    Cached read-only like ``_layout``.
+
+    With frequencies a = f_j, b = f_k, d = a - b and p = a + b,
+
+        cos cos = (cos d + cos p) / 2,    sin sin = (cos d - cos p) / 2,
+        sin cos = (sin p + sin d) / 2,    cos sin = (sin p - sin d) / 2,
+
+    and sin d = sign(d) sin |d|, which vanishes at d = 0.  Both symmetric
+    classes have no mixed products and squares in even-cosine, so there
+    di = |f_j - f_k| / 2 and pi = (f_j + f_k) / 2, with sd = 1 and sp = -1
+    for the odd-sine class; a full loop's cos sin products give sines.
+    """
+    f, sine = _layout(klass, n_coeffs)
+    sq_klass = _power_layout(klass, n_coeffs, 2)[0]
+    d = f[:, None] - f[None, :]
+    mixed = sine[:, None] != sine[None, :]
+    di = _slot(sq_klass, np.abs(d), mixed)
+    pi = _slot(sq_klass, f[:, None] + f[None, :], mixed)
+    sd = np.where(mixed, np.where(sine[:, None], 1.0, -1.0) * np.sign(d), 1.0)
+    sp = np.where(sine[:, None] & sine[None, :], -1.0, 1.0)
+    return read_only(di), read_only(pi), read_only(sd), read_only(sp)
+
+
+@functools.cache
+def _product_weights(klass, n_coeffs):
+    """sd and sp of ``_product_to_sum`` over 2 sqrt(g_j g_k), the weights
+    of ``_product_sums``, cached read-only."""
+    _, _, sd, sp = _product_to_sum(klass, n_coeffs)
+    sg = np.sqrt(gram_diag(klass, n_coeffs))
+    half = 0.5 / np.outer(sg, sg)
+    return read_only(sd * half), read_only(sp * half)
+
+
+def _product_sums(klass, n_coeffs, v):
+    """(sd v[di] + sp v[pi]) / (2 sqrt(g_j g_k)) by ``_product_to_sum``: a
+    linear functional, given by its values v on the basis of the square's
+    layout, on the products of the orthonormal directions e_j / sqrt(g_j),
+    as an exactly symmetric (n, n) table.  With v = g u, u the coefficients
+    of a function and g their ``gram_diag``, the functional is the pairing
+    with that function and the table its Galerkin multiplication matrix;
+    with v = S @ c, S the primitive rows of the square's layout at some
+    nodes, it is the weighted node sum of the primitives of the products.
+    """
+    di, pi, _, _ = _product_to_sum(klass, n_coeffs)
+    wd, wp = _product_weights(klass, n_coeffs)
+    return wd * v[di] + wp * v[pi]
 
 
 def square(z: Loop) -> Loop:

@@ -135,19 +135,39 @@ class TestNormChainRule:
         assert np.max(np.abs(h - fd)) < 1e-7 * np.max(np.abs(h))
 
 
-class TestCubicGalerkinOracle:
-    """The FFT gather of ``_cubic_galerkin`` against the dense table
-    (B / sqrt(g)) diag(z^2) (B / sqrt(g))^T / P and (B / sqrt(g)) z^3 / P
-    on the same dealiased grid, for every class and both parities of a
-    full loop's coefficient count."""
+def fft_gather(z):
+    """M[z^2] gathered from one FFT of z^2 on the dealiased grid of P points:
+    with e_j / sqrt(g_j) = a_j e^{i pi f_j tau} + c.c., a_j = (1/2, or -i/2
+    for a sine) / sqrt(g_j), and W[m] the grid mean of z^2 e^{i pi m tau}
+    (indexed mod P), M_jk = 2 Re(a_j a_k W[f_j + f_k] + a_j conj(a_k)
+    W[f_j - f_k]); the oracle for the product-to-sum rule."""
+    n = z.n
+    p = loops.quad_size(z.n_active_modes())
+    f, sine = loops._layout(z.klass, n)
+    a = np.where(sine, -0.5j, 0.5) / np.sqrt(loops.gram_diag(z.klass, n))
+    half = np.fft.rfft(z.quad_samples() ** 2) / p
+    w = np.conj(np.concatenate([half, np.conj(half[-2:0:-1])]))
+    fj, fk = f[:, None], f[None, :]
+    mult = np.outer(a, a) * w[(fj + fk) % p] + np.outer(a, a.conj()) * w[(fj - fk) % p]
+    return 2.0 * mult.real
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        klass=st.sampled_from(loops.CLASSES),
-        n=st.integers(1, 40),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_gather_matches_dense_build(self, klass, n, seed):
+
+def negative_loop(klass, n, seed):
+    """A loop of decaying random coefficients, negative on part of its grid."""
+    c = np.random.default_rng(seed).normal(size=n) * np.exp(-0.1 * np.arange(n))
+    z = loops.from_coeffs(klass, c)
+    assert np.any(z.quad_samples() < 0.0)
+    return z
+
+
+class TestCubicGalerkinOracle:
+    """``_cubic_galerkin``'s product-to-sum M[z^2] against the dense table
+    (B / sqrt(g)) diag(z^2) (B / sqrt(g))^T / P and (B / sqrt(g)) z^3 / P
+    on the same dealiased grid, and against the FFT gather it replaced,
+    for every class and both parities of a full loop's coefficient count."""
+
+    @staticmethod
+    def check(klass, n, seed):
         c = np.random.default_rng(seed).normal(size=n)
         z = loops.from_coeffs(klass, c)
         p = loops.quad_size(z.n_active_modes())
@@ -157,8 +177,65 @@ class TestCubicGalerkinOracle:
         c3, mult = frozen._cubic_galerkin(z)
         scale = max(1.0, float(np.sum(np.abs(c))))
         assert np.max(np.abs(mult - basis @ (zs[:, None] ** 2 * basis.T) / p)) <= 1e-12 * scale**2
+        assert np.max(np.abs(mult - fft_gather(z))) <= 1e-14 * scale**2
         assert np.max(np.abs(c3 - basis @ zs**3 / p)) <= 1e-12 * scale**3
         assert np.array_equal(mult, mult.T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        klass=st.sampled_from(loops.CLASSES),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gather_matches_dense_build(self, klass, n, seed):
+        self.check(klass, n, seed)
+
+    @pytest.mark.parametrize("klass", loops.CLASSES)
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_solver_sizes(self, klass, n):
+        self.check(klass, n, n)
+
+    @pytest.mark.parametrize("klass", loops.CLASSES)
+    def test_hessian_transforms_nothing_once_square_is_cached(self, monkeypatch, klass):
+        # with the cube and the square of z cached, M[z^2] is read off the
+        # square's coefficients: hessian_analytic makes no FFT
+        z = negative_loop(klass, 12, 3)
+        loops.norm_data(z), loops.cube(z), loops.square(z)
+        want = frozen.hessian_analytic(loops.from_coeffs(klass, z.coeffs), 5.0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.fft called")
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, forbidden)
+        assert np.array_equal(frozen.hessian_analytic(z, 5.0), want)
+
+
+class TestPowersByMultiplication:
+    """norm_data, cube and energy_check multiply the samples; against the
+    ``**`` forms on loops negative on part of their grid, to 1e-15 of the
+    scale of the result."""
+
+    @pytest.mark.parametrize("klass", loops.CLASSES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_against_pow(self, klass, seed):
+        z = negative_loop(klass, 16, seed)
+        p = loops.quad_size(z.n_active_modes())
+        v = z.quad_samples()
+        scale = float(np.max(np.abs(v)))
+        assert abs(loops.norm_data(z)[2] - float(np.mean(v**4))) <= 1e-15 * scale**4
+        klass3, n3 = loops._power_layout(klass, z.n, 3)
+        want = loops.project(klass3, v**3, n3, p=p)
+        assert np.max(np.abs(loops.cube(z).coeffs - want)) <= 1e-15 * scale**3
+        a, b = frozen.coefficients(z, 5.0)
+        d1 = loops.derivative(z)
+        zp = loops._synthesize_uniform(d1.klass, d1.coeffs, p)
+        e = 0.5 * zp**2 + 0.5 * b * v**2 + 0.5 * a * v**4
+        got = frozen.energy_check(z, 5.0)
+        c = 2.0 * float(np.mean(e))
+        e_scale = float(np.max(np.abs(zp**2) + abs(b) * v**2 + abs(a) * v**4))
+        assert abs(got["c"] - c) <= 1e-15 * e_scale
+        assert abs(got["deviation"] - float(np.max(np.abs(2.0 * e - c)))) <= 1e-15 * e_scale
 
 
 class TestEnergy:

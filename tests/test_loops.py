@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frozenplanet import frozen, helium, loops
+from frozenplanet import frozen, loops
 from frozenplanet.errors import ClassMismatchError, DomainError
 
 
@@ -411,10 +411,10 @@ class TestTrig:
         f, sine = loops._layout(klass, n)
         yield f, sine
         yield f, ~sine
-        if klass != loops.FULL:
-            q = helium._product_to_sum(klass, n)[0]
-            yield q, np.ones(q.size, dtype=bool)
-            yield q, np.zeros(q.size, dtype=bool)
+        # the square's frequencies, as the primitive rows of products read them
+        q = loops._layout(*loops._power_layout(klass, n, 2))[0]
+        yield q, np.ones(q.size, dtype=bool)
+        yield q, np.zeros(q.size, dtype=bool)
 
     @staticmethod
     def check(f, sine, taus):
@@ -536,9 +536,35 @@ class TestCalculusRule:
 
     @pytest.mark.parametrize("klass", [loops.ODD_SINE, loops.EVEN_COSINE])
     def test_product_frequencies_are_the_even_cosine_layout(self, klass):
+        # the products' frequencies |f_j - f_k| and f_j + f_k are the
+        # even-cosine layout 0, 2, ..., read at half their value
         for n in range(1, 41):
-            q = helium._product_to_sum(klass, n)[0]
-            assert np.array_equal(q, loops._layout(loops.EVEN_COSINE, q.size)[0])
+            sq_klass, size = loops._power_layout(klass, n, 2)
+            assert sq_klass == loops.EVEN_COSINE
+            f = loops._layout(klass, n)[0]
+            q = loops._layout(loops.EVEN_COSINE, size)[0]
+            di, pi, sd, sp = loops._product_to_sum(klass, n)
+            assert np.array_equal(q, 2 * np.arange(size))
+            assert np.array_equal(q[di], np.abs(f[:, None] - f[None, :]))
+            assert np.array_equal(q[pi], f[:, None] + f[None, :])
+            assert np.all(sd == 1.0) and np.all(sp == (-1.0 if klass == loops.ODD_SINE else 1.0))
+
+    @pytest.mark.parametrize("klass", loops.CLASSES)
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_product_to_sum_rule_pointwise(self, klass, n):
+        # e_j e_k = (sd u_di + sp u_pi) / 2 over the square's basis u, entry
+        # by entry at points off any grid; a full loop's cos sin give sines
+        taus = np.random.default_rng(n).uniform(0.0, 2.0, 13)
+        e = direct_trig(*loops._layout(klass, n), taus)
+        u = direct_trig(*loops._layout(*loops._power_layout(klass, n, 2)), taus)
+        di, pi, sd, sp = loops._product_to_sum(klass, n)
+        want = e[:, None, :] * e[None, :, :]
+        got = 0.5 * (sd[..., None] * u[di] + sp[..., None] * u[pi])
+        # cos and sin of pi q tau round to about eps pi q tau, q <= 2F, tau < 2
+        bound = 1e-15 * (1.0 + 4.0 * np.pi * loops.mode_count(klass, n))
+        assert np.max(np.abs(got - want)) < bound
+        for arr in (di, pi, sd, sp):
+            assert not arr.flags.writeable
 
 
 def complex_synthesis(klass, c, m):
