@@ -10,6 +10,7 @@ error.  Error messages name the violated invariant tag.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -351,7 +352,10 @@ class _Parser(argparse.ArgumentParser):
         raise FrozenPlanetError(f"{self.prog}: {message}", tag="cli.config")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: ``parse_args``
+    makes a new namespace on every call and leaves the parser as it was."""
     parser = _Parser(
         prog="frozenplanet",
         description="Regularized frozen-planet orbits: solving, identities, "

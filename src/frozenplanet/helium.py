@@ -287,11 +287,12 @@ def _phi_coef(z: loops.Loop):
     u the basis of the square's layout."""
     n = z.n
     di, pi, sd, sp = loops._product_to_sum(z.klass, n)
-    coef = np.zeros((n, loops._power_layout(z.klass, n, 2)[1]))
-    rows = np.broadcast_to(np.arange(n)[:, None], (n, n))
-    np.add.at(coef, (rows, di), sd * z.coeffs[None, :])
-    np.add.at(coef, (rows, pi), sp * z.coeffs[None, :])
-    return coef
+    size = loops._power_layout(z.klass, n, 2)[1]
+    row = size * np.arange(n)[:, None]
+    # one sum over the flat slots of both terms, the di terms first
+    flat = np.concatenate(((row + di).ravel(), (row + pi).ravel()))
+    weights = np.concatenate(((sd * z.coeffs).ravel(), (sp * z.coeffs).ravel()))
+    return np.bincount(flat, weights=weights, minlength=n * size).reshape(n, size)
 
 
 def _phi_table(z: loops.Loop, taus):

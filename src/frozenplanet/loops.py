@@ -34,8 +34,8 @@ norm (``sup_norm``) and the Levi-Civita time maps (the z^2 primitive and
 tau tables of ``levi_civita``).
 
 On the uniform grid tau_i = 2i/M each basis function is cos or
-sin(2 pi f i / M), so synthesis onto the grid (``Loop.quad_samples``, the
-scan in ``sup_norm``) is one real inverse FFT of length M and ``project``
+sin(2 pi f i / M), so synthesis onto the grid (``Loop.quad_samples``, which
+``sup_norm`` scans) is one real inverse FFT of length M and ``project``
 (hence ``analyze``, ``square`` and ``cube``) reads its coefficients from
 one real forward FFT, both on the half spectrum of bins 0..M/2;
 frequencies above M/2 fold into their aliased bins (``_half_spectrum``).
@@ -346,6 +346,10 @@ class LastBuild:
                 del values[next(iter(values))]
         return values[key]
 
+    def get(self, x):
+        """The value kept for x, or None; x does not become the newest."""
+        return self.values.get(np.asarray(x, dtype=float).tobytes())
+
 
 class Packed:
     """Loops in packed orthonormal coordinates x = sqrt(g) c, one block of x
@@ -390,6 +394,11 @@ class Packed:
         if name not in self._forms:
             self._forms[name] = LastBuild()
         return self._forms[name](x, lambda x: form(self.unpack(x)))
+
+    def kept(self, name, x):
+        """The form ``name`` kept for x, or None when none is."""
+        last = self._forms.get(name)
+        return None if last is None else last.get(x)
 
 
 def read_only(a):
@@ -493,10 +502,10 @@ def norms(z: Loop):
 
 
 def sup_norm(z: Loop):
-    """Max of |z| from a fine uniform scan: Newton on z' = 0 refines, in
-    the two scan cells around it, every local maximum of the scan that can
-    hide the true maximum, and the largest result is kept.  Cached per
-    loop."""
+    """Max of |z| from a scan of the loop's quad samples (``quad_samples``,
+    cached): Newton on z' = 0 refines, in the two scan cells around it,
+    every local maximum of the scan that can hide the true maximum, and the
+    largest result is kept.  Cached per loop."""
     cache = _loop_cache(z)
     if "sup_norm" not in cache:
         cache["sup_norm"] = _scan_sup_norm(z)
@@ -504,11 +513,10 @@ def sup_norm(z: Loop):
 
 
 def _scan_sup_norm(z: Loop):
-    p = max(4 * quad_size(z.n_active_modes()), 512)
-    vals = _synthesize_uniform(z.klass, z.coeffs, p)
+    vals = z.quad_samples()
     mags = np.abs(vals)
     top = float(np.max(mags))
-    h = 2.0 / p
+    h = 2.0 / vals.size
     # the sample nearest the maximum lies within h/2 of it, so it misses it
     # by at most h^2 max|z''| / 8; the scan is periodic on [0, 2)
     miss = h * h / 8.0 * float(np.sum(np.abs(second_derivative_coeffs(z))))

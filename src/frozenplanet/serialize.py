@@ -8,6 +8,8 @@ keep fmt's nan/inf.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import frozen, helium, levi_civita, loops
@@ -23,9 +25,11 @@ def fmt(x):
 
 
 def _json_number(x):
-    """fmt for JSON, which has no nan or inf: those become null."""
-    if isinstance(x, (float, np.floating)) and not np.isfinite(x):
-        return "null"
+    """fmt for JSON, which has no nan or inf: those become null.  Floats,
+    the common case, are tested first, by ``math.isfinite`` on the scalar
+    rather than the ``np.isfinite`` ufunc."""
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g") if math.isfinite(x) else "null"
     return fmt(x)
 
 

@@ -9,10 +9,11 @@ and the point, Hessian and certificate kept for the last few x, are
 shared, and each objective holds only its functional's calls.
 Continuation drives the parameter p with a tangent predictor and an
 adaptive step (halve on failure, double when Newton's first contraction
-is below ``GROWTH_CONTRACTION``), recording a certificate and its
-diagnostics at every accepted step.  Its hypothesis is the paper's nondegeneracy: at a
-critical point with invertible Hessian H the critical points form a smooth
-path, by the implicit function theorem, with tangent
+is below ``GROWTH_CONTRACTION``), recording every accepted point with
+its diagnostics and, on first read, its certificate.  Its hypothesis is
+the paper's nondegeneracy: at a critical point with invertible Hessian H
+the critical points form a smooth path, by the implicit function
+theorem, with tangent
 dx/dp = -H^{-1} d_p g, g the gradient.  The seed of the first step is the
 Euler step along that tangent, and of every later step the cubic Hermite
 interpolant through the last two accepted points and their tangents,
@@ -27,6 +28,7 @@ invariance forces a one-dimensional kernel spanned by z'.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,8 +104,8 @@ class FrozenObjective(loops.Packed):
         )
 
     def certify(self, x):
-        """The certificate at x, kept, so that the step diagnostics read the
-        one ``continuation`` has just made."""
+        """The certificate at x, kept, so that a path step reads the one
+        its diagnostics have made."""
         return self._kept("certify", x, lambda z: frozen.certify(z, self.r))
 
 
@@ -343,9 +345,23 @@ def euler_count(reports):
 
 @dataclass
 class PathStep:
+    """An accepted point x of a path at ``parameter``, with its diagnostics.
+
+    ``cert`` is ``make_cert()``, made the first time it is read and kept;
+    the step then lets go of ``make_cert`` and what it holds (an
+    objective).  A caller that reads only the points pays no
+    certificate."""
+
     parameter: float
-    cert: object
+    x: np.ndarray
+    make_cert: object = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def cert(self):
+        if self.make_cert is not None:
+            self._cert, self.make_cert = self.make_cert(), None
+        return self._cert
 
 
 @dataclass
@@ -389,7 +405,9 @@ def continuation(
     after a solve whose first contraction r_1 / r_0 is below
     ``GROWTH_CONTRACTION`` (a seed that is already converged counts as 0).
     Parameters listed in ``through`` are forced onto the grid.
-    ``diagnostics(objective, x, report)`` may attach per-step data.
+    ``diagnostics(objective, x, report)`` may attach per-step data.  Each
+    step certifies its point when its ``cert`` is first read
+    (``PathStep``).
     """
     span = p1 - p0
     if not np.isfinite(span):
@@ -403,7 +421,7 @@ def continuation(
 
     obj = make_objective(p0)
     rep = newton(obj, x0, tol=tol, **newton_kwargs)
-    steps = [PathStep(p0, obj.certify(rep.x), _diag(diagnostics, obj, rep))]
+    steps = [_step(p0, obj, rep, diagnostics, make_objective)]
     step_history = []
     failures = []
     p, x = p0, rep.x
@@ -433,7 +451,7 @@ def continuation(
             continue
         prev, v = (p, x, v), None
         obj, p, x = obj_next, p_next, rep.x
-        steps.append(PathStep(p, obj.certify(x), _diag(diagnostics, obj, rep)))
+        steps.append(_step(p, obj, rep, diagnostics, make_objective))
         step_history.append(step)
         res = rep.residuals
         if len(res) == 1 or res[1] < GROWTH_CONTRACTION * res[0]:
@@ -468,20 +486,27 @@ def _predict(prev, cur, p_next):
     )
 
 
-def _diag(diagnostics, obj, rep):
+def _step(p, obj, rep, diagnostics, make_objective):
+    """The accepted step at p from Newton's report on obj.  Its
+    certificate is the one obj keeps for the point, when the diagnostics
+    made one (``loops.Packed.kept``), else that of a new objective at p,
+    made on first read: an unread step holds nothing obj has built."""
+    x = rep.x
     base = {"newton_residuals": list(rep.residuals)}
     if diagnostics is not None:
-        base.update(diagnostics(obj, rep.x, rep))
-    return base
+        base.update(diagnostics(obj, x, rep))
+    cert = obj.kept("certify", x) if isinstance(obj, loops.Packed) else None
+    if cert is not None:
+        return PathStep(p, x, lambda: cert, base)
+    return PathStep(p, x, functools.partial(make_objective(p).certify, x), base)
 
 
 def frozen_step_diagnostics(objective, x, rep):
     """Per-step diagnostics for the one-loop family: identity residuals,
     spectral data, the C0 bounds, and the collision-ODE residuals of the
     orbit, sups over the default uniform tau-grid of
-    ``levi_civita.loop_residual`` (no time map inverted).  The certificate
-    is the one ``continuation`` has just made at x, which the objective
-    keeps."""
+    ``levi_civita.loop_residual`` (no time map inverted).  The objective
+    keeps the certificate made here, which the step's ``cert`` reads."""
     cert = objective.certify(x)
     h = objective.hessian(x)
     srep = spectrum_report(h)
@@ -517,21 +542,22 @@ def solve_frozen(r, n_modes=DEFAULT_MODES):
     there unconditionally (a padded point is often already below the
     tolerance, and Newton at N would accept it with the working grid's
     residual) and Newton runs on to the tolerance.  The last step holds
-    that certificate at N with the residuals of the N solve; the earlier
-    steps stay at n_w modes, and no caller reads them.  r = 0 returns the
-    certificate of the analytic seed at N.
+    that point at N with the residuals of the N solve; the earlier steps
+    stay at n_w modes, and each is certified only if its ``cert`` is read.
+    r = 0 returns the analytic seed at N.
     """
     from .helium import RHO
 
     n = int(n_modes)
     seed = free_fall_seed(n)
     if r == 0.0:
-        return ContinuationPath([PathStep(0.0, frozen.certify(seed, 0.0), {})], [], [])
+        x0 = FrozenObjective(0.0, n).pack(seed)
+        return ContinuationPath([PathStep(0.0, x0, lambda: frozen.certify(seed, 0.0))], [], [])
     n_w = min(n, WORK_MODES)
     x0 = FrozenObjective(0.0, n_w).pack(seed)
     through = (RHO,) if r > RHO else ()
     path = continuation(lambda p: FrozenObjective(p, n_w), 0.0, r, x0, through=through)
-    z = path.last().cert.z
+    z = FrozenObjective(r, n_w).unpack(path.last().x)
     while n_w < n and _tail_unresolved(z.coeffs):
         n_w = min(2 * n_w, n)
         obj = FrozenObjective(r, n_w)
@@ -543,8 +569,12 @@ def solve_frozen(r, n_modes=DEFAULT_MODES):
     _check_conditioned(h)
     rep = newton(obj, x + np.linalg.solve(h, -g))
     residuals = [float(np.linalg.norm(g))] + rep.residuals
-    cert = obj.certify(rep.x)
-    path.steps[-1] = PathStep(path.last().parameter, cert, {"newton_residuals": residuals})
+    path.steps[-1] = PathStep(
+        path.last().parameter,
+        rep.x,
+        functools.partial(obj.certify, rep.x),
+        {"newton_residuals": residuals},
+    )
     return path
 
 

@@ -89,6 +89,13 @@ class TestSolveCommand:
         assert json.loads(out)["ok"] is True
         assert frozen_calls["hessian_analytic"].count(128) <= 2
 
+    def test_certifies_once_at_the_requested_size(self, capsys, frozen_calls):
+        # the working-grid steps are read for their points only, and a step
+        # is certified when its certificate is first read
+        code, _, _ = run(capsys, "solve", "--r", "5", "--modes", "128")
+        assert code == 0
+        assert frozen_calls["certify"] == [128]
+
     def test_runs_no_eigensolver(self, capsys, eigen_solves):
         # every Newton Hessian of the path is decided by its Gershgorin discs
         code, _, _ = run(capsys, "solve", "--r", "5", "--modes", "128")
@@ -351,7 +358,61 @@ class TestSizeCaps:
         assert cli.MAX_COUNTS["steps"] >= 400
 
 
+class TestParser:
+    def test_one_parser_per_process(self, capsys, monkeypatch, tmp_path):
+        # build_parser is cached, and each parse fills a new namespace, so an
+        # option of one call does not leak into the next
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        try:
+            code1, _, _ = run(capsys, "solve", "--r", "0", "--modes", "16", "--out", str(tmp_path / "c.json"))
+            parsers = len(built)
+            code2, out, _ = run(capsys, "solve", "--r", "0", "--modes", "16")
+        finally:
+            cli.build_parser.cache_clear()
+        assert code1 == code2 == 0
+        assert built.count("frozenplanet") == 1 and len(built) == parsers
+        assert "out" not in json.loads(out)["config"]
+
+
+def json_number_oracle(x):
+    """The JSON number formatter tested with the np.isfinite ufunc."""
+    if isinstance(x, (float, np.floating)) and not np.isfinite(x):
+        return "null"
+    return serialize.fmt(x)
+
+
 class TestDumps:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+            1.7976931348623157e308, 0.1, 1.0 / 3.0, math.nan, math.inf, -math.inf,
+            np.float64(-0.0), np.float64(0.1), np.float64(np.nan), np.float64(-np.inf),
+            np.float32(0.1), np.float32(np.inf), np.float16(1.5), np.float32(1e-45),
+            0, 7, -12, 2**70, np.int64(-3), np.int32(9), np.uint8(255),
+            True, False, np.bool_(True), np.bool_(False),
+        ],
+    )
+    def test_json_number_matches_the_ufunc_form(self, x):
+        assert serialize._json_number(x) == json_number_oracle(x)
+        assert serialize.dumps(x) == json_number_oracle(x)
+        if not isinstance(x, np.bool_):  # a list of numpy bools is not a flat number list
+            want = json_number_oracle(x)
+            assert serialize.dumps([x, x]) == f"[{want}, {want}]"
+
+    def test_json_numbers_of_an_array_match_the_ufunc_form(self):
+        a = np.random.default_rng(4).normal(size=64) * 10.0 ** np.arange(-32, 32)
+        a[[3, 9, 17]] = np.nan, np.inf, -0.0
+        assert serialize.dumps(a) == "[" + ", ".join(json_number_oracle(v) for v in a) + "]"
+
     def test_non_finite_floats_are_null(self):
         def reject(name):
             raise ValueError(f"non-JSON constant {name}")
@@ -536,6 +597,7 @@ class TestContinueCommand:
         code, out, _ = run(capsys, "continue", "--from", "0", "--to", "5", "--modes", "64")
         assert code == 0
         assert len(frozen_calls["certify"]) == json.loads(out)["steps"]
+        assert frozen_calls["certify"] == [64] * json.loads(out)["steps"]
 
     def test_eigensolves_only_the_step_spectra(self, capsys, eigen_solves):
         # one eigvalsh for each accepted step's Morse data; Newton's and the

@@ -620,6 +620,19 @@ class TestProductPrimitive:
             assert np.max(np.abs(phi[:, j] - want)) < 1e-13
 
 
+    @pytest.mark.parametrize("klass", [loops.ODD_SINE, loops.EVEN_COSINE])
+    @pytest.mark.parametrize("n", [3, 8, 16, 32])
+    def test_coefficients_match_the_scatter(self, klass, n):
+        # one bincount over the flat slots, against the two np.add.at scatters
+        z = loops.from_coeffs(klass, np.random.default_rng(n).normal(size=n))
+        di, pi, sd, sp = loops._product_to_sum(klass, n)
+        want = np.zeros((n, loops._power_layout(klass, n, 2)[1]))
+        rows = np.broadcast_to(np.arange(n)[:, None], (n, n))
+        np.add.at(want, (rows, di), sd * z.coeffs[None, :])
+        np.add.at(want, (rows, pi), sp * z.coeffs[None, :])
+        assert np.array_equal(helium._phi_coef(z), want)
+
+
 class TestSharedTimeMaps:
     def test_one_inversion_per_loop_at_one_x(self, monkeypatch, interp_pair):
         calls = []

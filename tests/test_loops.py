@@ -156,13 +156,52 @@ class TestSupNorm:
         c = np.random.default_rng(seed).normal(size=n) / (1.0 + np.arange(n))
         z = loops.from_coeffs(klass, c)
         sup = loops.sup_norm(z)
-        p = max(4 * loops.quad_size(z.n_active_modes()), 512)  # the scan sup_norm refines
+        p = max(4 * loops.quad_size(z.n_active_modes()), 512)  # 4x finer than sup_norm's scan
         scan = np.max(np.abs(loops._synthesize_uniform(klass, c, p)))
         taus = np.linspace(0.0, 2.0, 100_001)
         dense = np.max(np.abs(z(taus)))
         # sampling at spacing h misses the maximum by at most h^2 max|z''| / 8
         miss = (taus[1] ** 2 / 8) * np.sum(np.abs(loops.second_derivative_coeffs(z)))
         assert sup >= scan
+        assert dense - 1e-14 <= sup <= dense + miss + 1e-14
+
+    #: per class, the b of ``double_maximum`` for close and for far maxima
+    DOUBLE_B = {
+        loops.ODD_SINE: (0.112, 0.15),
+        loops.EVEN_COSINE: (-0.255, -0.35),
+        loops.FULL: (0.115, 0.15),
+    }
+
+    @staticmethod
+    def double_maximum(klass, b):
+        """A loop whose |z| has two close maxima, at tau = 1/2 +- d (odd
+        sine), +-d (even cosine), or unequal ones near 1/2 (full)."""
+        if klass == loops.ODD_SINE:
+            # z''(1/2) = pi^2 (9b - 1): a dip between two equal maxima for b > 1/9
+            return loops.from_coeffs(klass, [1.0, b])
+        if klass == loops.EVEN_COSINE:
+            # z''(0) = -4 pi^2 (1 + 4b): a dip at 0 for b < -1/4
+            return loops.from_coeffs(klass, [1.0, 1.0, b])
+        # the odd-sine loop, tilted by 1e-4 cos(pi t) and shifted by 1/256;
+        # at b = 0.115 the scan's largest sample lies beside the lower maximum
+        t = loops.grid_points(16) - 1.0 / 256.0
+        vals = np.sin(np.pi * t) + b * np.sin(3 * np.pi * t) + 1e-4 * np.cos(np.pi * t)
+        return loops.analyze(vals, klass)
+
+    @pytest.mark.parametrize("klass", loops.CLASSES)
+    @pytest.mark.parametrize("case", ["seed-0", "seed-1", "seed-2", "double-near", "double-far"])
+    def test_matches_a_dense_scan(self, klass, case):
+        # the maximum from the quad samples and Newton, against 2^16 samples
+        if case.startswith("seed"):
+            rng = np.random.default_rng(int(case[-1]))
+            n = (3, 9, 16)[int(case[-1])]
+            z = loops.from_coeffs(klass, rng.normal(size=n) / (1.0 + np.arange(n)))
+        else:
+            z = self.double_maximum(klass, self.DOUBLE_B[klass][case == "double-far"])
+        taus = loops.grid_points(2**16)
+        dense = np.max(np.abs(z(taus)))
+        miss = (taus[1] ** 2 / 8) * np.sum(np.abs(loops.second_derivative_coeffs(z)))
+        sup = loops.sup_norm(z)
         assert dense - 1e-14 <= sup <= dense + miss + 1e-14
 
 
@@ -187,6 +226,21 @@ class TestLoopCache:
         monkeypatch.setattr(loops, "_synthesize_uniform", no_scan)
         assert loops.sup_norm(z) == sup
         assert loops.norms(z)["sup"] == sup
+
+    @pytest.mark.parametrize("klass", loops.CLASSES)
+    def test_sup_norm_transforms_nothing_once_sampled(self, monkeypatch, klass):
+        # the scan reads the cached quad samples: no FFT of its own
+        c = np.random.default_rng(5).normal(size=9)
+        want = loops.sup_norm(loops.from_coeffs(klass, c))
+        z = loops.from_coeffs(klass, c)
+        z.quad_samples()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.fft called")
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, forbidden)
+        assert loops.sup_norm(z) == want
 
     def test_last_build_keeps_three_values(self):
         last = loops.LastBuild()

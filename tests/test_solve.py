@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -506,6 +508,55 @@ class TestTwoGridSolve:
         cert, ref = path.last().cert, obj.certify(x + np.linalg.solve(obj.hessian(x), -obj.gradient(x)))
         assert np.max(np.abs(cert.z.coeffs - ref.z.coeffs)) <= 1e-13
         assert cert.grad_res <= 3.0 * ref.grad_res
+
+
+class TestLazyCertificates:
+    @staticmethod
+    def counted_path(monkeypatch, diagnostics=None):
+        """A 0 -> 1 path at N = 8, the frozen.certify calls (their r) and
+        weak references to every objective made for it."""
+        made, calls = [], []
+        certify = frozen.certify
+        monkeypatch.setattr(frozen, "certify", lambda z, r: calls.append(r) or certify(z, r))
+
+        def make(p):
+            made.append(solve.FrozenObjective(p, 8))
+            return made[-1]
+
+        x0 = solve.FrozenObjective(0.0, 8).pack(solve.free_fall_seed(8))
+        path = solve.continuation(make, 0.0, 1.0, x0, diagnostics=diagnostics)
+        refs = [weakref.ref(obj) for obj in made]
+        del made[:]
+        gc.collect()
+        return path, calls, refs
+
+    def test_step_certifies_on_first_read(self, monkeypatch):
+        # an unread step holds its point and a new objective, none of the
+        # Newton objectives; a read certifies once, is kept, and lets go
+        path, calls, refs = self.counted_path(monkeypatch)
+        assert calls == []
+        assert sum(ref() is not None for ref in refs) == len(path.steps)
+        step = path.steps[-1]
+        cert = step.cert
+        assert calls == [1.0] and step.cert is cert
+        for s in path.steps:
+            s.cert
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        eager = frozen.certify(solve.FrozenObjective(1.0, 8).unpack(step.x), 1.0)
+        assert np.array_equal(cert.z.coeffs, eager.z.coeffs)
+        assert (cert.v, cert.w, cert.grad_res, cert.identity_res, cert.energy_dev) == (
+            eager.v, eager.w, eager.grad_res, eager.identity_res, eager.energy_dev
+        )
+
+    def test_step_reads_the_diagnostics_certificate(self, monkeypatch):
+        # the step diagnostics certify each point once; the steps keep those
+        # certificates and no objective
+        path, calls, refs = self.counted_path(monkeypatch, solve.frozen_step_diagnostics)
+        assert len(calls) == len(path.steps)
+        assert all(ref() is None for ref in refs)
+        assert [s.cert.r for s in path.steps] == path.parameters
+        assert len(calls) == len(path.steps)
 
 
 class TestFullSpaceNondegeneracy:
