@@ -24,6 +24,10 @@ from .errors import FrozenPlanetError
 MAX_COUNTS = {"modes": 1024, "steps": 100_000, "samples": 65_536, "grid": 1_000_000}
 #: detline assembles dense (2N+1)^2 operators and takes one SVD per step
 MAX_DETLINE_MODES = 512
+#: the gate of the shape-identity residuals and of the energy fluctuation
+IDENTITY_GATE = 1e-7
+#: the gate of the collision-ODE residuals (``continue``, ``identity``)
+ODE_GATE = 1e-5
 
 
 def _echo(args, command):
@@ -84,8 +88,8 @@ def cmd_solve(args):
     bounds = frozen.sup_bounds(cert.z, cert.r)
     ok = (
         cert.grad_res < args.tol
-        and max(cert.identity_res) < 1e-7
-        and cert.energy_dev < 1e-7
+        and max(cert.identity_res) < IDENTITY_GATE
+        and cert.energy_dev < IDENTITY_GATE
         and bounds["upper_ok"]
     )
     _write(args.out, serialize.dumps({"config": _echo(args, "solve"),
@@ -126,7 +130,7 @@ def cmd_continue(args):
     worst_vw = max(max(s.cert.identity_res) for s in path.steps)
     worst_ode = max(s.diagnostics.get("ode_res", 0.0) for s in path.steps)
     indices = {s.diagnostics.get("morse_index") for s in path.steps}
-    ok = worst_vw < 1e-7 and worst_ode < 1e-5 and indices == {0}
+    ok = worst_vw < IDENTITY_GATE and worst_ode < ODE_GATE and indices == {0}
     return _emit(
         {
             "config": _echo(args, "continue"),
@@ -164,10 +168,10 @@ def cmd_identity(args):
     qres = levi_civita.loop_residual(cert.z, cert.r, samples=args.samples)
     bounds = frozen.sup_bounds(cert.z, cert.r)
     ok = (
-        max(cert.identity_res) < 1e-7
-        and cert.energy_dev < 1e-7
-        and qres["ode_res"] < 1e-5
-        and qres["beta_mu_res"] < 1e-5
+        max(cert.identity_res) < IDENTITY_GATE
+        and cert.energy_dev < IDENTITY_GATE
+        and qres["ode_res"] < ODE_GATE
+        and qres["beta_mu_res"] < ODE_GATE
         and bounds["upper_ok"]
     )
     return _emit(
@@ -291,7 +295,7 @@ def cmd_euler(args):
     records = _read(args.path, lambda fh: [json.loads(line) for line in fh if line.strip()])
     if not records:
         return _emit({"config": _echo(args, "euler"), "euler": 0, "ok": True}, True)
-    indices = []
+    indices, counts = [], []
     for rec in records:
         diag = rec.get("diagnostics") if isinstance(rec, dict) else None
         diag = diag if isinstance(diag, dict) else {}
@@ -302,16 +306,12 @@ def cmd_euler(args):
                 "path records need non-negative integer morse_index and nullity",
                 tag="cli.euler-input",
             )
-        if nullity > 0:
-            raise FrozenPlanetError(
-                "degenerate critical point: count undefined",
-                tag="solve.degenerate-point",
-            )
         indices.append(index)
-    constant = len({(-1) ** i for i in indices}) == 1
+        counts.append(solve.euler_count([(index, nullity)]))
+    constant = len(set(counts)) == 1
     payload = {
         "config": _echo(args, "euler"),
-        "euler": (-1) ** indices[-1],
+        "euler": counts[-1],
         "indices": indices,
         "ok": constant,
     }

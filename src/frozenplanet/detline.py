@@ -5,14 +5,15 @@ truncation:
 
 * the spectral count mu(T) = prod over nonzero eigenvalues of rho(lambda),
   where rho is a nondecreasing cutoff equal to the identity below a and to
-  1 above b > a > 0.  mu weights the tautological kernel section into a
-  section s that stays continuous where kernel appears;
+  1 above b > a > 0 (``mu(spectrum, rho, zero_tol)``).  mu weights the
+  tautological kernel section into a section s that stays continuous where
+  kernel appears;
 * the sign relation s = (-1)^{i(T)} t on invertible operators, i(T) the
-  number of negative eigenvalues;
+  number of negative eigenvalues (``sections``);
 * a loop of symmetric operators with spectrum unbounded in both directions
   whose stabilized kernel bundle has holonomy -1 (non-orientable), built
-  from a two-stage rotation path of orthogonal matrices and tracked both
-  numerically (SVD kernel, sign-aligned) and in closed form.
+  from two stages of one plane rotation (``_rotation``, ``bernd_unitary``)
+  and tracked both numerically (SVD kernel, sign-aligned) and in closed form.
 
 The complex sequence space of the counterexample is represented on its
 real-coefficient invariant subspace (coordinates over the modes
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, KernelTrackingError, SpectrumBoundError
+from .errors import DomainError, KernelTrackingError
 
 
 # ---------------------------------------------------------------------------
@@ -61,21 +62,14 @@ class CutoffRho:
         return out if out.ndim else float(out)
 
 
-def mu(spectrum, rho: CutoffRho | None = None, lower_bound=-np.inf, zero_tol=0.0):
+def mu(spectrum, rho: CutoffRho | None = None, zero_tol=0.0):
     """Cutoff-weighted product over the nonzero part of a finite spectrum.
 
     Eigenvalues appear with multiplicity; entries with |lambda| <= zero_tol
-    are excluded as kernel.  Raises if the spectrum reaches the configured
-    lower bound (the construction lives on operators bounded from below;
-    the bound itself is configuration, not canon).
+    are excluded as kernel.
     """
     rho = rho or CutoffRho()
     spec = np.asarray(spectrum, dtype=float)
-    if spec.size and float(np.min(spec)) <= lower_bound:
-        raise SpectrumBoundError(
-            f"eigenvalue {np.min(spec):.6g} at or below the lower bound "
-            f"{lower_bound:.6g}"
-        )
     keep = np.abs(spec) > zero_tol
     vals = rho(spec[keep])
     return float(np.prod(vals)) if np.any(keep) else 1.0
@@ -168,44 +162,41 @@ def _mode_index(n, n_modes):
     return n + n_modes
 
 
+def _rotation(n_modes, pairs, angle):
+    """The rotation by ``angle`` in each plane (e_i, e_j) of the mode pairs
+    (i, j), on modes |n| <= N: e_i -> cos e_i - sin e_j and
+    e_j -> sin e_i + cos e_j; every other mode is fixed."""
+    v = np.eye(2 * n_modes + 1)
+    c, s = np.cos(angle), np.sin(angle)
+    for i, j in pairs:
+        i, j = _mode_index(i, n_modes), _mode_index(j, n_modes)
+        v[i, i], v[j, j] = c, c
+        v[j, i], v[i, j] = -s, s
+    return v
+
+
 def bernd_unitary(tau, n_modes):
     """The truncated unitary path U_tau, tau in [1, 2], on modes |n| <= N.
 
     U_tau = V_{2 - tau} where V is the concatenation of two rotation
-    stages: stage one rotates the pairs (e_{-n}, e_{n+1}) for n >= 0,
-    stage two the pairs (e_{-n}, e_n) for n >= 1.  U_2 is the identity and
-    U_1 shifts e_n -> e_{n-1} on interior modes.  Rotation pairs that exit
-    the mode window are frozen to the identity, so the matrix stays
-    orthogonal; holonomy data downstream only uses interior modes.
+    stages (``_rotation``): stage one rotates the pairs (e_{-n}, e_{n+1})
+    for n >= 0, stage two the pairs (e_{-n}, e_n) for n >= 1 by the
+    opposite angle.  U_2 is the identity and U_1 shifts e_n -> e_{n-1} on
+    interior modes.  Rotation pairs that exit the mode window are frozen to
+    the identity, so the matrix stays orthogonal; holonomy data downstream
+    only uses interior modes.
     """
     if n_modes < 4:
         raise DomainError("need at least 4 modes", tag="detline.modes")
     if not 1.0 <= tau <= 2.0:
         raise DomainError("tau must lie in [1, 2]", tag="detline.tau")
     sigma = 2.0 - tau
-    dim = 2 * n_modes + 1
-
-    def stage_one(angle):
-        v = np.eye(dim)
-        c, s = np.cos(angle), np.sin(angle)
-        for n in range(0, n_modes):  # pair (-n, n+1); (-N, N+1) exits the window
-            i, j = _mode_index(-n, n_modes), _mode_index(n + 1, n_modes)
-            v[i, i], v[j, j] = c, c
-            v[j, i], v[i, j] = -s, s
-        return v
-
-    def stage_two(angle):
-        v = np.eye(dim)
-        c, s = np.cos(angle), np.sin(angle)
-        for n in range(1, n_modes + 1):  # pair (-n, n)
-            i, j = _mode_index(-n, n_modes), _mode_index(n, n_modes)
-            v[i, i], v[j, j] = c, c
-            v[j, i], v[i, j] = s, -s
-        return v
-
+    # (-N, N + 1) exits the window
+    stage_one = [(-n, n + 1) for n in range(n_modes)]
     if sigma <= 0.5:
-        return stage_one(np.pi * sigma)
-    return stage_two(np.pi * (sigma - 0.5)) @ stage_one(0.5 * np.pi)
+        return _rotation(n_modes, stage_one, np.pi * sigma)
+    stage_two = _rotation(n_modes, [(-n, n) for n in range(1, n_modes + 1)], -np.pi * (sigma - 0.5))
+    return stage_two @ _rotation(n_modes, stage_one, 0.5 * np.pi)
 
 
 @dataclass(frozen=True)

@@ -188,9 +188,3 @@ def F_mono(m_grid):
     monotone_ok = bool(np.all(np.diff(sorted_vals) < 0.0))
     all_gt_one = bool(np.all(values > 1.0))
     return {"values": values, "monotone_ok": monotone_ok, "all_gt_one": all_gt_one}
-
-
-def F_value(m):
-    """F(m) = (2 - m) I_1/I_0 (m), defined through m = 0 by the limit."""
-    _check_m(m)
-    return (2.0 - m) * ratio_I1_I0(m)

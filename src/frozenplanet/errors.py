@@ -84,12 +84,6 @@ class DegeneratePointError(FrozenPlanetError):
     tag = "solve.degenerate-point"
 
 
-class SpectrumBoundError(DomainError):
-    """Eigenvalue at or below the configured lower bound."""
-
-    tag = "detline.bounded-below"
-
-
 class KernelTrackingError(FrozenPlanetError):
     """Kernel dimension left 1 during holonomy tracking."""
 

@@ -128,16 +128,6 @@ def norm_gradient(z: loops.Loop, df):
     return coeffs
 
 
-def ode_residual(z: loops.Loop, a, b):
-    """L2 norm of z'' + b z + 2 a z^3 for externally supplied (a, b).
-
-    Used for the covering-rescale covariance check, where the rescaled
-    coefficients are prescribed rather than recomputed.
-    """
-    coeffs = norm_gradient(z, (0.5 * b, -0.5, 0.5 * a))
-    return loops.l2_norm(loops.from_coeffs(z.klass, coeffs))
-
-
 def grad_res(z: loops.Loop, r):
     """L2 norm of the gradient (full resolution)."""
     return loops.l2_norm(gradient(z, r))
@@ -269,9 +259,6 @@ class CriticalPointCert:
     identity_res: tuple
     sign_convention: str = "z > 0 on (0, 1)"
 
-    def within(self, tol=CERT_TOL):
-        return self.grad_res < tol
-
 
 def certify(z: loops.Loop, r) -> CriticalPointCert:
     """Bundle a loop into a certificate with all derived quantities; a
@@ -307,14 +294,3 @@ def vw_residuals(v, w, r):
     res1 = abs(v - 2.0 / denom)
     res2 = abs(v - elliptic.ratio_I1_I0(-0.5 * r * w**2))
     return (float(res1), float(res2))
-
-
-def vw_identity(cert: CriticalPointCert):
-    """The identity residuals of a certificate (recomputed)."""
-    return vw_residuals(cert.v, cert.w, cert.r)
-
-
-def both_b_forms(z: loops.Loop, r):
-    """(general b, critical-point b): they agree exactly on critical points."""
-    _, b = coefficients(z, r)
-    return b, critical_b(z, r)

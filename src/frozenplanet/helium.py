@@ -75,18 +75,6 @@ N_QUAD = 64
 
 
 @dataclass(frozen=True)
-class BridgeConstants:
-    rho: float = RHO
-    alpha: float = ALPHA
-
-    def consistent(self):
-        ok = 0.0 < self.alpha < 1.0
-        ok = ok and abs(self.rho - 2.0 * self.alpha**2) < 1e-15
-        ok = ok and abs(self.rho / self.alpha - (2.0 - np.sqrt(2.0))) < 1e-14
-        return ok
-
-
-@dataclass(frozen=True)
 class PairLoop:
     """An outer/inner pair of loops in their symmetry classes."""
 
@@ -582,8 +570,9 @@ def _grid_zero(z: loops.Loop):
     zeros closer than h leave no sign change, but the sample nearest the
     extremum between them is then within h^2 max|z''| / 8 of zero: each
     local minimum of |z| on the grid that small is refined by Newton on
-    z' = 0, as ``loops.sup_norm`` refines its maxima, and z there is a
-    zero when its sign is not the sample's.
+    z' = 0 (``loops._refine_extrema``, which refines the maxima of
+    ``loops.sup_norm`` too), and z there is a zero when its sign is not
+    the sample's.
     """
     v = z.quad_samples()
     h = 2.0 / v.size
@@ -592,22 +581,16 @@ def _grid_zero(z: loops.Loop):
     if flip.size:
         i = flip[0]
         return (i + (half[i] / (half[i] - half[i + 1]) if half[i] != half[i + 1] else 0.0)) * h
-    mags = np.abs(v)
-    miss = h * h / 8.0 * float(np.sum(np.abs(loops.second_derivative_coeffs(z))))
-    if np.min(mags) > miss:
-        return None
-    low = (mags <= np.roll(mags, 1)) & (mags <= np.roll(mags, -1)) & (mags <= miss)
-    i = np.flatnonzero(low[: half.size])
-    if not i.size:
-        return None
-    t0 = i * h
-    # oriented by the sign of z, z' increases through a minimum of |z|
-    orient = np.sign(v[i])
 
-    def slope(t, idx):
-        return orient[idx] * loops.jets(z, t, (1, 2))
+    def lows(mags, miss):
+        low = mags <= miss
+        if low.any():  # else, the common case, no sample is that small
+            low &= (mags <= np.roll(mags, 1)) & (mags <= np.roll(mags, -1))
+        return np.flatnonzero(low[: half.size])
 
-    t = loops._newton(slope, t0 - h, t0 + h, t0, tol=1e-15, max_iter=8)
+    t, orient = loops._refine_extrema(z, lows, 1.0)
+    if not t.size:
+        return None
     hit = np.flatnonzero(z(t) * orient <= 0.0)
     return float(np.clip(t[hit[0]], 0.0, 1.0)) if hit.size else None
 
@@ -655,11 +638,6 @@ def b_interp(pair: PairLoop, s):
         "value": value,
         "gradient": (loops.from_coeffs(pair.z1.klass, g1), loops.from_coeffs(pair.z2.klass, g2)),
     }
-
-
-def pair_grad_res(pair: PairLoop, s):
-    """L2 norm of the interpolated gradient over both components."""
-    return loops.l2_norm(*b_interp(pair, s)["gradient"])
 
 
 def hessian_bound(h_matrix, pair: PairLoop, n1, n2):
@@ -754,9 +732,6 @@ class PairObjective(loops.Packed):
         return self._packed(*b_interp(pair, 1.0)["gradient"]) - self._packed(
             *b_interp(pair, 0.0)["gradient"]
         )
-
-    def full_residual(self, x):
-        return pair_grad_res(self.unpack(x), self.s)
 
     def hessian(self, x):
         """(1 - s) H_av + s H_in, exact, in packed coordinates; read-only

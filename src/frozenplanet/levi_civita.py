@@ -13,6 +13,8 @@ collision the orbit behaves like q ~ C |t - t*|^{2/3} (a Puiseux series in
 high-order Gauss cells on a local interpolant away from the collisions,
 and inside each window the fitted local series, integrated in the
 cube-root variable.  ``ReciprocalIntegral`` works on arrays of points.
+``inverse(orbit, m_out)`` reads the loop's parity off the orbit's zero
+count: odd-sine for an odd count, even-cosine for an even one.
 
 Every 1-D inversion here, the zeros of z (``loop_zeros``), the time map
 (``tau_of_t``) and the inverse quadrature (``ReciprocalIntegral.solve``),
@@ -193,9 +195,6 @@ class Orbit:
     @property
     def n(self):
         return self.t.size
-
-    def max(self):
-        return float(np.max(self.q))
 
 
 def forward(z: loops.Loop, n_t=8192) -> Orbit:
@@ -554,28 +553,16 @@ def qdot_l2_sq(orbit: Orbit):
 # ---------------------------------------------------------------------------
 
 
-def inverse(orbit: Orbit, parity="odd", m_out=512) -> loops.Loop:
+def inverse(orbit: Orbit, m_out=512) -> loops.Loop:
     """Reconstruct the loop z with z(tau)^2 = q(t_q(tau)) from orbit data.
 
-    The sign convention takes z > 0 on (0, 1); for odd parity (an odd
-    number of simple zeros per period) the result is a period-2 loop with
-    z(1 + tau) = -z(tau).  The reconstruction uses only the sampled data,
-    so a forward/inverse roundtrip is a genuine consistency check.
+    The sign convention takes z > 0 on (0, 1).  An odd number of simple
+    zeros per period gives an odd-sine loop, z(1 + tau) = -z(tau), an even
+    number an even-cosine one.  The reconstruction uses only the sampled
+    data, so a forward/inverse roundtrip is a genuine consistency check.
     """
-    if parity not in ("odd", "even"):
-        raise DomainError("parity must be 'odd' or 'even'", tag="levi_civita.parity")
     n_zeros = len(orbit.zeros)
-    if parity == "odd" and n_zeros % 2 == 0:
-        raise DomainError(
-            f"odd parity needs an odd number of zeros, found {n_zeros}",
-            tag="levi_civita.parity",
-        )
-    if parity == "even" and n_zeros % 2 == 1:
-        raise DomainError(
-            f"even parity needs an even number of zeros, found {n_zeros}",
-            tag="levi_civita.parity",
-        )
-
+    odd = n_zeros % 2 == 1
     half = m_out // 2
     taus = np.arange(half) / half  # uniform on [0, 1)
     rec = _reciprocal(orbit)
@@ -588,15 +575,15 @@ def inverse(orbit: Orbit, parity="odd", m_out=512) -> loops.Loop:
             jr = round(zt * half)
             if abs(zt * half - jr) < 1e-6:
                 vals[int(jr) % half] = 0.0
-        if parity == "odd" and n_zeros > 1:
+        if odd and n_zeros > 1:
             interior = zero_taus[zero_taus > 1e-12]
             crossings = np.searchsorted(interior, taus, side="right")
             vals = vals * (-1.0) ** crossings
 
     full = np.empty(m_out)
     full[:half] = vals
-    full[half:] = -vals if parity == "odd" else vals
-    klass = loops.ODD_SINE if parity == "odd" else loops.EVEN_COSINE
+    full[half:] = -vals if odd else vals
+    klass = loops.ODD_SINE if odd else loops.EVEN_COSINE
     try:
         return loops.analyze(full, klass, tol=1e-5)
     except ClassMismatchError:

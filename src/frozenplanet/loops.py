@@ -34,11 +34,14 @@ norm (``sup_norm``) and the Levi-Civita time maps (the z^2 primitive and
 tau tables of ``levi_civita``).
 
 On the uniform grid tau_i = 2i/M each basis function is cos or
-sin(2 pi f i / M), so synthesis onto the grid (``Loop.quad_samples``, which
-``sup_norm`` scans) is one real inverse FFT of length M and ``project``
-(hence ``analyze``, ``square`` and ``cube``) reads its coefficients from
-one real forward FFT, both on the half spectrum of bins 0..M/2;
-frequencies above M/2 fold into their aliased bins (``_half_spectrum``).
+sin(2 pi f i / M), so synthesis onto the grid (``Loop.quad_samples``, on
+M = ``quad_size`` points) is one real inverse FFT of length M and
+``project(klass, vals, n)`` (hence ``analyze``, ``square`` and ``cube``)
+reads its coefficients from one real forward FFT of the M = vals.size
+samples, both on the half spectrum of bins 0..M/2; frequencies above M/2
+fold into their aliased bins (``_half_spectrum``).  ``sup_norm`` scans
+the quad samples, and ``_refine_extrema`` refines the extrema of |z| that
+the scan can miss, for the sup norm and for the zeros of ``helium``.
 The dense ``basis_matrix`` evaluates loops off the grid (``Loop.__call__``)
 and is the reference for the FFT paths and the product rule.
 
@@ -279,7 +282,6 @@ class Loop:
 
     klass: str
     coeffs: np.ndarray
-    symmetry_note: str | None = None
 
     def __post_init__(self):
         _validate_class(self.klass)
@@ -312,9 +314,6 @@ class Loop:
         if key not in cache:
             cache[key] = _synthesize_uniform(self.klass, self.coeffs, p)
         return cache[key]
-
-    def with_coeffs(self, coeffs):
-        return from_coeffs(self.klass, coeffs)
 
 
 def _loop_cache(z: Loop) -> dict:
@@ -407,9 +406,10 @@ def read_only(a):
     return a
 
 
-def quad_size(n_modes, factor=QUAD_FACTOR):
-    p = factor * max(int(n_modes), 4)
-    return p + (-p) % 4
+def quad_size(n_modes):
+    """The size of the dealiased quad grid of a loop with ``n_modes`` active
+    modes, a multiple of 4 as ``analyze`` needs."""
+    return QUAD_FACTOR * max(int(n_modes), 4)
 
 
 def from_coeffs(klass, coeffs):
@@ -452,7 +452,7 @@ def analyze(samples, klass, tol=SYMMETRY_TOL):
             f"exceeds tolerance {tol:.1e} (scale {scale:.3g})"
         )
     n = m // 4 if klass != FULL else m // 2 - 1
-    return Loop(klass, project(klass, samples, n, p=m))
+    return Loop(klass, project(klass, samples, n))
 
 
 def norm_data(z: Loop):
@@ -486,21 +486,6 @@ def l2_norm(*zs):
     return float(np.sqrt(sum(sums)))
 
 
-def norms(z: Loop):
-    """L2 data of a loop: ||z||, ||z'||, ||z^2||, and the sup norm ||z||_0.
-
-    The first three are the square roots of ``norm_data``; the sup norm
-    comes from ``sup_norm``.
-    """
-    l2_sq, d1_sq, sq_sq = norm_data(z)
-    return {
-        "l2": float(np.sqrt(l2_sq)),
-        "l2_deriv": float(np.sqrt(d1_sq)),
-        "l2_square": float(np.sqrt(sq_sq)),
-        "sup": sup_norm(z),
-    }
-
-
 def sup_norm(z: Loop):
     """Max of |z| from a scan of the loop's quad samples (``quad_samples``,
     cached): Newton on z' = 0 refines, in the two scan cells around it,
@@ -513,24 +498,35 @@ def sup_norm(z: Loop):
 
 
 def _scan_sup_norm(z: Loop):
+    top = float(np.max(np.abs(z.quad_samples())))
+
+    def peaks(mags, miss):
+        return np.flatnonzero(
+            (mags >= np.roll(mags, 1)) & (mags >= np.roll(mags, -1)) & (mags >= top - miss)
+        )
+
+    t, _ = _refine_extrema(z, peaks, -1.0)
+    return max(top, float(np.max(np.abs(z(t)))))
+
+
+def _refine_extrema(z: Loop, pick, turn):
+    """(t, orient): Newton on orient z' = 0 in the two scan cells around
+    each quad sample t_i that ``pick(|z| at the samples, miss)`` selects,
+    orient = ``turn`` sign(z(t_i)), so -1 for maxima of |z| and +1 for
+    minima, where orient z' increases.  The sample nearest an extremum lies
+    within h/2 of it, h the spacing, so it misses it by at most
+    h^2 max|z''| / 8 <= miss = h^2/8 sum |z''_k|; the scan is periodic."""
     vals = z.quad_samples()
-    mags = np.abs(vals)
-    top = float(np.max(mags))
     h = 2.0 / vals.size
-    # the sample nearest the maximum lies within h/2 of it, so it misses it
-    # by at most h^2 max|z''| / 8; the scan is periodic on [0, 2)
     miss = h * h / 8.0 * float(np.sum(np.abs(second_derivative_coeffs(z))))
-    peak = (mags >= np.roll(mags, 1)) & (mags >= np.roll(mags, -1)) & (mags >= top - miss)
-    i = np.flatnonzero(peak)
+    i = pick(np.abs(vals), miss)
     t0 = i * h
-    # oriented by the sign of z, z' decreases through a maximum of |z|
-    orient = -np.sign(vals[i])
+    orient = turn * np.sign(vals[i])
 
     def slope(t, idx):
         return orient[idx] * jets(z, t, (1, 2))
 
-    t = _newton(slope, t0 - h, t0 + h, t0, tol=1e-15, max_iter=8)
-    return max(top, float(np.max(np.abs(z(t)))))
+    return _newton(slope, t0 - h, t0 + h, t0, tol=1e-15, max_iter=8), orient
 
 
 def _newton(fn, lo, hi, x0, tol, max_iter, min_slope=0.0, ftol=0.0):
@@ -570,21 +566,16 @@ def _newton(fn, lo, hi, x0, tol, max_iter, min_slope=0.0, ftol=0.0):
     return out
 
 
-#: residual symmetry of z' for the symmetric classes
-_DERIVATIVE_NOTE = {ODD_SINE: "odd-cosine", EVEN_COSINE: "even-sine"}
-
-
 def derivative(z: Loop) -> Loop:
     """Exact spectral derivative.
 
     The derivative of a symmetric-class loop leaves the class (sines map to
-    cosines of the same frequencies), so it is returned as class ``full``
-    with a note recording the residual symmetry.
+    cosines of the same frequencies), so it is returned as class ``full``.
     """
     f, sine, w, _ = _rule(z.klass, z.n, (1,))
     coeffs = np.zeros(2 * int(f[-1]) + 1)
     coeffs[_slot(FULL, f, sine)] = w[0] * z.coeffs
-    return Loop(FULL, coeffs, symmetry_note=_DERIVATIVE_NOTE.get(z.klass))
+    return Loop(FULL, coeffs)
 
 
 def second_derivative_coeffs(z: Loop):
@@ -592,27 +583,15 @@ def second_derivative_coeffs(z: Loop):
     return _rule(z.klass, z.n, (2,))[2][0] * z.coeffs
 
 
-def project(klass, samples_fn_or_values, n_out, p=None):
-    """Project sampled values onto ``n_out`` modes of a class basis.
-
-    ``samples_fn_or_values`` is either an array of samples on the uniform
-    [0, 2) grid of size p, or a callable evaluated there.  The discrete
-    inner products with the basis are read from one real FFT: Re F[f] for
-    a cosine of frequency f, -Im F[f] for a sine, where F[b] for b > p/2
-    is the conjugate of the half spectrum's F[p - b] (``_half_spectrum``).
+def project(klass, vals, n_out):
+    """Project the samples ``vals`` on the uniform [0, 2) grid of their
+    size p onto ``n_out`` modes of a class basis.  The discrete inner
+    products with the basis are read from one real FFT: Re F[f] for a
+    cosine of frequency f, -Im F[f] for a sine, where F[b] for b > p/2 is
+    the conjugate of the half spectrum's F[p - b] (``_half_spectrum``).
     """
-    if p is None:
-        p = quad_size(n_out, factor=8)
-    vals = (
-        samples_fn_or_values(grid_points(p))
-        if callable(samples_fn_or_values)
-        else np.asarray(samples_fn_or_values, dtype=float)
-    )
-    if vals.shape != (p,):
-        raise DomainError(
-            f"projection needs {p} samples, got shape {vals.shape}", tag="loops.grid"
-        )
-    slot, _, from_half = _half_spectrum(klass, n_out, p)
+    vals = np.asarray(vals, dtype=float)
+    slot, _, from_half = _half_spectrum(klass, n_out, vals.size)
     return from_half * np.fft.rfft(vals).view(float)[slot]
 
 
@@ -625,11 +604,9 @@ def _power(z: Loop, k):
     cache = _loop_cache(z)
     if ("power", k) not in cache:
         klass, n_coeffs = _power_layout(z.klass, z.n, k)
-        p = quad_size(z.n_active_modes())
         v = z.quad_samples()
         vals = v * v if k == 2 else v * v * v
-        coeffs = project(klass, vals, n_coeffs, p=p)
-        cache[("power", k)] = from_coeffs(klass, coeffs)
+        cache[("power", k)] = from_coeffs(klass, project(klass, vals, n_coeffs))
     return cache[("power", k)]
 
 

@@ -92,9 +92,6 @@ class FrozenObjective(loops.Packed):
         coeffs = frozen.norm_gradient(z, (1.0 / s, 0.0, -l / s**2))
         return self._packed(loops.from_coeffs(self.klass, coeffs))
 
-    def full_residual(self, x):
-        return frozen.grad_res(self.unpack(x), self.r)
-
     def hessian(self, x):
         """The Hessian at x, read-only and kept (``loops.Packed._kept``), so
         that the tangent of ``continuation`` reads the one the step
@@ -263,10 +260,6 @@ class SpectrumReport:
     null_tol: float
     kernel_alignment: float | None = None
 
-    @property
-    def nondegenerate(self):
-        return self.nullity == 0
-
 
 def spectrum_report(h, align_with=None):
     """Morse data of a symmetric matrix, plus the cutoff spectral count
@@ -322,19 +315,18 @@ def spectrum(cert: frozen.CriticalPointCert, space="symmetric"):
     return spectrum_report(frozen.hessian_analytic(zf, cert.r), align_with=align)
 
 
-def euler_count(reports):
-    """Signed count sum (-1)^index over nondegenerate critical points.
+def euler_count(points):
+    """Signed count sum (-1)^index over critical points given as (Morse
+    index, nullity) pairs; a positive nullity raises DegeneratePointError.
 
     The normalization is that of ``detline.sections``: a critical point
     whose Hessian is positive definite counts +1, since s = (-1)^i t.
     """
     total = 0
-    for rep in reports:
-        if rep.nullity > 0:
-            raise DegeneratePointError(
-                "Euler count undefined: a critical point has positive nullity"
-            )
-        total += (-1) ** rep.morse_index
+    for index, nullity in points:
+        if nullity > 0:
+            raise DegeneratePointError("degenerate critical point: count undefined")
+        total += (-1) ** index
     return total
 
 
@@ -369,10 +361,6 @@ class ContinuationPath:
     steps: list
     step_history: list
     failures: list
-
-    @property
-    def parameters(self):
-        return [s.parameter for s in self.steps]
 
     def last(self):
         return self.steps[-1]
@@ -436,10 +424,12 @@ def continuation(
             p_next = p1
         if v is None:
             v = _tangent(obj, x)
-        seed = _predict(prev, (p, x, v), p_next)
         try:
-            obj_next = make_objective(p_next)
-            rep = newton(obj_next, seed, tol=tol, **newton_kwargs)
+            # an overflowing seed fails with its tagged error, not with warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                seed = _predict(prev, (p, x, v), p_next)
+                obj_next = make_objective(p_next)
+                rep = newton(obj_next, seed, tol=tol, **newton_kwargs)
         except (NonConvergenceError, SingularHessianError, DomainError) as exc:
             failures.append((p_next, type(exc).__name__))
             step *= 0.5

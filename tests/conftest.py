@@ -45,8 +45,8 @@ def _frozen_fd_hessian(z, r, step=1e-6):
     for k in range(n):
         dc = np.zeros(n)
         dc[k] = step / sg[k]  # unit orthonormal direction
-        gp = frozen.gradient(z.with_coeffs(z.coeffs + dc), r)
-        gm = frozen.gradient(z.with_coeffs(z.coeffs - dc), r)
+        gp = frozen.gradient(loops.from_coeffs(z.klass, z.coeffs + dc), r)
+        gm = frozen.gradient(loops.from_coeffs(z.klass, z.coeffs - dc), r)
         sg_out = np.sqrt(loops.gram_diag(z.klass, gp.n))
         diff = (sg_out * gp.coeffs - sg_out * gm.coeffs) / (2.0 * step)
         h[:, k] = diff[:n]
@@ -135,7 +135,6 @@ def _homotopy_diagnostics(obj, x, rep):
         "morse_index": srep.morse_index,
         "nullity": srep.nullity,
         "min_abs_eig": srep.min_abs,
-        "spectrum": srep,
         "h00": h00,
         "schur_index": schur.morse_index,
         "schur_nullity": schur.nullity,

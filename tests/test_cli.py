@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frozenplanet import cli, frozen, helium, levi_civita, loops, serialize
+from frozenplanet import cli, frozen, helium, levi_civita, loops, serialize, solve
 
 
 def run(capsys, *argv):
@@ -490,6 +490,25 @@ class TestEulerCommand:
         code, out, _ = run(capsys, "euler", "--path", str(path_file))
         assert code == 0
         assert json.loads(out)["euler"] == 1
+
+    def test_sign_change_is_a_violation(self, capsys, tmp_path):
+        pairs = [(0, 0), (1, 0)]
+        records = [
+            {"parameter": s, "diagnostics": {"morse_index": i, "nullity": n}}
+            for s, (i, n) in zip((0.0, 1.0), pairs)
+        ]
+        path_file = tmp_path / "path.jsonl"
+        path_file.write_text(
+            "\n".join(serialize.dumps(r).replace("\n", " ") for r in records) + "\n"
+        )
+        code, out, _ = run(capsys, "euler", "--path", str(path_file))
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["euler"] == -1 == solve.euler_count(pairs[-1:])
+        assert payload["indices"] == [0, 1]
+        assert payload["ok"] is False
+        # the first point counts +1, the last -1: the sign is not constant
+        assert [solve.euler_count([p]) for p in pairs] == [1, -1]
 
     @pytest.mark.parametrize(
         "diagnostics",

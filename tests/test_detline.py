@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from frozenplanet import detline
-from frozenplanet.errors import DomainError, SpectrumBoundError
+from frozenplanet.errors import DomainError
 
 
 class TestCutoff:
@@ -43,10 +43,6 @@ class TestMu:
     def test_multiplicity(self):
         rho = detline.CutoffRho(0.5, 1.0)
         assert abs(detline.mu([0.2, 0.2, 3.0], rho) - 0.04) < 1e-15
-
-    def test_lower_bound_enforced(self):
-        with pytest.raises(SpectrumBoundError):
-            detline.mu([-5.0, 1.0], lower_bound=-2.0)
 
     def test_hand_computed_products(self):
         rng = np.random.default_rng(9)

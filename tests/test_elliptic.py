@@ -84,7 +84,8 @@ class TestRiccati:
 
 class TestMonotoneBound:
     def test_boundary_value(self):
-        assert abs(elliptic.F_value(0.0) - 1.0) < 1e-10
+        # F(m) = (2 - m) I_1/I_0 at m = 0, through the removable singularity
+        assert abs(2.0 * elliptic.ratio_I1_I0(0.0) - 1.0) < 1e-10
 
     def test_all_greater_than_one(self):
         rep = elliptic.F_mono([-0.1, -1.0, -5.0, -20.0])

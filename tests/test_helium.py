@@ -15,10 +15,11 @@ def random_admissible(rng, n=6):
 
 class TestBridgeConstants:
     def test_consistency(self):
-        bc = helium.BridgeConstants()
-        assert bc.consistent()
-        assert 0.0 < bc.alpha < 1.0
-        assert abs(bc.rho - 0.17157287525381) < 1e-12
+        rho, alpha = helium.RHO, helium.ALPHA
+        assert 0.0 < alpha < 1.0
+        assert abs(rho - 2.0 * alpha**2) < 1e-15
+        assert abs(rho / alpha - (2.0 - np.sqrt(2.0))) < 1e-14
+        assert abs(rho - 0.17157287525381) < 1e-12
 
 
 class TestCOf:
@@ -398,13 +399,20 @@ def _zero_component_pairs():
     ]
 
 
+def _pair_grad_res(pair, s):
+    """The L2 norm of the gradient of b_interp at s over both loops: the
+    ``full_res`` of the pair's certificate."""
+    obj = helium.PairObjective(s, n1=pair.z1.n, n2=pair.z2.n)
+    return obj.certify(obj.pack(pair)).full_res
+
+
 PAIR_ENTRY_POINTS = {
     "mean_gap": helium.mean_gap,
     "b_av": helium.b_av,
     "b_in": helium.b_in,
     "b_interp": lambda pair: helium.b_interp(pair, 0.5),
     "b_interp_value": lambda pair: helium.b_interp_value(pair, 0.5),
-    "pair_grad_res": lambda pair: helium.pair_grad_res(pair, 0.5),
+    "pair_grad_res": lambda pair: _pair_grad_res(pair, 0.5),
     "pair_hessian_mean": lambda pair: helium.pair_hessian(pair, 0.0),
     "pair_hessian_inst": lambda pair: helium.pair_hessian(pair, 1.0),
     "pair_hessian": lambda pair: helium.pair_hessian(pair, 0.5),
@@ -491,7 +499,7 @@ class TestValueOnly:
 class TestMeanCriticalPair:
     def test_resolved_pair_residual(self, mean_pair):
         obj, x = mean_pair
-        assert obj.full_residual(x) < 1e-8
+        assert obj.certify(x).full_res < 1e-8
 
     def test_z1_constant(self, mean_pair):
         obj, x = mean_pair
@@ -681,7 +689,7 @@ class TestSharedTimeMaps:
         x = fresh.pack(interp_pair)
         want = (
             float(np.linalg.norm(fresh.gradient(x))),
-            fresh.full_residual(x),
+            loops.l2_norm(*helium.b_interp(fresh.unpack(x), 0.5)["gradient"]),
             fresh.value(x),
         )
         calls = []

@@ -317,20 +317,20 @@ class TestSolveStops:
 
 class TestInverse:
     def test_roundtrip_fundamental(self, sine_orbit):
-        z = lc.inverse(sine_orbit, parity="odd")
+        z = lc.inverse(sine_orbit)
         assert z.klass == loops.ODD_SINE
         taus = np.linspace(0, 2, 1501)
         assert np.max(np.abs(z(taus) - np.sin(np.pi * taus))) < 1e-7
 
     def test_forward_of_inverse_reproduces_orbit(self, sine_orbit):
-        z = lc.inverse(sine_orbit, parity="odd")
+        z = lc.inverse(sine_orbit)
         orbit2 = lc.forward(z, n_t=sine_orbit.n)
         assert np.max(np.abs(orbit2.q - sine_orbit.q)) < 1e-7
 
     def test_roundtrip_rich_loop(self):
         z = loops.from_coeffs(loops.ODD_SINE, [1.0, 0.2, -0.03])
         orbit = lc.forward(z)
-        z2 = lc.inverse(orbit, parity="odd")
+        z2 = lc.inverse(orbit)
         assert z2.klass == loops.ODD_SINE
         taus = np.linspace(0, 2, 801)
         assert np.max(np.abs(z2(taus) - z(taus))) < 1e-7
@@ -347,7 +347,7 @@ class TestInverse:
 
         monkeypatch.setattr(loops, "analyze", broken)
         with pytest.raises(FloatingPointError):
-            lc.inverse(sine_orbit, parity="odd")
+            lc.inverse(sine_orbit)
 
     def test_roundtrip_three_collisions(self):
         # triple cover: sign-switching zeros at 0, 1/3, 2/3 off the sample grid
@@ -356,13 +356,13 @@ class TestInverse:
         assert orbit.zeros.size == 3
         l2_sq = 3.0 ** (-2.0 / 3.0) / 2.0
         assert abs(lc.reciprocal_integral(orbit) - 1.0 / l2_sq) < 1e-6
-        z_rec = lc.inverse(orbit, parity="odd")
+        z_rec = lc.inverse(orbit)
         taus = np.linspace(0, 2, 901)
         assert np.max(np.abs(z_rec(taus) - z3(taus))) < 1e-7
 
     def test_constant_orbit(self):
         orbit = lc.forward(loops.from_coeffs(loops.EVEN_COSINE, [1.0]), n_t=2048)
-        z = lc.inverse(orbit, parity="even")
+        z = lc.inverse(orbit)
         assert z.klass == loops.EVEN_COSINE
         assert abs(z.coeffs[0] - 1.0) < 1e-9
         assert np.max(np.abs(z.coeffs[1:])) < 1e-9
@@ -373,11 +373,7 @@ class TestInverse:
         q = np.sin(np.pi * t) ** 2 + 1e-30
         orbit = lc.Orbit(t, q, np.array([0.0]), qbar=0.5)
         with pytest.raises(NonRegularizableError):
-            lc.inverse(orbit, parity="odd")
-
-    def test_parity_mismatch_rejected(self, sine_orbit):
-        with pytest.raises(DomainError):
-            lc.inverse(sine_orbit, parity="even")
+            lc.inverse(orbit)
 
 
 class TestQResidual:

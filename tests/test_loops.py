@@ -37,26 +37,32 @@ class TestAnalyze:
             loops.analyze(np.zeros(30), loops.ODD_SINE)
 
 
+def norms(z):
+    """||z||, ||z'||, ||z^2|| (the square roots of ``norm_data``) and the
+    sup norm."""
+    return (*np.sqrt(loops.norm_data(z)), loops.sup_norm(z))
+
+
 class TestNorms:
     def test_fundamental_sine(self):
-        n = loops.norms(loops.from_coeffs(loops.ODD_SINE, [1.0]))
-        assert abs(n["l2"] ** 2 - 0.5) < 1e-13
-        assert abs(n["l2_deriv"] ** 2 - np.pi**2 / 2) < 1e-11
-        assert abs(n["l2_square"] ** 2 - 3.0 / 8.0) < 1e-13
-        assert abs(n["sup"] - 1.0) < 1e-10
+        l2, l2_deriv, l2_square, sup = norms(loops.from_coeffs(loops.ODD_SINE, [1.0]))
+        assert abs(l2**2 - 0.5) < 1e-13
+        assert abs(l2_deriv**2 - np.pi**2 / 2) < 1e-11
+        assert abs(l2_square**2 - 3.0 / 8.0) < 1e-13
+        assert abs(sup - 1.0) < 1e-10
 
     def test_homogeneity(self):
         z = loops.from_coeffs(loops.ODD_SINE, [1.0, -0.3])
         zc = loops.from_coeffs(loops.ODD_SINE, 0.5 * z.coeffs)
-        n, nc = loops.norms(z), loops.norms(zc)
-        assert abs(nc["l2"] - 0.5 * n["l2"]) < 1e-13
-        assert abs(nc["l2_deriv"] - 0.5 * n["l2_deriv"]) < 1e-12
-        assert abs(nc["l2_square"] - 0.25 * n["l2_square"]) < 1e-13
-        assert abs(nc["sup"] - 0.5 * n["sup"]) < 1e-10
+        (l2, l2_deriv, l2_square, sup), nc = norms(z), norms(zc)
+        assert abs(nc[0] - 0.5 * l2) < 1e-13
+        assert abs(nc[1] - 0.5 * l2_deriv) < 1e-12
+        assert abs(nc[2] - 0.25 * l2_square) < 1e-13
+        assert abs(nc[3] - 0.5 * sup) < 1e-10
 
     def test_cosine_l2(self):
-        n = loops.norms(loops.from_coeffs(loops.EVEN_COSINE, [0.0, 1.0]))
-        assert abs(n["l2"] ** 2 - 0.5) < 1e-13
+        l2 = norms(loops.from_coeffs(loops.EVEN_COSINE, [0.0, 1.0]))[0]
+        assert abs(l2**2 - 0.5) < 1e-13
 
     def test_norm_data_closed_form_and_cached(self):
         # z = 1/2 + cos(2 pi tau): mean of z^4 is 1/16 + 3/4 + 3/8
@@ -71,7 +77,6 @@ class TestDerivative:
         d = loops.derivative(loops.from_coeffs(loops.ODD_SINE, [1.0]))
         taus = np.linspace(0, 2, 41)
         assert np.max(np.abs(d(taus) - np.pi * np.cos(np.pi * taus))) < 1e-12
-        assert d.symmetry_note == "odd-cosine"
 
     def test_constant_maps_to_zero(self):
         d = loops.derivative(loops.from_coeffs(loops.EVEN_COSINE, [2.0]))
@@ -225,7 +230,6 @@ class TestLoopCache:
 
         monkeypatch.setattr(loops, "_synthesize_uniform", no_scan)
         assert loops.sup_norm(z) == sup
-        assert loops.norms(z)["sup"] == sup
 
     @pytest.mark.parametrize("klass", loops.CLASSES)
     def test_sup_norm_transforms_nothing_once_sampled(self, monkeypatch, klass):
@@ -380,7 +384,9 @@ class TestRescaleCover:
         z3 = loops.rescale_cover(cert_rho.z, 3)
         a3 = cert_rho.coeffs.a * 3.0 ** (8.0 / 3.0)
         b3 = cert_rho.coeffs.b * 9.0
-        assert frozen.ode_residual(z3, a3, b3) < 1e-8
+        # the L2 norm of z'' + b z + 2 a z^3 at the prescribed (a, b)
+        residual = loops.from_coeffs(z3.klass, frozen.norm_gradient(z3, (0.5 * b3, -0.5, 0.5 * a3)))
+        assert loops.l2_norm(residual) < 1e-8
 
 
 class TestInvariants:
@@ -669,7 +675,7 @@ class TestFFTOracle:
         vals = np.random.default_rng(seed).normal(size=m)
         B = loops.basis_matrix(klass, n, loops.grid_points(m))
         dense = (B @ vals) / (m * loops.gram_diag(klass, n))
-        assert np.max(np.abs(loops.project(klass, vals, n, p=m) - dense)) < 1e-12
+        assert np.max(np.abs(loops.project(klass, vals, n) - dense)) < 1e-12
 
     # any grid size, odd ones too, and down to one point, so that folding
     # above m/2 and the unpaired Nyquist bin of even m are both covered
@@ -693,7 +699,7 @@ class TestFFTOracle:
     def test_real_projection_matches_complex_spectrum(self, klass, n, m, seed):
         vals = np.random.default_rng(seed).normal(size=m)
         ref = complex_projection(klass, vals, n)
-        assert np.max(np.abs(loops.project(klass, vals, n, p=m) - ref)) <= 1e-14 * np.max(np.abs(vals))
+        assert np.max(np.abs(loops.project(klass, vals, n) - ref)) <= 1e-14 * np.max(np.abs(vals))
 
     def test_half_spectrum_tables_are_read_only(self):
         for arr in (*loops._half_spectrum(loops.FULL, 9, 12), loops.gram_diag(loops.FULL, 9)):
@@ -711,10 +717,6 @@ class TestFFTOracle:
         back = loops.analyze(loops._synthesize_uniform(klass, z.coeffs, m), klass)
         assert np.max(np.abs(back.coeffs[: z.n] - z.coeffs)) < 1e-13 * scale
         assert np.max(np.abs(back.coeffs[z.n :]), initial=0.0) < 1e-13 * scale
-
-    def test_projection_rejects_wrong_sample_count(self):
-        with pytest.raises(DomainError):
-            loops.project(loops.ODD_SINE, np.zeros(30), 4, p=32)
 
 
 class TestSerialization:

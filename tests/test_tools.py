@@ -1,6 +1,23 @@
+import ast
+from pathlib import Path
+
 import frozenplanet
+import frozenplanet.cli  # noqa: F401  (the tracer reads every layer, cli too)
 from bench import tracer
 from tools import bench_pairs
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: the paper checks that only the tests read; one that the CLI prints
+#: leaves this list
+PAPER_CHECKS = {
+    "detline.section_through_crossing",
+    "elliptic.F_mono",
+    "frozen.critical_b",
+    "helium.bridge_graph_constants",
+    "helium.d1w_check",
+    "loops.rescale_cover",
+}
 
 
 def runs(values, failed=None):
@@ -91,3 +108,45 @@ class TestTracedSpans:
         # loops.synthesize left src with the FFT synthesis; the next
         # benchmark change replaces it
         assert missing <= {"loops.synthesize"}
+
+
+def public_definitions(tree):
+    """(name, node) of every public top-level def or class of a module and
+    of every public method of its public classes, as ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def name_uses(tree):
+    """(name, line) of every name a module reads: identifiers, attributes,
+    and string constants, which name what ``getattr`` looks up."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+class TestEveryNameHasAReader:
+    def test_public_names_are_read_outside_their_definition(self):
+        # the library and the benchmark are the readers; the tests are not
+        files = sorted(ROOT.glob("src/frozenplanet/*.py")) + sorted(ROOT.glob("bench/*.py"))
+        trees = {path: ast.parse(path.read_text()) for path in files}
+        uses = [(path, *use) for path, tree in trees.items() for use in name_uses(tree)]
+        unread = set()
+        for path, tree in trees.items():
+            for name, node in public_definitions(tree):
+                own = name.rsplit(".", 1)[-1]
+                if not any(
+                    used == own and not (at == path and node.lineno <= line <= node.end_lineno)
+                    for at, used, line in uses
+                ):
+                    unread.add(f"{path.stem}.{name}")
+        assert unread == PAPER_CHECKS
