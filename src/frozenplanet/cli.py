@@ -69,9 +69,31 @@ def _loop(fh):
 
 
 def _write(path, text):
+    """Write text to an output file, when one is asked for; an unwritable
+    path is a cli.output error."""
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FrozenPlanetError(
+                f"cannot write output {path!r}: {exc!r}", tag="cli.output"
+            ) from exc
+
+
+def _one_loop_ok(cert, upper_ok, checks):
+    """The one-loop verdict: the certificate's shape-identity residuals and
+    energy fluctuation below ``IDENTITY_GATE``, the sup upper bound, and
+    of the further checks a command computes (keyed as in
+    ``solve.frozen_step_diagnostics``) both collision-ODE residuals below
+    ``ODE_GATE`` and Morse index 0 with nullity 0."""
+    return bool(
+        max(cert.identity_res) < IDENTITY_GATE
+        and cert.energy_dev < IDENTITY_GATE
+        and upper_ok
+        and all(checks.get(key, 0.0) < ODE_GATE for key in ("ode_res", "beta_mu_res"))
+        and checks.get("morse_index", 0) == checks.get("nullity", 0) == 0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +108,7 @@ def cmd_solve(args):
     path = solve.solve_frozen(args.r, n_modes=args.modes)
     cert = path.steps[-1].cert
     bounds = frozen.sup_bounds(cert.z, cert.r)
-    ok = (
-        cert.grad_res < args.tol
-        and max(cert.identity_res) < IDENTITY_GATE
-        and cert.energy_dev < IDENTITY_GATE
-        and bounds["upper_ok"]
-    )
+    ok = cert.grad_res < args.tol and _one_loop_ok(cert, bounds["upper_ok"], {})
     _write(args.out, serialize.dumps({"config": _echo(args, "solve"),
                                       "cert": serialize.cert_to_dict(cert)}) + "\n")
     return _emit(
@@ -119,26 +136,22 @@ def cmd_continue(args):
         args.stop,
         x0,
         diagnostics=solve.frozen_step_diagnostics,
-        through=(helium.RHO,) if args.start < helium.RHO < args.stop else (),
+        through=(helium.RHO,),
     )
-    records = serialize.path_records(path)
     if args.out:
-        with open(args.out, "w") as fh:
-            for rec in records:
-                fh.write(serialize.dumps(rec).replace("\n", " ") + "\n")
+        records = serialize.path_records(path)
+        _write(args.out, "".join(serialize.dumps(rec).replace("\n", " ") + "\n" for rec in records))
     _write(args.summary, serialize.path_summary_csv(path))
-    worst_vw = max(max(s.cert.identity_res) for s in path.steps)
-    worst_ode = max(s.diagnostics.get("ode_res", 0.0) for s in path.steps)
-    indices = {s.diagnostics.get("morse_index") for s in path.steps}
-    ok = worst_vw < IDENTITY_GATE and worst_ode < ODE_GATE and indices == {0}
+    ok = all(_one_loop_ok(s.cert, s.diagnostics["sup_upper_ok"], s.diagnostics) for s in path.steps)
+    diags = [s.diagnostics for s in path.steps]
     return _emit(
         {
             "config": _echo(args, "continue"),
             "steps": len(path.steps),
             "failures": len(path.failures),
-            "worst_identity_res": worst_vw,
-            "worst_ode_res": worst_ode,
-            "indices": sorted(i for i in indices if i is not None),
+            "worst_identity_res": max(max(s.cert.identity_res) for s in path.steps),
+            "worst_ode_res": max(d["ode_res"] for d in diags),
+            "indices": sorted({d["morse_index"] for d in diags}),
             "ok": ok,
         },
         ok,
@@ -167,13 +180,7 @@ def cmd_identity(args):
     cert = _read(args.input, _cert)
     qres = levi_civita.loop_residual(cert.z, cert.r, samples=args.samples)
     bounds = frozen.sup_bounds(cert.z, cert.r)
-    ok = (
-        max(cert.identity_res) < IDENTITY_GATE
-        and cert.energy_dev < IDENTITY_GATE
-        and qres["ode_res"] < ODE_GATE
-        and qres["beta_mu_res"] < ODE_GATE
-        and bounds["upper_ok"]
-    )
+    ok = _one_loop_ok(cert, bounds["upper_ok"], qres)
     return _emit(
         {
             "config": _echo(args, "identity"),
@@ -438,12 +445,6 @@ def main(argv=None):
     except FrozenPlanetError as exc:
         print(
             serialize.dumps({"error": str(exc), "invariant": exc.tag}),
-            file=sys.stderr,
-        )
-        return 2
-    except FileNotFoundError as exc:
-        print(
-            serialize.dumps({"error": str(exc), "invariant": "cli.input"}),
             file=sys.stderr,
         )
         return 2

@@ -5,9 +5,13 @@ truncation:
 
 * the spectral count mu(T) = prod over nonzero eigenvalues of rho(lambda),
   where rho is a nondecreasing cutoff equal to the identity below a and to
-  1 above b > a > 0 (``mu(spectrum, rho, zero_tol)``).  mu weights the
+  1 above b > a > 0 (``mu(spectrum, rho)``).  mu weights the
   tautological kernel section into a section s that stays continuous where
-  kernel appears;
+  kernel appears.  "Nonzero" is the package's one rule of singularity
+  (``in_kernel``): a value is in the kernel when its magnitude times
+  ``COND_LIMIT`` = 1e12 is at most the largest magnitude of its spectrum.
+  Newton's condition check, the spectral reports and the stabilized-kernel
+  tracking all read it;
 * the sign relation s = (-1)^{i(T)} t on invertible operators, i(T) the
   number of negative eigenvalues (``sections``);
 * a loop of symmetric operators with spectrum unbounded in both directions
@@ -30,6 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, KernelTrackingError
+
+
+#: the one bound of "singular": a value of magnitude at most 1/COND_LIMIT of
+#: its spectrum's largest is in the kernel, so Newton refuses a Hessian of
+#: 2-norm condition number COND_LIMIT or more
+COND_LIMIT = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +72,25 @@ class CutoffRho:
         return out if out.ndim else float(out)
 
 
-def mu(spectrum, rho: CutoffRho | None = None, zero_tol=0.0):
+def in_kernel(values):
+    """The kernel mask of a finite spectrum (eigenvalues, or singular
+    values): a value is in the kernel when its magnitude times
+    ``COND_LIMIT`` is at most the largest magnitude, so every value of a
+    zero spectrum is.  A symmetric matrix has no kernel value exactly when
+    its 2-norm condition number is below ``COND_LIMIT``."""
+    mags = np.abs(np.asarray(values, dtype=float))
+    return mags * COND_LIMIT <= np.max(mags, initial=0.0)
+
+
+def mu(spectrum, rho: CutoffRho | None = None):
     """Cutoff-weighted product over the nonzero part of a finite spectrum.
 
-    Eigenvalues appear with multiplicity; entries with |lambda| <= zero_tol
-    are excluded as kernel.
+    Eigenvalues appear with multiplicity; the kernel (``in_kernel``) is
+    excluded, and an empty product is 1.
     """
     rho = rho or CutoffRho()
     spec = np.asarray(spectrum, dtype=float)
-    keep = np.abs(spec) > zero_tol
+    keep = ~in_kernel(spec)
     vals = rho(spec[keep])
     return float(np.prod(vals)) if np.any(keep) else 1.0
 
@@ -82,7 +102,8 @@ def sections(t_matrix, rho: CutoffRho | None = None):
     tautological sign +1, the negative count i, and the verified relation
     s = (-1)^i t.  For singular T: the continuous weight mu(T) over the
     nonzero spectrum together with an orthonormal kernel basis.  The kernel
-    holds the eigenvalues within 1e-10 max(1, spectral radius) of zero.
+    holds the eigenvalues that ``in_kernel`` picks, so T is invertible here
+    exactly when Newton's condition check passes it.
     """
     t_matrix = np.asarray(t_matrix, dtype=float)
     if np.max(np.abs(t_matrix - t_matrix.T)) > 1e-10 * max(
@@ -91,11 +112,9 @@ def sections(t_matrix, rho: CutoffRho | None = None):
         raise DomainError("operator must be symmetric", tag="detline.symmetric")
     rho = rho or CutoffRho()
     evals, evecs = np.linalg.eigh(0.5 * (t_matrix + t_matrix.T))
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    null_tol = 1e-10 * scale
-    null_mask = np.abs(evals) <= null_tol
-    i_neg = int(np.sum(evals < -null_tol))
-    weight = mu(evals[~null_mask], rho)
+    null_mask = in_kernel(evals)
+    i_neg = int(np.sum(evals[~null_mask] < 0.0))
+    weight = mu(evals, rho)
     if not np.any(null_mask):
         s_sign = 1 if weight > 0 else -1
         return {
@@ -121,36 +140,40 @@ def section_through_crossing(t_matrices, stabilizer, rho: CutoffRho | None = Non
     each operator is stabilized to [T | Phi] and the section is expressed
     in the resulting rank-one kernel bundle, where its coordinates vary
     continuously through the crossing even though the kernel dimension
-    jumps.  Returns an array of section vectors (rows).
+    jumps.  A member with a kernel (``in_kernel``) is expressed by the
+    tautological wedge against the stabilizer.  Returns an array of section
+    vectors (rows).
     """
     rho = rho or CutoffRho()
     phi = np.asarray(stabilizer, dtype=float)
     phi = phi / np.linalg.norm(phi)
     out = []
-    prev = None
+    w = None
     for t_matrix in t_matrices:
         t_matrix = np.asarray(t_matrix, dtype=float)
         n = t_matrix.shape[0]
-        stab = np.hstack([t_matrix, phi[:, None]])
-        _, svals, vt = np.linalg.svd(stab)
-        w = vt[-1]
-        if svals[-2] < 1e-10 * max(1.0, svals[0]):
-            raise KernelTrackingError("stabilized kernel dimension exceeded 1")
-        if prev is not None and float(w @ prev) < 0.0:
-            w = -w
-        prev = w
+        w = _kernel_line(np.hstack([t_matrix, phi[:, None]]), w)
         evals = np.linalg.eigvalsh(t_matrix)
-        scale = max(1.0, float(np.max(np.abs(evals))))
-        zero_tol = 1e-10 * scale
-        weight = mu(evals, rho, zero_tol=zero_tol)
-        w_zeta = w[n]
-        if abs(w_zeta) > 1e-8:
-            coeff = weight / w_zeta
-        else:
-            # singular member: tautological wedge against the stabilizer
+        weight = mu(evals, rho)
+        if np.any(in_kernel(evals)):
             coeff = -weight * float(w[:n] @ phi)
+        else:
+            coeff = weight / w[n]
         out.append(coeff * w)
     return np.array(out)
+
+
+def _kernel_line(stabilized, ref):
+    """The unit vector spanning the kernel of a stabilized operator
+    [T | Phi] (its last right singular vector), signed to make a
+    nonnegative product with ``ref`` when one is given.  KernelTrackingError
+    when the kernel is more than a line: the least singular value of the
+    wide matrix is in the kernel too (``in_kernel``)."""
+    _, svals, vt = np.linalg.svd(stabilized)
+    if in_kernel(svals)[-1]:
+        raise KernelTrackingError("stabilized kernel dimension exceeded 1")
+    w = vt[-1]
+    return -w if ref is not None and float(w @ ref) < 0.0 else w
 
 
 # ---------------------------------------------------------------------------
@@ -272,35 +295,18 @@ def holonomy(family: OperatorFamily, n_steps=400):
     worst alignment against the closed form.  The step count refines until
     successive sections stay aligned above 0.99.
     """
+    # orient the start with the closed form, f(0) = -a e_0
+    f0, z0 = closed_form_section(0.0, family)
+    start = np.concatenate([f0, [z0]])
     for attempt in range(4):
         taus = np.linspace(0.0, 2.0, n_steps + 1)
         sectionvecs = []
-        prev = None
-        ok = True
         for tau in taus:
-            stab = family.stabilized(tau)
-            _, svals, vt = np.linalg.svd(stab)
-            if svals[-2] < 1e-8 * max(1.0, svals[0]):
-                raise KernelTrackingError(
-                    f"kernel dimension exceeded 1 at tau = {tau:.4f}"
-                )
-            w = vt[-1]
-            if prev is not None:
-                dot = float(w @ prev)
-                if abs(dot) < 0.99:
-                    ok = False
-                    break
-                if dot < 0.0:
-                    w = -w
-            else:
-                # orient the start with the closed form, f(0) = -a e_0
-                f0, z0 = closed_form_section(0.0, family)
-                ref = np.concatenate([f0, [z0]])
-                if float(w @ ref) < 0.0:
-                    w = -w
+            w = _kernel_line(family.stabilized(tau), sectionvecs[-1] if sectionvecs else start)
+            if sectionvecs and float(w @ sectionvecs[-1]) < 0.99:
+                break
             sectionvecs.append(w)
-            prev = w
-        if ok:
+        else:
             break
         n_steps *= 2
     else:

@@ -419,9 +419,9 @@ class _Repulsion:
     no zero, so the integrand is periodic and analytic in tau, and the
     midpoint rule R = mean(w / g) over the nodes (k + 1/2)/m converges
     geometrically (Trefethen and Weideman, SIAM Review 56, 2014).  Only
-    z1's time map is inverted, once by ``tau_of_t`` at the nodes' t; where
-    ``_least`` refines the gap's minimum between two nodes, tau1 is found
-    in their cell (``_tau1_between``).
+    z1's time map is inverted, once by ``tau_of_t`` at the nodes' t, and
+    again at the points where ``_least`` refines the gap's minimum between
+    two nodes.
 
     z2 is varied at fixed tau, with its orthonormal rows e and x = <z2, e>:
     dt_f = (Phi_f - 2 t x_f) / I2 (``_phi_table``), dw_f = 2 (z2 f - w x_f) / I2
@@ -478,7 +478,7 @@ class _Repulsion:
         s = _hermite_min(self.gap[j], self.gap[j + 1], slope[j], slope[j + 1])
         tau = np.concatenate([[0.0, 1.0], (j + 0.5 + s) * h])
         t = self.p2 @ loops.basis_matrix(loops.EVEN_COSINE, self.p2.size, tau, -1)
-        tau1 = np.concatenate([[0.0, 1.0], self._tau1_between(t[2:], j)])
+        tau1 = np.concatenate([[0.0, 1.0], levi_civita.tau_of_t(self.z1, t[2:])])
         var = _TimeMapVariation(self.z1, tau1, t)
         b0, b1, b2 = loops.jets(z2, tau, (0, 1, 2))
         w = b0**2 / self.i2
@@ -489,21 +489,6 @@ class _Repulsion:
         gaps, ts = np.concatenate([self.gap, g]), np.concatenate([self.t, t])
         k = int(np.argmin(gaps))
         return float(gaps[k]), float(ts[k])
-
-    def _tau1_between(self, t, j):
-        """z1's tau at the times t, each between the nodes j and j + 1: the
-        time map inverted in the node cell of tau1 (``levi_civita.
-        tau_in_brackets``), from the cubic Hermite through the nodes' tau1
-        with their slopes dtau1/dt = I1 / z1^2."""
-        var = self.var
-        lo, hi = var.taus[j], var.taus[j + 1]
-        width = self.t[j + 1] - self.t[j]
-        slope = var.norm * var.inv_z**2
-        u = np.divide(t - self.t[j], width, out=np.zeros(t.size), where=width > 0.0)
-        v = 1.0 - u
-        x0 = v * v * ((1.0 + 2.0 * u) * lo + u * width * slope[j])
-        x0 += u * u * ((3.0 - 2.0 * u) * hi - v * width * slope[j + 1])
-        return levi_civita.tau_in_brackets(self.z1, t, lo, hi, np.clip(x0, lo, hi))
 
     def _weights(self, s):
         """With R = mean(w / g), the derivatives of -s R in w and g at the
@@ -645,9 +630,10 @@ def hessian_bound(h_matrix, pair: PairLoop, n1, n2):
 
     delta = 4 min ||z_i||^2 bounds the leading block from below by
     delta ||v'||^2; C estimates the H1 -> L2 norm of the remaining block
-    K = H - P through ||K (I + Omega)^{-1}||_2.  The certified bound is
-    R = -C - C^2/(4 delta), and the report checks that the computed
-    spectrum indeed stays above it.
+    K = H - P through ||K (I + Omega)^{-1}||_2.  The bound is
+    R = -C - C^2/(4 delta), residual-checked rather than certified (C is
+    an estimate): the report checks that the computed spectrum stays
+    above it.
     """
     (l1, _, _), (l2, _, _) = _pair_norms(pair)
     w1 = loops.frequencies(loops.EVEN_COSINE, n1)

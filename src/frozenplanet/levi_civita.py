@@ -155,25 +155,17 @@ def tau_of_t(z: loops.Loop, t_values):
     tlo, thi = tn[idx], tn[idx + 1]
     width = np.maximum(thi - tlo, 1e-300)
     x0 = lo + (t - tlo) / width * (hi - lo)
-    x = tau_in_brackets(z, t, lo, hi, x0)
-    return x if np.ndim(t_values) else float(x[0])
-
-
-def tau_in_brackets(z: loops.Loop, t, lo, hi, x0):
-    """The Newton of ``tau_of_t``, with its stops, on I(tau)/I(1) = t for
-    each t in its bracket [lo, hi] of tau, from the start x0: for callers
-    that know brackets and starts better than the 512-cell table."""
-    _, i_one = square_primitive(z)
     sq = loops.square(z)
 
-    def residual(x, idx):
+    def residual(x, active):
         # the primitive of z^2 and z^2 itself, from one row pass
         prim, value = loops.jets(sq, x, (-1, 0))
-        return prim / i_one - t[idx], value / i_one
+        return prim / i_one - t[active], value / i_one
 
     # the rounding level of the primitive: twice eps times its coefficient sum
     level = 2.0 * np.finfo(float).eps * float(np.sum(np.abs(sq.coeffs))) / i_one
-    return loops._newton(residual, lo, hi, x0, tol=1e-14, max_iter=80, min_slope=1e-14, ftol=level)
+    x = loops._newton(residual, lo, hi, x0, tol=1e-14, max_iter=80, min_slope=1e-14, ftol=level)
+    return x if np.ndim(t_values) else float(x[0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,15 @@ Euler step along that tangent, and of every later step the cubic Hermite
 interpolant through the last two accepted points and their tangents,
 extrapolated.
 
-Spectral reports count negative and near-null eigenvalues of the Galerkin
+Spectral reports count negative and null eigenvalues of the Galerkin
 Hessian.  On the symmetry-reduced space a nondegenerate critical point has
 nullity 0; the auxiliary full-loop-space mode re-embeds the point in the
 unrestricted period-2 basis and forms the Hessian there, where time-shift
-invariance forces a one-dimensional kernel spanned by z'.
+invariance forces a one-dimensional kernel spanned by z'.  One rule decides
+"singular" everywhere (``detline.in_kernel``, beside ``detline.mu``): an
+eigenvalue is null when its magnitude times 1e12 is at most the largest,
+so a report has nullity 0 exactly when Newton's condition check
+(cond_2 below 1e12) passes its matrix.
 """
 
 from __future__ import annotations
@@ -121,16 +125,17 @@ class NewtonReport:
 
 def _check_conditioned(h):
     """Raise SingularHessianError unless the symmetric Hessian h is finite
-    with 2-norm condition number at most 1e12.
+    with no eigenvalue in the kernel (``detline.in_kernel``): its 2-norm
+    condition number is below ``detline.COND_LIMIT`` = 1e12.
 
     The Gershgorin discs |lambda - h_ii| <= sum_{j != i} |h_ij| enclose
     the spectrum (Horn and Johnson, Matrix Analysis, Thm 6.1.1).  Their
     union [lo, hi] is widened by n eps ||h||_inf, which covers the rounding
     of the sums and the error of an eigensolver.  When the widened
     enclosure is one-signed, cond_2 <= max(|lo|, |hi|) / min(|lo|, |hi|),
-    and h passes without a factorization when that is at most 1e12.
-    Otherwise (an indefinite h, or discs too wide to tell) the condition
-    number is read from ``eigvalsh``, so the decision is the eigenvalue
+    and h passes without a factorization when that is below 1e12.
+    Otherwise (an indefinite h, or discs too wide to tell) the kernel rule
+    reads the ``eigvalsh`` spectrum, so the decision is the eigenvalue
     test's either way.  The positive definite Newton Hessians of the
     one-loop family all pass on the discs.
     """
@@ -142,13 +147,14 @@ def _check_conditioned(h):
     radius = rows - np.abs(diag)
     lo = float(np.min(diag - radius)) - slack
     hi = float(np.max(diag + radius)) + slack
-    if 0.0 < lo and hi <= 1e12 * lo or hi < 0.0 and -lo <= -1e12 * hi:
+    limit = detline.COND_LIMIT
+    if 0.0 < lo and hi < limit * lo or hi < 0.0 and -lo < -limit * hi:
         return
     mags = np.abs(np.linalg.eigvalsh(h))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = mags.max() / mags.min()
-    if not cond <= 1e12:
-        raise SingularHessianError(f"Hessian condition number {cond:.3e} exceeds 1e12")
+    if np.any(detline.in_kernel(mags)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = mags.max() / mags.min()
+        raise SingularHessianError(f"Hessian condition number {cond:.3e} is not below 1e12")
 
 
 def newton(objective, x0, tol=NEWTON_TOL, jacobian="every"):
@@ -160,7 +166,7 @@ def newton(objective, x0, tol=NEWTON_TOL, jacobian="every"):
     (or fail to reduce the residual) are halved up to 12 times, and at most
     30 steps are taken.  Each new Hessian is checked once
     (``_check_conditioned``): a non-finite one, or one with condition
-    number above 1e12, raises SingularHessianError.  At the nondegenerate
+    number of 1e12 or more, raises SingularHessianError.  At the nondegenerate
     minima of the one-loop family the Gershgorin discs decide that check,
     so those solves run no eigensolver.
 
@@ -263,21 +269,21 @@ class SpectrumReport:
 
 def spectrum_report(h, align_with=None):
     """Morse data of a symmetric matrix, plus the cutoff spectral count
-    (``detline.mu`` at the default ``detline.CutoffRho``).  An eigenvalue
-    below 1e-6 of the spectral radius in magnitude is null.  Only the
-    kernel alignment with ``align_with`` reads eigenvectors, so without it
-    the spectrum comes from ``eigvalsh``, with it from ``eigh``."""
+    (``detline.mu`` at the default ``detline.CutoffRho``).  The null
+    eigenvalues are those of ``detline.in_kernel``, at most ``null_tol`` =
+    spectral radius / 1e12 in magnitude.  Only the kernel alignment with
+    ``align_with`` reads eigenvectors, so without it the spectrum comes
+    from ``eigvalsh``, with it from ``eigh``."""
     h = 0.5 * (h + h.T)
     if align_with is None:
         evals = np.linalg.eigvalsh(h)
     else:
         evals, evecs = np.linalg.eigh(h)
-    radius = float(np.max(np.abs(evals))) if evals.size else 1.0
-    null_tol = 1e-6 * radius
-    null_mask = np.abs(evals) < null_tol
+    null_mask = detline.in_kernel(evals)
+    null_tol = float(np.max(np.abs(evals), initial=0.0)) / detline.COND_LIMIT
     nullity = int(np.sum(null_mask))
-    morse = int(np.sum(evals < -null_tol))
-    mu = detline.mu(evals[~null_mask])
+    morse = int(np.sum(evals[~null_mask] < 0.0))
+    mu = detline.mu(evals)
     alignment = None
     if align_with is not None and nullity >= 1:
         vec = np.asarray(align_with, dtype=float)
@@ -392,7 +398,8 @@ def continuation(
     1e-6 the path is stuck) and doubles, up to 1/4 of the range,
     after a solve whose first contraction r_1 / r_0 is below
     ``GROWTH_CONTRACTION`` (a seed that is already converged counts as 0).
-    Parameters listed in ``through`` are forced onto the grid.
+    Parameters listed in ``through`` that lie strictly between p0 and p1
+    are forced onto the grid; the others are ignored.
     ``diagnostics(objective, x, report)`` may attach per-step data.  Each
     step certifies its point when its ``cert`` is first read
     (``PathStep``).
@@ -545,8 +552,7 @@ def solve_frozen(r, n_modes=DEFAULT_MODES):
         return ContinuationPath([PathStep(0.0, x0, lambda: frozen.certify(seed, 0.0))], [], [])
     n_w = min(n, WORK_MODES)
     x0 = FrozenObjective(0.0, n_w).pack(seed)
-    through = (RHO,) if r > RHO else ()
-    path = continuation(lambda p: FrozenObjective(p, n_w), 0.0, r, x0, through=through)
+    path = continuation(lambda p: FrozenObjective(p, n_w), 0.0, r, x0, through=(RHO,))
     z = FrozenObjective(r, n_w).unpack(path.last().x)
     while n_w < n and _tail_unresolved(z.coeffs):
         n_w = min(2 * n_w, n)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import types
 import warnings
 
 import numpy as np
@@ -634,3 +636,132 @@ class TestContinueCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err)["invariant"] == "frozen.r"
+
+
+class TestOutputFiles:
+    """Every file flag writes through one writer: an unwritable path is the
+    tagged cli.output error, exit 2, with one JSON object on stderr and
+    nothing on stdout."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        loop_file = tmp_path / "loop.json"
+        loop = loops.from_coeffs(loops.ODD_SINE, [1.0])
+        loop_file.write_text(json.dumps(loops.loop_to_json(loop)))
+        pair = helium.PairLoop(
+            loops.from_coeffs(loops.EVEN_COSINE, [1.7, 0.05]),
+            loops.from_coeffs(loops.ODD_SINE, [1.0, 0.1]),
+        )
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(serialize.dumps(serialize.pair_to_dict(pair)))
+        return {"LOOP": str(loop_file), "PAIR": str(pair_file)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--r", "0", "--modes", "8", "--out"),
+            ("continue", "--from", "0", "--to", "0.5", "--modes", "8", "--out"),
+            ("continue", "--from", "0", "--to", "0.5", "--modes", "8", "--summary"),
+            ("elliptic", "--grid=0:0.1:0.1", "--out"),
+            ("lc", "--input", "LOOP", "--samples", "2048", "--out"),
+            ("helium", "--mode", "av", "--input", "PAIR", "--csv"),
+            ("detline", "--modes", "8", "--steps", "200", "--out"),
+        ],
+    )
+    def test_directory_as_output_is_output_error(self, capsys, tmp_path, inputs, argv):
+        argv = [inputs.get(arg, arg) for arg in argv]
+        code, out, err = run(capsys, *argv, str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["invariant"] == "cli.output"
+
+    def test_missing_output_directory_is_output_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "cert.json"
+        code, out, err = run(capsys, "solve", "--r", "0", "--modes", "8", "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["invariant"] == "cli.output"
+
+
+#: the values of one one-loop step that passes every gate
+PASSING_STEP = {
+    "vw_res": (0.0, 0.0),
+    "energy_dev": 0.0,
+    "ode_res": 0.0,
+    "beta_mu_res": 0.0,
+    "sup_upper_ok": True,
+    "morse_index": 0,
+    "nullity": 0,
+}
+
+
+class TestOneLoopVerdict:
+    @pytest.mark.parametrize(
+        "key,bad",
+        [
+            ("vw_res", (0.0, cli.IDENTITY_GATE)),
+            ("energy_dev", cli.IDENTITY_GATE),
+            ("energy_dev", math.nan),
+            ("ode_res", cli.ODE_GATE),
+            ("beta_mu_res", cli.ODE_GATE),
+            ("sup_upper_ok", False),
+            ("morse_index", 1),
+            ("nullity", 1),
+        ],
+    )
+    def test_each_check_fails_the_step(self, key, bad):
+        def ok(**changes):
+            step = dict(PASSING_STEP, **changes)
+            cert = types.SimpleNamespace(identity_res=step["vw_res"], energy_dev=step["energy_dev"])
+            return cli._one_loop_ok(cert, step["sup_upper_ok"], step)
+
+        assert ok()
+        assert not ok(**{key: bad})
+
+    def test_degenerate_step_fails_continue(self, capsys, monkeypatch):
+        # the second step's spectrum is stubbed to carry a null eigenvalue
+        reports = []
+        report = solve.spectrum_report
+
+        def stub(h, *args, **kwargs):
+            reports.append(report(h, *args, **kwargs))
+            return dataclasses.replace(reports[-1], nullity=1) if len(reports) == 2 else reports[-1]
+
+        monkeypatch.setattr(solve, "spectrum_report", stub)
+        code, out, _ = run(capsys, "continue", "--from", "0", "--to", "0.5", "--modes", "8")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["ok"] is False and payload["indices"] == [0]
+
+    def test_large_parameter_is_nondegenerate(self, capsys, tmp_path):
+        # max |lambda| is 2.0e7 and min |lambda| 0.894: far from singular
+        cert_file = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "solve", "--r", "1e6", "--modes", "128", "--out", str(cert_file))
+        assert code == 0
+        code, out, _ = run(capsys, "spectrum", "--input", str(cert_file))
+        assert code == 0
+        assert json.loads(out)["nullity"] == 0
+        code, out, _ = run(capsys, "spectrum", "--input", str(cert_file), "--space", "full")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["nullity"] == 1 and payload["kernel_alignment"] > 0.999
+
+    def test_continued_path_counts_for_euler(self, capsys, tmp_path):
+        path_file = tmp_path / "path.jsonl"
+        argv = ("continue", "--from", "0", "--to", "2e4", "--modes", "128", "--out", str(path_file))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["ok"] is True
+        records = [json.loads(line) for line in path_file.read_text().splitlines()]
+        assert [rec["diagnostics"]["nullity"] for rec in records] == [0] * len(records)
+        code, out, _ = run(capsys, "euler", "--path", str(path_file))
+        assert code == 0
+        assert json.loads(out)["euler"] == 1
+
+    def test_backward_path_passes_through_rho(self, capsys, tmp_path):
+        path_file = tmp_path / "path.jsonl"
+        argv = ("continue", "--from", "5", "--to", "0", "--modes", "16", "--out", str(path_file))
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        parameters = [json.loads(line)["parameter"] for line in path_file.read_text().splitlines()]
+        assert helium.RHO in parameters
+        assert parameters == sorted(parameters, reverse=True)

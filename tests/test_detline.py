@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from frozenplanet import detline
-from frozenplanet.errors import DomainError
+from frozenplanet.errors import DomainError, KernelTrackingError
 
 
 class TestCutoff:
@@ -59,6 +59,22 @@ class TestMu:
         assert np.max(np.abs(np.diff(vals))) < 2e-3
 
 
+class TestKernelRule:
+    def test_relative_to_the_largest_magnitude(self):
+        values = np.array([0.5e-12, -2e-12, 1.0, -3.0])
+        assert list(detline.in_kernel(values)) == [True, True, False, False]
+        assert list(detline.in_kernel(1e-30 * values)) == [True, True, False, False]
+
+    def test_zero_spectrum_is_all_kernel(self):
+        assert list(detline.in_kernel(np.zeros(3))) == [True] * 3
+        assert detline.mu(np.zeros(3)) == 1.0
+
+    def test_mu_excludes_the_kernel(self):
+        rho = detline.CutoffRho(0.5, 1.0)
+        assert detline.mu([1e-13, 0.2, 5.0], rho) == detline.mu([0.2, 5.0], rho)
+        assert detline.mu([1e-11, 0.2, 5.0], rho) == 1e-11 * 0.2
+
+
 class TestSections:
     def test_identity_matrix(self):
         out = detline.sections(np.eye(5))
@@ -101,6 +117,12 @@ class TestSections:
         svals = detline.section_through_crossing(mats, phi)
         jumps = np.linalg.norm(np.diff(svals, axis=0), axis=1)
         assert float(np.max(jumps)) < 1e-3
+
+    def test_kernel_plane_is_refused(self):
+        # [T | e_1] with T = diag(0, 1, 1) has the kernel plane of e_0 and
+        # e_1 - e_zeta: its least singular value is 0, the one above it 1
+        with pytest.raises(KernelTrackingError):
+            detline.section_through_crossing([np.diag([0.0, 1.0, 1.0])], [0.0, 1.0, 0.0])
 
 
 class TestRotationPath:

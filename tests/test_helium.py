@@ -300,20 +300,6 @@ class TestBIn:
             if m >= 32:
                 assert least > dense - 1e-9
 
-    def test_tau1_between_nodes_matches_tau_of_t(self):
-        # the in-cell inversion of ``_least`` against the table-bracketed one
-        pair = helium.PairLoop(
-            loops.from_coeffs(loops.EVEN_COSINE, [1.0, 0.05, 0.02]),
-            loops.from_coeffs(loops.ODD_SINE, [0.5, 0.2, 0.1, 0.05]),
-        )
-        rep = helium._Repulsion(pair, 16)
-        j = np.repeat(np.arange(15), 3)
-        u = np.tile([0.0, 0.37, 1.0], 15)
-        t = rep.t[j] + u * (rep.t[j + 1] - rep.t[j])
-        got = rep._tau1_between(t, j)
-        assert np.max(np.abs(got - levi_civita.tau_of_t(pair.z1, t))) < 1e-14
-        assert np.all((got >= rep.var.taus[j]) & (got <= rep.var.taus[j + 1]))
-
 
 @pytest.fixture(scope="module")
 def interp_pair():
@@ -647,7 +633,7 @@ class TestSharedTimeMaps:
         tau_of_t = levi_civita.tau_of_t
 
         def counted(z, t, *args, **kwargs):
-            calls.append(z)
+            calls.append((z.klass, np.size(t)))
             return tau_of_t(z, t, *args, **kwargs)
 
         fresh = helium.PairObjective(0.5, n1=2, n2=2)
@@ -658,10 +644,11 @@ class TestSharedTimeMaps:
         assert obj.admissible(x)
         g = obj.gradient(x.copy())
         v = obj.value(x)
-        # the repulsion inverts the outer loop's time map alone, once per x
-        # at the nodes; where the gap's minimum is refined, tau1 is found in
-        # the node cell without a second tau_of_t
-        assert [z.klass for z in calls] == [loops.EVEN_COSINE]
+        # the repulsion inverts the outer loop's time map alone: once per x
+        # at its nodes, and at the points where the gap's minimum is refined
+        nodes = helium._node_count(interp_pair)
+        assert {klass for klass, _ in calls} == {loops.EVEN_COSINE}
+        assert [size for _, size in calls].count(nodes) == 1
         assert np.array_equal(g, want[0]) and v == want[1]
 
     def test_one_phi_table_per_x(self, monkeypatch, interp_pair):
@@ -683,8 +670,8 @@ class TestSharedTimeMaps:
         assert builds == [loops.EVEN_COSINE]
 
     def test_certify_evaluates_once(self, monkeypatch, interp_pair):
-        # one b_interp evaluation, and the outer loop's one time-map
-        # inversion of one ``_Repulsion``, at its nodes
+        # one b_interp evaluation, and one ``_Repulsion``: the outer loop's
+        # time map is inverted once at its nodes
         fresh = helium.PairObjective(0.5, n1=2, n2=2)
         x = fresh.pack(interp_pair)
         want = (
@@ -698,7 +685,7 @@ class TestSharedTimeMaps:
             fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls.append(name)
+                calls.append((name, np.size(args[1])))
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -706,7 +693,10 @@ class TestSharedTimeMaps:
         monkeypatch.setattr(helium, "b_interp", counted(helium, "b_interp"))
         monkeypatch.setattr(levi_civita, "tau_of_t", counted(levi_civita, "tau_of_t"))
         cert = helium.PairObjective(0.5, n1=2, n2=2).certify(x)
-        assert sorted(calls) == ["b_interp", "tau_of_t"]
+        nodes = helium._node_count(interp_pair)
+        assert [name for name, _ in calls].count("b_interp") == 1
+        assert calls.count(("tau_of_t", nodes)) == 1
+        assert {name for name, _ in calls} == {"b_interp", "tau_of_t"}
         assert (cert.grad_res, cert.full_res, cert.value) == want
 
 

@@ -157,6 +157,8 @@ class TestSupNorm:
     @given(klass=st.sampled_from(loops.CLASSES), n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
     # the scan's largest sample (tau = 1.5) is not beside the maximum (0.18)
     @example(klass=loops.ODD_SINE, n=15, seed=1451465)
+    # the finer scan's largest sample rounds one ulp above the refined maximum
+    @example(klass=loops.EVEN_COSINE, n=5, seed=369)
     def test_refines_the_scan(self, klass, n, seed):
         c = np.random.default_rng(seed).normal(size=n) / (1.0 + np.arange(n))
         z = loops.from_coeffs(klass, c)
@@ -167,7 +169,7 @@ class TestSupNorm:
         dense = np.max(np.abs(z(taus)))
         # sampling at spacing h misses the maximum by at most h^2 max|z''| / 8
         miss = (taus[1] ** 2 / 8) * np.sum(np.abs(loops.second_derivative_coeffs(z)))
-        assert sup >= scan
+        assert sup >= scan - 1e-14
         assert dense - 1e-14 <= sup <= dense + miss + 1e-14
 
     #: per class, the b of ``double_maximum`` for close and for far maxima

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import frozenplanet
-from frozenplanet import frozen, helium, loops, solve
+from frozenplanet import detline, frozen, helium, loops, solve
 from frozenplanet.errors import (
     ContinuationStuckError,
     DegeneratePointError,
@@ -286,6 +286,7 @@ class TestConditionCheck:
         "indefinite": lambda rng, n: np.concatenate([[-1.0], np.geomspace(1.0, 1e3, n - 1)]),
         "singular": lambda rng, n: np.concatenate([[0.0], np.geomspace(1.0, 1e3, n - 1)]),
         "random-spectrum": lambda rng, n: rng.normal(size=n),
+        "zero": lambda rng, n: np.zeros(n),
     }
 
     @staticmethod
@@ -305,6 +306,21 @@ class TestConditionCheck:
         n = int(rng.integers(2, 65))
         h = _symmetric(rng, self.families[family](rng, n), spread)
         assert self._passes(h) == _eigen_decision(h)
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-5, 1e-2, 1.0])
+    @pytest.mark.parametrize("family", sorted(families))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_rule_decides_singular(self, family, spread, seed):
+        # Newton's check, the spectral report and the section data agree
+        # on which matrices are singular
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 65))
+        h = _symmetric(rng, self.families[family](rng, n), spread)
+        passes = self._passes(h)
+        # mu, a product of up to 64 eigenvalues near -1e13, may overflow
+        with np.errstate(over="ignore"):
+            assert (solve.spectrum_report(h).nullity == 0) == passes
+            assert detline.sections(h)["invertible"] == passes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries(self, bad):
