@@ -1,10 +1,12 @@
 """Command-line front end: solves, sweeps, verification reports, export.
 
-Every command prints a machine-readable JSON summary on stdout (floats at
-17 significant digits; reruns are byte-identical) and writes requested
-data files.  Exit codes: 0 when every checked residual is within
-tolerance, 1 on a tolerance violation, 2 on a domain or configuration
-error.  Error messages name the violated invariant tag.
+Every command prints one JSON summary on stdout (``_emit``): its
+``config`` first, then its results, then its verdict ``ok`` (floats in
+Python's shortest round-trip form; reruns are byte-identical).  It writes
+the requested data files: JSON, one compact JSONL line per path record,
+and CSV tables (``serialize``).  Exit codes: 0 when ``ok`` (every checked
+residual is within tolerance), 1 on a tolerance violation, 2 on a domain
+or configuration error.  Error messages name the violated invariant tag.
 """
 
 from __future__ import annotations
@@ -30,14 +32,15 @@ IDENTITY_GATE = 1e-7
 ODE_GATE = 1e-5
 
 
-def _echo(args, command):
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
-    cfg["command"] = command
-    return cfg
+def _config(args):
+    """The arguments a command ran with, ``command`` among them."""
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
 
 
-def _emit(payload, ok):
-    print(serialize.dumps(payload))
+def _emit(args, fields, ok):
+    """Print the command's JSON summary, its config first and its verdict
+    ``ok`` last, and return the exit code: 0 when ok, else 1."""
+    print(serialize.dumps({"config": _config(args), **fields, "ok": ok}))
     return 0 if ok else 1
 
 
@@ -109,19 +112,18 @@ def cmd_solve(args):
     cert = path.steps[-1].cert
     bounds = frozen.sup_bounds(cert.z, cert.r)
     ok = cert.grad_res < args.tol and _one_loop_ok(cert, bounds["upper_ok"], {})
-    _write(args.out, serialize.dumps({"config": _echo(args, "solve"),
+    _write(args.out, serialize.dumps({"config": _config(args),
                                       "cert": serialize.cert_to_dict(cert)}) + "\n")
     return _emit(
+        args,
         {
-            "config": _echo(args, "solve"),
             "r": cert.r,
             "grad_res": cert.grad_res,
             "v": cert.v,
             "w": cert.w,
-            "identity_res": list(cert.identity_res),
+            "identity_res": cert.identity_res,
             "energy_dev": cert.energy_dev,
             "sup_upper_ok": bounds["upper_ok"],
-            "ok": ok,
         },
         ok,
     )
@@ -139,20 +141,18 @@ def cmd_continue(args):
         through=(helium.RHO,),
     )
     if args.out:
-        records = serialize.path_records(path)
-        _write(args.out, "".join(serialize.dumps(rec).replace("\n", " ") + "\n" for rec in records))
+        _write(args.out, "".join(serialize.dumps(rec, None) + "\n" for rec in serialize.path_records(path)))
     _write(args.summary, serialize.path_summary_csv(path))
     ok = all(_one_loop_ok(s.cert, s.diagnostics["sup_upper_ok"], s.diagnostics) for s in path.steps)
     diags = [s.diagnostics for s in path.steps]
     return _emit(
+        args,
         {
-            "config": _echo(args, "continue"),
             "steps": len(path.steps),
             "failures": len(path.failures),
             "worst_identity_res": max(max(s.cert.identity_res) for s in path.steps),
             "worst_ode_res": max(d["ode_res"] for d in diags),
             "indices": sorted({d["morse_index"] for d in diags}),
-            "ok": ok,
         },
         ok,
     )
@@ -161,19 +161,16 @@ def cmd_continue(args):
 def cmd_spectrum(args):
     cert = _read(args.input, _cert)
     rep = solve.spectrum(cert, space=args.space)
-    payload = {
-        "config": _echo(args, "spectrum"),
+    fields = {
         "morse_index": rep.morse_index,
         "nullity": rep.nullity,
         "mu": rep.mu,
         "min_abs": rep.min_abs,
-        "eigenvalues": list(rep.eigenvalues),
+        "eigenvalues": rep.eigenvalues,
     }
     if rep.kernel_alignment is not None:
-        payload["kernel_alignment"] = rep.kernel_alignment
-    expected_null = 1 if args.space == "full" else 0
-    ok = rep.nullity == expected_null
-    return _emit(payload, ok)
+        fields["kernel_alignment"] = rep.kernel_alignment
+    return _emit(args, fields, rep.nullity == (1 if args.space == "full" else 0))
 
 
 def cmd_identity(args):
@@ -182,16 +179,15 @@ def cmd_identity(args):
     bounds = frozen.sup_bounds(cert.z, cert.r)
     ok = _one_loop_ok(cert, bounds["upper_ok"], qres)
     return _emit(
+        args,
         {
-            "config": _echo(args, "identity"),
-            "identity_res": list(cert.identity_res),
+            "identity_res": cert.identity_res,
             "energy_dev": cert.energy_dev,
             "ode_res": qres["ode_res"],
             "beta_mu_res": qres["beta_mu_res"],
             "sup": bounds["sup"],
             "sup_upper_ok": bounds["upper_ok"],
             "sup_lower_diagnostic": bounds["lower_ok"],
-            "ok": ok,
         },
         ok,
     )
@@ -211,36 +207,18 @@ def cmd_elliptic(args):
     _check_size("--grid point count", (hi - lo) / step + 1.0, MAX_COUNTS["grid"])
     ms = np.arange(lo, hi + 0.5 * step, step)
     ms = ms[ms < 1.0 - 1e-9]
-    lines = ["m,I0,I1,I2,I3,I4,K,E,rec_res,i2_res,der_res,riccati_res"]
-    worst_rec = 0.0
+    rows, evaluated = [], []
     for m in ms:
-        vals = [elliptic.In(n, m) for n in range(5)]
-        k_val, e_val = elliptic.KE(m)
-        if abs(m) < 1e-9:
-            rep = {"rec_res": 0.0, "i2_res": abs(vals[2] - elliptic.In_zero(2)), "der_res": 0.0}
-            ric = 0.0
+        rep = elliptic.identities_report(m)
+        if rep["rec_res"] is None:  # |m| below elliptic.M_ORIGIN: only i2_res
+            res = (np.nan, rep["i2_res"], np.nan, np.nan)
         else:
-            rep = elliptic.identities_report(m)
-            ric = elliptic.riccati_residual(m) if abs(m) > 1e-6 else 0.0
-        worst_rec = max(worst_rec, rep["rec_res"] or 0.0)
-        lines.append(
-            ",".join(
-                serialize.fmt(x)
-                for x in (m, *vals, k_val, e_val, rep["rec_res"] or 0.0,
-                          rep["i2_res"], rep["der_res"] or 0.0, ric)
-            )
-        )
-    _write(args.out, "\n".join(lines) + "\n")
-    ok = worst_rec < 1e-9
-    return _emit(
-        {
-            "config": _echo(args, "elliptic"),
-            "points": int(ms.size),
-            "worst_rec_res": worst_rec,
-            "ok": ok,
-        },
-        ok,
-    )
+            res = (rep["rec_res"], rep["i2_res"], rep["der_res"], elliptic.riccati_residual(m))
+            evaluated.append(rep["rec_res"])
+        rows.append((m, *(elliptic.In(n, m) for n in range(5)), *elliptic.KE(m), *res))
+    _write(args.out, serialize.table("m,I0,I1,I2,I3,I4,K,E,rec_res,i2_res,der_res,riccati_res", rows))
+    worst_rec = max(evaluated, default=0.0)
+    return _emit(args, {"points": len(rows), "worst_rec_res": worst_rec}, worst_rec < 1e-9)
 
 
 def cmd_lc(args):
@@ -255,15 +233,14 @@ def cmd_lc(args):
     qdot_res = abs(levi_civita.qdot_l2_sq(orbit) - 4.0 * l2_sq * d1_sq)
     ok = recip_res < 1e-6 and qbar_res < 1e-6 and qdot_res < 1e-6
     return _emit(
+        args,
         {
-            "config": _echo(args, "lc"),
             "qbar": orbit.qbar,
             "reciprocal_res": recip_res,
             "qbar_res": qbar_res,
             "qdot_norm_res": qdot_res,
-            "zeros": list(orbit.zeros),
+            "zeros": orbit.zeros,
             "sign_convention": "z > 0 on (0, 1)",
-            "ok": ok,
         },
         ok,
     )
@@ -287,12 +264,11 @@ def cmd_helium(args):
     bridge_res = helium.bridge_check(pair.z2)
     ok = bridge_res < 1e-11
     return _emit(
+        args,
         {
-            "config": _echo(args, "helium"),
             "value": out["value"],
             "grad_res": float(res),
             "bridge_res": bridge_res,
-            "ok": ok,
         },
         ok,
     )
@@ -301,7 +277,7 @@ def cmd_helium(args):
 def cmd_euler(args):
     records = _read(args.path, lambda fh: [json.loads(line) for line in fh if line.strip()])
     if not records:
-        return _emit({"config": _echo(args, "euler"), "euler": 0, "ok": True}, True)
+        return _emit(args, {"euler": 0}, True)
     indices, counts = [], []
     for rec in records:
         diag = rec.get("diagnostics") if isinstance(rec, dict) else None
@@ -315,14 +291,7 @@ def cmd_euler(args):
             )
         indices.append(index)
         counts.append(solve.euler_count([(index, nullity)]))
-    constant = len(set(counts)) == 1
-    payload = {
-        "config": _echo(args, "euler"),
-        "euler": counts[-1],
-        "indices": indices,
-        "ok": constant,
-    }
-    return _emit(payload, constant)
+    return _emit(args, {"euler": counts[-1], "indices": indices}, len(set(counts)) == 1)
 
 
 def cmd_detline(args):
@@ -335,11 +304,10 @@ def cmd_detline(args):
     _write(args.out, serialize.holonomy_trace_csv(result, args.modes))
     ok = result["sign"] == -1 and result["min_alignment"] > 0.999
     return _emit(
+        args,
         {
-            "config": _echo(args, "detline"),
             "sign": result["sign"],
             "min_alignment": result["min_alignment"],
-            "ok": ok,
         },
         ok,
     )

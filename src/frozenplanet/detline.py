@@ -86,13 +86,15 @@ def mu(spectrum, rho: CutoffRho | None = None):
     """Cutoff-weighted product over the nonzero part of a finite spectrum.
 
     Eigenvalues appear with multiplicity; the kernel (``in_kernel``) is
-    excluded, and an empty product is 1.
+    excluded, and an empty product is 1.  A product beyond the float range
+    is +-inf with the product's sign, without a warning.
     """
     rho = rho or CutoffRho()
     spec = np.asarray(spectrum, dtype=float)
     keep = ~in_kernel(spec)
     vals = rho(spec[keep])
-    return float(np.prod(vals)) if np.any(keep) else 1.0
+    with np.errstate(over="ignore"):
+        return float(np.prod(vals)) if np.any(keep) else 1.0
 
 
 def sections(t_matrix, rho: CutoffRho | None = None):

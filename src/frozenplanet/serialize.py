@@ -1,13 +1,17 @@
 """Deterministic JSON/CSV serialization.
 
-All floats are emitted with 17 significant digits, so identical runs
-produce byte-identical payloads and values roundtrip losslessly.  JSON has
-no NaN or infinity, so dumps writes non-finite floats as null; CSV cells
-keep fmt's nan/inf.
+Every float is written in Python's shortest round-trip form
+(``repr(float(x))``), so it reads back as the same double and reruns are
+byte-identical.  JSON is the standard library's over one walk
+(``_plain``): numpy values become Python ones, and non-finite floats
+become null, since JSON has no NaN or infinity.  ``dumps(obj, None)`` is
+one compact line, a JSONL record.  Every CSV table goes through
+``table``, whose cells keep fmt's nan and inf.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -16,59 +20,41 @@ from . import frozen, helium, levi_civita, loops
 
 
 def fmt(x):
-    """17-significant-digit decimal form of a float."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    """The CSV cell of a number: an integer (a bool as 0 or 1) as written,
+    any other number as ``repr(float(x))``."""
+    if isinstance(x, (int, np.integer, np.bool_)):
         return str(int(x))
-    return format(float(x), ".17g")
+    return repr(float(x))
 
 
-def _json_number(x):
-    """fmt for JSON, which has no nan or inf: those become null.  Floats,
-    the common case, are tested first, by ``math.isfinite`` on the scalar
-    rather than the ``np.isfinite`` ufunc."""
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g") if math.isfinite(x) else "null"
-    return fmt(x)
+def table(header, rows):
+    """CSV text: the comma-separated ``header`` line, then one line of fmt
+    cells per row."""
+    lines = [header] + [",".join(fmt(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-# backslash, quote and the control characters U+0000-U+001F, escaped as JSON requires
-_STRING_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', **{c: f"\\u{c:04x}" for c in range(32)}}
+def dumps(obj, indent=2):
+    """Strict JSON of obj (``_plain``), indented, or one line when
+    ``indent`` is None."""
+    return json.dumps(_plain(obj), indent=indent, allow_nan=False)
 
 
-def _json_string(text):
-    return '"' + str(text).translate(_STRING_ESCAPES) + '"'
-
-
-def dumps(obj, indent=0):
-    """Minimal JSON emitter with fixed float formatting; nan/inf become null."""
-    pad = "  " * indent
+def _plain(obj):
+    """obj as the Python values that JSON holds: numpy arrays and tuples
+    become lists, numpy scalars Python numbers, and non-finite floats
+    None."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{pad}  {_json_string(k)}: {dumps(v, indent + 1)}" for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq)
-        if flat:
-            return "[" + ", ".join(_json_number(v) for v in seq) + "]"
-        items = [f"{pad}  {dumps(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _json_number(obj)
-    return _json_string(obj)
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def cert_to_dict(cert: frozen.CriticalPointCert):
@@ -80,7 +66,7 @@ def cert_to_dict(cert: frozen.CriticalPointCert):
         "v": cert.v,
         "w": cert.w,
         "grad_res": cert.grad_res,
-        "identity_res": list(cert.identity_res),
+        "identity_res": cert.identity_res,
         "sign_convention": cert.sign_convention,
         "loop": loops.loop_to_json(cert.z),
     }
@@ -105,26 +91,17 @@ def pair_from_dict(data) -> helium.PairLoop:
 
 def orbit_to_csv(orbit: levi_civita.Orbit):
     """Columns t, q, qdot (finite difference), zero-flag."""
-    qdot = levi_civita.qdot_fd(orbit)
     zero_flag = np.zeros(orbit.n, dtype=int)
     for z0 in orbit.zeros:
         zero_flag[int(round(float(z0) * orbit.n)) % orbit.n] = 1
-    lines = ["t,q,qdot,zero"]
-    for i in range(orbit.n):
-        lines.append(
-            f"{fmt(orbit.t[i])},{fmt(orbit.q[i])},{fmt(qdot[i])},{zero_flag[i]}"
-        )
-    return "\n".join(lines) + "\n"
+    return table("t,q,qdot,zero", zip(orbit.t, orbit.q, levi_civita.qdot_fd(orbit), zero_flag))
 
 
 def pair_orbit_csv(pair: helium.PairLoop):
     """Columns t, q1, q2, gap at 1024 uniform midpoints in physical time,
     for plotting the physical-time picture."""
     t, gap, q1, q2 = helium.interaction_gap(pair, 1024)
-    lines = ["t,q1,q2,gap"]
-    for i in range(t.size):
-        lines.append(f"{fmt(t[i])},{fmt(q1[i])},{fmt(q2[i])},{fmt(gap[i])}")
-    return "\n".join(lines) + "\n"
+    return table("t,q1,q2,gap", zip(t, q1, q2, gap))
 
 
 def path_records(path):
@@ -143,71 +120,33 @@ def path_records(path):
                 "value": cert.value,
                 "pair": pair_to_dict(cert.pair),
             }
-        diag = {k: v for k, v in step.diagnostics.items() if k != "newton_residuals"}
-        rec["diagnostics"] = _plain(diag)
+        rec["diagnostics"] = {k: v for k, v in step.diagnostics.items() if k != "newton_residuals"}
         records.append(rec)
     return records
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
 def path_summary_csv(path):
-    """Summary table: r, value, a, b, v, w, index, nullity, min |eig|, residuals."""
-    header = (
-        "r,value,a,b,v,w,index,nullity,min_abs_eig,grad_res,vw_res1,vw_res2,"
-        "energy_dev,ode_res,beta_mu_res"
-    )
-    lines = [header]
+    """Summary table of a path with ``solve.frozen_step_diagnostics``: r,
+    value, a, b, v, w, index, nullity, min |eig|, residuals."""
+    rows = []
     for step in path.steps:
-        cert = step.cert
-        d = step.diagnostics
-        val = frozen.value(cert.z, cert.r)
-        lines.append(
-            ",".join(
-                fmt(x)
-                for x in (
-                    cert.r,
-                    val,
-                    cert.coeffs.a,
-                    cert.coeffs.b,
-                    cert.v,
-                    cert.w,
-                    d.get("morse_index", -1),
-                    d.get("nullity", -1),
-                    d.get("min_abs_eig", float("nan")),
-                    cert.grad_res,
-                    cert.identity_res[0],
-                    cert.identity_res[1],
-                    cert.energy_dev,
-                    d.get("ode_res", float("nan")),
-                    d.get("beta_mu_res", float("nan")),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+        cert, d = step.cert, step.diagnostics
+        rows.append((
+            cert.r, frozen.value(cert.z, cert.r), cert.coeffs.a, cert.coeffs.b, cert.v, cert.w,
+            d["morse_index"], d["nullity"], d["min_abs_eig"], cert.grad_res,
+            *cert.identity_res, cert.energy_dev, d["ode_res"], d["beta_mu_res"],
+        ))
+    return table(
+        "r,value,a,b,v,w,index,nullity,min_abs_eig,grad_res,vw_res1,vw_res2,"
+        "energy_dev,ode_res,beta_mu_res",
+        rows,
+    )
 
 
 def holonomy_trace_csv(result, n_modes):
     """Trace columns: tau, kernel coefficients on e_{-2}..e_2, zeta, alignment."""
-    lines = ["tau,e_m2,e_m1,e_0,e_1,e_2,zeta,alignment"]
-    taus = result["taus"]
-    secs = result["sections"]
-    mid = n_modes
-    for tau, w in zip(taus, secs):
-        coeffs = [w[mid + k] for k in (-2, -1, 0, 1, 2)]
-        zeta = w[-1]
-        lines.append(
-            fmt(tau)
-            + ","
-            + ",".join(fmt(c) for c in coeffs)
-            + f",{fmt(zeta)},{fmt(result['min_alignment'])}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (tau, *w[n_modes - 2 : n_modes + 3], w[-1], result["min_alignment"])
+        for tau, w in zip(result["taus"], result["sections"])
+    )
+    return table("tau,e_m2,e_m1,e_0,e_1,e_2,zeta,alignment", rows)

@@ -120,7 +120,6 @@ class NewtonReport:
     x: np.ndarray
     residuals: list
     iterations: int
-    quadratic_ratios: list
 
 
 def _check_conditioned(h):
@@ -160,9 +159,9 @@ def _check_conditioned(h):
 def newton(objective, x0, tol=NEWTON_TOL, jacobian="every"):
     """Damped Newton on the packed coordinates.
 
-    Residuals are L2 norms of the projected gradient; the last-step
-    ratios r_{k+1} / r_k^2 are reported so quadratic convergence can be
-    asserted at nondegenerate points.  Steps that leave the admissible set
+    Residuals are L2 norms of the projected gradient, one per iterate, so
+    quadratic convergence can be read off them at nondegenerate points.
+    Steps that leave the admissible set
     (or fail to reduce the residual) are halved up to 12 times, and at most
     30 steps are taken.  Each new Hessian is checked once
     (``_check_conditioned``): a non-finite one, or one with condition
@@ -220,12 +219,7 @@ def newton(objective, x0, tol=NEWTON_TOL, jacobian="every"):
                 f"(last residual {res:.3e})",
                 history=res_hist,
             )
-    ratios = [
-        res_hist[k + 1] / res_hist[k] ** 2
-        for k in range(len(res_hist) - 1)
-        if res_hist[k] > 1e-13
-    ]
-    return NewtonReport(x, res_hist, it, ratios)
+    return NewtonReport(x, res_hist, it)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +257,14 @@ class SpectrumReport:
     nullity: int
     mu: float
     min_abs: float
-    null_tol: float
     kernel_alignment: float | None = None
 
 
 def spectrum_report(h, align_with=None):
     """Morse data of a symmetric matrix, plus the cutoff spectral count
     (``detline.mu`` at the default ``detline.CutoffRho``).  The null
-    eigenvalues are those of ``detline.in_kernel``, at most ``null_tol`` =
-    spectral radius / 1e12 in magnitude.  Only the kernel alignment with
+    eigenvalues are those of ``detline.in_kernel``, at most the spectral
+    radius / 1e12 in magnitude.  Only the kernel alignment with
     ``align_with`` reads eigenvectors, so without it the spectrum comes
     from ``eigvalsh``, with it from ``eigh``."""
     h = 0.5 * (h + h.T)
@@ -280,7 +273,6 @@ def spectrum_report(h, align_with=None):
     else:
         evals, evecs = np.linalg.eigh(h)
     null_mask = detline.in_kernel(evals)
-    null_tol = float(np.max(np.abs(evals), initial=0.0)) / detline.COND_LIMIT
     nullity = int(np.sum(null_mask))
     morse = int(np.sum(evals[~null_mask] < 0.0))
     mu = detline.mu(evals)
@@ -297,7 +289,6 @@ def spectrum_report(h, align_with=None):
         nullity=nullity,
         mu=float(mu),
         min_abs=min_abs,
-        null_tol=float(null_tol),
         kernel_alignment=alignment,
     )
 
@@ -535,6 +526,10 @@ def solve_frozen(r, n_modes=DEFAULT_MODES):
     r = 5, |c_16| is 6e-16).  While the endpoint's last quarter of
     coefficients sums to more than ``TAIL_FRACTION`` of their l1 norm, n_w
     doubles (up to N) and Newton re-solves the zero-padded point there.
+    Where that Newton fails (past r ~ 1e6 the loop concentrates, and the
+    coarse point is too far from the resolved one), the continuation runs
+    again from the free fall on the doubled grid, and its endpoint and
+    steps replace the coarse ones.
     Then the point is zero-padded to N, one full Newton step is taken
     there unconditionally (a padded point is often already below the
     tolerance, and Newton at N would accept it with the working grid's
@@ -543,21 +538,22 @@ def solve_frozen(r, n_modes=DEFAULT_MODES):
     stay at n_w modes, and each is certified only if its ``cert`` is read.
     r = 0 returns the analytic seed at N.
     """
-    from .helium import RHO
-
     n = int(n_modes)
     seed = free_fall_seed(n)
     if r == 0.0:
         x0 = FrozenObjective(0.0, n).pack(seed)
         return ContinuationPath([PathStep(0.0, x0, lambda: frozen.certify(seed, 0.0))], [], [])
     n_w = min(n, WORK_MODES)
-    x0 = FrozenObjective(0.0, n_w).pack(seed)
-    path = continuation(lambda p: FrozenObjective(p, n_w), 0.0, r, x0, through=(RHO,))
+    path = _from_free_fall(r, n_w)
     z = FrozenObjective(r, n_w).unpack(path.last().x)
     while n_w < n and _tail_unresolved(z.coeffs):
         n_w = min(2 * n_w, n)
         obj = FrozenObjective(r, n_w)
-        z = obj.unpack(newton(obj, obj.pack(z)).x)
+        try:
+            z = obj.unpack(newton(obj, obj.pack(z)).x)
+        except (NonConvergenceError, SingularHessianError):
+            path = _from_free_fall(r, n_w)
+            z = obj.unpack(path.last().x)
     obj = FrozenObjective(r, n)
     x = obj.pack(z)
     g = obj.gradient(x)
@@ -572,6 +568,14 @@ def solve_frozen(r, n_modes=DEFAULT_MODES):
         {"newton_residuals": residuals},
     )
     return path
+
+
+def _from_free_fall(r, n):
+    """The continuation from the free fall at 0 to r on n modes, through rho."""
+    from .helium import RHO
+
+    x0 = FrozenObjective(0.0, n).pack(free_fall_seed(n))
+    return continuation(lambda p: FrozenObjective(p, n), 0.0, r, x0, through=(RHO,))
 
 
 def _tail_unresolved(c):

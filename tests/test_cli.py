@@ -124,6 +124,13 @@ class TestSolveCommand:
         assert out == ""
         assert _strict_json(err)["invariant"] == "solve.continuation-stuck"
 
+    def test_reaches_what_continue_reaches(self, capsys):
+        # Newton at 32 modes fails from the padded 16-mode endpoint, so
+        # solve continues again from the free fall at 32 modes
+        code, out, _ = run(capsys, "solve", "--r", "3e6", "--modes", "128")
+        assert code == 0
+        assert _strict_json(out)["ok"] is True
+
     def test_large_parameter_misses_tolerance(self, capsys):
         code, out, _ = run(capsys, "solve", "--r", "1e8", "--modes", "16")
         assert code == 1
@@ -190,6 +197,21 @@ class TestEllipticCommand:
         for line in lines[1:]:
             assert float(line.split(",")[rec_col]) < 1e-9
 
+    @pytest.mark.parametrize("grid", ["-1e-8:1e-8:1e-8", "-1e-7:1e-7:1e-7"])
+    def test_near_origin_grid(self, capsys, tmp_path, grid):
+        # below |m| = 1e-6 the residuals that divide by m are not evaluated:
+        # their cells are nan, and only i2_res, against the expansion at 0
+        out_file = tmp_path / "ell.csv"
+        code, out, _ = run(capsys, "elliptic", f"--grid={grid}", "--out", str(out_file))
+        assert code == 0
+        assert _strict_json(out)["worst_rec_res"] == 0.0
+        header, *rows = out_file.read_text().splitlines()
+        cols = dict(zip(header.split(","), np.array([[float(c) for c in row.split(",")] for row in rows]).T))
+        assert len(rows) == 3
+        for name in ("rec_res", "der_res", "riccati_res"):
+            assert np.all(np.isnan(cols[name]))
+        assert np.all(cols["i2_res"] < 1e-12)
+
     def test_control_character_in_echo_is_escaped(self, capsys, tmp_path):
         # the grid parses (float strips the tab), and the echoed config is strict JSON
         grid = "0:0.1:\t0.05"
@@ -219,6 +241,7 @@ class TestCertPipelines:
         assert code == 0
         payload = json.loads(out)
         assert payload["morse_index"] == 0 and payload["nullity"] == 0
+        assert payload["ok"] is True
 
     def test_spectrum_full_space(self, capsys, cert_file):
         code, out, _ = run(
@@ -385,35 +408,51 @@ class TestParser:
 
 
 def json_number_oracle(x):
-    """The JSON number formatter tested with the np.isfinite ufunc."""
-    if isinstance(x, (float, np.floating)) and not np.isfinite(x):
-        return "null"
-    return serialize.fmt(x)
+    """The value the JSON number of x reads back as, with non-finite
+    floats told by the np.isfinite ufunc: None for those, else x as a
+    Python float, int or bool."""
+    if isinstance(x, (float, np.floating)):
+        return float(x) if np.isfinite(x) else None
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def exact(v):
+    """v's type and repr: equal for two floats exactly when they are the
+    same double (-0.0 included), since repr is Python's shortest
+    round-trip form."""
+    return type(v), repr(v)
+
+
+#: the numbers whose JSON and CSV forms the tests read back
+NUMBERS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+    1.7976931348623157e308, 0.1, 1.0 / 3.0, math.nan, math.inf, -math.inf,
+    np.float64(-0.0), np.float64(0.1), np.float64(np.nan), np.float64(-np.inf),
+    np.float32(0.1), np.float32(np.inf), np.float16(1.5), np.float32(1e-45),
+    0, 7, -12, 2**70, np.int64(-3), np.int32(9), np.uint8(255),
+    True, False, np.bool_(True), np.bool_(False),
+]
 
 
 class TestDumps:
-    @pytest.mark.parametrize(
-        "x",
-        [
-            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
-            1.7976931348623157e308, 0.1, 1.0 / 3.0, math.nan, math.inf, -math.inf,
-            np.float64(-0.0), np.float64(0.1), np.float64(np.nan), np.float64(-np.inf),
-            np.float32(0.1), np.float32(np.inf), np.float16(1.5), np.float32(1e-45),
-            0, 7, -12, 2**70, np.int64(-3), np.int32(9), np.uint8(255),
-            True, False, np.bool_(True), np.bool_(False),
-        ],
-    )
+    @pytest.mark.parametrize("x", NUMBERS)
     def test_json_number_matches_the_ufunc_form(self, x):
-        assert serialize._json_number(x) == json_number_oracle(x)
-        assert serialize.dumps(x) == json_number_oracle(x)
-        if not isinstance(x, np.bool_):  # a list of numpy bools is not a flat number list
-            want = json_number_oracle(x)
-            assert serialize.dumps([x, x]) == f"[{want}, {want}]"
+        # a finite float reads back as the same double, a non-finite one as
+        # null, and ints and bools exactly, alone and in a list
+        want = exact(json_number_oracle(x))
+        assert exact(_strict_json(serialize.dumps(x))) == want
+        for indent in (2, None):
+            first, (second,) = _strict_json(serialize.dumps([x, (x,)], indent))
+            assert exact(first) == exact(second) == want
 
     def test_json_numbers_of_an_array_match_the_ufunc_form(self):
         a = np.random.default_rng(4).normal(size=64) * 10.0 ** np.arange(-32, 32)
         a[[3, 9, 17]] = np.nan, np.inf, -0.0
-        assert serialize.dumps(a) == "[" + ", ".join(json_number_oracle(v) for v in a) + "]"
+        want = [exact(json_number_oracle(v)) for v in a]
+        assert [exact(v) for v in _strict_json(serialize.dumps(a))] == want
+        rows = _strict_json(serialize.dumps({"m": a.reshape(8, 8), "f": a.astype(np.float32)}))
+        assert [exact(v) for row in rows["m"] for v in row] == want
+        assert [exact(v) for v in rows["f"]] == [exact(json_number_oracle(v)) for v in a.astype(np.float32)]
 
     def test_non_finite_floats_are_null(self):
         def reject(name):
@@ -423,11 +462,92 @@ class TestDumps:
         parsed = json.loads(serialize.dumps(payload), parse_constant=reject)
         assert parsed == {"x": None, "y": [1.0, None, None], "z": 0.5}
 
+    def test_record_is_one_line(self):
+        record = {"parameter": 0.5, "diagnostics": {"vw_res": (1e-13, -0.0), "nested": {"s": "a\nb"}}}
+        line = serialize.dumps(record, None)
+        assert "\n" not in line
+        assert _strict_json(line) == _strict_json(serialize.dumps(record))
+
     @settings(max_examples=200, deadline=None)
     @given(st.text())
     def test_text_round_trips(self, text):
         assert json.loads(serialize.dumps(text)) == text
         assert json.loads(serialize.dumps({text: [text]})) == {text: [text]}
+
+
+class TestTable:
+    @pytest.mark.parametrize("x", NUMBERS)
+    def test_cell_reads_back_exactly(self, x):
+        cell = serialize.fmt(x)
+        if isinstance(x, (float, np.floating)):
+            assert exact(float(cell)) == exact(float(x))
+        else:
+            assert cell == str(int(x))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False))
+    def test_float_cells_round_trip(self, x):
+        assert exact(float(serialize.fmt(x))) == exact(x)
+
+    def test_rows(self):
+        text = serialize.table("i,x,y", [(np.int64(2), 0.1, -0.0), (0, np.nan, np.float32(-np.inf))])
+        assert text == "i,x,y\n2,0.1,-0.0\n0,nan,-inf\n"
+
+
+@pytest.fixture()
+def inputs(capsys, tmp_path):
+    """Input files of the commands, by the placeholder names of their argv."""
+    cert_file = tmp_path / "cert.json"
+    assert run(capsys, "solve", "--r", "0", "--modes", "16", "--out", str(cert_file))[0] == 0
+    bogus_file = tmp_path / "bogus.json"
+    bogus_file.write_text(json.dumps({"r": 1.0, "loop": {"class": "odd-sine", "coeffs": [1.0, 0.3]}}))
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps(loops.loop_to_json(loops.from_coeffs(loops.ODD_SINE, [1.0]))))
+    pair = helium.PairLoop(
+        loops.from_coeffs(loops.EVEN_COSINE, [1.7, 0.05]),
+        loops.from_coeffs(loops.ODD_SINE, [1.0, 0.1]),
+    )
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(serialize.dumps(serialize.pair_to_dict(pair)))
+    files = {"CERT": cert_file, "BOGUS": bogus_file, "LOOP": loop_file, "PAIR": pair_file}
+    for name, indices in (("PATH", (0, 0)), ("FLIP", (0, 1))):
+        records = [{"parameter": float(i), "diagnostics": {"morse_index": k, "nullity": 0}}
+                   for i, k in enumerate(indices)]
+        files[name] = tmp_path / f"{name}.jsonl"
+        files[name].write_text("".join(serialize.dumps(r, None) + "\n" for r in records))
+    return {name: str(path) for name, path in files.items()}
+
+
+class TestSummaryContract:
+    """Every command prints one strict JSON object on stdout, with its
+    config first and a bool ok last, and exits 0 exactly when ok is true."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("solve", "--r", "0.5", "--modes", "16"), 0),
+            (("continue", "--from", "0", "--to", "0.5", "--modes", "8"), 0),
+            (("spectrum", "--input", "CERT"), 0),
+            (("spectrum", "--input", "CERT", "--space", "full"), 0),
+            (("identity", "--input", "CERT", "--samples", "2048"), 0),
+            (("identity", "--input", "BOGUS", "--samples", "2048"), 1),
+            (("elliptic", "--grid=-0.5:0.5:0.25"), 0),
+            (("lc", "--input", "LOOP", "--samples", "2048"), 0),
+            (("helium", "--mode", "av", "--input", "PAIR"), 0),
+            (("euler", "--path", "PATH"), 0),
+            (("euler", "--path", "FLIP"), 1),
+            (("detline", "--modes", "4", "--steps", "100"), 0),
+        ],
+    )
+    def test_config_first_and_ok_last(self, capsys, inputs, argv, code):
+        argv = [inputs.get(arg, arg) for arg in argv]
+        got, out, err = run(capsys, *argv)
+        payload = _strict_json(out)
+        assert err == ""
+        assert list(payload)[0] == "config" and list(payload)[-1] == "ok"
+        assert payload["config"]["command"] == argv[0]
+        assert type(payload["ok"]) is bool
+        assert got == code == (0 if payload["ok"] else 1)
 
 
 class TestHeliumCommand:
@@ -487,7 +607,7 @@ class TestEulerCommand:
         ]
         path_file = tmp_path / "path.jsonl"
         path_file.write_text(
-            "\n".join(serialize.dumps(r).replace("\n", " ") for r in records) + "\n"
+            "\n".join(serialize.dumps(r, None) for r in records) + "\n"
         )
         code, out, _ = run(capsys, "euler", "--path", str(path_file))
         assert code == 0
@@ -501,7 +621,7 @@ class TestEulerCommand:
         ]
         path_file = tmp_path / "path.jsonl"
         path_file.write_text(
-            "\n".join(serialize.dumps(r).replace("\n", " ") for r in records) + "\n"
+            "\n".join(serialize.dumps(r, None) for r in records) + "\n"
         )
         code, out, _ = run(capsys, "euler", "--path", str(path_file))
         payload = json.loads(out)
@@ -536,7 +656,7 @@ class TestEulerCommand:
     def test_degenerate_path_is_error(self, capsys, tmp_path):
         records = [{"parameter": 0.0, "diagnostics": {"morse_index": 0, "nullity": 2}}]
         path_file = tmp_path / "path.jsonl"
-        path_file.write_text(serialize.dumps(records[0]).replace("\n", " ") + "\n")
+        path_file.write_text(serialize.dumps(records[0], None) + "\n")
         code, _, err = run(capsys, "euler", "--path", str(path_file))
         assert code == 2
         assert "degenerate" in err
@@ -642,19 +762,6 @@ class TestOutputFiles:
     """Every file flag writes through one writer: an unwritable path is the
     tagged cli.output error, exit 2, with one JSON object on stderr and
     nothing on stdout."""
-
-    @pytest.fixture()
-    def inputs(self, tmp_path):
-        loop_file = tmp_path / "loop.json"
-        loop = loops.from_coeffs(loops.ODD_SINE, [1.0])
-        loop_file.write_text(json.dumps(loops.loop_to_json(loop)))
-        pair = helium.PairLoop(
-            loops.from_coeffs(loops.EVEN_COSINE, [1.7, 0.05]),
-            loops.from_coeffs(loops.ODD_SINE, [1.0, 0.1]),
-        )
-        pair_file = tmp_path / "pair.json"
-        pair_file.write_text(serialize.dumps(serialize.pair_to_dict(pair)))
-        return {"LOOP": str(loop_file), "PAIR": str(pair_file)}
 
     @pytest.mark.parametrize(
         "argv",

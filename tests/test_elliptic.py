@@ -60,6 +60,14 @@ class TestIdentities:
         assert rep["rec_res"] is None and rep["der_res"] is None
         assert rep["i2_res"] < 1e-11
 
+    @pytest.mark.parametrize("m", [-5e-7, 5e-7])
+    def test_near_origin_uses_the_expansion(self, m):
+        # the recursion would divide rounding by m; I_2 is checked against
+        # I_2(0) + (m/2) I_3(0)
+        rep = elliptic.identities_report(m)
+        assert rep["rec_res"] is None and rep["der_res"] is None
+        assert rep["i2_res"] < 1e-12
+
     def test_recursion_sweep(self):
         for m in np.linspace(-10.0, 0.9, 23):
             if abs(m) < 1e-6:

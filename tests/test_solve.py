@@ -71,8 +71,9 @@ class TestNewton:
         obj = solve.FrozenObjective(1.0, 32)
         x0 = obj.pack(loops.from_coeffs(loops.ODD_SINE, seed64.z.coeffs[:32]))
         rep = solve.newton(obj, x0)
-        tail = [r for r in rep.quadratic_ratios[-3:] if np.isfinite(r)]
-        assert tail and max(tail) < 1e4
+        res = rep.residuals
+        ratios = [res[k + 1] / res[k] ** 2 for k in range(len(res) - 1) if res[k] > 1e-13]
+        assert ratios and max(ratios[-3:]) < 1e4
 
 
 def frozen_case():
@@ -317,10 +318,8 @@ class TestConditionCheck:
         n = int(rng.integers(2, 65))
         h = _symmetric(rng, self.families[family](rng, n), spread)
         passes = self._passes(h)
-        # mu, a product of up to 64 eigenvalues near -1e13, may overflow
-        with np.errstate(over="ignore"):
-            assert (solve.spectrum_report(h).nullity == 0) == passes
-            assert detline.sections(h)["invertible"] == passes
+        assert (solve.spectrum_report(h).nullity == 0) == passes
+        assert detline.sections(h)["invertible"] == passes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries(self, bad):
@@ -521,6 +520,20 @@ class TestTwoGridSolve:
         assert rep.morse_index == 0 and rep.nullity == 0
         assert abs(rep.min_abs - ref_rep.min_abs) <= 1e-10 * ref_rep.min_abs
 
+    def test_reaches_what_continue_reaches(self):
+        # at r = 1e7 Newton at 32 modes fails from the padded 16-mode
+        # endpoint, so the path is continued again from the free fall at 32
+        r, n = 1e7, 128
+        path, oracle = solve.solve_frozen(r, n_modes=n), direct_continuation(r, n)
+        assert parameters(path) == parameters(oracle)
+        assert {s.x.size for s in path.steps[:-1]} == {32}
+        cert, ref = path.last().cert, oracle.last().cert
+        assert cert.grad_res <= 3.0 * ref.grad_res
+        rep, ref_rep = solve.spectrum(cert), solve.spectrum(ref)
+        assert rep.morse_index == 0 and rep.nullity == 0
+        assert np.max(np.abs(cert.z.coeffs - ref.z.coeffs)) <= 1e-10
+        assert abs(rep.min_abs - ref_rep.min_abs) <= 1e-9 * ref_rep.min_abs
+
     def test_free_fall_is_the_analytic_seed(self):
         path = solve.solve_frozen(0.0, n_modes=128)
         assert parameters(path) == [0.0]
@@ -619,8 +632,18 @@ class TestSpectrumReport:
     def test_counts_partition_dimension(self, cert_rho):
         rep = solve.spectrum(cert_rho)
         n = rep.eigenvalues.size
-        positives = int(np.sum(rep.eigenvalues > rep.null_tol))
+        positives = int(np.sum((rep.eigenvalues > 0.0) & ~detline.in_kernel(rep.eigenvalues)))
         assert rep.morse_index + rep.nullity + positives == n
+
+    def test_overflowing_mu_is_signed_inf(self):
+        # the product of the 59 eigenvalues outside the kernel, all below
+        # -10, is beyond the float range; its sign is that of (-1)^59
+        evals = -np.logspace(0, 13, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert detline.mu(evals) == -np.inf
+            assert solve.spectrum_report(np.diag(evals)).mu == -np.inf
+        assert np.sum(~detline.in_kernel(evals)) == 59
 
 
 class TestEulerCount:
