@@ -215,7 +215,9 @@ def cmd_elliptic(args):
         else:
             res = (rep["rec_res"], rep["i2_res"], rep["der_res"], elliptic.riccati_residual(m))
             evaluated.append(rep["rec_res"])
-        rows.append((m, *(elliptic.In(n, m) for n in range(5)), *elliptic.KE(m), *res))
+        vals = rep["I"]
+        table = (vals[n] if n in vals else elliptic.In(n, m) for n in range(5))
+        rows.append((m, *table, *(rep["KE"] or elliptic.KE(m)), *res))
     _write(args.out, serialize.table("m,I0,I1,I2,I3,I4,K,E,rec_res,i2_res,der_res,riccati_res", rows))
     worst_rec = max(evaluated, default=0.0)
     return _emit(args, {"points": len(rows), "worst_rec_res": worst_rec}, worst_rec < 1e-9)

@@ -116,11 +116,13 @@ def ratio_I1_I0(m):
 
 
 def identities_report(m):
-    """Residuals of the recursion, the I_2 closed form, and K'/E' formulas.
+    """Residuals of the recursion, the I_2 closed form, and K'/E' formulas,
+    with the values they were formed from: ``I`` maps n to each I_n(m)
+    evaluated, and ``KE`` is (K(m), E(m)), or None where it was not.
 
     The recursion and the closed forms divide by m, so their rounding
     grows like eps/|m|.  Below ``M_ORIGIN`` in |m| they are not evaluated
-    (``rec_res`` and ``der_res`` are None), and ``i2_res`` compares I_2(m)
+    (``rec_res``, ``der_res`` and ``KE`` are None), and ``i2_res`` compares I_2(m)
     with its expansion I_2(0) + (m/2) I_3(0) (dI_n/dm = I_{n+1}/2), off by
     O(m^2): 1.6e-13 at |m| = 1e-6.  Derivative residuals compare the closed
     forms against Richardson-extrapolated central differences of the AGM
@@ -128,8 +130,9 @@ def identities_report(m):
     """
     _check_m(m)
     if abs(m) < M_ORIGIN:
-        i2_series = In_zero(2) + 0.5 * m * In_zero(3)
-        return {"rec_res": None, "i2_res": abs(In(2, m) - i2_series), "der_res": None}
+        i2 = In(2, m)
+        i2_res = abs(i2 - (In_zero(2) + 0.5 * m * In_zero(3)))
+        return {"rec_res": None, "i2_res": i2_res, "der_res": None, "I": {2: i2}, "KE": None}
     vals = [In(n, m) for n in range(7)]
     rec_res = 0.0
     for n in range(5):
@@ -147,7 +150,13 @@ def identities_report(m):
         abs(_richardson(lambda x: KE(x)[0], m) - kp_closed),
         abs(_richardson(lambda x: KE(x)[1], m) - ep_closed),
     )
-    return {"rec_res": rec_res, "i2_res": i2_res, "der_res": der_res}
+    return {
+        "rec_res": rec_res,
+        "i2_res": i2_res,
+        "der_res": der_res,
+        "I": dict(enumerate(vals)),
+        "KE": (k, e),
+    }
 
 
 def _richardson(f, x, h=1e-4):

@@ -72,6 +72,9 @@ ALPHA = (np.sqrt(2.0) - 1.0) / np.sqrt(2.0)
 
 #: the least node count of the repulsion quadrature (``_node_count``)
 N_QUAD = 64
+#: a least gap below this share of the largest node gap makes the
+#: instantaneous value ill conditioned (``_repulsion`` warns)
+_CLOSING = 1e-6
 
 
 @dataclass(frozen=True)
@@ -249,16 +252,19 @@ def _node_count(pair: PairLoop):
 
 def _admissible_gap(pair: PairLoop):
     """The pair's ``_Repulsion`` on its nodes, cached on the pair; raises
-    unless the gap is positive everywhere (``_Repulsion._least``)."""
+    unless the gap is positive everywhere.  A floor above the closing share
+    of the largest gap (``_Repulsion.settled``) decides that from the nodes;
+    only below it is the least gap refined off them (``_Repulsion.least``)."""
     cache = loops._loop_cache(pair)
     if "repulsion" not in cache:
         rep = _Repulsion(pair, _node_count(pair))
-        least, t = rep.least
-        if least <= 0.0:
-            raise AdmissibilityError(
-                "pointwise admissibility violated: z1^2(tau1(t)) - z2^2(tau2(t)) "
-                f"<= 0 at t = {t:.6g}"
-            )
+        if not rep.settled:
+            least, t = rep.least
+            if least <= 0.0:
+                raise AdmissibilityError(
+                    "pointwise admissibility violated: z1^2(tau1(t)) - z2^2(tau2(t)) "
+                    f"<= 0 at t = {t:.6g}"
+                )
         cache["repulsion"] = rep
     return cache["repulsion"]
 
@@ -419,9 +425,13 @@ class _Repulsion:
     no zero, so the integrand is periodic and analytic in tau, and the
     midpoint rule R = mean(w / g) over the nodes (k + 1/2)/m converges
     geometrically (Trefethen and Weideman, SIAM Review 56, 2014).  Only
-    z1's time map is inverted, once by ``tau_of_t`` at the nodes' t, and
-    again at the points where ``_least`` refines the gap's minimum between
-    two nodes.
+    z1's time map is inverted, once by ``tau_of_t`` at the nodes' t.
+
+    The gap's minimum over the circle is bounded from below from the nodes
+    (``_floor``); when that floor clears ``_CLOSING`` times the largest
+    node gap (``settled``), the pair is admissible and far from closing.
+    Otherwise ``least`` refines the minimum between the nodes, inverting
+    z1's time map again there.
 
     z2 is varied at fixed tau, with its orthonormal rows e and x = <z2, e>:
     dt_f = (Phi_f - 2 t x_f) / I2 (``_phi_table``), dw_f = 2 (z2 f - w x_f) / I2
@@ -431,7 +441,7 @@ class _Repulsion:
     """
 
     def __init__(self, pair: PairLoop, m):
-        z2 = pair.z2
+        z2 = self.inner = pair.z2
         self.z1 = pair.z1
         self.e, self.de, self.prim = _tau2_rule(z2.n, m)
         self.sg = np.sqrt(loops.gram_diag(z2.klass, z2.n))
@@ -449,9 +459,46 @@ class _Repulsion:
         with np.errstate(divide="ignore", invalid="ignore"):
             self.var = _TimeMapVariation(self.z1, levi_civita.tau_of_t(self.z1, self.t), self.t)
             self.gap = self.var.zv**2 - self.z2**2
-            self.least = self._least(z2)
+        self.floor = self._floor()
+        self.settled = self.floor > _CLOSING * float(np.max(self.gap))
 
-    def _least(self, z2):
+    def _floor(self):
+        """A lower bound of the gap g(tau) = Q1(t) - z2^2 on the whole circle.
+
+        g has period 1 in tau, so the nodes cut the circle into cells of
+        width h = 1/m, the wrapped end cell too, and on each g lies above
+        its linear interpolant, itself above the least node gap, less
+        h^2/8 sup|g''|.  With w = z2^2 / I2,
+
+            g'' = Q1_tt w^2 + Q1_t w' - 2 (z2'^2 + z2 z2''),
+
+        Q1_t = 2 ||z1||^2 z1'/z1 and Q1_tt = 2 ||z1||^4 (z1 z1'' - z1'^2)/z1^4
+        (``_TimeMapVariation``).  Each factor is bounded by the sums
+        S_j = sum omega_k^j |c_k| over z1's coefficients (T_j over z2's): w <=
+        T0^2 / I2, |w'| <= 2 T0 T1 / I2, and |z1| >= m1 = min |z1| on its
+        grid (``Loop.quad_samples``, spacing 2/size) less S1 / size.  Where
+        m1 <= 0, z1 may vanish, and the floor is -inf; a bound that
+        overflows leaves it -inf or nan, which settles nothing.
+        """
+        c1, c2 = np.abs(self.z1.coeffs), np.abs(self.inner.coeffs)
+        f1 = loops.frequencies(loops.EVEN_COSINE, c1.size)
+        f2 = loops.frequencies(loops.ODD_SINE, c2.size)
+        s0, s1, s2 = c1.sum(), f1 @ c1, (f1 * f1) @ c1
+        t0, t1, t2 = c2.sum(), f2 @ c2, (f2 * f2) @ c2
+        samples = self.z1.quad_samples()
+        m1 = np.min(np.abs(samples)) - s1 / samples.size
+        if not m1 > 0.0:
+            return -np.inf
+        l1, w = self.var.norm, t0 * t0 / self.i2
+        with np.errstate(all="ignore"):
+            q1_t = 2.0 * l1 * s1 / m1
+            q1_tt = 2.0 * l1 * l1 * (s0 * s2 + s1 * s1) / (m1 * m1) ** 2
+            curv = q1_tt * w * w + q1_t * (2.0 * t0 * t1 / self.i2) + 2.0 * (t1 * t1 + t0 * t2)
+            h = 1.0 / self.gap.size
+            return float(np.min(self.gap) - 0.125 * h * h * curv)
+
+    @functools.cached_property
+    def least(self):
         """(min g, the t there) of the gap g(tau) = Q1(t) - z2^2, found
         off the nodes as well, so the admissibility test does not rest on
         the node count.  Between two nodes where the slope
@@ -467,28 +514,29 @@ class _Repulsion:
         grid (``_grid_zero``): at a zero, the gap -Q2 at the zero's t is
         returned, Q2 read off the nodes.
         """
-        tau = _grid_zero(self.z1)
-        if tau is not None:
-            primitive, i_one = levi_civita.square_primitive(self.z1)
-            t = float(primitive(np.array([tau]))[0]) / i_one
-            return -float(np.interp(t, self.t, self.z2**2)), t
-        h = 1.0 / self.gap.size
-        slope = h * (self.var.rate * self.w - 2.0 * self.z2 * (self.x @ self.de))
-        j = np.flatnonzero((slope[:-1] <= 0.0) & (slope[1:] > 0.0))
-        s = _hermite_min(self.gap[j], self.gap[j + 1], slope[j], slope[j + 1])
-        tau = np.concatenate([[0.0, 1.0], (j + 0.5 + s) * h])
-        t = self.p2 @ loops.basis_matrix(loops.EVEN_COSINE, self.p2.size, tau, -1)
-        tau1 = np.concatenate([[0.0, 1.0], levi_civita.tau_of_t(self.z1, t[2:])])
-        var = _TimeMapVariation(self.z1, tau1, t)
-        b0, b1, b2 = loops.jets(z2, tau, (0, 1, 2))
-        w = b0**2 / self.i2
-        g = var.zv**2 - b0**2
-        dg = var.rate * w - 2.0 * b0 * b1
-        d2g = var.rate_t * w**2 + var.rate * (2.0 * b0 * b1 / self.i2) - 2.0 * (b1**2 + b0 * b2)
-        g = np.where(d2g > 0.0, g - dg**2 / (2.0 * d2g), g)
-        gaps, ts = np.concatenate([self.gap, g]), np.concatenate([self.t, t])
-        k = int(np.argmin(gaps))
-        return float(gaps[k]), float(ts[k])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = _grid_zero(self.z1)
+            if tau is not None:
+                primitive, i_one = levi_civita.square_primitive(self.z1)
+                t = float(primitive(np.array([tau]))[0]) / i_one
+                return -float(np.interp(t, self.t, self.z2**2)), t
+            h = 1.0 / self.gap.size
+            slope = h * (self.var.rate * self.w - 2.0 * self.z2 * (self.x @ self.de))
+            j = np.flatnonzero((slope[:-1] <= 0.0) & (slope[1:] > 0.0))
+            s = _hermite_min(self.gap[j], self.gap[j + 1], slope[j], slope[j + 1])
+            tau = np.concatenate([[0.0, 1.0], (j + 0.5 + s) * h])
+            t = self.p2 @ loops.basis_matrix(loops.EVEN_COSINE, self.p2.size, tau, -1)
+            tau1 = np.concatenate([[0.0, 1.0], levi_civita.tau_of_t(self.z1, t[2:])])
+            var = _TimeMapVariation(self.z1, tau1, t)
+            b0, b1, b2 = loops.jets(self.inner, tau, (0, 1, 2))
+            w = b0**2 / self.i2
+            g = var.zv**2 - b0**2
+            dg = var.rate * w - 2.0 * b0 * b1
+            d2g = var.rate_t * w**2 + var.rate * (2.0 * b0 * b1 / self.i2) - 2.0 * (b1**2 + b0 * b2)
+            g = np.where(d2g > 0.0, g - dg**2 / (2.0 * d2g), g)
+            gaps, ts = np.concatenate([self.gap, g]), np.concatenate([self.t, t])
+            k = int(np.argmin(gaps))
+            return float(gaps[k]), float(ts[k])
 
     def _weights(self, s):
         """With R = mean(w / g), the derivatives of -s R in w and g at the
@@ -582,8 +630,10 @@ def _grid_zero(z: loops.Loop):
 
 def _repulsion(rep: _Repulsion, s):
     """s R = s mean(w / gap) over the nodes, the instantaneous term that
-    b_interp subtracts; warns when the gap nearly closes."""
-    if rep.least[0] < 1e-6 * float(np.max(rep.gap)):
+    b_interp subtracts; warns when the least gap is below ``_CLOSING``
+    times the largest, which only a floor that does not settle the pair
+    leaves open (``_Repulsion.settled``)."""
+    if not rep.settled and rep.least[0] < _CLOSING * float(np.max(rep.gap)):
         warnings.warn(
             "interaction gap nearly closes; the instantaneous value is ill conditioned",
             RuntimeWarning,
@@ -708,8 +758,13 @@ class PairObjective(loops.Packed):
     def value(self, x):
         return b_interp_value(self.unpack(x), self.s)
 
+    def _interp(self, x):
+        """``b_interp`` at x, kept, so that ``gradient`` and ``certify`` at
+        one x share one evaluation."""
+        return self._kept("b_interp", x, lambda pair: b_interp(pair, self.s))
+
     def gradient(self, x):
-        return self._packed(*b_interp(self.unpack(x), self.s)["gradient"])
+        return self._packed(*self._interp(x)["gradient"])
 
     def parameter_gradient(self, x):
         """d_s of ``gradient`` at x: b_interp is affine in s, so this is the
@@ -728,11 +783,11 @@ class PairObjective(loops.Packed):
         )
 
     def certify(self, x):
-        """Residuals and value at x from one ``b_interp`` evaluation, kept."""
-        return self._kept("certify", x, self._certificate)
+        """Residuals and value at x from the ``b_interp`` evaluation kept for
+        x, kept."""
+        return self._kept("certify", x, lambda pair: self._certificate(pair, self._interp(x)))
 
-    def _certificate(self, pair):
-        out = b_interp(pair, self.s)
+    def _certificate(self, pair, out):
         return PairCert(
             pair=pair,
             s=self.s,

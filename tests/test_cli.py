@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frozenplanet import cli, frozen, helium, levi_civita, loops, serialize, solve
+from frozenplanet import cli, elliptic, frozen, helium, levi_civita, loops, serialize, solve
 
 
 def run(capsys, *argv):
@@ -196,6 +196,32 @@ class TestEllipticCommand:
         rec_col = header.index("rec_res")
         for line in lines[1:]:
             assert float(line.split(",")[rec_col]) < 1e-9
+
+    @pytest.mark.parametrize(
+        "grid, calls", [("-5:0.9:0.35", 126), ("-1e-7:1e-7:1e-7", 15)]
+    )
+    def test_rows_reuse_the_reports_values(self, capsys, tmp_path, monkeypatch, grid, calls):
+        # each row reads I_0..I_4 and (K, E) off the identity report; below
+        # elliptic.M_ORIGIN the report forms I_2 alone and the row the rest.
+        # 18 points at 7 calls each, not 12; 3 near-origin points at 5
+        lo, hi, step = (float(tok) for tok in grid.split(":"))
+        rows = []
+        for m in np.arange(lo, hi + 0.5 * step, step):
+            rep = elliptic.identities_report(m)
+            if rep["rec_res"] is None:
+                res = (np.nan, rep["i2_res"], np.nan, np.nan)
+            else:
+                res = (rep["rec_res"], rep["i2_res"], rep["der_res"], elliptic.riccati_residual(m))
+            rows.append((m, *(elliptic.In(n, m) for n in range(5)), *elliptic.KE(m), *res))
+        want = serialize.table("m,I0,I1,I2,I3,I4,K,E,rec_res,i2_res,der_res,riccati_res", rows)
+        count = []
+        integral = elliptic.In
+        monkeypatch.setattr(elliptic, "In", lambda n, m: count.append(n) or integral(n, m))
+        out_file = tmp_path / "ell.csv"
+        code, _, _ = run(capsys, "elliptic", f"--grid={grid}", "--out", str(out_file))
+        assert code == 0
+        assert len(count) == calls
+        assert out_file.read_text() == want
 
     @pytest.mark.parametrize("grid", ["-1e-8:1e-8:1e-8", "-1e-7:1e-7:1e-7"])
     def test_near_origin_grid(self, capsys, tmp_path, grid):

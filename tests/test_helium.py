@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frozenplanet import cli, frozen, helium, levi_civita, loops, serialize, solve
 from frozenplanet.errors import AdmissibilityError, DomainError
@@ -11,6 +13,42 @@ def random_admissible(rng, n=6):
     coeffs = rng.normal(size=n) * np.exp(-0.8 * np.arange(n))
     coeffs[0] = max(abs(coeffs[0]), 0.5)
     return loops.from_coeffs(loops.ODD_SINE, coeffs)
+
+
+def unsettled(pair):
+    """Whether the floor of the pair's repulsion on its default nodes leaves
+    admissibility to the refinement off the nodes (``_Repulsion.least``)."""
+    return not helium._Repulsion(pair, helium._node_count(pair)).settled
+
+
+def dense_gap(pair, size=100001):
+    """The least gap Q1(t) - z2^2 over a uniform tau2-grid of the circle."""
+    tau = np.linspace(0.0, 1.0, size)
+    primitive, i2 = levi_civita.square_primitive(pair.z2)
+    tau1 = levi_civita.tau_of_t(pair.z1, primitive(tau) / i2)
+    return float(np.min(pair.z1(tau1) ** 2 - pair.z2(tau) ** 2))
+
+
+def _coefficients(draw, n, lead):
+    """lead, then n - 1 harmonics of at most 0.3 in size, decaying as k^-2."""
+    tail = [draw(st.floats(-0.3, 0.3)) / k**2 for k in range(1, n)]
+    return np.array([lead, *tail])
+
+
+@st.composite
+def floor_pairs(draw):
+    """Even-cosine/odd-sine pairs with n1 >> n2 and n1 << n2, an outer loop
+    near zero (its mean as small as 0.02), and inner loops scaled to within
+    -10% .. +2% of closing the gap (max z2^2 against min z1^2 on the grids)."""
+    n1, n2 = draw(st.sampled_from([(1, 1), (2, 12), (1, 16), (12, 2), (16, 1), (6, 6)]))
+    z1 = loops.from_coeffs(
+        loops.EVEN_COSINE, _coefficients(draw, n1, draw(st.floats(0.02, 2.0)))
+    )
+    c2 = _coefficients(draw, n2, draw(st.floats(0.1, 1.0)))
+    if draw(st.booleans()):
+        top = np.max(np.abs(loops.from_coeffs(loops.ODD_SINE, c2).quad_samples()))
+        c2 *= np.min(np.abs(z1.quad_samples())) / top * draw(st.floats(0.9, 1.02))
+    return helium.PairLoop(z1, loops.from_coeffs(loops.ODD_SINE, c2))
 
 
 class TestBridgeConstants:
@@ -221,6 +259,7 @@ class TestBIn:
         # between the nodes: at the 64 default nodes it is still >= 1e-4
         pair = self._constant_outer(0.99975)
         assert helium.mean_gap(pair) > 0
+        assert unsettled(pair)
         assert np.min(helium._Repulsion(pair, 64).gap) > 9e-5
         assert helium._Repulsion(pair, m).least[0] < 0.0
         with pytest.raises(AdmissibilityError):
@@ -240,6 +279,7 @@ class TestBIn:
         )
         assert helium.mean_gap(pair) > 0
         assert np.min(helium._Repulsion(pair, 64).gap) > 0.1
+        assert unsettled(pair)
         for m in (8, 16, 64, 96, 256, 1000):
             assert helium._Repulsion(pair, m).least[0] <= 0.0
         with pytest.raises(AdmissibilityError):
@@ -259,6 +299,7 @@ class TestBIn:
         pair = helium.PairLoop(z1, loops.from_coeffs(loops.ODD_SINE, [0.104, -0.0211, 0.0573]))
         assert np.all(z1.quad_samples() > 0.0)
         assert np.min(z1(np.linspace(0.2, 0.24, 40001))) < -9e-7
+        assert unsettled(pair)
         with pytest.raises(AdmissibilityError):
             helium.b_in(pair)
         with pytest.raises(AdmissibilityError):
@@ -280,6 +321,7 @@ class TestBIn:
         # least gap 2e-7 of a largest ~1: ill conditioned, though no node sees it
         pair = self._constant_outer(1.0000001)
         assert np.min(helium._Repulsion(pair, 64).gap) > 1e-4
+        assert unsettled(pair)
         with pytest.warns(RuntimeWarning, match="nearly closes"):
             helium.b_in(pair)
 
@@ -289,16 +331,35 @@ class TestBIn:
             loops.from_coeffs(loops.EVEN_COSINE, [1.0, 0.05, 0.02]),
             loops.from_coeffs(loops.ODD_SINE, [0.5, 0.2, 0.1, 0.05]),
         )
-        tau = np.linspace(0.0, 1.0, 100001)
-        primitive, i2 = levi_civita.square_primitive(pair.z2)
-        tau1 = levi_civita.tau_of_t(pair.z1, primitive(tau) / i2)
-        dense = float(np.min(pair.z1(tau1) ** 2 - pair.z2(tau) ** 2))
+        dense = dense_gap(pair)
         for m in (8, 16, 32, 64, 128):
             least = helium._Repulsion(pair, m).least[0]
             # never above the true minimum, and at it once the nodes resolve g
             assert least <= dense + 1e-12
             if m >= 32:
                 assert least > dense - 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(floor_pairs())
+    def test_floor_is_below_the_dense_scan(self, pair):
+        # the floor bounds the gap on the whole circle, between the nodes
+        # too, at every node count; where z1 may vanish it is -inf
+        dense = dense_gap(pair)
+        for m in (8, 16, 64):
+            assert helium._Repulsion(pair, m).floor <= dense + 1e-12
+
+    def test_floor_settles_the_homotopy_pairs(self, cert_rho, homotopy, monkeypatch):
+        # every build of one 8x16 homotopy clears its floor, which lies
+        # within 0.05% of the refined least gap
+        reps = []
+        init = helium._Repulsion.__init__
+        monkeypatch.setattr(
+            helium._Repulsion, "__init__", lambda rep, *a: reps.append(rep) or init(rep, *a)
+        )
+        homotopy(cert_rho, 8, 16)
+        assert reps and all(rep.settled for rep in reps)
+        for rep in reps:
+            assert 0.9995 * rep.least[0] < rep.floor <= rep.least[0]
 
 
 @pytest.fixture(scope="module")
@@ -628,6 +689,37 @@ class TestProductPrimitive:
 
 
 class TestSharedTimeMaps:
+    def test_one_inversion_per_repulsion_on_the_homotopy(self, cert_rho, homotopy, monkeypatch):
+        # the floor settles every pair of one 8x16 homotopy: the least gap is
+        # never refined, and z1's time map is inverted at the nodes alone
+        builds, inversions, refined = [], [], []
+        init = helium._Repulsion.__init__
+        tau_of_t = levi_civita.tau_of_t
+        least = helium._Repulsion.least.func
+        monkeypatch.setattr(
+            helium._Repulsion, "__init__", lambda rep, *a: builds.append(1) or init(rep, *a)
+        )
+        monkeypatch.setattr(
+            levi_civita, "tau_of_t", lambda z, t: inversions.append(1) or tau_of_t(z, t)
+        )
+        monkeypatch.setattr(
+            helium._Repulsion, "least", property(lambda rep: refined.append(1) or least(rep))
+        )
+        homotopy(cert_rho, 8, 16)
+        assert builds and len(inversions) == len(builds)
+        assert refined == []
+
+    def test_gradient_and_certify_share_one_evaluation(self, monkeypatch, interp_pair):
+        calls = []
+        b_interp = helium.b_interp
+        monkeypatch.setattr(helium, "b_interp", lambda *a: calls.append(1) or b_interp(*a))
+        obj = helium.PairObjective(0.5, n1=2, n2=2)
+        x = obj.pack(interp_pair)
+        g = obj.gradient(x)
+        cert = obj.certify(x.copy())
+        assert len(calls) == 1
+        assert cert.grad_res == float(np.linalg.norm(g))
+
     def test_one_inversion_per_loop_at_one_x(self, monkeypatch, interp_pair):
         calls = []
         tau_of_t = levi_civita.tau_of_t

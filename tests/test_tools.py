@@ -1,4 +1,5 @@
 import ast
+import json
 from pathlib import Path
 
 import frozenplanet
@@ -89,6 +90,42 @@ class TestBenchPairs:
         assert out["levi_civita.forward.calls"]["rel_change"] == -1.0
         # a parent value of 0 has no relative change
         assert out["helium.self_s"]["rel_change"] is None
+
+    def test_every_workload_is_traced_once_and_keyed(self, tmp_path, monkeypatch):
+        spec = {
+            "run_seconds": 1,
+            "workloads": [{"name": "a"}, {"name": "b"}],
+            "end_to_end": [{"name": "wall_s", "bound": 0.25}],
+        }
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+        calls = []
+
+        def fake_run(checkout, workload, seed, seconds, trace):
+            calls.append((checkout, workload, seed, trace))
+            wall = {"value": 2.0 if checkout == "parent" else 1.0, "unit": "s"}
+            metrics = {"wall_s": wall}
+            if trace:
+                count = 4 if checkout == "parent" else 2
+                metrics["helium.b_in.calls"] = {"value": count, "unit": "count"}
+            return {"report": {}, "result": {"attempted": 1, "failed": 0, "metrics": metrics}}
+
+        monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+        monkeypatch.chdir(tmp_path)
+        bench_pairs.main(["--parent", "parent", "--change", str(tmp_path), "--seeds", "3", "4"])
+        traced = [call for call in calls if call[3] == 1]
+        # each workload once per side, on the first seed
+        assert sorted(traced) == sorted(
+            (side, w, 3, 1) for side in ("parent", str(tmp_path)) for w in ("a", "b")
+        )
+        change = json.loads((tmp_path / "BENCH_change.json").read_text())
+        assert set(change["layers"]) == {"a", "b"}
+        for workload in ("a", "b"):
+            assert change["layers"][workload]["helium.b_in.calls"] == {
+                "parent": 4, "change": 2, "rel_change": -0.5
+            }
+        parent = json.loads((tmp_path / "BENCH_parent.json").read_text())
+        assert len(parent["runs"]) == 2 * 2 * bench_pairs.PAIRS + 2
+        assert set(change["comparison"]) == {f"{w} seed {s}" for w in ("a", "b") for s in (3, 4)}
 
     def test_src_lines_sums_python_files_under_src(self, tmp_path):
         (tmp_path / "src" / "pkg").mkdir(parents=True)

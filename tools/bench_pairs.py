@@ -5,7 +5,8 @@
 The workloads and the run length are read from the change's
 ``BENCHMARK.json``.  For every workload and seed, ``bench/run.py --trace 0``
 runs ``PAIRS`` times in each checkout, alternating which side runs first.
-Then each side runs ``TRACED`` once with ``--trace 1``, on the first seed.
+Then each side runs every workload once with ``--trace 1``, on the first
+seed.
 The report line and the result line of every run go to ``BENCH_parent.json``
 and ``BENCH_change.json`` in the current directory.
 ``BENCH_change.json`` also holds, per workload and seed, the median and
@@ -15,10 +16,10 @@ the median, (change - parent) / parent, how many pairs the change won
 tracing), whether that shows a gain (``gain_shown``) and whether the
 change stays within the metric's bound in ``BENCHMARK.json``
 (``within_bound``), and under ``checks`` each side's failed and attempted
-check totals.  Under ``layers`` it holds, for every per-layer metric of
-the two traced runs, the parent's value, the change's value and their
-relative change.  Each file also holds its checkout's ``src_lines``, the
-summed line count of ``src/**/*.py``.
+check totals.  Under ``layers`` it holds, per workload, for every
+per-layer metric of its two traced runs, the parent's value, the change's
+value and their relative change.  Each file also holds its checkout's
+``src_lines``, the summed line count of ``src/**/*.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10  # alternating parent/change pairs per workload and seed
-TRACED = "oneloop-cli"  # the north-star workload, traced once per side
 #: a gain is shown when the change wins at least this share of the pairs and
 #: its median drop exceeds the parent's interquartile range
 GAIN_WINS = 0.9
@@ -134,12 +134,18 @@ def main(argv=None):
             for side in SIDES:
                 runs[side] += batch[side]
             comparison[f"{workload} seed {seed}"] = compare(batch["parent"], batch["change"], bounds)
-    traced = {side: run_bench(checkouts[side], TRACED, args.seeds[0], seconds, 1) for side in SIDES}
+    traced = {
+        w: {side: run_bench(checkouts[side], w, args.seeds[0], seconds, 1) for side in SIDES}
+        for w in workloads
+    }
     for side in SIDES:
-        data = {"src_lines": src_lines(checkouts[side]), "runs": runs[side] + [traced[side]]}
+        data = {
+            "src_lines": src_lines(checkouts[side]),
+            "runs": runs[side] + [traced[w][side] for w in workloads],
+        }
         if side == "change":
             data["comparison"] = comparison
-            data["layers"] = layers(traced["parent"], traced["change"])
+            data["layers"] = {w: layers(t["parent"], t["change"]) for w, t in traced.items()}
         Path(f"BENCH_{side}.json").write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
