@@ -122,7 +122,6 @@ def sections(t_matrix, rho: CutoffRho | None = None):
         return {
             "invertible": True,
             "s_sign": s_sign,
-            "t_sign": 1,
             "i": i_neg,
             "mu": weight,
             "relation_ok": s_sign == (-1) ** i_neg,

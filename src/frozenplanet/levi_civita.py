@@ -16,10 +16,11 @@ cube-root variable.  ``ReciprocalIntegral`` works on arrays of points.
 ``inverse(orbit, m_out)`` reads the loop's parity off the orbit's zero
 count: odd-sine for an odd count, even-cosine for an even one.
 
-Every 1-D inversion here, the zeros of z (``loop_zeros``), the time map
-(``tau_of_t``) and the inverse quadrature (``ReciprocalIntegral.solve``),
-like the sup norm in ``loops``, goes through the one bracketed,
-vectorized Newton ``loops._newton``.
+The collisions of the orbit are the zeros of z from ``loops.loop_zeros``.
+Every 1-D inversion here, the time map (``tau_of_t``) and the inverse
+quadrature (``ReciprocalIntegral.solve``), like the zeros and the sup
+norm in ``loops``, goes through the one bracketed, vectorized Newton
+``loops._newton``.
 
 The collision-ODE residual of the orbit of a loop (``loop_residual``)
 needs no time map: q, qdot and qdd are z^2 and its chain rule in tau, with
@@ -79,44 +80,6 @@ def square_primitive(z: loops.Loop):
             raise DegenerateLoopError("loop has vanishing half-period L2 norm")
         cache["square_primitive"] = (primitive, i_one)
     return cache["square_primitive"]
-
-
-def loop_zeros(z: loops.Loop):
-    """Zeros of z in [0, 1]: sign changes on a uniform scan of 4096 cells,
-    each refined by safeguarded Newton inside its scan cell, all cells
-    together.
-
-    A sign change between two samples that are both below 1e-13 of the
-    peak is rounding noise next to a high-order zero, not a zero of its
-    own.  Raises DegenerateLoopError when z vanishes on a whole stretch of
-    the scan grid (no admissible time change exists there).
-    """
-    scan = 4096
-    taus = np.linspace(0.0, 1.0, scan + 1)
-    vals = z(taus)
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0:
-        raise DegenerateLoopError("loop is identically zero")
-    tiny = np.abs(vals) < 1e-13 * scale
-    if np.count_nonzero(tiny) > max(8, scan // 20):
-        raise DegenerateLoopError("loop vanishes on an interval")
-    cells = np.flatnonzero((vals[:-1] * vals[1:] < 0.0) & ~(tiny[:-1] & tiny[1:]))
-    # times -sign(z) at the left end of its cell, z increases through the zero
-    orient = -np.sign(vals[cells])
-
-    def oriented(x, idx):
-        return orient[idx] * loops.jets(z, x, (0, 1))
-
-    x = loops._newton(
-        oriented, taus[cells], taus[cells + 1], 0.5 * (taus[cells] + taus[cells + 1]),
-        tol=1e-15, max_iter=60,
-    )
-    zeros = list(x)
-    if abs(vals[0]) < 1e-11 * scale:
-        zeros.append(0.0)
-    if abs(vals[-1]) < 1e-11 * scale and not any(abs(r - 1.0) < 1e-9 for r in zeros):
-        zeros.append(1.0)
-    return np.array(sorted(zeros))
 
 
 def tau_of_t(z: loops.Loop, t_values):
@@ -195,7 +158,7 @@ def forward(z: loops.Loop, n_t=8192) -> Orbit:
     The zero set of q is t_z applied to the zeros of z, reduced to the
     circle [0, 1); the mean comes from the norm identity of the transform.
     """
-    zs = loop_zeros(z)
+    zs = loops.loop_zeros(z)
     primitive, i_one = square_primitive(z)
     t = np.arange(n_t) / n_t
     taus = tau_of_t(z, t)
@@ -502,11 +465,10 @@ class ReciprocalIntegral:
 
 def _reciprocal(orbit: Orbit) -> ReciprocalIntegral:
     """The orbit's ReciprocalIntegral, built once and cached on the orbit."""
-    rec = getattr(orbit, "_reciprocal", None)
-    if rec is None:
-        rec = ReciprocalIntegral(orbit)
-        object.__setattr__(orbit, "_reciprocal", rec)
-    return rec
+    cache = loops._loop_cache(orbit)
+    if "reciprocal" not in cache:
+        cache["reciprocal"] = ReciprocalIntegral(orbit)
+    return cache["reciprocal"]
 
 
 def reciprocal_integral(orbit: Orbit):

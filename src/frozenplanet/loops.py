@@ -39,9 +39,10 @@ M = ``quad_size`` points) is one real inverse FFT of length M and
 ``project(klass, vals, n)`` (hence ``analyze``, ``square`` and ``cube``)
 reads its coefficients from one real forward FFT of the M = vals.size
 samples, both on the half spectrum of bins 0..M/2; frequencies above M/2
-fold into their aliased bins (``_half_spectrum``).  ``sup_norm`` scans
-the quad samples, and ``_refine_extrema`` refines the extrema of |z| that
-the scan can miss, for the sup norm and for the zeros of ``helium``.
+fold into their aliased bins (``_half_spectrum``).  ``sup_norm`` and
+``loop_zeros`` scan the quad samples, and ``_refine_extrema`` refines the
+extrema of |z| that the scan can miss: maxima for the sup norm, and
+minima between two zeros closer than the spacing for the zeros.
 The dense ``basis_matrix`` evaluates loops off the grid (``Loop.__call__``)
 and is the reference for the FFT paths and the product rule.
 
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassMismatchError, DomainError
+from .errors import ClassMismatchError, DegenerateLoopError, DomainError
 
 ODD_SINE = "odd-sine"
 EVEN_COSINE = "even-cosine"
@@ -316,11 +317,12 @@ class Loop:
         return cache[key]
 
 
-def _loop_cache(z: Loop) -> dict:
-    cache = getattr(z, "_cache", None)
+def _loop_cache(obj) -> dict:
+    """The cache dict of a frozen object, a loop or an orbit."""
+    cache = getattr(obj, "_cache", None)
     if cache is None:
-        object.__setattr__(z, "_cache", {})
-        cache = z._cache
+        object.__setattr__(obj, "_cache", {})
+        cache = obj._cache
     return cache
 
 
@@ -510,8 +512,8 @@ def _scan_sup_norm(z: Loop):
 
 
 def _refine_extrema(z: Loop, pick, turn):
-    """(t, orient): Newton on orient z' = 0 in the two scan cells around
-    each quad sample t_i that ``pick(|z| at the samples, miss)`` selects,
+    """(t, i): Newton on orient z' = 0 in the two scan cells around each
+    quad sample t_i that ``pick(|z| at the samples, miss)`` selects,
     orient = ``turn`` sign(z(t_i)), so -1 for maxima of |z| and +1 for
     minima, where orient z' increases.  The sample nearest an extremum lies
     within h/2 of it, h the spacing, so it misses it by at most
@@ -526,7 +528,68 @@ def _refine_extrema(z: Loop, pick, turn):
     def slope(t, idx):
         return orient[idx] * jets(z, t, (1, 2))
 
-    return _newton(slope, t0 - h, t0 + h, t0, tol=1e-15, max_iter=8), orient
+    return _newton(slope, t0 - h, t0 + h, t0, tol=1e-15, max_iter=8), i
+
+
+def loop_zeros(z: Loop):
+    """The zeros of z on [0, 1], sorted.  Newton (``_newton``) refines,
+    all points at once, every sign change of the quad samples
+    (``Loop.quad_samples``, spacing h) and both zeros of every pair closer
+    than h.  Such a pair leaves no sign change, but the sample nearest the
+    extremum between its zeros is within the miss h^2/8 sum |z''_k| of
+    zero: each local minimum of |z| that small is refined on z' = 0
+    (``_refine_extrema``), and where z there has the other sign each side
+    holds one zero.  A sample that is exactly zero is a zero, with the
+    sign of z' (of -z') as its sign after (before) it, so a zero in a cell
+    beside it is a sign change.  An end, 0 or 1, is a zero where |z| is
+    below 1e-11 of the peak.  Samples below 1e-13 of the peak, and slopes
+    below 1e-13 of sum |z'_k|, are rounding noise next to a high-order
+    zero: a sign change or a minimum between two such samples, or a noise
+    slope, is no zero.
+    Raises DegenerateLoopError when z is zero or such samples fill over
+    1/20 of [0, 1] (no time change exists there).
+    """
+    vals = z.quad_samples()
+    h = 2.0 / vals.size
+    n = vals.size // 2 + 1  # the samples on [0, 1]
+    scale = float(np.max(np.abs(vals)))
+    if scale == 0.0:
+        raise DegenerateLoopError("loop is identically zero")
+    noise = np.abs(vals) < 1e-13 * scale
+    if np.count_nonzero(noise[:n]) > max(8, (n - 1) // 20):
+        raise DegenerateLoopError("loop vanishes on an interval")
+    after = np.sign(vals[:n])
+    at = np.flatnonzero(after == 0.0)
+    d = jets(z, at * h, (1,))[0]
+    d[np.abs(d) < 1e-13 * float(np.sum(np.abs(frequencies(z.klass, z.n) * z.coeffs)))] = 0.0
+    before = after.copy()
+    after[at], before[at] = np.sign(d), -np.sign(d)
+    cells = np.flatnonzero((after[:-1] * before[1:] < 0.0) & ~(noise[: n - 1] & noise[1:n]))
+
+    def lows(mags, miss):
+        # strict on the left, so two equal samples count once
+        low = (mags <= miss) & (mags < np.roll(mags, 1)) & (mags <= np.roll(mags, -1))
+        return np.flatnonzero((low & ~(np.roll(noise, 1) & np.roll(noise, -1)))[:n])
+
+    t, i = _refine_extrema(z, lows, 1.0)
+    sign = np.sign(vals[i])
+    left = np.where(t > i * h, i, i - 1)  # the cell of the extremum
+    pair = (sign * z(t) < 0.0) & (vals[left] * vals[left + 1] > 0.0)
+    s, t_pair, ends = sign[pair], t[pair], left[pair] * h
+    lo = np.concatenate([cells * h, ends, t_pair])
+    hi = np.concatenate([(cells + 1) * h, t_pair, ends + h])
+    # -sign(z) at the left end of each bracket: z times it increases there
+    orient = np.concatenate([-after[cells], -s, s])
+
+    def oriented(x, idx):
+        return orient[idx] * jets(z, x, (0, 1))
+
+    x = _newton(oriented, lo, hi, 0.5 * (lo + hi), tol=1e-15, max_iter=60)
+    x = np.concatenate([x[(x >= 0.0) & (x <= 1.0)], at[~(noise[at - 1] & noise[at + 1])] * h])
+    for end, v in ((0.0, vals[0]), (1.0, vals[n - 1])):
+        if abs(v) < 1e-11 * scale and not np.any(np.abs(x - end) < 1e-9):
+            x = np.append(x, end)
+    return np.sort(x)
 
 
 def _newton(fn, lo, hi, x0, tol, max_iter, min_slope=0.0, ftol=0.0):

@@ -21,16 +21,17 @@ def run(capsys, *argv):
 
 @pytest.fixture()
 def time_map_calls(monkeypatch):
-    """Call counts of the time-map entry points of levi_civita."""
+    """Call counts of the time-map entry points: levi_civita's forward and
+    tau_of_t, and the zero finder loops.loop_zeros."""
     calls = {}
-    for name in ("forward", "tau_of_t", "loop_zeros"):
+    for module, name in ((levi_civita, "forward"), (levi_civita, "tau_of_t"), (loops, "loop_zeros")):
         calls[name] = 0
 
-        def counted(*args, _name=name, _fn=getattr(levi_civita, name), **kwargs):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(levi_civita, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -82,6 +83,12 @@ class TestSolveCommand:
         assert abs(payload["v"] - 0.5) < 1e-10
         assert payload["ok"] is True
         assert out_file.exists()
+
+    def test_small_parameter_identity_at_rounding(self, capsys):
+        # I_1/I_0 at m = -r w^2 / 2 ~ -1e-6 comes from one AGM pass
+        code, out, _ = run(capsys, "solve", "--r", "1e-6", "--modes", "32")
+        assert code == 0
+        assert json.loads(out)["identity_res"][1] < 1e-15
 
     def test_continues_below_the_requested_size(self, capsys, frozen_calls):
         # solve_frozen continues on a working grid and builds the full-size
@@ -325,6 +332,18 @@ class TestCertPipelines:
         assert payload["reciprocal_res"] < 1e-6
         header = orbit_file.read_text().splitlines()[0]
         assert header == "t,q,qdot,zero"
+
+
+def test_lc_lists_a_zero_pair_inside_one_cell(capsys, tmp_path):
+    # (1 - 1e-8) - cos(pi (tau - tau0)) has two zeros 9e-5 apart, one
+    # collision of its orbit
+    shift = np.pi * (1228.5 / 4096 - 1.0)
+    z = loops.from_coeffs(loops.FULL, [1.0 - 1e-8, np.cos(shift), np.sin(shift)])
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps(loops.loop_to_json(z)))
+    code, out, _ = run(capsys, "lc", "--input", str(loop_file), "--samples", "2048")
+    assert code == 1
+    assert len(json.loads(out)["zeros"]) == 1
 
 
 def test_lc_builds_one_reciprocal_integral(capsys, tmp_path, monkeypatch):

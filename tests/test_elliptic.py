@@ -45,6 +45,25 @@ class TestTwoPaths:
         assert abs(elliptic.ratio_I1_I0(m) - (1.0 - e / k) / m) < 1e-10
 
 
+class TestAgainstMpmath:
+    """K, E and I_1/I_0 = (K - E)/(m K) against 30-digit mpmath values."""
+
+    @pytest.mark.parametrize(
+        "m", [1e-9, -1e-9, 1e-7, -1e-7, -5e-7, 1e-6, -1e-6, 1e-3, -1e-3, -0.2, -5.0, 0.5, 0.9]
+    )
+    def test_agm_values(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        got = (*elliptic.KE(m), elliptic.ratio_I1_I0(m))
+        with mpmath.workdps(30):
+            k, e = mpmath.ellipk(m), mpmath.ellipe(m)
+            for value, want in zip(got, (k, e, (k - e) / (m * k))):
+                assert abs((value - want) / want) < 1e-15
+
+    @pytest.mark.parametrize("m", [5e-324, -1e-300, 1e-200])
+    def test_ratio_near_the_origin(self, m):
+        assert elliptic.ratio_I1_I0(m) == 0.5
+
+
 class TestIdentities:
     def test_recursion_residual(self):
         assert elliptic.identities_report(-0.5)["rec_res"] < 1e-9

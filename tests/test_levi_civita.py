@@ -125,16 +125,23 @@ class TestTauOfT:
         assert sine_orbit.taus[0] == 0.0
 
 
+def _close_pair_loop(tau0=1228.5 / 4096):
+    """(1 - 1e-8) - cos(pi (tau - tau0)), a full loop with two zeros
+    4.5e-5 either side of tau0."""
+    shift = np.pi * (tau0 - 1.0)
+    return loops.from_coeffs(loops.FULL, [1.0 - 1e-8, np.cos(shift), np.sin(shift)])
+
+
 class TestLoopZeros:
     def test_triple_cover(self):
         z = loops.rescale_cover(loops.from_coeffs(loops.ODD_SINE, [1.0, 0.2, -0.03]), 3)
-        zs = lc.loop_zeros(z)
+        zs = loops.loop_zeros(z)
         assert np.max(np.abs(zs - [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])) < 1e-14
 
     def test_interior_zeros_of_a_full_loop(self):
         # z = cos(pi tau) - 1/2 + 0.1 sin(3 pi tau)
         z = loops.from_coeffs(loops.FULL, [-0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.1])
-        zs = lc.loop_zeros(z)
+        zs = loops.loop_zeros(z)
         assert zs.size == 1 and 0.0 < zs[0] < 1.0
         assert abs(z([zs[0]])[0]) < 1e-15
 
@@ -144,20 +151,67 @@ class TestLoopZeros:
         # noise only; before the noise floor, p = 7 gave
         # [0, 0.00131, 0.99868, 1]
         z = loops.analyze(np.sin(np.pi * loops.grid_points(256)) ** p, loops.ODD_SINE)
-        assert np.array_equal(lc.loop_zeros(z), [0.0, 1.0])
+        assert np.array_equal(loops.loop_zeros(z), [0.0, 1.0])
+
+    def test_zero_pair_inside_one_cell(self):
+        # (1 - 1e-8) - cos(pi (tau - tau0)) dips to -1e-8 between two zeros
+        # 4.5e-5 either side of tau0, inside one cell of the quad grid
+        z = _close_pair_loop()
+        tau0 = 1228.5 / 4096
+        zs = loops.loop_zeros(z)
+        assert zs.size == 2 and zs[0] < tau0 < zs[1] and zs[1] - zs[0] < 1e-4
+        assert np.max(np.abs(z(zs))) < 1e-14
+
+    def test_zero_pair_between_two_equal_samples(self):
+        # centred in a cell of the 64-point grid, the pair leaves two
+        # samples that are often exactly equal, both minima of |z|
+        equal = 0
+        for k in range(32):
+            z = _close_pair_loop((k + 0.5) / 32)
+            equal += z.quad_samples()[k] == z.quad_samples()[k + 1]
+            zs = loops.loop_zeros(z)
+            assert zs.size == 2 and zs[0] < (k + 0.5) / 32 < zs[1]
+        assert equal > 0
+
+    def test_zero_beside_a_zero_sample(self):
+        # z' < 0 at tau = 0, so z dips below zero before its zero at 0.0299,
+        # inside the first cell (h = 1/32) of the grid
+        z = loops.from_coeffs(loops.ODD_SINE, [0.3106864722497917, 0.0666133877055699, -0.1053231672869862])
+        zs = loops.loop_zeros(z)
+        assert zs.size == 4 and zs[0] == 0.0 and zs[3] == 1.0
+        assert 0.0 < zs[1] < 1.0 / 32 and abs(zs[1] + zs[2] - 1.0) < 1e-14
+        assert np.max(np.abs(z(zs[1:3]))) < 1e-15
+
+    def test_zeros_on_the_samples(self):
+        # cos 2 pi tau is exactly zero at the samples tau = 1/4 and 3/4
+        z = loops.from_coeffs(loops.EVEN_COSINE, [0.0, 1.0])
+        size = z.quad_samples().size
+        assert np.all(z.quad_samples()[[size // 8, 3 * size // 8]] == 0.0)
+        assert np.array_equal(loops.loop_zeros(z), [0.25, 0.75])
+
+    def test_noise_minima_are_no_zero_pair(self):
+        # near the zero of order 11 at tau = 1, minima of |z| among samples
+        # of rounding noise refine to spurious pairs such as 0.9930, 0.9961
+        z = loops.analyze(np.sin(np.pi * loops.grid_points(128)) ** 11, loops.ODD_SINE)
+        assert np.array_equal(loops.loop_zeros(z), [0.0, 1.0])
 
     def test_zero_loop_rejected(self):
         with pytest.raises(DegenerateLoopError, match="identically zero"):
-            lc.loop_zeros(loops.from_coeffs(loops.ODD_SINE, [0.0, 0.0]))
+            loops.loop_zeros(loops.from_coeffs(loops.ODD_SINE, [0.0, 0.0]))
 
     def test_flat_stretch_rejected(self):
-        # sin^17 stays below 1e-13 of its peak on about 450 of 4097 scan points
+        # sin^17 stays below 1e-13 of its peak on 58 of the 513 quad samples
+        # on [0, 1]
         g = loops.grid_points(256)
         with pytest.raises(DegenerateLoopError, match="vanishes on an interval"):
-            lc.loop_zeros(loops.analyze(np.sin(np.pi * g) ** 17, loops.ODD_SINE))
+            loops.loop_zeros(loops.analyze(np.sin(np.pi * g) ** 17, loops.ODD_SINE))
 
 
 class TestForward:
+    def test_zero_pair_is_a_collision(self):
+        # both zeros of the pair map to one t
+        assert lc.forward(_close_pair_loop(), n_t=1024).zeros.size == 1
+
     def test_midpoint_value(self, sine_orbit):
         assert abs(sine_orbit.q[sine_orbit.n // 2] - 1.0) < 1e-10
 
