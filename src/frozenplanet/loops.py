@@ -40,9 +40,9 @@ M = ``quad_size`` points) is one real inverse FFT of length M and
 reads its coefficients from one real forward FFT of the M = vals.size
 samples, both on the half spectrum of bins 0..M/2; frequencies above M/2
 fold into their aliased bins (``_half_spectrum``).  ``sup_norm`` and
-``loop_zeros`` scan the quad samples, and ``_refine_extrema`` refines the
-extrema of |z| that the scan can miss: maxima for the sup norm, and
-minima between two zeros closer than the spacing for the zeros.
+``loop_zeros`` scan the quad samples and refine by Newton the extrema of z
+that the scan can miss: maxima of |z| for the sup norm, and extrema of
+the other sign beside a small sample, which hide two zeros, for the zeros.
 The dense ``basis_matrix`` evaluates loops off the grid (``Loop.__call__``)
 and is the reference for the FFT paths and the product rule.
 
@@ -500,53 +500,43 @@ def sup_norm(z: Loop):
 
 
 def _scan_sup_norm(z: Loop):
-    top = float(np.max(np.abs(z.quad_samples())))
-
-    def peaks(mags, miss):
-        return np.flatnonzero(
-            (mags >= np.roll(mags, 1)) & (mags >= np.roll(mags, -1)) & (mags >= top - miss)
-        )
-
-    t, _ = _refine_extrema(z, peaks, -1.0)
-    return max(top, float(np.max(np.abs(z(t)))))
-
-
-def _refine_extrema(z: Loop, pick, turn):
-    """(t, i): Newton on orient z' = 0 in the two scan cells around each
-    quad sample t_i that ``pick(|z| at the samples, miss)`` selects,
-    orient = ``turn`` sign(z(t_i)), so -1 for maxima of |z| and +1 for
-    minima, where orient z' increases.  The sample nearest an extremum lies
-    within h/2 of it, h the spacing, so it misses it by at most
-    h^2 max|z''| / 8 <= miss = h^2/8 sum |z''_k|; the scan is periodic."""
+    """A sample t_i within h/2 of a maximum misses it by at most
+    h^2/8 max|z''| <= h^2/8 sum |z''_k|, h the spacing; periodic scan."""
     vals = z.quad_samples()
+    mags = np.abs(vals)
+    top = float(np.max(mags))
     h = 2.0 / vals.size
     miss = h * h / 8.0 * float(np.sum(np.abs(second_derivative_coeffs(z))))
-    i = pick(np.abs(vals), miss)
+    i = np.flatnonzero((mags >= np.roll(mags, 1)) & (mags >= np.roll(mags, -1)) & (mags >= top - miss))
     t0 = i * h
-    orient = turn * np.sign(vals[i])
+    orient = -np.sign(vals[i])
 
     def slope(t, idx):
         return orient[idx] * jets(z, t, (1, 2))
 
-    return _newton(slope, t0 - h, t0 + h, t0, tol=1e-15, max_iter=8), i
+    t = _newton(slope, t0 - h, t0 + h, t0, tol=1e-15, max_iter=8)
+    return max(top, float(np.max(np.abs(z(t)))))
 
 
 def loop_zeros(z: Loop):
-    """The zeros of z on [0, 1], sorted.  Newton (``_newton``) refines,
-    all points at once, every sign change of the quad samples
-    (``Loop.quad_samples``, spacing h) and both zeros of every pair closer
-    than h.  Such a pair leaves no sign change, but the sample nearest the
-    extremum between its zeros is within the miss h^2/8 sum |z''_k| of
-    zero: each local minimum of |z| that small is refined on z' = 0
-    (``_refine_extrema``), and where z there has the other sign each side
-    holds one zero.  A sample that is exactly zero is a zero, with the
-    sign of z' (of -z') as its sign after (before) it, so a zero in a cell
-    beside it is a sign change.  An end, 0 or 1, is a zero where |z| is
-    below 1e-11 of the peak.  Samples below 1e-13 of the peak, and slopes
-    below 1e-13 of sum |z'_k|, are rounding noise next to a high-order
-    zero: a sign change or a minimum between two such samples, or a noise
-    slope, is no zero.
-    Raises DegenerateLoopError when z is zero or such samples fill over
+    """The zeros of z on [0, 1], sorted.
+
+    The scan starts from the quad samples (``Loop.quad_samples``, spacing
+    h) on [-h, 1 + h], the grid being periodic, less those below 1e-13 of
+    the peak: they are rounding noise, and a run of them between two
+    samples of opposite sign is one zero, of high order.  Each round, one
+    Newton call (``_newton``) refines every new sign change of the scan,
+    all points at once, and the zeros join the scan with value 0.  Each
+    piece [a, b] between two scan points then has one sign s.  Two more
+    zeros in it bound an extremum of sign -s within (b - a)/2 of the nearer
+    end, or within b - a of the nonzero end where the other is a zero, so
+    that end is within (b - a)^2/8 sum |z''_k| of zero, or 4 times that.
+    In every such new piece Newton refines, from its midpoint, the least of
+    s z; the point joins the scan where s z is below minus the noise, and
+    the next round refines the sign changes it makes, until no point joins.
+    An end, 0 or 1, is a zero where |z| is below 1e-11 of the peak; it
+    replaces a zero with no scan point between them.
+    Raises DegenerateLoopError when z is zero or noise samples fill over
     1/20 of [0, 1] (no time change exists there).
     """
     vals = z.quad_samples()
@@ -555,41 +545,53 @@ def loop_zeros(z: Loop):
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         raise DegenerateLoopError("loop is identically zero")
-    noise = np.abs(vals) < 1e-13 * scale
-    if np.count_nonzero(noise[:n]) > max(8, (n - 1) // 20):
+    noise = 1e-13 * scale
+    if np.count_nonzero(np.abs(vals[:n]) < noise) > max(8, (n - 1) // 20):
         raise DegenerateLoopError("loop vanishes on an interval")
-    after = np.sign(vals[:n])
-    at = np.flatnonzero(after == 0.0)
-    d = jets(z, at * h, (1,))[0]
-    d[np.abs(d) < 1e-13 * float(np.sum(np.abs(frequencies(z.klass, z.n) * z.coeffs)))] = 0.0
-    before = after.copy()
-    after[at], before[at] = np.sign(d), -np.sign(d)
-    cells = np.flatnonzero((after[:-1] * before[1:] < 0.0) & ~(noise[: n - 1] & noise[1:n]))
+    bend = float(np.sum(np.abs(second_derivative_coeffs(z)))) / 8.0
+    ends = [end for end, v_end in ((0.0, vals[0]), (1.0, vals[n - 1])) if abs(v_end) < 1e-11 * scale]
+    i = np.arange(-1, n + 1)
+    i = i[np.abs(vals[i]) >= noise]
+    t, v, fresh = i * h, vals[i], np.ones(i.size, dtype=bool)
+    zeros = []
 
-    def lows(mags, miss):
-        # strict on the left, so two equal samples count once
-        low = (mags <= miss) & (mags < np.roll(mags, 1)) & (mags <= np.roll(mags, -1))
-        return np.flatnonzero((low & ~(np.roll(noise, 1) & np.roll(noise, -1)))[:n])
+    def join(x, y):
+        """t, v and fresh, with the points x, of values y, joined as fresh."""
+        order = np.argsort(np.concatenate([t, x]))
+        grown = ((t, x), (v, y), (fresh, np.ones(x.size, dtype=bool)))
+        return (np.concatenate(pair)[order] for pair in grown)
 
-    t, i = _refine_extrema(z, lows, 1.0)
-    sign = np.sign(vals[i])
-    left = np.where(t > i * h, i, i - 1)  # the cell of the extremum
-    pair = (sign * z(t) < 0.0) & (vals[left] * vals[left + 1] > 0.0)
-    s, t_pair, ends = sign[pair], t[pair], left[pair] * h
-    lo = np.concatenate([cells * h, ends, t_pair])
-    hi = np.concatenate([(cells + 1) * h, t_pair, ends + h])
-    # -sign(z) at the left end of each bracket: z times it increases there
-    orient = np.concatenate([-after[cells], -s, s])
+    while fresh.any():
+        c = np.flatnonzero((v[:-1] * v[1:] < 0.0) & (fresh[:-1] | fresh[1:]))
+        lo, hi = t[c], t[c + 1]
+        # -sign(z) at the left end of its cell: z times it increases there
+        orient = -np.sign(v[c])
 
-    def oriented(x, idx):
-        return orient[idx] * jets(z, x, (0, 1))
+        def oriented(x, idx):
+            return orient[idx] * jets(z, x, (0, 1))
 
-    x = _newton(oriented, lo, hi, 0.5 * (lo + hi), tol=1e-15, max_iter=60)
-    x = np.concatenate([x[(x >= 0.0) & (x <= 1.0)], at[~(noise[at - 1] & noise[at + 1])] * h])
-    for end, v in ((0.0, vals[0]), (1.0, vals[n - 1])):
-        if abs(v) < 1e-11 * scale and not np.any(np.abs(x - end) < 1e-9):
-            x = np.append(x, end)
-    return np.sort(x)
+        x = _newton(oriented, lo, hi, 0.5 * (lo + hi), tol=1e-15, max_iter=60)
+        zeros.append(x)
+        t, v, fresh = join(x, np.zeros(x.size))
+        va, vb = v[:-1], v[1:]
+        near = np.where((va == 0.0) | (vb == 0.0), np.abs(va + vb) / 4.0, np.minimum(np.abs(va), np.abs(vb)))
+        j = np.flatnonzero((near <= bend * np.diff(t) ** 2) & (fresh[:-1] | fresh[1:]))
+        lo, hi, sign = t[j], t[j + 1], np.sign(va[j] + vb[j])
+
+        def slope(x, idx):
+            return sign[idx] * jets(z, x, (1, 2))
+
+        x = _newton(slope, lo, hi, 0.5 * (lo + hi), tol=1e-15, max_iter=8)
+        y = z(x)
+        new = sign * y <= -noise
+        fresh[:] = False
+        t, v, fresh = join(x[new], y[new])
+    x = np.concatenate(zeros)
+    for end in ends:  # no scan point between x and the end
+        between = np.searchsorted(t, np.maximum(x, end)) - np.searchsorted(t, np.minimum(x, end), "right")
+        x = np.where(between == 0, end, x)
+    x = np.concatenate([x, ends])
+    return np.unique(x[(x >= 0.0) & (x <= 1.0)])
 
 
 def _newton(fn, lo, hi, x0, tol, max_iter, min_slope=0.0, ftol=0.0):

@@ -291,6 +291,21 @@ class TestBIn:
         obj = helium.PairObjective(1.0, n1=len(outer), n2=1)
         assert not obj.admissible(obj.pack(pair))
 
+    def test_outer_loop_with_a_high_order_zero_rejected(self):
+        # z1 = cos^7 2 pi tau: the samples around its zeros are rounding
+        # noise of either sign, yet each run of them is a zero
+        z1 = loops.analyze(np.cos(2.0 * np.pi * loops.grid_points(256)) ** 7, loops.EVEN_COSINE)
+        pair = helium.PairLoop(z1, loops.from_coeffs(loops.ODD_SINE, [0.1]))
+        assert helium.mean_gap(pair) > 0
+        for m in (8, 16, 64, 96, 256, 1000):
+            assert helium._Repulsion(pair, m).least[0] <= 0.0
+        with pytest.raises(AdmissibilityError):
+            helium.b_in(pair)
+        with pytest.raises(AdmissibilityError):
+            helium.b_interp_value(pair, 0.5)
+        obj = helium.PairObjective(1.0, n1=z1.n, n2=1)
+        assert not obj.admissible(obj.pack(pair))
+
     def test_outer_loop_with_a_near_double_zero_rejected(self):
         # z1 dips to -1e-6 near tau = 0.22 over a span narrower than one
         # cell of its grid, so no two grid samples differ in sign

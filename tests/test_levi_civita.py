@@ -182,6 +182,53 @@ class TestLoopZeros:
         assert 0.0 < zs[1] < 1.0 / 32 and abs(zs[1] + zs[2] - 1.0) < 1e-14
         assert np.max(np.abs(z(zs[1:3]))) < 1e-15
 
+    def test_three_zeros_in_one_cell(self):
+        # a pair at 0.14131, 0.14199 shares the cell [14/104, 15/104] of the
+        # grid with the sign change at 0.13487, and likewise its mirror image
+        z = loops.from_coeffs(
+            loops.EVEN_COSINE,
+            [0.5522050349873713, -1.0713971393564337, 0.33611043027152676, -0.18862928986490934,
+             -0.037390285403784036, 0.17942101602687444, 0.16154789922645257, 0.044178212329812366,
+             -0.04464071673971744, 0.13875162435389474, 0.08567603801825853, -0.006606914389899963,
+             -0.05392974482844721],
+        )
+        assert z.quad_samples().size == 208
+        zs = loops.loop_zeros(z)
+        cell = zs[(zs > 14 / 104) & (zs < 15 / 104)]
+        assert cell.size == 3 and np.max(np.abs(z(cell))) < 1e-15
+        assert np.max(np.abs(cell[::-1] + zs[(zs > 89 / 104) & (zs < 90 / 104)] - 1.0)) < 1e-14
+
+    def test_zero_pair_beside_a_stationary_sample(self):
+        # z' = 0 at the sample tau = 0 of an even-cosine loop, a maximum of
+        # z between two minima just below zero at +-0.00685
+        z = loops.from_coeffs(
+            loops.EVEN_COSINE,
+            [0.04231208911437323, 0.25838168785401655, -0.3732455188368251, -0.01118541527040896,
+             0.08373926265668909],
+        )
+        h = 2.0 / z.quad_samples().size
+        zs = loops.loop_zeros(z)
+        assert zs.size == 6 and 0.0 < zs[0] < zs[1] < h
+        assert np.max(np.abs(z(zs))) < 1e-15
+        # z' is about 1e-4 at the pair, so rounding moves its zeros ~1e-12
+        assert np.max(np.abs(zs[:2] + zs[:-3:-1] - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("p, m", [(7, 256), (9, 128), (9, 256)])
+    def test_high_order_interior_zero(self, p, m):
+        # every sample within the sign change of cos^p at tau = 1/4 (and 3/4)
+        # is rounding noise, yet the run of them is one zero
+        z = loops.analyze(np.cos(2.0 * np.pi * loops.grid_points(m)) ** p, loops.EVEN_COSINE)
+        assert np.max(np.abs(loops.loop_zeros(z) - [0.25, 0.75])) < 0.01
+
+    @pytest.mark.parametrize("p, m", [(2, 64), (4, 512)])
+    def test_noise_beside_a_sample_above_the_floor(self, p, m):
+        # the samples at the double (quadruple) zero tau = 0 are rounding
+        # noise of either sign; a sign change from one of them to a sample
+        # above the floor gave spurious zeros such as 3.9e-5 and 0.99996
+        g = loops.grid_points(m)
+        z = loops.analyze(np.sin(np.pi * g) ** p * (1.0 + 0.1 * np.cos(np.pi * g) ** 2), loops.EVEN_COSINE)
+        assert np.array_equal(loops.loop_zeros(z), [0.0, 1.0])
+
     def test_zeros_on_the_samples(self):
         # cos 2 pi tau is exactly zero at the samples tau = 1/4 and 3/4
         z = loops.from_coeffs(loops.EVEN_COSINE, [0.0, 1.0])
