@@ -293,9 +293,12 @@ def holonomy(family: OperatorFamily, n_steps=400):
 
     Returns the holonomy sign <section(2), section(0)> (expected -1: the
     bundle is non-orientable), the trace of tracked sections, and their
-    worst alignment against the closed form.  The step count refines until
-    successive sections stay aligned above 0.99.
+    worst alignment against the closed form.  The step count, at least 2
+    (one step ends on its start line, which no alignment test can fail),
+    refines until successive sections stay aligned above 0.99.
     """
+    if n_steps < 2:
+        raise DomainError("holonomy needs at least 2 steps", tag="detline.steps")
     # orient the start with the closed form, f(0) = -a e_0
     f0, z0 = closed_form_section(0.0, family)
     start = np.concatenate([f0, [z0]])

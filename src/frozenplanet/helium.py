@@ -18,8 +18,9 @@ the midpoint rule at fixed tau2-nodes converges geometrically, and only
 the outer loop's time map is inverted (``_Repulsion``, one per pair).  The
 node count, max(N_QUAD, 4 n2, 8 n1), is derived from the pair
 (``_node_count``) and fixed by a convergence test.  Pointwise
-admissibility, a positive gap, is tested at the gap's minimum refined
-between the nodes, not at the nodes alone.  The gradient is the exact
+admissibility, a positive gap on the whole circle, rests on one lower
+bound of the gap on each cell between two nodes; the cells it leaves open
+are halved.  The gradient is the exact
 derivative of that discretized quadrature (implicit differentiation of
 z1's inverse time map, z2 varied at fixed tau2), so gradient and objective
 stay mutually consistent for Newton; it and the Hessian read one set of
@@ -251,20 +252,13 @@ def _node_count(pair: PairLoop):
 
 
 def _admissible_gap(pair: PairLoop):
-    """The pair's ``_Repulsion`` on its nodes, cached on the pair; raises
-    unless the gap is positive everywhere.  A floor above the closing share
-    of the largest gap (``_Repulsion.settled``) decides that from the nodes;
-    only below it is the least gap refined off them (``_Repulsion.least``)."""
+    """The pair's ``_Repulsion`` on its nodes, cached on the pair; raises unless
+    the gap is positive everywhere, halving the cells only if it is not settled."""
     cache = loops._loop_cache(pair)
     if "repulsion" not in cache:
         rep = _Repulsion(pair, _node_count(pair))
         if not rep.settled:
-            least, t = rep.least
-            if least <= 0.0:
-                raise AdmissibilityError(
-                    "pointwise admissibility violated: z1^2(tau1(t)) - z2^2(tau2(t)) "
-                    f"<= 0 at t = {t:.6g}"
-                )
+            rep.refine()
         cache["repulsion"] = rep
     return cache["repulsion"]
 
@@ -301,17 +295,16 @@ def _phi_table(z: loops.Loop, taus):
 @functools.cache
 def _tau2_rule(n, m):
     """What an odd-sine loop of n coefficients needs at the m nodes
-    (k + 1/2)/m, fixed by (n, m) and cached read-only: its orthonormal rows
-    e_k / sqrt(g_k), their derivatives and the primitive rows S of
+    (k + 1/2)/m, fixed by (n, m) and cached read-only: the nodes, its
+    orthonormal rows e_k / sqrt(g_k) and the primitive rows S of
     ``_phi_table``."""
     taus = (np.arange(m) + 0.5) / m
     sg = np.sqrt(loops.gram_diag(loops.ODD_SINE, n))[:, None]
     rows = loops.basis_matrix(loops.ODD_SINE, n, taus) / sg
-    drows = loops.basis_matrix(loops.ODD_SINE, n, taus, 1) / sg
     prim = loops.basis_matrix(*loops._power_layout(loops.ODD_SINE, n, 2), taus, -1)
-    for arr in (rows, drows, prim):
+    for arr in (taus, rows, prim):
         arr.setflags(write=False)
-    return rows, drows, prim
+    return taus, rows, prim
 
 
 class _TimeMapVariation:
@@ -401,21 +394,6 @@ class _TimeMapVariation:
         return h
 
 
-def _hermite_min(g0, g1, d0, d1):
-    """The point s in [0, 1] where the cubic with values g0, g1 and slopes
-    d0 <= 0 < d1 at s = 0, 1 has its minimum: the one root of its slope
-    d0 + 2 c2 s + 3 c3 s^2 in [0, 1], by the stable quadratic formula."""
-    c2 = 3.0 * (g1 - g0) - 2.0 * d0 - d1
-    c3 = 2.0 * (g0 - g1) + d0 + d1
-    a, b = 3.0 * c3, 2.0 * c2
-    disc = np.sqrt(np.maximum(b * b - 4.0 * a * d0, 0.0))
-    q = -0.5 * (b + np.where(b < 0.0, -disc, disc))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1, r2 = q / a, d0 / q
-    s = np.where((r2 >= 0.0) & (r2 <= 1.0), r2, r1)
-    return np.where((s >= 0.0) & (s <= 1.0), s, 0.5)
-
-
 class _Repulsion:
     """The repulsion R = int_0^1 dt / (q1 - q2) of a pair, in z2's own time.
 
@@ -427,11 +405,10 @@ class _Repulsion:
     geometrically (Trefethen and Weideman, SIAM Review 56, 2014).  Only
     z1's time map is inverted, once by ``tau_of_t`` at the nodes' t.
 
-    The gap's minimum over the circle is bounded from below from the nodes
-    (``_floor``); when that floor clears ``_CLOSING`` times the largest
-    node gap (``settled``), the pair is admissible and far from closing.
-    Otherwise ``least`` refines the minimum between the nodes, inverting
-    z1's time map again there.
+    The gap is bounded from below on each cell between two nodes
+    (``_cell_floors``).  When the least floor clears ``_CLOSING`` times the
+    largest node gap (``settled``), the pair is admissible and far from
+    closing; otherwise ``refine`` halves the cells left open.
 
     z2 is varied at fixed tau, with its orthonormal rows e and x = <z2, e>:
     dt_f = (Phi_f - 2 t x_f) / I2 (``_phi_table``), dw_f = 2 (z2 f - w x_f) / I2
@@ -443,7 +420,7 @@ class _Repulsion:
     def __init__(self, pair: PairLoop, m):
         z2 = self.inner = pair.z2
         self.z1 = pair.z1
-        self.e, self.de, self.prim = _tau2_rule(z2.n, m)
+        taus, self.e, self.prim = _tau2_rule(z2.n, m)
         self.sg = np.sqrt(loops.gram_diag(z2.klass, z2.n))
         self.x = self.sg * z2.coeffs
         self.i2 = float(self.x @ self.x)
@@ -459,84 +436,103 @@ class _Repulsion:
         with np.errstate(divide="ignore", invalid="ignore"):
             self.var = _TimeMapVariation(self.z1, levi_civita.tau_of_t(self.z1, self.t), self.t)
             self.gap = self.var.zv**2 - self.z2**2
-        self.floor = self._floor()
+        # the sample rows at the nodes and the cells between them, the last
+        # wrapped round the circle, where tau2, t and tau1 advance by 1
+        nodes = np.array([taus, self.t, self.var.taus, self.var.zv, self.z2, self.gap])
+        ends = np.concatenate([nodes, nodes[:, :1]], axis=1)
+        ends[:3, -1] += 1.0
+        self.cells = ends[:, :-1], ends[:, 1:]
+        self.floor = float(np.min(self._cell_floors(*self.cells)))
         self.settled = self.floor > _CLOSING * float(np.max(self.gap))
+        self.closing = False
 
-    def _floor(self):
-        """A lower bound of the gap g(tau) = Q1(t) - z2^2 on the whole circle.
+    def _samples(self, tau2):
+        """The sample rows (tau2, t, tau1, z1, z2, gap) at points tau2 in
+        [0, 2), z1's time map inverted once (t and tau1 advance by 1 with
+        tau2)."""
+        t = self.p2 @ loops.basis_matrix(loops.EVEN_COSINE, self.p2.size, tau2, -1)
+        turns = np.floor(t)
+        tau1 = levi_civita.tau_of_t(self.z1, t - turns) + turns
+        z1, z2 = self.z1(tau1), self.inner(tau2)
+        return np.array([tau2, t, tau1, z1, z2, z1**2 - z2**2])
 
-        g has period 1 in tau, so the nodes cut the circle into cells of
-        width h = 1/m, the wrapped end cell too, and on each g lies above
-        its linear interpolant, itself above the least node gap, less
-        h^2/8 sup|g''|.  With w = z2^2 / I2,
+    def _cell_floors(self, a, b):
+        """A lower bound of the gap g(tau) = Q1(t) - z2^2 on each cell of
+        the circle in tau2, a and b the sample rows of its ends.
 
-            g'' = Q1_tt w^2 + Q1_t w' - 2 (z2'^2 + z2 z2''),
-
-        Q1_t = 2 ||z1||^2 z1'/z1 and Q1_tt = 2 ||z1||^4 (z1 z1'' - z1'^2)/z1^4
-        (``_TimeMapVariation``).  Each factor is bounded by the sums
-        S_j = sum omega_k^j |c_k| over z1's coefficients (T_j over z2's): w <=
-        T0^2 / I2, |w'| <= 2 T0 T1 / I2, and |z1| >= m1 = min |z1| on its
-        grid (``Loop.quad_samples``, spacing 2/size) less S1 / size.  Where
-        m1 <= 0, z1 may vanish, and the floor is -inf; a bound that
-        overflows leaves it -inf or nan, which settles nothing.
+        On a cell of width h, g lies above the lesser end gap less
+        h^2/8 sup|g''|, with w = z2^2 / I2 and
+        g'' = Q1_tt w^2 + Q1_t w' - 2 (z2'^2 + z2 z2''), Q1_t = 2 ||z1||^2 z1'/z1,
+        Q1_tt = 2 ||z1||^4 (z1 z1'' - z1'^2)/z1^4 (``_TimeMapVariation``).
+        The sums S_j = sum omega_k^j |c_k| over z1's coefficients (T_j over
+        z2's) bound |z1^(j)|, so on the cell's span of tau1
+        |z1| >= m1 = (|z1(a)| + |z1(b)| - S1 (tau1_b - tau1_a)) / 2, and
+        |z2| <= Z = (|z2(a)| + |z2(b)| + T1 h) / 2.  Where m1 <= 0, z1 may
+        vanish, and the floor is -inf.
         """
         c1, c2 = np.abs(self.z1.coeffs), np.abs(self.inner.coeffs)
         f1 = loops.frequencies(loops.EVEN_COSINE, c1.size)
         f2 = loops.frequencies(loops.ODD_SINE, c2.size)
         s0, s1, s2 = c1.sum(), f1 @ c1, (f1 * f1) @ c1
-        t0, t1, t2 = c2.sum(), f2 @ c2, (f2 * f2) @ c2
-        samples = self.z1.quad_samples()
-        m1 = np.min(np.abs(samples)) - s1 / samples.size
-        if not m1 > 0.0:
-            return -np.inf
-        l1, w = self.var.norm, t0 * t0 / self.i2
-        with np.errstate(all="ignore"):
-            q1_t = 2.0 * l1 * s1 / m1
-            q1_tt = 2.0 * l1 * l1 * (s0 * s2 + s1 * s1) / (m1 * m1) ** 2
-            curv = q1_tt * w * w + q1_t * (2.0 * t0 * t1 / self.i2) + 2.0 * (t1 * t1 + t0 * t2)
-            h = 1.0 / self.gap.size
-            return float(np.min(self.gap) - 0.125 * h * h * curv)
+        t1, t2 = f2 @ c2, (f2 * f2) @ c2
+        r = self.var.norm / self.i2
+        h = b[0] - a[0]
+        at_ends = np.abs(a[3:5]) + np.abs(b[3:5])
+        # 2 m1, clipped at 0, where rho = inf makes the floor -inf, and 2 Z
+        m2 = np.maximum(at_ends[0] - s1 * (b[2] - a[2]), 0.0)
+        z = at_ends[1] + t1 * h
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # in rho = Z / m1, each term scales as the gap, as the pair squared:
+            # Q1_tt w^2 <= 2 (S0 S2 + S1^2) (||z1||^2 / I2)^2 rho^4 and
+            # Q1_t w' <= 4 S1 T1 (||z1||^2 / I2) rho; curv is sup|g''| / 8
+            rho = z / m2
+            rho2 = rho * rho
+            curv = (0.25 * (s0 * s2 + s1 * s1) * r * r) * (rho2 * rho2) + (0.5 * s1 * t1 * r) * rho
+            curv += 0.125 * t2 * z + 0.25 * t1 * t1
+            return np.minimum(a[5], b[5]) - (h * h) * curv
 
-    @functools.cached_property
-    def least(self):
-        """(min g, the t there) of the gap g(tau) = Q1(t) - z2^2, found
-        off the nodes as well, so the admissibility test does not rest on
-        the node count.  Between two nodes where the slope
-        g' = Q1_t w - 2 z2 z2' turns from <= 0 to > 0, the minimum of the
-        cubic Hermite interpolant of (g, g') is a point where g, g' and g''
-        are then evaluated, and the quadratic model g - g'^2 / (2 g'')
-        estimates the minimum; the ends tau = 0, 1 and the nodes join the
-        candidates.
+    def refine(self):
+        """Decide admissibility where the node floor leaves it open.
 
-        That model assumes a smooth gap, and Q1 has a cusp at a zero of z1,
-        where g = -Q2 <= 0; the time map crosses a zero of z1 so fast that
-        it can fall between two nodes.  So the zeros of z1 are found first,
-        on its own grid (``loops.loop_zeros``): at the first, the gap -Q2 at
-        its t is returned, Q2 read off the nodes.
+        Each round halves every open cell, z1's time map inverted once at
+        all the new midpoints.  A cell closes when its floor clears
+        ``_CLOSING`` times the largest node gap, or when it is positive
+        beside a sample at or below that share (the gap nearly closes, and
+        ``closing`` is set).  A sample gap <= 0 refuses the pair, as does a
+        sign change of z1 between a cell's ends, where the gap is -z2^2.
+        A zero of z1 leaves its cell's floor at -inf, so the cell is halved
+        until a sample gap is negative, or until floating point cannot halve
+        it in tau2 or in t, which refuses the pair too.  ``floor`` becomes
+        the least floor of the closed cells, a bound on the whole circle.
         """
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zeros = loops.loop_zeros(self.z1)
-            if zeros.size:
-                primitive, i_one = levi_civita.square_primitive(self.z1)
-                t = float(primitive(zeros[:1])[0]) / i_one
-                return -float(np.interp(t, self.t, self.z2**2)), t
-            h = 1.0 / self.gap.size
-            slope = h * (self.var.rate * self.w - 2.0 * self.z2 * (self.x @ self.de))
-            j = np.flatnonzero((slope[:-1] <= 0.0) & (slope[1:] > 0.0))
-            s = _hermite_min(self.gap[j], self.gap[j + 1], slope[j], slope[j + 1])
-            tau = np.concatenate([[0.0, 1.0], (j + 0.5 + s) * h])
-            t = self.p2 @ loops.basis_matrix(loops.EVEN_COSINE, self.p2.size, tau, -1)
-            tau1 = np.concatenate([[0.0, 1.0], levi_civita.tau_of_t(self.z1, t[2:])])
-            var = _TimeMapVariation(self.z1, tau1, t)
-            b0, b1, b2 = loops.jets(self.inner, tau, (0, 1, 2))
-            w = b0**2 / self.i2
-            g = var.zv**2 - b0**2
-            dg = var.rate * w - 2.0 * b0 * b1
-            d2g = var.rate_t * w**2 + var.rate * (2.0 * b0 * b1 / self.i2) - 2.0 * (b1**2 + b0 * b2)
-            g = np.where(d2g > 0.0, g - dg**2 / (2.0 * d2g), g)
-            gaps, ts = np.concatenate([self.gap, g]), np.concatenate([self.t, t])
-            k = int(np.argmin(gaps))
-            return float(gaps[k]), float(ts[k])
+        top = _CLOSING * float(np.max(self.gap))
+        a, b = self.cells
+        least = np.inf
+        while True:
+            k = np.flatnonzero((a[5] <= 0.0) | ((a[3] > 0.0) != (b[3] > 0.0)))
+            if k.size:
+                raise AdmissibilityError(
+                    "pointwise admissibility violated: z1^2(tau1(t)) - z2^2(tau2(t)) <= 0 "
+                    f"at a t in [{a[1, k[0]]:.6g}, {b[1, k[0]]:.6g}]"
+                )
+            floors = self._cell_floors(a, b)
+            near = np.minimum(a[5], b[5]) <= top
+            shut = (floors > top) | ((floors > 0.0) & near)
+            self.closing |= bool(np.any(shut & near))
+            least = min(least, float(np.min(floors[shut], initial=np.inf)))
+            a, b = a[:, ~shut], b[:, ~shut]
+            if not a.shape[1]:
+                break
+            mid = 0.5 * (a[0] + b[0])
+            k = np.flatnonzero((mid == a[0]) | (mid == b[0]) | (a[1] == b[1]))
+            if k.size:
+                raise AdmissibilityError(
+                    "pointwise admissibility: positivity of z1^2(tau1(t)) - z2^2(tau2(t)) could "
+                    f"not be shown, on a cell too narrow to halve at t = {a[1, k[0]]:.6g}"
+                )
+            fresh = self._samples(mid)
+            a, b = np.concatenate([a, fresh], axis=1), np.concatenate([fresh, b], axis=1)
+        self.floor = least
 
     def _weights(self, s):
         """With R = mean(w / g), the derivatives of -s R in w and g at the
@@ -597,10 +593,9 @@ class _Repulsion:
 
 def _repulsion(rep: _Repulsion, s):
     """s R = s mean(w / gap) over the nodes, the instantaneous term that
-    b_interp subtracts; warns when the least gap is below ``_CLOSING``
-    times the largest, which only a floor that does not settle the pair
-    leaves open (``_Repulsion.settled``)."""
-    if not rep.settled and rep.least[0] < _CLOSING * float(np.max(rep.gap)):
+    b_interp subtracts; warns when the halving of the cells that the node
+    floor leaves open finds the gap nearly closing (``_Repulsion.closing``)."""
+    if rep.closing:
         warnings.warn(
             "interaction gap nearly closes; the instantaneous value is ill conditioned",
             RuntimeWarning,
@@ -718,7 +713,7 @@ class PairObjective(loops.Packed):
             require_mean_admissible(pair)
             if self.s > 0.0:
                 _admissible_gap(pair)
-        except (DomainError, AdmissibilityError):
+        except DomainError:
             return False
         return True
 

@@ -163,9 +163,10 @@ def mode_count(klass, n_coeffs):
     return int(_layout(klass, n_coeffs)[0][-1])
 
 
+@functools.cache
 def frequencies(klass, n_coeffs):
-    """Angular frequencies omega_k (z_k'' = -omega_k^2 z_k) per coefficient."""
-    return np.pi * _layout(klass, n_coeffs)[0]
+    """Angular frequencies omega_k (z_k'' = -omega_k^2 z_k), cached read-only."""
+    return read_only(np.pi * _layout(klass, n_coeffs)[0])
 
 
 @functools.cache

@@ -253,7 +253,7 @@ class TestEllipticCommand:
         assert json.loads(out)["config"]["grid"] == grid
 
     def test_bad_grid_is_config_error(self, capsys):
-        for grid in ("nonsense", "nan:1:0.1"):
+        for grid in ("nonsense", "nan:1:0.1", "1:0:0.1"):
             code, _, err = run(capsys, "elliptic", "--grid", grid)
             assert code == 2
             assert json.loads(err)["invariant"] == "cli.grid"
@@ -632,6 +632,23 @@ class TestHeliumCommand:
         for z, q in ((pair.z1, q1), (pair.z2, q2)):
             assert np.max(np.abs(q - z(levi_civita.tau_of_t(z, t)) ** 2)) < 1e-12
 
+    def test_gap_below_zero_between_nodes_is_domain_error(self, capsys, tmp_path):
+        # z1 dips to 1e-6 near tau1 = 0.22, and the gap falls to -1.3e-2
+        # between two nodes of the repulsion quadrature
+        pair = helium.PairLoop(
+            loops.from_coeffs(
+                loops.EVEN_COSINE,
+                [0.4442295716781513, -0.136, 0.318, 0.0426, -0.0336, -0.0789, 0.0280],
+            ),
+            loops.from_coeffs(loops.ODD_SINE, [0.104, -0.0211, 0.0573]),
+        )
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(serialize.dumps(serialize.pair_to_dict(pair)))
+        code, out, err = run(capsys, "helium", "--mode", "in", "--input", str(pair_file))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["invariant"] == "helium.inadmissible-pair"
+
     def test_non_finite_coefficient_is_domain_error(self, capsys, tmp_path):
         pair_file = tmp_path / "pair.json"
         pair_file.write_text(
@@ -735,6 +752,12 @@ class TestDetlineCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err)["invariant"] == "detline.stabilizer"
+
+    def test_one_step_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "detline", "--modes", "4", "--steps", "1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["invariant"] == "detline.steps"
 
     def test_unknown_demo_is_config_error(self, capsys):
         code, _, err = run(capsys, "detline", "--demo", "mystery")

@@ -191,6 +191,21 @@ class TestCounterexampleLoop:
         fam = detline.OperatorFamily(n_modes=8)
         assert detline.holonomy(fam, n_steps=steps)["sign"] == -1
 
+    def test_coarse_track_refines(self):
+        # 8 steps lose the kernel line; doubled three times they follow it
+        out = detline.holonomy(detline.OperatorFamily(n_modes=8), n_steps=8)
+        assert len(out["taus"]) == 65
+        assert out["sign"] == -1
+        assert out["min_alignment"] > 0.999
+
+    @pytest.mark.parametrize("steps", [1, 0, -3])
+    def test_fewer_than_two_steps_rejected(self, steps):
+        # one step ends on the start line, so the track cannot fail and
+        # would report sign +1
+        with pytest.raises(DomainError) as err:
+            detline.holonomy(detline.OperatorFamily(n_modes=8), n_steps=steps)
+        assert err.value.tag == "detline.steps"
+
     @pytest.mark.parametrize(
         "a,b", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0), (1.0, np.nan), (0.0, 0.0)]
     )

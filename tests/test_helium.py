@@ -1,8 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frozenplanet import cli, frozen, helium, levi_civita, loops, serialize, solve
@@ -17,7 +18,7 @@ def random_admissible(rng, n=6):
 
 def unsettled(pair):
     """Whether the floor of the pair's repulsion on its default nodes leaves
-    admissibility to the refinement off the nodes (``_Repulsion.least``)."""
+    admissibility to the halving of its open cells (``_Repulsion.refine``)."""
     return not helium._Repulsion(pair, helium._node_count(pair)).settled
 
 
@@ -27,6 +28,16 @@ def dense_gap(pair, size=100001):
     primitive, i2 = levi_civita.square_primitive(pair.z2)
     tau1 = levi_civita.tau_of_t(pair.z1, primitive(tau) / i2)
     return float(np.min(pair.z1(tau1) ** 2 - pair.z2(tau) ** 2))
+
+
+def raced_gap(pair, size=20001):
+    """The least gap z1^2 - Q2(t) over a uniform tau1-grid of the circle: it
+    resolves the narrow window in t where z1's time map races past a dip
+    of z1 below z2, which the tau2-grid of ``dense_gap`` can step over."""
+    tau = np.linspace(0.0, 1.0, size)
+    primitive, i1 = levi_civita.square_primitive(pair.z1)
+    tau2 = levi_civita.tau_of_t(pair.z2, primitive(tau) / i1)
+    return float(np.min(pair.z1(tau) ** 2 - pair.z2(tau2) ** 2))
 
 
 def _coefficients(draw, n, lead):
@@ -51,6 +62,28 @@ def floor_pairs(draw):
         top = np.max(np.abs(loops.from_coeffs(loops.ODD_SINE, c2).quad_samples()))
         c2 *= low / top * draw(st.floats(0.9, 1.02))
     return helium.PairLoop(z1, loops.from_coeffs(loops.ODD_SINE, c2))
+
+
+@st.composite
+def tangent_dips(draw):
+    """Pairs whose gap dips below zero beside a near zero of z1: z1 =
+    delta + (c - c*)^2 (a + b c), c = cos 2 pi tau, least delta in
+    [1e-9, 1e-3] at its tau1*, and z2 with z2^2 > delta^2 at that instant."""
+    delta = 10.0 ** draw(st.floats(-9.0, -3.0))
+    cs, a = draw(st.floats(-0.9, 0.9)), draw(st.floats(0.2, 2.0))
+    b = a * draw(st.floats(-0.9, 0.9))
+    z1 = loops.from_coeffs(
+        loops.EVEN_COSINE,
+        [delta + a * cs * cs + 0.5 * a - b * cs, b * cs * cs - 2.0 * a * cs + 0.75 * b,
+         0.5 * a - b * cs, 0.25 * b],
+    )
+    z2 = loops.from_coeffs(
+        loops.ODD_SINE, _coefficients(draw, draw(st.integers(1, 4)), draw(st.floats(0.05, 1.0)))
+    )
+    primitive, i1 = levi_civita.square_primitive(z1)
+    t = primitive(np.arccos(cs) / (2.0 * np.pi))[0] / i1
+    assume(z2(levi_civita.tau_of_t(z2, t)) ** 2 > delta**2)
+    return helium.PairLoop(z1, z2)
 
 
 class TestBridgeConstants:
@@ -263,7 +296,8 @@ class TestBIn:
         assert helium.mean_gap(pair) > 0
         assert unsettled(pair)
         assert np.min(helium._Repulsion(pair, 64).gap) > 9e-5
-        assert helium._Repulsion(pair, m).least[0] < 0.0
+        with pytest.raises(AdmissibilityError, match="violated"):
+            helium._Repulsion(pair, m).refine()
         with pytest.raises(AdmissibilityError):
             helium.b_in(pair)
         with pytest.raises(AdmissibilityError):
@@ -283,7 +317,8 @@ class TestBIn:
         assert np.min(helium._Repulsion(pair, 64).gap) > 0.1
         assert unsettled(pair)
         for m in (8, 16, 64, 96, 256, 1000):
-            assert helium._Repulsion(pair, m).least[0] <= 0.0
+            with pytest.raises(AdmissibilityError, match="violated"):
+                helium._Repulsion(pair, m).refine()
         with pytest.raises(AdmissibilityError):
             helium.b_in(pair)
         with pytest.raises(AdmissibilityError):
@@ -298,7 +333,8 @@ class TestBIn:
         pair = helium.PairLoop(z1, loops.from_coeffs(loops.ODD_SINE, [0.1]))
         assert helium.mean_gap(pair) > 0
         for m in (8, 16, 64, 96, 256, 1000):
-            assert helium._Repulsion(pair, m).least[0] <= 0.0
+            with pytest.raises(AdmissibilityError, match="violated"):
+                helium._Repulsion(pair, m).refine()
         with pytest.raises(AdmissibilityError):
             helium.b_in(pair)
         with pytest.raises(AdmissibilityError):
@@ -334,6 +370,74 @@ class TestBIn:
         assert np.min(z1(np.linspace(0.2, 0.24, 40001))) > 9e-7
         assert loops.loop_zeros(z1).size == 0
 
+    def test_gap_below_zero_beside_a_near_zero_rejected(self):
+        # the positive z1 above dips to 1e-6; the time map races past the
+        # dip between two nodes, where the gap falls to -1.3e-2 at t ~ 0.159
+        pair = helium.PairLoop(
+            loops.from_coeffs(
+                loops.EVEN_COSINE,
+                [0.4442295716781513, -0.136, 0.318, 0.0426, -0.0336, -0.0789, 0.0280],
+            ),
+            loops.from_coeffs(loops.ODD_SINE, [0.104, -0.0211, 0.0573]),
+        )
+        assert np.min(helium._Repulsion(pair, 64).gap) > 0.0
+        with pytest.raises(AdmissibilityError, match="violated"):
+            helium.b_in(pair)
+        with pytest.raises(AdmissibilityError):
+            helium.b_interp_value(pair, 0.5)
+        obj = helium.PairObjective(1.0, n1=7, n2=3)
+        assert not obj.admissible(obj.pack(pair))
+
+    def test_positive_gap_beside_a_small_outer_loop_accepted(self):
+        # min |z1| is 0.02 and the least gap +4.9e-5, far above the closing
+        # share of the largest: accepted without a warning, and the floor of
+        # the halved cells bounds the gap on the whole circle
+        pair = helium.PairLoop(
+            loops.from_coeffs(loops.EVEN_COSINE, [
+                0.0801075336277143, 0.0382442845026188, 0.032702038563675956,
+                -0.017936986386767557, -0.01750935251059146, -0.011949484961191416,
+                0.0034475894744903013, -0.005972446884522857, -0.001065196409324635,
+                0.0022107106466889657, -0.002684539356225661, 0.0010251206289248669,
+            ]),
+            loops.from_coeffs(loops.ODD_SINE, [0.017009299420998422, -0.002309213849180787]),
+        )
+        assert loops.loop_zeros(pair.z1).size == 0
+        assert unsettled(pair)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            helium.b_in(pair)
+        obj = helium.PairObjective(1.0, n1=12, n2=2)
+        assert obj.admissible(obj.pack(pair))
+        rep = helium._admissible_gap(pair)
+        assert not rep.closing
+        assert 0.0 < rep.floor <= dense_gap(pair)
+
+    @settings(max_examples=25, deadline=None)
+    @given(tangent_dips())
+    def test_gap_below_zero_at_a_tangent_dip_rejected(self, pair):
+        # however narrow the dip of the time map, no node count accepts it
+        for m in (8, 16, 64, 256):
+            rep = helium._Repulsion(pair, m)
+            assert not rep.settled
+            with pytest.raises(AdmissibilityError):
+                rep.refine()
+        with pytest.raises(AdmissibilityError):
+            helium.b_in(pair)
+
+    def test_collision_of_both_loops_at_one_instant_rejected(self):
+        # z1 = 1e-7 + sin^2 pi tau and z2 = 0.1 sin^3 pi tau both pass the
+        # nucleus at t = 0, where t is too coarse in floating point to
+        # resolve the race of z1's time map: positivity is not shown
+        pair = helium.PairLoop(
+            loops.from_coeffs(loops.EVEN_COSINE, [0.5 + 1e-7, -0.5]),
+            loops.from_coeffs(loops.ODD_SINE, [0.075, -0.025]),
+        )
+        for m in (8, 16, 64, 256):
+            with pytest.raises(AdmissibilityError, match="could not be shown"):
+                helium._Repulsion(pair, m).refine()
+        with pytest.raises(AdmissibilityError):
+            helium.b_in(pair)
+
     def test_nearly_closing_gap_warns(self):
         # least gap 2e-7 of a largest ~1: ill conditioned, though no node sees it
         pair = self._constant_outer(1.0000001)
@@ -342,32 +446,29 @@ class TestBIn:
         with pytest.warns(RuntimeWarning, match="nearly closes"):
             helium.b_in(pair)
 
-    def test_least_gap_matches_dense_scan(self):
-        # the gap's minimum sits off tau = 1/2 here, at t ~ 0.3725 and 0.6275
-        pair = helium.PairLoop(
-            loops.from_coeffs(loops.EVEN_COSINE, [1.0, 0.05, 0.02]),
-            loops.from_coeffs(loops.ODD_SINE, [0.5, 0.2, 0.1, 0.05]),
-        )
-        dense = dense_gap(pair)
-        for m in (8, 16, 32, 64, 128):
-            least = helium._Repulsion(pair, m).least[0]
-            # never above the true minimum, and at it once the nodes resolve g
-            assert least <= dense + 1e-12
-            if m >= 32:
-                assert least > dense - 1e-9
-
     @settings(max_examples=60, deadline=None)
     @given(floor_pairs())
     def test_floor_is_below_the_dense_scan(self, pair):
         # the floor bounds the gap on the whole circle, between the nodes
-        # too, at every node count; where z1 may vanish it is -inf
+        # too, at every node count; where z1 may vanish it is -inf.  Where
+        # z1 has no zero, beside which a negative window can be too narrow
+        # for any scan, the verdict is the sign of the scans in both times,
+        # and an accepted pair's floor, halved cells and all, is positive
         dense = dense_gap(pair)
         for m in (8, 16, 64):
             assert helium._Repulsion(pair, m).floor <= dense + 1e-12
+        if loops.loop_zeros(pair.z1).size == 0:
+            least = min(dense, raced_gap(pair))
+            try:
+                rep = helium._admissible_gap(pair)
+            except AdmissibilityError:
+                assert least <= 0.0
+            else:
+                assert 0.0 < rep.floor <= least + 1e-12
 
     def test_floor_settles_the_homotopy_pairs(self, cert_rho, homotopy, monkeypatch):
         # every build of one 8x16 homotopy clears its floor, which lies
-        # within 0.05% of the refined least gap
+        # within 0.05% of the least gap of a dense scan
         reps = []
         init = helium._Repulsion.__init__
         monkeypatch.setattr(
@@ -376,7 +477,8 @@ class TestBIn:
         homotopy(cert_rho, 8, 16)
         assert reps and all(rep.settled for rep in reps)
         for rep in reps:
-            assert 0.9995 * rep.least[0] < rep.floor <= rep.least[0]
+            dense = dense_gap(helium.PairLoop(rep.z1, rep.inner))
+            assert 0.9995 * dense < rep.floor <= dense
 
 
 @pytest.fixture(scope="module")
@@ -707,12 +809,12 @@ class TestProductPrimitive:
 
 class TestSharedTimeMaps:
     def test_one_inversion_per_repulsion_on_the_homotopy(self, cert_rho, homotopy, monkeypatch):
-        # the floor settles every pair of one 8x16 homotopy: the least gap is
-        # never refined, and z1's time map is inverted at the nodes alone
+        # the floor settles every pair of one 8x16 homotopy: no cell is
+        # halved, and z1's time map is inverted at the nodes alone
         builds, inversions, refined = [], [], []
         init = helium._Repulsion.__init__
         tau_of_t = levi_civita.tau_of_t
-        least = helium._Repulsion.least.func
+        refine = helium._Repulsion.refine
         monkeypatch.setattr(
             helium._Repulsion, "__init__", lambda rep, *a: builds.append(1) or init(rep, *a)
         )
@@ -720,7 +822,7 @@ class TestSharedTimeMaps:
             levi_civita, "tau_of_t", lambda z, t: inversions.append(1) or tau_of_t(z, t)
         )
         monkeypatch.setattr(
-            helium._Repulsion, "least", property(lambda rep: refined.append(1) or least(rep))
+            helium._Repulsion, "refine", lambda rep: refined.append(1) or refine(rep)
         )
         homotopy(cert_rho, 8, 16)
         assert builds and len(inversions) == len(builds)

@@ -1,11 +1,12 @@
 import ast
+import importlib.util
 import json
 from pathlib import Path
 
 import frozenplanet
 import frozenplanet.cli  # noqa: F401  (the tracer reads every layer, cli too)
 from bench import tracer
-from tools import bench_pairs
+from tools import bench_pairs, line_reach
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -197,3 +198,30 @@ class TestEveryNameHasAReader:
                 ):
                     unread.add(f"{path.stem}.{name}")
         assert unread == PAPER_CHECKS
+
+
+class TestLineReach:
+    TOY = "def f(x):\n    if x > 0:\n        return 1\n    return -1\n\n\ndef g():\n    return 0\n"
+
+    def test_lines_a_run_misses(self, tmp_path):
+        toy = tmp_path / "toy.py"
+        toy.write_text(self.TOY)
+
+        def run():
+            spec = importlib.util.spec_from_file_location("toy", toy)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            module.f(1)
+
+        _, found = line_reach.reach([str(toy)], run)
+        lines, ran = found[str(toy)]
+        # the def lines run when the module does; f's other branch and g's body do not
+        assert lines == {1, 2, 3, 4, 7, 8}
+        assert lines - ran == {4, 8}
+        assert line_reach.ranges(lines - ran, lines) == ["4", "8"]
+
+    def test_ranges_join_runs_of_missed_lines(self):
+        lines = {1, 2, 3, 4, 7, 8}
+        assert line_reach.ranges({2, 3, 4, 8}, lines) == ["2-4", "8"]
+        assert line_reach.ranges({4, 7, 8}, lines) == ["4-8"]
+        assert line_reach.ranges(set(), lines) == []
